@@ -54,32 +54,5 @@ fn placement(c: &mut Criterion) {
     g.finish();
 }
 
-fn cached_placement(c: &mut Criterion) {
-    use ech_core::cache::PlacementCache;
-    use ech_core::placement::Strategy;
-    use ech_core::view::ClusterView;
-
-    let mut g = c.benchmark_group("placement_cache");
-    g.throughput(Throughput::Elements(1));
-    let view = ClusterView::new(Layout::equal_work(100, 20_000), Strategy::Primary, 3);
-    // Hot loop over 1k distinct objects: ~100% hit rate after warmup.
-    g.bench_function("hot_1k_objects", |b| {
-        let mut cache = PlacementCache::new(2_048);
-        let mut k = 0u64;
-        b.iter(|| {
-            k = (k + 1) % 1_000;
-            black_box(cache.place_current(&view, ObjectId(k)).unwrap())
-        });
-    });
-    g.bench_function("uncached_baseline", |b| {
-        let mut k = 0u64;
-        b.iter(|| {
-            k = (k + 1) % 1_000;
-            black_box(view.place_current(ObjectId(k)).unwrap())
-        });
-    });
-    g.finish();
-}
-
-criterion_group!(benches, placement, cached_placement);
+criterion_group!(benches, placement);
 criterion_main!(benches);

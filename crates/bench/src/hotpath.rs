@@ -9,10 +9,12 @@
 //! harness, not part of the deterministic placement/sim core, so the D1
 //! no-wall-clock rule does not apply.
 
+use crate::rounded;
 use bytes::Bytes;
 use ech_cluster::{Cluster, ClusterConfig};
 use ech_core::ids::ObjectId;
 use ech_core::sync::counter_u64;
+use serde::{Deserialize, Serialize};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Instant;
@@ -24,114 +26,85 @@ pub const THREADS: usize = 8;
 /// Payload size used for every object (bytes).
 pub const PAYLOAD_BYTES: usize = 128;
 
-/// One full measurement pass.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct HotpathReport {
-    /// `"smoke"` or `"full"`.
-    pub smoke: bool,
-    /// Objects written per phase.
-    pub objects: usize,
-    /// `std::thread::available_parallelism()` on the measuring machine —
-    /// the hard ceiling on multi-thread scaling.
-    pub available_parallelism: usize,
-    /// Single-thread `put` throughput (ops/sec).
-    pub single_put_ops_per_sec: f64,
-    /// Single-thread `get` throughput (ops/sec).
-    pub single_get_ops_per_sec: f64,
-    /// Single-thread alternating put/get throughput (ops/sec).
-    pub single_mixed_ops_per_sec: f64,
-    /// 8-thread alternating put/get throughput, all threads summed
-    /// (ops/sec).
-    pub multi_mixed_ops_per_sec: f64,
-    /// `multi_mixed / single_mixed` — ≥ 1 means the path scales.
+/// Single-thread throughput, ops/sec.
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+pub struct SingleThread {
+    /// `put` throughput.
+    pub put_ops_per_sec: u64,
+    /// `get` throughput.
+    pub get_ops_per_sec: u64,
+    /// Alternating put/get throughput.
+    pub mixed_ops_per_sec: u64,
+}
+
+/// [`THREADS`]-thread throughput.
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+pub struct MultiThread {
+    /// Alternating put/get throughput, all threads summed (ops/sec).
+    pub mixed_ops_per_sec: u64,
+    /// `multi mixed / single mixed` — ≥ 1 means the path scales.
     pub scaling_ratio: f64,
-    /// Placement-cache hits observed during the measurement.
-    pub cache_hits: u64,
-    /// Placement-cache misses observed during the measurement.
-    pub cache_misses: u64,
-    /// Placement-cache shard-lock contention events.
-    pub cache_shard_contention: u64,
-    /// Reintegration drain rate (objects/sec).
-    pub drain_objects_per_sec: f64,
-    /// Reintegration drain rate (MB/sec of payload moved).
+}
+
+/// Placement-cache counters observed during the measurement.
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+pub struct CacheReport {
+    /// Lookups served from the cache.
+    pub hits: u64,
+    /// Lookups that computed the placement.
+    pub misses: u64,
+    /// `hits / (hits + misses)` in `[0, 1]`; 0 when nothing was looked up.
+    pub hit_ratio: f64,
+    /// Shard-lock contention events.
+    pub shard_contention: u64,
+}
+
+/// Reintegration drain rate.
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+pub struct DrainReport {
+    /// Objects drained per second.
+    pub drain_objects_per_sec: u64,
+    /// MB/sec of payload moved.
     pub drain_mb_per_sec: f64,
 }
 
-impl HotpathReport {
-    /// Cache hit ratio in `[0, 1]`.
-    pub fn cache_hit_ratio(&self) -> f64 {
-        let total = self.cache_hits + self.cache_misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.cache_hits as f64 / total as f64
-        }
-    }
+/// One full measurement pass, in the shape it is written as JSON (field
+/// order is the file's order; the committed report is diffed across PRs).
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct HotpathReport {
+    /// `"smoke"` or `"full"`.
+    pub mode: String,
+    /// Objects written per phase.
+    pub objects: usize,
+    /// [`PAYLOAD_BYTES`].
+    pub payload_bytes: usize,
+    /// [`THREADS`].
+    pub threads: usize,
+    /// `std::thread::available_parallelism()` on the measuring machine —
+    /// the hard ceiling on multi-thread scaling.
+    pub available_parallelism: usize,
+    /// Single-thread phases.
+    pub single_thread: SingleThread,
+    /// Multi-thread phase.
+    pub multi_thread: MultiThread,
+    /// Cache counters.
+    pub placement_cache: CacheReport,
+    /// Drain phase.
+    pub reintegration: DrainReport,
+}
 
-    /// Hand-rolled JSON with a stable field order (the committed report
-    /// is diffed across PRs, so ordering must not depend on a map).
+/// `BENCH_hotpath.json`: named reports (a third, `baseline`, is history
+/// and never compared against).
+#[derive(Debug, Deserialize)]
+struct HotpathReference {
+    current: Option<HotpathReport>,
+    smoke: Option<HotpathReport>,
+}
+
+impl HotpathReport {
+    /// The JSON report `ech bench hotpath` prints.
     pub fn to_json(&self) -> String {
-        let mut s = String::new();
-        s.push_str("{\n");
-        s.push_str(&format!(
-            "  \"mode\": \"{}\",\n",
-            if self.smoke { "smoke" } else { "full" }
-        ));
-        s.push_str(&format!("  \"objects\": {},\n", self.objects));
-        s.push_str(&format!("  \"payload_bytes\": {PAYLOAD_BYTES},\n"));
-        s.push_str(&format!("  \"threads\": {THREADS},\n"));
-        s.push_str(&format!(
-            "  \"available_parallelism\": {},\n",
-            self.available_parallelism
-        ));
-        s.push_str("  \"single_thread\": {\n");
-        s.push_str(&format!(
-            "    \"put_ops_per_sec\": {:.0},\n",
-            self.single_put_ops_per_sec
-        ));
-        s.push_str(&format!(
-            "    \"get_ops_per_sec\": {:.0},\n",
-            self.single_get_ops_per_sec
-        ));
-        s.push_str(&format!(
-            "    \"mixed_ops_per_sec\": {:.0}\n",
-            self.single_mixed_ops_per_sec
-        ));
-        s.push_str("  },\n");
-        s.push_str("  \"multi_thread\": {\n");
-        s.push_str(&format!(
-            "    \"mixed_ops_per_sec\": {:.0},\n",
-            self.multi_mixed_ops_per_sec
-        ));
-        s.push_str(&format!(
-            "    \"scaling_ratio\": {:.2}\n",
-            self.scaling_ratio
-        ));
-        s.push_str("  },\n");
-        s.push_str("  \"placement_cache\": {\n");
-        s.push_str(&format!("    \"hits\": {},\n", self.cache_hits));
-        s.push_str(&format!("    \"misses\": {},\n", self.cache_misses));
-        s.push_str(&format!(
-            "    \"hit_ratio\": {:.4},\n",
-            self.cache_hit_ratio()
-        ));
-        s.push_str(&format!(
-            "    \"shard_contention\": {}\n",
-            self.cache_shard_contention
-        ));
-        s.push_str("  },\n");
-        s.push_str("  \"reintegration\": {\n");
-        s.push_str(&format!(
-            "    \"drain_objects_per_sec\": {:.0},\n",
-            self.drain_objects_per_sec
-        ));
-        s.push_str(&format!(
-            "    \"drain_mb_per_sec\": {:.2}\n",
-            self.drain_mb_per_sec
-        ));
-        s.push_str("  }\n");
-        s.push('}');
-        s
+        serde_json::to_string_pretty(self).expect("report serializes")
     }
 }
 
@@ -211,7 +184,7 @@ pub fn run(smoke: bool) -> HotpathReport {
     });
     let multi_mixed = done.load(Ordering::Relaxed) as f64 / t.elapsed().as_secs_f64();
 
-    let cache = cache_stats(&c);
+    let cache = c.cache_stats();
 
     // Phase 5: reintegration drain. Size down, dirty a quarter of the
     // population, size back up, and time the drain to empty.
@@ -227,31 +200,36 @@ pub fn run(smoke: bool) -> HotpathReport {
     c.reintegrate_all();
     let dt = t.elapsed().as_secs_f64();
     let moved = c.migrated_bytes() - moved_before;
-    let drain_objects_per_sec = dirty_objects as f64 / dt;
-    let drain_mb_per_sec = moved as f64 / 1e6 / dt;
 
     HotpathReport {
-        smoke,
+        mode: if smoke { "smoke" } else { "full" }.to_owned(),
         objects,
+        payload_bytes: PAYLOAD_BYTES,
+        threads: THREADS,
         available_parallelism: std::thread::available_parallelism().map_or(1, |n| n.get()),
-        single_put_ops_per_sec: single_put,
-        single_get_ops_per_sec: single_get,
-        single_mixed_ops_per_sec: single_mixed,
-        multi_mixed_ops_per_sec: multi_mixed,
-        scaling_ratio: multi_mixed / single_mixed,
-        cache_hits: cache.0,
-        cache_misses: cache.1,
-        cache_shard_contention: cache.2,
-        drain_objects_per_sec,
-        drain_mb_per_sec,
+        single_thread: SingleThread {
+            put_ops_per_sec: single_put.round() as u64,
+            get_ops_per_sec: single_get.round() as u64,
+            mixed_ops_per_sec: single_mixed.round() as u64,
+        },
+        multi_thread: MultiThread {
+            mixed_ops_per_sec: multi_mixed.round() as u64,
+            scaling_ratio: rounded(multi_mixed / single_mixed, 2),
+        },
+        placement_cache: CacheReport {
+            hits: cache.hits,
+            misses: cache.misses,
+            hit_ratio: match cache.hits + cache.misses {
+                0 => 0.0,
+                total => rounded(cache.hits as f64 / total as f64, 4),
+            },
+            shard_contention: cache.shard_contention,
+        },
+        reintegration: DrainReport {
+            drain_objects_per_sec: (dirty_objects as f64 / dt).round() as u64,
+            drain_mb_per_sec: rounded(moved as f64 / 1e6 / dt, 2),
+        },
     }
-}
-
-/// Placement-cache counters (hits, misses, shard contention) for the
-/// measured cluster.
-fn cache_stats(c: &Cluster) -> (u64, u64, u64) {
-    let s = c.cache_stats();
-    (s.hits, s.misses, s.shard_contention)
 }
 
 /// Compare a fresh report against a committed reference JSON, failing on
@@ -262,54 +240,36 @@ pub fn check_against(
     reference_json: &str,
     tolerance: f64,
 ) -> Result<String, String> {
-    let section = if fresh.smoke { "smoke" } else { "current" };
-    let ref_put = extract_number(reference_json, section, "put_ops_per_sec")
-        .ok_or_else(|| format!("reference JSON has no {section}.single_thread.put_ops_per_sec"))?;
-    let ref_get = extract_number(reference_json, section, "get_ops_per_sec")
-        .ok_or_else(|| format!("reference JSON has no {section}.single_thread.get_ops_per_sec"))?;
+    let reference: HotpathReference = serde_json::from_str(reference_json)
+        .map_err(|e| format!("reference is not a hotpath bench report: {e}"))?;
+    let (section, committed) = if fresh.mode == "smoke" {
+        ("smoke", reference.smoke)
+    } else {
+        ("current", reference.current)
+    };
+    let committed = committed.ok_or_else(|| format!("reference JSON has no {section} section"))?;
+    let (put, get) = (
+        fresh.single_thread.put_ops_per_sec as f64,
+        fresh.single_thread.get_ops_per_sec as f64,
+    );
+    let ref_put = committed.single_thread.put_ops_per_sec as f64;
+    let ref_get = committed.single_thread.get_ops_per_sec as f64;
     let floor_put = ref_put * (1.0 - tolerance);
     let floor_get = ref_get * (1.0 - tolerance);
-    if fresh.single_put_ops_per_sec < floor_put {
+    if put < floor_put {
         return Err(format!(
-            "single-thread put regressed: {:.0} ops/s vs committed {:.0} (floor {:.0})",
-            fresh.single_put_ops_per_sec, ref_put, floor_put
+            "single-thread put regressed: {put:.0} ops/s vs committed {ref_put:.0} (floor {floor_put:.0})"
         ));
     }
-    if fresh.single_get_ops_per_sec < floor_get {
+    if get < floor_get {
         return Err(format!(
-            "single-thread get regressed: {:.0} ops/s vs committed {:.0} (floor {:.0})",
-            fresh.single_get_ops_per_sec, ref_get, floor_get
+            "single-thread get regressed: {get:.0} ops/s vs committed {ref_get:.0} (floor {floor_get:.0})"
         ));
     }
     Ok(format!(
-        "hotpath check ok: put {:.0} vs {:.0}, get {:.0} vs {:.0} (tolerance {:.0}%)",
-        fresh.single_put_ops_per_sec,
-        ref_put,
-        fresh.single_get_ops_per_sec,
-        ref_get,
+        "hotpath check ok: put {put:.0} vs {ref_put:.0}, get {get:.0} vs {ref_get:.0} (tolerance {:.0}%)",
         tolerance * 100.0
     ))
-}
-
-/// Pull `"field": <number>` out of the named top-level section of the
-/// committed report. Deliberately string-based: the reference file is
-/// machine-written by this same module, so a full JSON parser would only
-/// add surface area.
-fn extract_number(json: &str, section: &str, field: &str) -> Option<f64> {
-    let sec_key = format!("\"{section}\"");
-    let start = json.find(&sec_key)?;
-    let tail = &json[start..];
-    let field_key = format!("\"{field}\"");
-    let f = tail.find(&field_key)?;
-    let after = &tail[f + field_key.len()..];
-    let colon = after.find(':')?;
-    let rest = after[colon + 1..].trim_start();
-    let end = rest
-        .find(|c: char| {
-            !(c.is_ascii_digit() || c == '.' || c == '-' || c == 'e' || c == 'E' || c == '+')
-        })
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
 }
 
 #[cfg(test)]
@@ -319,42 +279,56 @@ mod tests {
     #[test]
     fn json_report_round_trips_through_the_checker() {
         let r = HotpathReport {
-            smoke: true,
+            mode: "smoke".to_owned(),
             objects: 100,
+            payload_bytes: PAYLOAD_BYTES,
+            threads: THREADS,
             available_parallelism: 1,
-            single_put_ops_per_sec: 1000.0,
-            single_get_ops_per_sec: 2000.0,
-            single_mixed_ops_per_sec: 1500.0,
-            multi_mixed_ops_per_sec: 1500.0,
-            scaling_ratio: 1.0,
-            cache_hits: 10,
-            cache_misses: 5,
-            cache_shard_contention: 0,
-            drain_objects_per_sec: 50.0,
-            drain_mb_per_sec: 0.5,
+            single_thread: SingleThread {
+                put_ops_per_sec: 1000,
+                get_ops_per_sec: 2000,
+                mixed_ops_per_sec: 1500,
+            },
+            multi_thread: MultiThread {
+                mixed_ops_per_sec: 1500,
+                scaling_ratio: 1.0,
+            },
+            placement_cache: CacheReport {
+                hits: 10,
+                misses: 5,
+                hit_ratio: rounded(10.0 / 15.0, 4),
+                shard_contention: 0,
+            },
+            reintegration: DrainReport {
+                drain_objects_per_sec: 50,
+                drain_mb_per_sec: 0.5,
+            },
         };
+        assert_eq!(
+            serde_json::from_str::<HotpathReport>(&r.to_json()).unwrap(),
+            r
+        );
         let wrapped = format!("{{\n\"smoke\": {}\n}}", r.to_json());
         // Identical numbers pass the 20% gate.
         assert!(check_against(&r, &wrapped, 0.20).is_ok());
         // A big regression fails it.
-        let mut slow = r;
-        slow.single_put_ops_per_sec = 100.0;
+        let mut slow = r.clone();
+        slow.single_thread.put_ops_per_sec = 100;
         assert!(check_against(&slow, &wrapped, 0.20).is_err());
-        // Hit ratio math.
-        assert!((r.cache_hit_ratio() - 10.0 / 15.0).abs() < 1e-9);
+        // A full-mode report finds no `current` section there.
+        slow.mode = "full".to_owned();
+        assert!(check_against(&slow, &wrapped, 0.20).is_err());
+        assert_eq!(r.placement_cache.hit_ratio, 0.6667);
     }
 
+    /// The committed reference (written by the previous hand emitter)
+    /// must stay readable: both gated sections parse.
     #[test]
-    fn extract_number_finds_nested_fields() {
-        let json = "{\n\"current\": {\"single_thread\": {\"put_ops_per_sec\": 1234,\n\"get_ops_per_sec\": 5678.5}}\n}";
-        assert_eq!(
-            extract_number(json, "current", "put_ops_per_sec"),
-            Some(1234.0)
-        );
-        assert_eq!(
-            extract_number(json, "current", "get_ops_per_sec"),
-            Some(5678.5)
-        );
-        assert_eq!(extract_number(json, "smoke", "put_ops_per_sec"), None);
+    fn committed_reference_is_accepted() {
+        let committed = include_str!("../../../BENCH_hotpath.json");
+        let reference: HotpathReference = serde_json::from_str(committed).unwrap();
+        for report in [reference.smoke.unwrap(), reference.current.unwrap()] {
+            assert!(check_against(&report, committed, 0.0).is_ok());
+        }
     }
 }

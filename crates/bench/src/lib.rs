@@ -48,6 +48,13 @@ pub fn mbps(bytes_per_sec: f64) -> String {
     format!("{:.1}", bytes_per_sec / 1e6)
 }
 
+/// Round to `digits` decimals, so a JSON report carries the precision
+/// the measurement supports rather than seventeen digits of noise.
+pub fn rounded(x: f64, digits: i32) -> f64 {
+    let scale = 10f64.powi(digits);
+    (x * scale).round() / scale
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -17,6 +17,7 @@ use ech_core::ids::{ObjectId, VersionId};
 use ech_core::layout::Layout;
 use ech_core::placement::{Placement, Strategy};
 use ech_core::view::ClusterView;
+use serde::{Deserialize, Serialize};
 use std::time::Instant;
 
 /// Replication factor used for every measurement (the paper's r = 2).
@@ -32,7 +33,7 @@ pub struct BackendSample {
     /// Which engine was measured.
     pub kind: EngineKind,
     /// Full-power `place_at` throughput (lookups/sec, single thread).
-    pub lookup_ops_per_sec: f64,
+    pub lookup_ops_per_sec: u64,
     /// Bytes of placement state the engine keeps resident.
     pub resident_bytes: usize,
     /// Fraction of keys whose replica set changed when the cluster
@@ -40,68 +41,117 @@ pub struct BackendSample {
     pub remap_fraction: f64,
 }
 
-/// All backends at one (nodes, keys) scale point.
-#[derive(Debug, Clone, PartialEq)]
+/// All backends at one (nodes, keys) scale point, in the flat
+/// `<engine>_<metric>` shape the JSON report has always had (field
+/// order is the file's order); [`SectionReport::samples`] is the typed
+/// view.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[allow(missing_docs)] // one field per BackendSample field per engine
 pub struct SectionReport {
-    /// JSON section name (`smoke`, `nodes_1000`, `nodes_10000`).
-    pub name: &'static str,
     /// Cluster size.
     pub nodes: usize,
     /// Distinct objects looked up.
     pub keys: usize,
-    /// One sample per [`EngineKind::ALL`] backend, in that order.
-    pub samples: Vec<BackendSample>,
+    pub ring_lookup_ops_per_sec: u64,
+    pub ring_resident_bytes: usize,
+    pub ring_remap_fraction: f64,
+    pub jump_lookup_ops_per_sec: u64,
+    pub jump_resident_bytes: usize,
+    pub jump_remap_fraction: f64,
+    pub dx_lookup_ops_per_sec: u64,
+    pub dx_resident_bytes: usize,
+    pub dx_remap_fraction: f64,
+    pub power_lookup_ops_per_sec: u64,
+    pub power_resident_bytes: usize,
+    pub power_remap_fraction: f64,
 }
 
-/// One full measurement pass.
-#[derive(Debug, Clone, PartialEq)]
+impl SectionReport {
+    fn new(nodes: usize, keys: usize, [ring, jump, dx, power]: [BackendSample; 4]) -> Self {
+        SectionReport {
+            nodes,
+            keys,
+            ring_lookup_ops_per_sec: ring.lookup_ops_per_sec,
+            ring_resident_bytes: ring.resident_bytes,
+            ring_remap_fraction: ring.remap_fraction,
+            jump_lookup_ops_per_sec: jump.lookup_ops_per_sec,
+            jump_resident_bytes: jump.resident_bytes,
+            jump_remap_fraction: jump.remap_fraction,
+            dx_lookup_ops_per_sec: dx.lookup_ops_per_sec,
+            dx_resident_bytes: dx.resident_bytes,
+            dx_remap_fraction: dx.remap_fraction,
+            power_lookup_ops_per_sec: power.lookup_ops_per_sec,
+            power_resident_bytes: power.resident_bytes,
+            power_remap_fraction: power.remap_fraction,
+        }
+    }
+
+    /// One sample per [`EngineKind::ALL`] backend, in that order.
+    pub fn samples(&self) -> [BackendSample; 4] {
+        EngineKind::ALL.map(|kind| {
+            let (lookup_ops_per_sec, resident_bytes, remap_fraction) = match kind {
+                EngineKind::Ring => (
+                    self.ring_lookup_ops_per_sec,
+                    self.ring_resident_bytes,
+                    self.ring_remap_fraction,
+                ),
+                EngineKind::Jump => (
+                    self.jump_lookup_ops_per_sec,
+                    self.jump_resident_bytes,
+                    self.jump_remap_fraction,
+                ),
+                EngineKind::Dx => (
+                    self.dx_lookup_ops_per_sec,
+                    self.dx_resident_bytes,
+                    self.dx_remap_fraction,
+                ),
+                EngineKind::Power => (
+                    self.power_lookup_ops_per_sec,
+                    self.power_resident_bytes,
+                    self.power_remap_fraction,
+                ),
+            };
+            BackendSample {
+                kind,
+                lookup_ops_per_sec,
+                resident_bytes,
+                remap_fraction,
+            }
+        })
+    }
+}
+
+/// One measurement pass — or the committed reference, which is stitched
+/// together from a full and a smoke pass and so carries every section.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct PlacementReport {
-    /// `"smoke"` or `"full"`.
-    pub smoke: bool,
-    /// Measured sections.
-    pub sections: Vec<SectionReport>,
+    /// `"smoke"` or `"full"`; absent in the stitched reference.
+    pub mode: Option<String>,
+    /// [`REPLICAS`].
+    pub replicas: usize,
+    /// The CI-sized section (smoke passes only).
+    pub smoke: Option<SectionReport>,
+    /// Million keys × 10³ nodes (full passes only).
+    pub nodes_1000: Option<SectionReport>,
+    /// Million keys × 10⁴ nodes (full passes only).
+    pub nodes_10000: Option<SectionReport>,
 }
 
 impl PlacementReport {
-    /// Hand-rolled JSON with a stable field order (the committed report
-    /// is diffed across PRs, so ordering must not depend on a map).
+    /// The JSON report `ech bench placement` prints.
     pub fn to_json(&self) -> String {
-        let mut s = String::new();
-        s.push_str("{\n");
-        s.push_str(&format!(
-            "  \"mode\": \"{}\",\n",
-            if self.smoke { "smoke" } else { "full" }
-        ));
-        s.push_str(&format!("  \"replicas\": {REPLICAS},\n"));
-        for (i, sec) in self.sections.iter().enumerate() {
-            s.push_str(&format!("  \"{}\": {{\n", sec.name));
-            s.push_str(&format!("    \"nodes\": {},\n", sec.nodes));
-            s.push_str(&format!("    \"keys\": {},\n", sec.keys));
-            for (j, b) in sec.samples.iter().enumerate() {
-                let name = b.kind.name();
-                s.push_str(&format!(
-                    "    \"{name}_lookup_ops_per_sec\": {:.0},\n",
-                    b.lookup_ops_per_sec
-                ));
-                s.push_str(&format!(
-                    "    \"{name}_resident_bytes\": {},\n",
-                    b.resident_bytes
-                ));
-                let comma = if j + 1 == sec.samples.len() { "" } else { "," };
-                s.push_str(&format!(
-                    "    \"{name}_remap_fraction\": {:.4}{comma}\n",
-                    b.remap_fraction
-                ));
-            }
-            let comma = if i + 1 == self.sections.len() {
-                ""
-            } else {
-                ","
-            };
-            s.push_str(&format!("  }}{comma}\n"));
-        }
-        s.push('}');
-        s
+        serde_json::to_string_pretty(self).expect("report serializes")
+    }
+
+    /// The sections this report carries, by JSON name.
+    pub fn sections(&self) -> impl Iterator<Item = (&'static str, &SectionReport)> {
+        [
+            ("smoke", &self.smoke),
+            ("nodes_1000", &self.nodes_1000),
+            ("nodes_10000", &self.nodes_10000),
+        ]
+        .into_iter()
+        .filter_map(|(name, sec)| Some((name, sec.as_ref()?)))
     }
 }
 
@@ -159,63 +209,62 @@ fn measure_backend(kind: EngineKind, nodes: usize, keys: usize) -> BackendSample
 
     BackendSample {
         kind,
-        lookup_ops_per_sec,
+        lookup_ops_per_sec: lookup_ops_per_sec.round() as u64,
         resident_bytes,
-        remap_fraction: moved as f64 / keys as f64,
+        remap_fraction: crate::rounded(moved as f64 / keys as f64, 4),
     }
 }
 
 /// Measure all backends at one scale point.
-fn measure_section(name: &'static str, nodes: usize, keys: usize) -> SectionReport {
-    SectionReport {
-        name,
-        nodes,
-        keys,
-        samples: EngineKind::ALL
-            .iter()
-            .map(|&kind| measure_backend(kind, nodes, keys))
-            .collect(),
-    }
+fn measure_section(nodes: usize, keys: usize) -> SectionReport {
+    let samples = EngineKind::ALL.map(|kind| measure_backend(kind, nodes, keys));
+    SectionReport::new(nodes, keys, samples)
 }
 
 /// Run the full measurement. `smoke` shrinks the workload for CI.
 pub fn run(smoke: bool) -> PlacementReport {
-    let sections = if smoke {
-        vec![measure_section("smoke", 1_000, 20_000)]
-    } else {
-        vec![
-            measure_section("nodes_1000", 1_000, 1_000_000),
-            measure_section("nodes_10000", 10_000, 1_000_000),
-        ]
-    };
-    PlacementReport { smoke, sections }
+    let section = |nodes, keys| Some(measure_section(nodes, keys));
+    PlacementReport {
+        mode: Some(if smoke { "smoke" } else { "full" }.to_owned()),
+        replicas: REPLICAS,
+        smoke: if smoke { section(1_000, 20_000) } else { None },
+        nodes_1000: if smoke {
+            None
+        } else {
+            section(1_000, 1_000_000)
+        },
+        nodes_10000: if smoke {
+            None
+        } else {
+            section(10_000, 1_000_000)
+        },
+    }
 }
 
 /// Compare a fresh report against a committed reference JSON, failing
 /// when any backend's lookup throughput regressed beyond `tolerance` in
-/// any section both reports carry. Returns a human-readable verdict on
-/// success.
+/// any section the fresh report carries. Returns a human-readable
+/// verdict on success.
 pub fn check_against(
     fresh: &PlacementReport,
     reference_json: &str,
     tolerance: f64,
 ) -> Result<String, String> {
+    let reference: PlacementReport = serde_json::from_str(reference_json)
+        .map_err(|e| format!("reference is not a placement bench report: {e}"))?;
     let mut checked = 0usize;
-    for sec in &fresh.sections {
-        for b in &sec.samples {
-            let field = format!("{}_lookup_ops_per_sec", b.kind.name());
-            let Some(reference) = extract_number(reference_json, sec.name, &field) else {
-                return Err(format!("reference JSON has no {}.{}", sec.name, field));
-            };
-            let floor = reference * (1.0 - tolerance);
-            if b.lookup_ops_per_sec < floor {
+    for (name, sec) in fresh.sections() {
+        let Some((_, committed)) = reference.sections().find(|(n, _)| *n == name) else {
+            return Err(format!("reference JSON has no {name} section"));
+        };
+        for (b, r) in sec.samples().iter().zip(committed.samples()) {
+            let floor = r.lookup_ops_per_sec as f64 * (1.0 - tolerance);
+            if (b.lookup_ops_per_sec as f64) < floor {
                 return Err(format!(
-                    "{} {} lookups regressed: {:.0} ops/s vs committed {:.0} (floor {:.0})",
-                    sec.name,
+                    "{name} {} lookups regressed: {} ops/s vs committed {} (floor {floor:.0})",
                     b.kind.name(),
                     b.lookup_ops_per_sec,
-                    reference,
-                    floor
+                    r.lookup_ops_per_sec,
                 ));
             }
             checked += 1;
@@ -227,48 +276,23 @@ pub fn check_against(
     ))
 }
 
-/// Pull `"field": <number>` out of the named top-level section of the
-/// committed report. Deliberately string-based: the reference file is
-/// machine-written by this same module, so a full JSON parser would only
-/// add surface area.
-fn extract_number(json: &str, section: &str, field: &str) -> Option<f64> {
-    let sec_key = format!("\"{section}\"");
-    let start = json.find(&sec_key)?;
-    let tail = &json[start..];
-    let field_key = format!("\"{field}\"");
-    let f = tail.find(&field_key)?;
-    let after = &tail[f + field_key.len()..];
-    let colon = after.find(':')?;
-    let rest = after[colon + 1..].trim_start();
-    let end = rest
-        .find(|c: char| {
-            !(c.is_ascii_digit() || c == '.' || c == '-' || c == 'e' || c == 'E' || c == '+')
-        })
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn tiny_report() -> PlacementReport {
+        let samples = EngineKind::ALL.map(|kind| BackendSample {
+            kind,
+            lookup_ops_per_sec: 1000,
+            resident_bytes: 64,
+            remap_fraction: 0.25,
+        });
         PlacementReport {
-            smoke: true,
-            sections: vec![SectionReport {
-                name: "smoke",
-                nodes: 16,
-                keys: 64,
-                samples: EngineKind::ALL
-                    .iter()
-                    .map(|&kind| BackendSample {
-                        kind,
-                        lookup_ops_per_sec: 1000.0,
-                        resident_bytes: 64,
-                        remap_fraction: 0.25,
-                    })
-                    .collect(),
-            }],
+            mode: Some("smoke".to_owned()),
+            replicas: REPLICAS,
+            smoke: Some(SectionReport::new(16, 64, samples)),
+            nodes_1000: None,
+            nodes_10000: None,
         }
     }
 
@@ -281,22 +305,33 @@ mod tests {
             assert!(json.contains(&format!("\"{}_resident_bytes\"", kind.name())));
             assert!(json.contains(&format!("\"{}_remap_fraction\"", kind.name())));
         }
+        assert_eq!(serde_json::from_str::<PlacementReport>(&json).unwrap(), r);
         assert!(check_against(&r, &json, 0.25).is_ok());
         let mut slow = r.clone();
-        slow.sections[0].samples[1].lookup_ops_per_sec = 1.0;
+        slow.smoke.as_mut().unwrap().jump_lookup_ops_per_sec = 1;
         assert!(check_against(&slow, &json, 0.25).is_err());
         // A reference missing the section fails loudly, not silently.
+        assert!(check_against(&r, "{\"replicas\": 2}", 0.25).is_err());
         assert!(check_against(&r, "{}", 0.25).is_err());
+    }
+
+    /// The committed reference (written by the previous hand emitter)
+    /// must stay readable, every section of it.
+    #[test]
+    fn committed_reference_is_accepted() {
+        let committed = include_str!("../../../BENCH_placement.json");
+        let reference: PlacementReport = serde_json::from_str(committed).unwrap();
+        assert_eq!(reference.sections().count(), 3);
+        assert!(check_against(&reference, committed, 0.0).is_ok());
     }
 
     #[test]
     fn smoke_sized_measurement_produces_sane_numbers() {
         // A miniature run through the real measurement path: all four
         // backends, tiny key count so the test stays fast.
-        let sec = measure_section("smoke", 50, 400);
-        assert_eq!(sec.samples.len(), EngineKind::ALL.len());
-        for b in &sec.samples {
-            assert!(b.lookup_ops_per_sec > 0.0, "{:?} rate", b.kind);
+        let samples = measure_section(50, 400).samples();
+        for b in &samples {
+            assert!(b.lookup_ops_per_sec > 0, "{:?} rate", b.kind);
             assert!(b.resident_bytes > 0, "{:?} memory", b.kind);
             assert!(
                 (0.0..=1.0).contains(&b.remap_fraction),
@@ -307,7 +342,7 @@ mod tests {
         }
         // Sizing down 20% must not remap everything under any backend —
         // that is the minimal-disruption property the adapter guarantees.
-        for b in &sec.samples {
+        for b in &samples {
             assert!(
                 b.remap_fraction < 0.9,
                 "{:?} remapped {:.2} of keys on a 20% size-down",
@@ -317,8 +352,8 @@ mod tests {
         }
         // Hashed backends keep orders of magnitude less resident state
         // than the ring.
-        let ring = sec.samples[0].resident_bytes;
-        for b in &sec.samples[1..] {
+        let ring = samples[0].resident_bytes;
+        for b in &samples[1..] {
             assert!(b.resident_bytes * 10 < ring, "{:?} vs ring", b.kind);
         }
     }

@@ -13,7 +13,7 @@
 //! Wall times are reported for context but never gated on — they vary
 //! with the machine; the schedule counts do not.
 
-use std::fmt::Write as _;
+use serde::{Deserialize, Serialize};
 use std::time::Instant;
 
 /// Acceptance floor for the aggregate reduction: the full sweep must
@@ -25,9 +25,10 @@ pub const MIN_REDUCTION_RATIO: f64 = 3.0;
 const MAX_SCHEDULES: usize = 500_000;
 
 /// One (model, mode) measurement.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Entry {
-    pub model: &'static str,
-    pub mode: &'static str,
+    pub model: String,
+    pub mode: String,
     pub bound: usize,
     pub msg_budget: usize,
     /// Schedules explored with reduction off.
@@ -36,62 +37,28 @@ pub struct Entry {
     pub reduced_schedules: usize,
     /// Runs abandoned mid-execution by the sleep set (reduction on).
     pub reduced_blocked: usize,
+    /// Wall times: context only, never compared.
     pub full_ms: f64,
     pub reduced_ms: f64,
 }
 
-/// The whole grid plus aggregates.
+/// The whole grid plus aggregates, in the shape of
+/// `BENCH_modelcheck.json` (field order is the file's order; the
+/// committed report is diffed across PRs).
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct McBenchReport {
+    pub bench: String,
     pub entries: Vec<Entry>,
-    pub total_full: usize,
-    pub total_reduced: usize,
+    pub total_full_schedules: usize,
+    pub total_reduced_schedules: usize,
+    /// `total_full / total_reduced` — the factor the reduction removes.
+    pub reduction_ratio: f64,
 }
 
 impl McBenchReport {
-    /// `total_full / total_reduced` — the factor the reduction removes.
-    pub fn reduction_ratio(&self) -> f64 {
-        if self.total_reduced == 0 {
-            0.0
-        } else {
-            self.total_full as f64 / self.total_reduced as f64
-        }
-    }
-
-    /// Hand-rolled JSON with a stable field order (the committed report
-    /// is diffed across PRs, so ordering must not depend on a map).
+    /// The JSON report `ech bench modelcheck` prints.
     pub fn to_json(&self) -> String {
-        let mut s = String::new();
-        s.push_str("{\n");
-        s.push_str("  \"bench\": \"modelcheck\",\n");
-        s.push_str("  \"entries\": [\n");
-        for (i, e) in self.entries.iter().enumerate() {
-            let comma = if i + 1 < self.entries.len() { "," } else { "" };
-            writeln!(
-                s,
-                "    {{\"model\": \"{}\", \"mode\": \"{}\", \"bound\": {}, \
-                 \"msg_budget\": {}, \"full_schedules\": {}, \
-                 \"reduced_schedules\": {}, \"reduced_blocked\": {}, \
-                 \"full_ms\": {:.1}, \"reduced_ms\": {:.1}}}{comma}",
-                e.model,
-                e.mode,
-                e.bound,
-                e.msg_budget,
-                e.full_schedules,
-                e.reduced_schedules,
-                e.reduced_blocked,
-                e.full_ms,
-                e.reduced_ms,
-            )
-            .expect("write to string");
-        }
-        s.push_str("  ],\n");
-        writeln!(s, "  \"total_full_schedules\": {},", self.total_full).expect("write to string");
-        writeln!(s, "  \"total_reduced_schedules\": {},", self.total_reduced)
-            .expect("write to string");
-        writeln!(s, "  \"reduction_ratio\": {:.2}", self.reduction_ratio())
-            .expect("write to string");
-        s.push('}');
-        s
+        serde_json::to_string_pretty(self).expect("report serializes")
     }
 }
 
@@ -112,7 +79,7 @@ fn measure(
         reduce,
     };
     let t = Instant::now();
-    let report = ech_modelcheck::explore(m.name, &cfg, m.setup);
+    let report = ech_modelcheck::explore(m.name, &cfg, |env| m.build(env));
     let ms = t.elapsed().as_secs_f64() * 1e3;
     (report.schedules, report.blocked, ms)
 }
@@ -131,56 +98,30 @@ pub fn run(_smoke: bool) -> McBenchReport {
             let (full, _, full_ms) = measure(m, weak, budget, false);
             let (reduced, blocked, reduced_ms) = measure(m, weak, budget, true);
             entries.push(Entry {
-                model: m.name,
-                mode,
+                model: m.name.to_owned(),
+                mode: mode.to_owned(),
                 bound: m.bound,
                 msg_budget: budget,
                 full_schedules: full,
                 reduced_schedules: reduced,
                 reduced_blocked: blocked,
-                full_ms,
-                reduced_ms,
+                full_ms: ech_bench::rounded(full_ms, 1),
+                reduced_ms: ech_bench::rounded(reduced_ms, 1),
             });
         }
     }
-    let total_full = entries.iter().map(|e| e.full_schedules).sum();
-    let total_reduced = entries.iter().map(|e| e.reduced_schedules).sum();
+    let total_full: usize = entries.iter().map(|e| e.full_schedules).sum();
+    let total_reduced: usize = entries.iter().map(|e| e.reduced_schedules).sum();
     McBenchReport {
+        bench: "modelcheck".to_owned(),
         entries,
-        total_full,
-        total_reduced,
+        total_full_schedules: total_full,
+        total_reduced_schedules: total_reduced,
+        reduction_ratio: match total_reduced {
+            0 => 0.0,
+            n => ech_bench::rounded(total_full as f64 / n as f64, 2),
+        },
     }
-}
-
-/// Mirror of the committed report for parsing; timing fields are read
-/// but never compared.
-#[derive(serde::Deserialize)]
-struct RefEntry {
-    model: String,
-    mode: String,
-    #[allow(dead_code)]
-    bound: usize,
-    #[allow(dead_code)]
-    msg_budget: usize,
-    full_schedules: usize,
-    reduced_schedules: usize,
-    #[allow(dead_code)]
-    reduced_blocked: usize,
-    #[allow(dead_code)]
-    full_ms: f64,
-    #[allow(dead_code)]
-    reduced_ms: f64,
-}
-
-#[derive(serde::Deserialize)]
-struct RefReport {
-    #[allow(dead_code)]
-    bench: String,
-    entries: Vec<RefEntry>,
-    total_full_schedules: usize,
-    total_reduced_schedules: usize,
-    #[allow(dead_code)]
-    reduction_ratio: f64,
 }
 
 /// Compare fresh numbers against the committed reference. Schedule
@@ -188,22 +129,22 @@ struct RefReport {
 /// ratio must clear [`MIN_REDUCTION_RATIO`]. Returns a verdict line on
 /// success, an error description on any mismatch.
 pub fn check_against(report: &McBenchReport, reference: &str) -> Result<String, String> {
-    let parsed: RefReport = serde_json::from_str(reference)
+    let parsed: McBenchReport = serde_json::from_str(reference)
         .map_err(|e| format!("reference is not a valid modelcheck bench report: {e}"))?;
     let mut problems = Vec::new();
-    if report.total_full != parsed.total_full_schedules {
+    if report.total_full_schedules != parsed.total_full_schedules {
         problems.push(format!(
             "total full-DFS schedules changed: reference {}, fresh {}",
-            parsed.total_full_schedules, report.total_full
+            parsed.total_full_schedules, report.total_full_schedules
         ));
     }
-    if report.total_reduced != parsed.total_reduced_schedules {
+    if report.total_reduced_schedules != parsed.total_reduced_schedules {
         problems.push(format!(
             "total reduced schedules changed: reference {}, fresh {}",
-            parsed.total_reduced_schedules, report.total_reduced
+            parsed.total_reduced_schedules, report.total_reduced_schedules
         ));
     }
-    let ratio = report.reduction_ratio();
+    let ratio = report.reduction_ratio;
     if ratio < MIN_REDUCTION_RATIO {
         problems.push(format!(
             "reduction ratio {ratio:.2} below the {MIN_REDUCTION_RATIO:.1}x acceptance floor"
@@ -239,7 +180,7 @@ pub fn check_against(report: &McBenchReport, reference: &str) -> Result<String, 
     if problems.is_empty() {
         Ok(format!(
             "modelcheck bench check: ok ({} -> {} schedules, {ratio:.2}x reduction)",
-            report.total_full, report.total_reduced
+            report.total_full_schedules, report.total_reduced_schedules
         ))
     } else {
         Err(format!(

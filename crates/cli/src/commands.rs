@@ -153,37 +153,31 @@ fn bench_cmd(args: &Args) -> Result<String, ParseError> {
         ),
         None => None,
     };
-    if group == "modelcheck" {
-        // Schedule counts are deterministic, so the check is exact —
-        // `--tolerance` only applies to the wall-clock bench groups.
-        let report = crate::bench_mc::run(smoke);
-        let mut out = report.to_json();
-        if let Some(reference) = reference {
+    let reference = reference.as_deref();
+    let (mut out, verdict) = match group {
+        "modelcheck" => {
+            // Schedule counts are deterministic, so the check is exact —
+            // `--tolerance` only applies to the wall-clock bench groups.
+            let report = crate::bench_mc::run(smoke);
+            let verdict = reference.map(|r| crate::bench_mc::check_against(&report, r));
+            (report.to_json(), verdict)
+        }
+        "placement" => {
+            let report = ech_bench::placement::run(smoke);
             let verdict =
-                crate::bench_mc::check_against(&report, &reference).map_err(ParseError)?;
-            out.push('\n');
-            out.push_str(&verdict);
+                reference.map(|r| ech_bench::placement::check_against(&report, r, tolerance));
+            (report.to_json(), verdict)
         }
-        return Ok(out);
-    }
-    if group == "placement" {
-        let report = ech_bench::placement::run(smoke);
-        let mut out = report.to_json();
-        if let Some(reference) = reference {
-            let verdict = ech_bench::placement::check_against(&report, &reference, tolerance)
-                .map_err(ParseError)?;
-            out.push('\n');
-            out.push_str(&verdict);
+        _ => {
+            let report = ech_bench::hotpath::run(smoke);
+            let verdict =
+                reference.map(|r| ech_bench::hotpath::check_against(&report, r, tolerance));
+            (report.to_json(), verdict)
         }
-        return Ok(out);
-    }
-    let report = ech_bench::hotpath::run(smoke);
-    let mut out = report.to_json();
-    if let Some(reference) = reference {
-        let verdict = ech_bench::hotpath::check_against(&report, &reference, tolerance)
-            .map_err(ParseError)?;
+    };
+    if let Some(verdict) = verdict {
         out.push('\n');
-        out.push_str(&verdict);
+        out.push_str(&verdict.map_err(ParseError)?);
     }
     Ok(out)
 }
@@ -371,8 +365,10 @@ fn modelcheck_cmd(args: &Args) -> Result<String, ParseError> {
                 ech_modelcheck::explore_random(m.name, &cfg, seed, iters, lincheck_wrapped(m))
             }
             (true, false) => ech_modelcheck::explore(m.name, &cfg, lincheck_wrapped(m)),
-            (false, true) => ech_modelcheck::explore_random(m.name, &cfg, seed, iters, m.setup),
-            (false, false) => ech_modelcheck::explore(m.name, &cfg, m.setup),
+            (false, true) => {
+                ech_modelcheck::explore_random(m.name, &cfg, seed, iters, |env| m.build(env))
+            }
+            (false, false) => ech_modelcheck::explore(m.name, &cfg, |env| m.build(env)),
         };
         stats_rows.push(format!(
             "    {{\"model\": \"{}\", \"pair\": \"{}\", \"verdict\": \"{}\", \"schedules\": {}, \"blocked\": {}, \"exhausted\": {}}}",
@@ -510,21 +506,21 @@ fn glob_match(pat: &str, name: &str) -> bool {
     pi == p.len()
 }
 
-/// Wrap a model's setup for `--lincheck`: install a fresh history
-/// recording before the scenario builds (setup writes become the
-/// sequential prefix of every schedule's history) and append an
-/// after-hook — behind the model's own post-state checks — that takes
-/// the recording and fails the schedule when the Wing–Gong checker
-/// finds no linearization order. The panic message carries the
-/// replayable `l1:` witness, so the violation rides the same trace
-/// plumbing as every other counterexample.
+/// Wrap a model's setup for `--lincheck`: open a fresh recording
+/// session before the scenario builds (its clusters attach to it, and
+/// setup writes become the sequential prefix of every schedule's
+/// history) and append an after-hook — behind the model's own
+/// post-state checks — that finishes the session and fails the schedule
+/// when the Wing–Gong checker finds no linearization order. The panic
+/// message carries the replayable `l1:` witness, so the violation rides
+/// the same trace plumbing as every other counterexample.
 fn lincheck_wrapped(m: &'static crate::mc_models::Model) -> impl Fn(&mut ech_modelcheck::Env) {
     move |env: &mut ech_modelcheck::Env| {
-        ech_lincheck::recorder::install();
-        (m.setup)(env);
+        let session = ech_lincheck::recorder::Session::begin();
+        m.build(env);
         let name = m.name;
         env.after(move || {
-            let rec = ech_lincheck::recorder::take().expect("lincheck recording installed");
+            let rec = session.finish();
             match ech_lincheck::check_kv(&rec.events, ech_lincheck::DEFAULT_BUDGET) {
                 ech_lincheck::Outcome::Linearizable { .. } => {}
                 ech_lincheck::Outcome::NonLinearizable { key, witness } => panic!(
@@ -570,9 +566,9 @@ fn lincheck_cmd(args: &Args) -> Result<String, ParseError> {
     let mut cfg = ClusterConfig::paper();
     cfg.servers = 3;
     cfg.replicas = 2;
+    let session = ech_lincheck::recorder::Session::begin();
     let c =
         Cluster::with_faults_and_clock(cfg, FaultPlan::default(), Arc::new(VirtualClock::new()));
-    ech_lincheck::recorder::install();
     // A seeded op mix over a handful of keys: overwrites (so the
     // last-write-wins register has history to get wrong), reads, power
     // resizes (degraded-write windows), and heal/drain passes. Scripted
@@ -603,7 +599,7 @@ fn lincheck_cmd(args: &Args) -> Result<String, ParseError> {
             }
         }
     }
-    let rec = ech_lincheck::recorder::take().expect("recording installed above");
+    let rec = session.finish();
     let recorded_ops = rec
         .events
         .iter()
@@ -700,7 +696,7 @@ fn modelcheck_replay(
     let report = if lincheck {
         ech_modelcheck::replay(model.name, &cfg, parsed.prefix, lincheck_wrapped(model))
     } else {
-        ech_modelcheck::replay(model.name, &cfg, parsed.prefix, model.setup)
+        ech_modelcheck::replay(model.name, &cfg, parsed.prefix, |env| model.build(env))
     };
     let mut out = String::new();
     match &report.failure {

@@ -37,6 +37,7 @@ use arc_swap::ArcSwap;
 use bytes::Bytes;
 use ech_cluster::cluster::{Cluster, ClusterConfig, ClusterError, ReadPolicy, WriteQuorum};
 use ech_cluster::fault::{FaultPlan, NodeFaultSpec, VirtualClock};
+use ech_cluster::mutation::Mutation;
 use ech_cluster::net::BreakerConfig;
 use ech_cluster::retry::RetryPolicy;
 use ech_core::cache::ShardedPlacementCache;
@@ -89,11 +90,22 @@ pub struct Model {
     /// memory-protocol models, whose schedule spaces would otherwise
     /// multiply by seven fates per rpc for no new coverage.
     pub msg_budget: usize,
-    /// Scenario builder handed to the explorer for every schedule.
-    pub setup: fn(&mut Env),
+    /// The one production decision this scenario flips
+    /// ([`Cluster::install_mutation`]): `Some` on exactly the seeded
+    /// mutants, so rule D9's model ↔ mutant pairing extends to model ↔
+    /// decision point.
+    pub mutation: Option<Mutation>,
+    /// Scenario builder, handed [`Model::mutation`]. A mutant whose
+    /// scenario is its safe twin's shares the twin's builder.
+    pub setup: fn(&mut Env, Option<Mutation>),
 }
 
 impl Model {
+    /// Build the scenario for one schedule (what the explorer runs).
+    pub fn build(&self, env: &mut Env) {
+        (self.setup)(env, self.mutation);
+    }
+
     /// The expectation that applies under the given memory mode.
     pub fn expects_failure(&self, weak: bool) -> bool {
         if weak {
@@ -138,6 +150,31 @@ impl Model {
     }
 }
 
+fn no_scenario(_: &mut Env, _: Option<Mutation>) {}
+
+/// Placeholder for the strings every row overrides (a constant, not a
+/// literal: analyzer rule D9 reads every literal `name:` in this file
+/// as a table row).
+const UNSET: &str = "";
+
+/// What a table row leaves unsaid: a safe, thread-only scenario explored
+/// at preemption bound 2. A row states its identity and whatever makes
+/// it differ — for a mutant, the modes that must catch it and the
+/// decision it flips.
+const SAFE: Model = Model {
+    name: UNSET,
+    about: UNSET,
+    expect_failure: false,
+    expect_failure_weak: false,
+    expect_failure_msg: false,
+    expect_failure_lincheck: false,
+    pair: UNSET,
+    bound: 2,
+    msg_budget: 0,
+    mutation: None,
+    setup: no_scenario,
+};
+
 /// All registered models, in report order: correct protocols first,
 /// then the seeded mutants (which every run must *catch*), with the
 /// weak-only mutants last.
@@ -145,242 +182,166 @@ pub const MODELS: &[Model] = &[
     Model {
         name: "publish-vs-read",
         about: "resize publishes a view while a reader resolves the same object",
-        expect_failure: false,
-        expect_failure_weak: false,
-        expect_failure_msg: false,
-        expect_failure_lincheck: false,
         pair: "seeded-stamp-bug",
         // Bounds 4 (up from 2 pre-reduction): the partial-order
         // reduction prunes enough equivalent schedules that the deeper
         // sweep stays cheaper than the old bound-2 brute force.
         bound: 4,
-        msg_budget: 0,
         setup: publish_vs_read,
+        ..SAFE
     },
     Model {
         name: "cache-coherence",
         about: "placement cache consulted across a concurrent view publication",
-        expect_failure: false,
-        expect_failure_weak: false,
-        expect_failure_msg: false,
-        expect_failure_lincheck: false,
         pair: "weak-view-publish-relaxed",
         // Raised 2 → 4 alongside publish-vs-read; see that model.
         bound: 4,
-        msg_budget: 0,
         setup: cache_coherence,
+        ..SAFE
     },
     Model {
         name: "reintegrate-vs-resize",
         about: "selective re-integration racing a power-up resize",
-        expect_failure: false,
-        expect_failure_weak: false,
-        expect_failure_msg: false,
-        expect_failure_lincheck: false,
         pair: "reintegration-lost-replica-bug",
-        bound: 2,
-        msg_budget: 0,
         setup: reintegrate_vs_resize,
+        ..SAFE
     },
     Model {
         name: "cache-counters",
         about: "hit/miss pair stays coherent under concurrent lookups",
-        expect_failure: false,
-        expect_failure_weak: false,
-        expect_failure_msg: false,
-        expect_failure_lincheck: false,
         pair: "weak-view-publish-relaxed",
-        bound: 2,
-        msg_budget: 0,
         setup: cache_counters,
+        ..SAFE
     },
     Model {
         name: "quorum-write-faults",
         about: "quorum write racing a reader while a secondary injects I/O errors",
-        expect_failure: false,
-        expect_failure_weak: false,
-        expect_failure_msg: false,
-        expect_failure_lincheck: false,
         pair: "quorum-dirty-bug",
-        bound: 2,
-        msg_budget: 0,
         setup: quorum_write_faults,
+        ..SAFE
     },
     Model {
         name: "partition-quorum",
         about: "quorum write degrades under an asymmetric partition, heals after it lifts",
-        expect_failure: false,
-        expect_failure_weak: false,
-        expect_failure_msg: false,
-        expect_failure_lincheck: false,
         pair: "partition-quorum-bug",
-        bound: 2,
-        msg_budget: 0,
         setup: partition_quorum,
+        ..SAFE
     },
     Model {
         name: "hedged-read-crash",
         about: "hedged read racing a crash of the primary replica",
-        expect_failure: false,
-        expect_failure_weak: false,
-        expect_failure_msg: false,
-        expect_failure_lincheck: false,
         pair: "hedged-stale-bug",
-        bound: 2,
-        msg_budget: 0,
         setup: hedged_read_crash,
+        ..SAFE
     },
     Model {
         name: "worker-stop-flag",
         about: "background-worker stop flag handshake (Release/Acquire)",
-        expect_failure: false,
-        expect_failure_weak: false,
-        expect_failure_msg: false,
-        expect_failure_lincheck: false,
         pair: "weak-stop-flag-relaxed",
-        bound: 2,
-        msg_budget: 0,
         setup: worker_stop_flag,
+        ..SAFE
     },
     Model {
         name: "reintegration-pool",
         about: "two re-integration workers draining the same dirty table",
-        expect_failure: false,
-        expect_failure_weak: false,
-        expect_failure_msg: false,
-        expect_failure_lincheck: false,
         pair: "reintegration-lost-replica-bug",
-        bound: 2,
-        msg_budget: 0,
         setup: reintegration_pool,
+        ..SAFE
     },
     Model {
         name: "engine-swap-vs-read",
         about: "placement-engine swap migrates objects while a reader resolves them",
-        expect_failure: false,
-        expect_failure_weak: false,
-        expect_failure_msg: false,
-        expect_failure_lincheck: false,
         pair: "lin-stale-read-bug",
-        bound: 2,
-        msg_budget: 0,
         setup: engine_swap_vs_read,
+        ..SAFE
     },
     Model {
         name: "batched-drain-vs-put",
         about: "batched re-integration drain racing an independent client write",
-        expect_failure: false,
-        expect_failure_weak: false,
-        expect_failure_msg: false,
-        expect_failure_lincheck: false,
         pair: "lin-ack-before-log-bug",
-        bound: 2,
-        msg_budget: 0,
         setup: batched_drain_vs_put,
+        ..SAFE
     },
     Model {
         name: "seeded-stamp-bug",
-        about: "deliberately re-seeded stamp-before-publish regression (must be caught)",
+        about: "seeded stamp-before-copy re-integration (must be caught)",
         expect_failure: true,
         expect_failure_weak: true,
-        expect_failure_msg: false,
-        expect_failure_lincheck: false,
         pair: "publish-vs-read",
-        bound: 2,
-        msg_budget: 0,
+        mutation: Some(Mutation::StampBeforeCopy),
         setup: seeded_stamp_bug,
+        ..SAFE
     },
     Model {
         name: "quorum-dirty-bug",
         about: "seeded quorum ack without a dirty entry (must be caught)",
         expect_failure: true,
         expect_failure_weak: true,
-        expect_failure_msg: false,
-        expect_failure_lincheck: false,
         pair: "quorum-write-faults",
-        bound: 2,
-        msg_budget: 0,
-        setup: quorum_dirty_bug,
+        mutation: Some(Mutation::SkipDirtyLog),
+        setup: quorum_write_faults,
+        ..SAFE
     },
     Model {
         name: "partition-quorum-bug",
         about: "seeded partitioned-quorum ack without a dirty entry (must be caught)",
         expect_failure: true,
         expect_failure_weak: true,
-        expect_failure_msg: false,
-        expect_failure_lincheck: false,
         pair: "partition-quorum",
-        bound: 2,
-        msg_budget: 0,
-        setup: partition_quorum_bug,
+        mutation: Some(Mutation::SkipDirtyLog),
+        setup: partition_quorum,
+        ..SAFE
     },
     Model {
         name: "hedged-stale-bug",
         about: "seeded version-check bypass leaks a stale replica (must be caught)",
         expect_failure: true,
         expect_failure_weak: true,
-        expect_failure_msg: false,
-        expect_failure_lincheck: false,
         pair: "hedged-read-crash",
-        bound: 2,
-        msg_budget: 0,
+        mutation: Some(Mutation::AcceptStale),
         setup: hedged_stale_bug,
+        ..SAFE
     },
     Model {
         name: "reintegration-lost-replica-bug",
         about: "seeded remove-before-copy move loses the replica (must be caught)",
         expect_failure: true,
         expect_failure_weak: true,
-        expect_failure_msg: false,
-        expect_failure_lincheck: false,
         pair: "reintegrate-vs-resize",
-        bound: 2,
-        msg_budget: 0,
+        mutation: Some(Mutation::RemoveBeforeCopy),
         setup: reintegration_lost_replica_bug,
+        ..SAFE
     },
     Model {
         name: "weak-stop-flag-relaxed",
         about: "seeded Relaxed stop-flag store (caught only under --weak)",
-        expect_failure: false,
         expect_failure_weak: true,
-        expect_failure_msg: false,
-        expect_failure_lincheck: false,
         pair: "worker-stop-flag",
-        bound: 2,
-        msg_budget: 0,
-        setup: weak_stop_flag_relaxed,
+        mutation: Some(Mutation::RelaxedStopFlag),
+        setup: worker_stop_flag,
+        ..SAFE
     },
     Model {
         name: "weak-view-publish-relaxed",
         about: "seeded Relaxed view publication (caught only under --weak)",
-        expect_failure: false,
         expect_failure_weak: true,
-        expect_failure_msg: false,
-        expect_failure_lincheck: false,
         pair: "cache-coherence",
-        bound: 2,
-        msg_budget: 0,
+        mutation: Some(Mutation::RelaxedPublish),
         setup: weak_view_publish_relaxed,
+        ..SAFE
     },
     Model {
         name: "msg-quorum-ack-loss",
         about: "quorum write stays self-healing under every enumerated ack loss",
-        expect_failure: false,
-        expect_failure_weak: false,
-        expect_failure_msg: false,
-        expect_failure_lincheck: false,
         pair: "msg-quorum-ack-loss-bug",
         bound: 1,
         msg_budget: 1,
         setup: msg_quorum_ack_loss,
+        ..SAFE
     },
     Model {
         name: "msg-breaker-probe",
         about: "breaker trips on enumerated faults, probes half-open, recovers",
-        expect_failure: false,
-        expect_failure_weak: false,
-        expect_failure_msg: false,
-        expect_failure_lincheck: false,
         pair: "msg-breaker-notfound-bug",
         bound: 1,
         // Stays at 2 post-reduction, deliberately: the partial-order
@@ -393,90 +354,76 @@ pub const MODELS: &[Model] = &[
         // (publish-vs-read and cache-coherence at bound 4).
         msg_budget: 2,
         setup: msg_breaker_probe,
+        ..SAFE
     },
     Model {
         name: "msg-dup-idempotence",
         about: "duplicate delivery of a quorum write is harmless (puts overwrite)",
-        expect_failure: false,
-        expect_failure_weak: false,
-        expect_failure_msg: false,
-        expect_failure_lincheck: false,
         pair: "msg-dup-append-bug",
         bound: 1,
         msg_budget: 1,
         setup: msg_dup_idempotence,
+        ..SAFE
     },
     Model {
         name: "msg-quorum-ack-loss-bug",
         about: "seeded unlogged degraded ack under message loss (caught only under --msg)",
-        expect_failure: false,
-        expect_failure_weak: false,
         expect_failure_msg: true,
-        expect_failure_lincheck: false,
         pair: "msg-quorum-ack-loss",
         bound: 1,
         msg_budget: 1,
-        setup: msg_quorum_ack_loss_bug,
+        mutation: Some(Mutation::SkipDirtyLog),
+        setup: msg_quorum_ack_loss,
+        ..SAFE
     },
     Model {
         name: "msg-breaker-notfound-bug",
         about: "seeded breaker-as-NotFound read misclassification (caught only under --msg)",
-        expect_failure: false,
-        expect_failure_weak: false,
         expect_failure_msg: true,
-        expect_failure_lincheck: false,
         pair: "msg-breaker-probe",
         bound: 1,
         msg_budget: 1,
+        mutation: Some(Mutation::BreakerIsAuthoritative),
         setup: msg_breaker_notfound_bug,
+        ..SAFE
     },
     Model {
         name: "msg-dup-append-bug",
         about: "seeded non-idempotent append doubled by a retransmission (caught only under --msg)",
-        expect_failure: false,
-        expect_failure_weak: false,
         expect_failure_msg: true,
-        expect_failure_lincheck: false,
         pair: "msg-dup-idempotence",
         bound: 1,
         msg_budget: 1,
-        setup: msg_dup_append_bug,
+        mutation: Some(Mutation::AppendOnStore),
+        setup: msg_dup_idempotence,
+        ..SAFE
     },
     Model {
         name: "lin-ack-before-log-bug",
         about: "seeded ack-before-durable-write (caught only under --lincheck)",
-        expect_failure: false,
-        expect_failure_weak: false,
-        expect_failure_msg: false,
         expect_failure_lincheck: true,
         pair: "quorum-write-faults",
-        bound: 2,
-        msg_budget: 0,
+        mutation: Some(Mutation::AckBeforeWrite),
         setup: lin_ack_before_log_bug,
+        ..SAFE
     },
     Model {
         name: "lin-stale-read-bug",
         about: "seeded acceptance bypass serves a superseded replica (caught only under --lincheck)",
-        expect_failure: false,
-        expect_failure_weak: false,
-        expect_failure_msg: false,
         expect_failure_lincheck: true,
         pair: "hedged-read-crash",
-        bound: 2,
-        msg_budget: 0,
+        mutation: Some(Mutation::AcceptStale),
         setup: lin_stale_read_bug,
+        ..SAFE
     },
     Model {
         name: "lin-heal-restamp-bug",
         about: "seeded heal-pass header downgrade re-admits a stale copy (caught only under --lincheck)",
-        expect_failure: false,
-        expect_failure_weak: false,
-        expect_failure_msg: false,
         expect_failure_lincheck: true,
         pair: "partition-quorum",
-        bound: 2,
-        msg_budget: 0,
+        mutation: Some(Mutation::RestampDownOnHeal),
         setup: lin_heal_restamp_bug,
+        ..SAFE
     },
 ];
 
@@ -510,7 +457,18 @@ fn tiny_cluster_with(
     write_quorum: WriteQuorum,
     plan: FaultPlan,
 ) -> Arc<Cluster> {
-    let cfg = ClusterConfig {
+    let cfg = tiny_config(servers, replicas, strategy, write_quorum);
+    Cluster::with_faults_and_clock(cfg, plan, Arc::new(VirtualClock::new()))
+}
+
+/// The configuration every model cluster starts from.
+fn tiny_config(
+    servers: usize,
+    replicas: usize,
+    strategy: Strategy,
+    write_quorum: WriteQuorum,
+) -> ClusterConfig {
+    ClusterConfig {
         servers,
         replicas,
         layout_base: 64,
@@ -528,8 +486,16 @@ fn tiny_cluster_with(
         migration_rate: None,
         op_deadline: None,
         breaker: None,
-    };
-    Cluster::with_faults_and_clock(cfg, plan, Arc::new(VirtualClock::new()))
+    }
+}
+
+/// Turn `c` into the seeded mutant the model declares (the safe twin
+/// passes `None` and runs the shipped code untouched).
+fn mutant(c: Arc<Cluster>, mutation: Option<Mutation>) -> Arc<Cluster> {
+    if let Some(m) = mutation {
+        c.install_mutation(m);
+    }
+    c
 }
 
 /// A standalone view mirroring [`tiny_cluster_with`]'s geometry, for
@@ -555,7 +521,7 @@ const PAYLOAD2: &[u8] = b"model-payload-v2";
 /// header → view → placement chain must resolve to a live replica
 /// (`PlacementError::UnknownVersion` stays internal, absorbed by the
 /// header-version fallback).
-fn publish_vs_read(env: &mut Env) {
+fn publish_vs_read(env: &mut Env, _: Option<Mutation>) {
     let c = tiny_cluster();
     c.put(OID, Bytes::copy_from_slice(PAYLOAD))
         .expect("setup write at full power");
@@ -579,7 +545,7 @@ fn publish_vs_read(env: &mut Env) {
 /// `(object, version)`, so a concurrent publication (which changes the
 /// current version) must route the reader to different cache keys, not
 /// to stale values.
-fn cache_coherence(env: &mut Env) {
+fn cache_coherence(env: &mut Env, _: Option<Mutation>) {
     let view0 = ClusterView::new(Layout::equal_work(3, 64), Strategy::Primary, 2);
     let swap = Arc::new(ArcSwap::from_pointee(view0));
     let cache = Arc::new(ShardedPlacementCache::new(64, 2));
@@ -608,7 +574,7 @@ fn cache_coherence(env: &mut Env) {
 /// Selective re-integration racing the power-up it reacts to: no
 /// interleaving may lose the dirty object or leave the table dirty
 /// after a full drain at full power.
-fn reintegrate_vs_resize(env: &mut Env) {
+fn reintegrate_vs_resize(env: &mut Env, _: Option<Mutation>) {
     let c = tiny_cluster();
     c.resize(2);
     c.put(OID, Bytes::copy_from_slice(PAYLOAD))
@@ -643,7 +609,7 @@ fn reintegrate_vs_resize(env: &mut Env) {
 /// setup performs one miss, the worker a hit then a miss, so the only
 /// reachable pairs are (0,1) → (1,1) → (1,2). Split counters read with
 /// two loads could surface the impossible (0,2).
-fn cache_counters(env: &mut Env) {
+fn cache_counters(env: &mut Env, _: Option<Mutation>) {
     let view = Arc::new(ClusterView::new(
         Layout::equal_work(3, 64),
         Strategy::Primary,
@@ -701,27 +667,36 @@ fn faulty_quorum_cluster() -> Arc<Cluster> {
     )
 }
 
+/// The racing pair of the degraded-quorum scenarios: a writer whose put
+/// must ack (`must_ack` says why), and a reader that may miss the object
+/// but must never see wrong bytes.
+fn spawn_write_and_reader(env: &mut Env, c: &Arc<Cluster>, must_ack: &'static str) {
+    let writer = Arc::clone(c);
+    env.spawn(move || {
+        writer
+            .put(OID, Bytes::copy_from_slice(PAYLOAD))
+            .expect(must_ack);
+    });
+    let reader = Arc::clone(c);
+    env.spawn(move || {
+        if let Ok(data) = reader.get(OID) {
+            assert_eq!(&data[..], PAYLOAD, "racing reader saw wrong bytes");
+        }
+    });
+}
+
 /// A quorum write under injected faults racing a reader: the ack must
 /// come with a dirty entry for the missed replica (degraded writes stay
 /// self-healing, §III-E), and a racing reader may miss the object but
 /// must never see wrong bytes.
-fn quorum_write_faults(env: &mut Env) {
-    let c = faulty_quorum_cluster();
-    {
-        let c = Arc::clone(&c);
-        env.spawn(move || {
-            c.put(OID, Bytes::copy_from_slice(PAYLOAD))
-                .expect("quorum write must ack with one secondary erroring");
-        });
-    }
-    {
-        let c = Arc::clone(&c);
-        env.spawn(move || {
-            if let Ok(data) = c.get(OID) {
-                assert_eq!(&data[..], PAYLOAD, "racing reader saw wrong bytes");
-            }
-        });
-    }
+///
+/// `quorum-dirty-bug` runs this scenario under
+/// [`Mutation::SkipDirtyLog`]: the degraded ack "forgets" its
+/// dirty-table entry, so every schedule violates the dirty-entry
+/// assertion — the checker must catch it.
+fn quorum_write_faults(env: &mut Env, mutation: Option<Mutation>) {
+    let c = mutant(faulty_quorum_cluster(), mutation);
+    spawn_write_and_reader(env, &c, "quorum write must ack with one secondary erroring");
     env.after(move || {
         assert!(
             c.dirty_len() >= 1,
@@ -729,36 +704,6 @@ fn quorum_write_faults(env: &mut Env) {
         );
         let got = c.get(OID).expect("committed object must be readable");
         assert_eq!(&got[..], PAYLOAD, "read returned wrong bytes");
-    });
-}
-
-/// Seeded mutant of [`quorum_write_faults`]: the write path "forgets"
-/// the dirty-table entry for the replica it missed
-/// ([`Cluster::put_unlogged_for_modelcheck`]), so the degraded ack is
-/// no longer self-healing. Every schedule violates the dirty-entry
-/// assertion — the checker must catch it.
-fn quorum_dirty_bug(env: &mut Env) {
-    let c = faulty_quorum_cluster();
-    {
-        let c = Arc::clone(&c);
-        env.spawn(move || {
-            c.put_unlogged_for_modelcheck(OID, Bytes::copy_from_slice(PAYLOAD))
-                .expect("quorum write must ack with one secondary erroring");
-        });
-    }
-    {
-        let c = Arc::clone(&c);
-        env.spawn(move || {
-            if let Ok(data) = c.get(OID) {
-                assert_eq!(&data[..], PAYLOAD, "racing reader saw wrong bytes");
-            }
-        });
-    }
-    env.after(move || {
-        assert!(
-            c.dirty_len() >= 1,
-            "degraded quorum ack left no dirty entry — missed replica is not self-healing"
-        );
     });
 }
 
@@ -804,23 +749,18 @@ fn partitioned_quorum_cluster() -> Arc<Cluster> {
 /// a heal-and-drain pass must fully restore replication — the model
 /// form of the paper's self-healing degraded-write contract, driven by
 /// message loss instead of disk faults.
-fn partition_quorum(env: &mut Env) {
-    let c = partitioned_quorum_cluster();
-    {
-        let c = Arc::clone(&c);
-        env.spawn(move || {
-            c.put(OID, Bytes::copy_from_slice(PAYLOAD))
-                .expect("quorum write must ack with one secondary partitioned");
-        });
-    }
-    {
-        let c = Arc::clone(&c);
-        env.spawn(move || {
-            if let Ok(data) = c.get(OID) {
-                assert_eq!(&data[..], PAYLOAD, "racing reader saw wrong bytes");
-            }
-        });
-    }
+///
+/// `partition-quorum-bug` runs this scenario under
+/// [`Mutation::SkipDirtyLog`] while the secondary is cut off: every
+/// schedule violates the dirty-entry assertion, under both memory modes
+/// (the bug is schedule-independent).
+fn partition_quorum(env: &mut Env, mutation: Option<Mutation>) {
+    let c = mutant(partitioned_quorum_cluster(), mutation);
+    spawn_write_and_reader(
+        env,
+        &c,
+        "quorum write must ack with one secondary partitioned",
+    );
     env.after(move || {
         assert!(
             c.dirty_len() >= 1,
@@ -843,41 +783,11 @@ fn partition_quorum(env: &mut Env) {
     });
 }
 
-/// Seeded mutant of [`partition_quorum`]: the degraded ack "forgets"
-/// its dirty-table entry ([`Cluster::put_unlogged_for_modelcheck`])
-/// while the secondary is cut off by the partition. Every schedule
-/// violates the dirty-entry assertion — the checker must catch it under
-/// both memory modes (the bug is schedule-independent).
-fn partition_quorum_bug(env: &mut Env) {
-    let c = partitioned_quorum_cluster();
-    {
-        let c = Arc::clone(&c);
-        env.spawn(move || {
-            c.put_unlogged_for_modelcheck(OID, Bytes::copy_from_slice(PAYLOAD))
-                .expect("quorum write must ack with one secondary partitioned");
-        });
-    }
-    {
-        let c = Arc::clone(&c);
-        env.spawn(move || {
-            if let Ok(data) = c.get(OID) {
-                assert_eq!(&data[..], PAYLOAD, "racing reader saw wrong bytes");
-            }
-        });
-    }
-    env.after(move || {
-        assert!(
-            c.dirty_len() >= 1,
-            "partitioned quorum ack left no dirty entry — missed replica is not self-healing"
-        );
-    });
-}
-
 /// A hedged read racing a crash of the primary replica: whichever side
 /// of the crash the probe lands on, the surviving secondary must serve
 /// the committed bytes (under the checker the hedge probes inline, so
 /// the race is over interleavings, not wall-clock timing).
-fn hedged_read_crash(env: &mut Env) {
+fn hedged_read_crash(env: &mut Env, _: Option<Mutation>) {
     let c = tiny_cluster();
     c.put(OID, Bytes::copy_from_slice(PAYLOAD))
         .expect("setup write at full power");
@@ -903,6 +813,17 @@ fn hedged_read_crash(env: &mut Env) {
             Err(e) => panic!("hedged read lost the object to a single crash: {e}"),
         }
     });
+}
+
+/// The single-replica cluster [`stale_copy_setup`] runs on.
+fn stale_copy_cluster() -> Arc<Cluster> {
+    tiny_cluster_with(
+        3,
+        1,
+        Strategy::Original,
+        WriteQuorum::All,
+        FaultPlan::default(),
+    )
 }
 
 /// Single-replica geometry whose stale copy survives a rewrite: the
@@ -935,18 +856,12 @@ fn stale_copy_setup(c: &Arc<Cluster>) -> (ObjectId, usize) {
 }
 
 /// Seeded mutant of the hedged read: the version-acceptance check is
-/// bypassed ([`Cluster::get_accepting_stale_for_modelcheck`]), so the
-/// superseded replica the rewrite left behind escapes to the reader —
-/// racing the crash of the fresh copy only widens the window. The
-/// checker must catch the stale payload.
-fn hedged_stale_bug(env: &mut Env) {
-    let c = tiny_cluster_with(
-        3,
-        1,
-        Strategy::Original,
-        WriteQuorum::All,
-        FaultPlan::default(),
-    );
+/// bypassed ([`Mutation::AcceptStale`]), so the superseded replica the
+/// rewrite left behind escapes to the reader — racing the crash of the
+/// fresh copy only widens the window. The checker must catch the stale
+/// payload.
+fn hedged_stale_bug(env: &mut Env, mutation: Option<Mutation>) {
+    let c = mutant(stale_copy_cluster(), mutation);
     let (oid, fresh) = stale_copy_setup(&c);
     {
         let c = Arc::clone(&c);
@@ -955,7 +870,7 @@ fn hedged_stale_bug(env: &mut Env) {
         });
     }
     env.spawn(move || {
-        if let Ok(data) = c.get_accepting_stale_for_modelcheck(
+        if let Ok(data) = c.get_with(
             oid,
             ReadPolicy::Hedged {
                 threshold: Duration::from_millis(1),
@@ -974,8 +889,15 @@ fn hedged_stale_bug(env: &mut Env) {
 /// stop flag must be visible to the worker's `Acquire` poll — and to
 /// anyone after the threads have joined — under every interleaving and
 /// both memory modes.
-fn worker_stop_flag(env: &mut Env) {
-    let c = tiny_cluster();
+///
+/// `weak-stop-flag-relaxed` runs this scenario under
+/// [`Mutation::RelaxedStopFlag`]. Sequentially consistent exploration
+/// applies the `Relaxed` store immediately and passes every schedule;
+/// only the weak mode can leave it in the store buffer and show the
+/// worker (and the post-join observer) a stale `false` — the
+/// stale-publication counterexample.
+fn worker_stop_flag(env: &mut Env, mutation: Option<Mutation>) {
+    let c = mutant(tiny_cluster(), mutation);
     {
         let c = Arc::clone(&c);
         env.spawn(move || {
@@ -993,34 +915,6 @@ fn worker_stop_flag(env: &mut Env) {
         });
     }
     env.after(move || {
-        assert!(c.stop_requested(), "stop request never became visible");
-    });
-}
-
-/// Seeded weak-memory mutant of [`worker_stop_flag`]: the stop store is
-/// downgraded to `Relaxed`
-/// ([`Cluster::stop_background_worker_relaxed_for_modelcheck`]).
-/// Sequentially consistent exploration applies the store immediately
-/// and passes every schedule; only the weak mode can leave it in the
-/// store buffer and show the worker (and the post-join observer) a
-/// stale `false` — the stale-publication counterexample.
-fn weak_stop_flag_relaxed(env: &mut Env) {
-    let c = tiny_cluster();
-    {
-        let c = Arc::clone(&c);
-        env.spawn(move || {
-            c.stop_background_worker_relaxed_for_modelcheck();
-        });
-    }
-    {
-        let c = Arc::clone(&c);
-        env.spawn(move || {
-            if !c.stop_requested() {
-                let _ = c.reintegrate_step();
-            }
-        });
-    }
-    env.after(move || {
         assert!(
             c.stop_requested(),
             "stop request never became visible (stale Relaxed publication)"
@@ -1032,7 +926,7 @@ fn weak_stop_flag_relaxed(env: &mut Env) {
 /// power-up: planning is serialized by the engine lock, execution
 /// races, and no interleaving may lose an object, double-move it into
 /// inconsistency, or leave the table dirty after a full drain.
-fn reintegration_pool(env: &mut Env) {
+fn reintegration_pool(env: &mut Env, _: Option<Mutation>) {
     let c = tiny_cluster();
     c.resize(2);
     c.put(OID, Bytes::copy_from_slice(PAYLOAD))
@@ -1065,7 +959,7 @@ fn reintegration_pool(env: &mut Env) {
 /// sweep in `get` covers the removal window). The post-state check
 /// confirms the swap converged: the view places through the new engine
 /// and the object is fully placed under it.
-fn engine_swap_vs_read(env: &mut Env) {
+fn engine_swap_vs_read(env: &mut Env, _: Option<Mutation>) {
     let c = tiny_cluster();
     c.put(OID, Bytes::copy_from_slice(PAYLOAD))
         .expect("setup write at full power");
@@ -1102,7 +996,7 @@ fn engine_swap_vs_read(env: &mut Env) {
 /// dirty entries in one engine call while a put lands on a *third*
 /// object. No interleaving may lose a dirty entry, cross-contaminate
 /// payloads, or leave the table dirty after a full drain at full power.
-fn batched_drain_vs_put(env: &mut Env) {
+fn batched_drain_vs_put(env: &mut Env, _: Option<Mutation>) {
     let c = tiny_cluster();
     c.resize(2);
     c.put(OID, Bytes::copy_from_slice(PAYLOAD))
@@ -1139,17 +1033,19 @@ fn batched_drain_vs_put(env: &mut Env) {
 }
 
 /// Seeded mutant of the re-integration move: remove-before-copy
-/// ([`Cluster::reintegrate_step_remove_first_for_modelcheck`]) racing a
-/// power-down resize. In the window between the remove and the copy the
+/// ([`Mutation::RemoveBeforeCopy`]) racing a power-down resize. In the window between the remove and the copy the
 /// destination powers off, the copy fails, and the only replica is
 /// gone. The checker must find that interleaving.
-fn reintegration_lost_replica_bug(env: &mut Env) {
-    let c = tiny_cluster_with(
-        2,
-        1,
-        Strategy::Original,
-        WriteQuorum::All,
-        FaultPlan::default(),
+fn reintegration_lost_replica_bug(env: &mut Env, mutation: Option<Mutation>) {
+    let c = mutant(
+        tiny_cluster_with(
+            2,
+            1,
+            Strategy::Original,
+            WriteQuorum::All,
+            FaultPlan::default(),
+        ),
+        mutation,
     );
     // An object whose placement at two active servers is node 1: written
     // while only node 0 is up, it must migrate 0 → 1 at full power.
@@ -1168,7 +1064,7 @@ fn reintegration_lost_replica_bug(env: &mut Env) {
     {
         let c = Arc::clone(&c);
         env.spawn(move || {
-            let _ = c.reintegrate_step_remove_first_for_modelcheck();
+            let _ = c.reintegrate_step();
         });
     }
     {
@@ -1185,44 +1081,58 @@ fn reintegration_lost_replica_bug(env: &mut Env) {
     });
 }
 
-/// The deliberately re-seeded pre-publish-ordering regression (see
-/// [`Cluster::resize_with_seeded_stamp_bug`]): stamping the header
-/// before the new-version copies land lets a concurrent reader observe
-/// a header version no replica satisfies. The checker must find the
-/// failing window; the counterexample replay test then reproduces it
-/// byte-identically from the reported trace.
-fn seeded_stamp_bug(env: &mut Env) {
-    let c = tiny_cluster();
-    c.put(OID, Bytes::copy_from_slice(PAYLOAD))
-        .expect("setup write at full power");
+/// The re-seeded stamp-ordering regression: re-integration stamps the
+/// header to the migration target *before* the copies land
+/// ([`Mutation::StampBeforeCopy`]), so a concurrent reader can observe
+/// a header version no replica satisfies yet and report a spurious
+/// `NotFound`. The checker must find the failing window; the
+/// counterexample replay test then reproduces it byte-identically from
+/// the reported trace.
+fn seeded_stamp_bug(env: &mut Env, mutation: Option<Mutation>) {
+    let c = mutant(tiny_cluster(), mutation);
+    // OID2's replicas move when the third server returns (OID's do
+    // not): only a task with a move has a stamp to misorder.
+    c.resize(2);
+    c.put(OID2, Bytes::copy_from_slice(PAYLOAD2))
+        .expect("setup write at reduced power");
+    c.resize(3);
     {
         let c = Arc::clone(&c);
         env.spawn(move || {
-            let _ = c.resize_with_seeded_stamp_bug(OID, 2);
+            let _ = c.reintegrate_step();
         });
     }
     env.spawn(move || {
-        let got = c.get(OID);
-        assert!(got.is_ok(), "read during seeded resize failed: {got:?}");
+        let got = c.get(OID2);
+        assert!(
+            got.is_ok(),
+            "read during seeded re-integration failed: {got:?}"
+        );
     });
 }
 
 /// Seeded weak-memory mutant of the view publication: the resize swaps
 /// the membership snapshot with a `Relaxed` pointer store
-/// ([`Cluster::resize_with_relaxed_publish_for_modelcheck`]).
-/// Sequentially consistent exploration cannot tell it apart from the
-/// correct `Release` publication; the weak mode buffers the swap and a
-/// post-join observer still reads the *old* membership version — the
-/// ArcSwap stale-publication counterexample. (Dereferencing the stale
-/// snapshot is memory-safe: the retire list pins every `Arc` ever
-/// published.)
-fn weak_view_publish_relaxed(env: &mut Env) {
-    let c = tiny_cluster();
+/// ([`Mutation::RelaxedPublish`]). Sequentially consistent exploration
+/// cannot tell it apart from the correct `Release` publication; the
+/// weak mode buffers the swap and a post-join observer still reads the
+/// *old* membership version — the ArcSwap stale-publication
+/// counterexample. (Dereferencing the stale snapshot is memory-safe:
+/// the retire list pins every `Arc` ever published.)
+///
+/// The mutant resizes *up*: a resize down powers the leaving nodes off
+/// after the publication, and that write-through store would drain the
+/// store buffer in FIFO order and mask the staleness, exactly as on TSO
+/// hardware. Powering up happens before the publication, which leaves
+/// the swap the resizing thread's last store.
+fn weak_view_publish_relaxed(env: &mut Env, mutation: Option<Mutation>) {
+    let c = mutant(tiny_cluster(), mutation);
+    c.resize(2);
     let v0 = c.current_version();
     {
         let c = Arc::clone(&c);
         env.spawn(move || {
-            c.resize_with_relaxed_publish_for_modelcheck(2);
+            c.resize(3);
         });
     }
     {
@@ -1254,21 +1164,9 @@ fn msg_cluster(
     breaker: Option<BreakerConfig>,
 ) -> Arc<Cluster> {
     let cfg = ClusterConfig {
-        servers,
-        replicas,
-        layout_base: 64,
-        strategy: Strategy::Primary,
-        placement: EngineKind::Ring,
-        kv_shards: 2,
-        capacity_plan: None,
-        write_quorum,
         retry: RetryPolicy::none(),
-        cache_capacity: 64,
-        cache_shards: 2,
-        reintegration_batch: 1,
-        migration_rate: None,
-        op_deadline: None,
         breaker,
+        ..tiny_config(servers, replicas, Strategy::Primary, write_quorum)
     };
     Cluster::with_faults_and_clock(cfg, FaultPlan::default(), Arc::new(VirtualClock::new()))
 }
@@ -1299,30 +1197,20 @@ const NOTFOUND_BREAKER: BreakerConfig = BreakerConfig {
 /// driven by the message plane). Thread-only exploration delivers every
 /// message and passes trivially; `--msg` proves the contract over every
 /// single-fault placement.
-fn msg_quorum_ack_loss(env: &mut Env) {
-    let c = msg_cluster(3, 3, WriteQuorum::PrimaryPlusMajority, None);
+///
+/// `msg-quorum-ack-loss-bug` runs this scenario under
+/// [`Mutation::SkipDirtyLog`]. Unlike `quorum-dirty-bug`, *nothing
+/// else* fails — the only way to miss a secondary is a message fault,
+/// so thread-only exploration (where every send delivers and the
+/// placement completes) passes exhaustively, and only `--msg` produces
+/// the lost-update schedule.
+fn msg_quorum_ack_loss(env: &mut Env, mutation: Option<Mutation>) {
+    let c = mutant(
+        msg_cluster(3, 3, WriteQuorum::PrimaryPlusMajority, None),
+        mutation,
+    );
     env.spawn(move || {
         if c.put(OID, Bytes::copy_from_slice(PAYLOAD)).is_ok() {
-            assert!(
-                c.is_fully_placed(OID) || c.dirty_len() >= 1,
-                "degraded quorum ack left no dirty entry under message loss"
-            );
-        }
-    });
-}
-
-/// Seeded mutant of [`msg_quorum_ack_loss`]: the degraded ack "forgets"
-/// its dirty-table entry ([`Cluster::put_unlogged_for_modelcheck`]).
-/// Unlike `quorum-dirty-bug`, *nothing else* fails — the only way to
-/// miss a secondary is a message fault, so thread-only exploration
-/// (where every send delivers and the placement completes) passes
-/// exhaustively, and only `--msg` produces the lost-update schedule.
-fn msg_quorum_ack_loss_bug(env: &mut Env) {
-    let c = msg_cluster(3, 3, WriteQuorum::PrimaryPlusMajority, None);
-    env.spawn(move || {
-        if c.put_unlogged_for_modelcheck(OID, Bytes::copy_from_slice(PAYLOAD))
-            .is_ok()
-        {
             assert!(
                 c.is_fully_placed(OID) || c.dirty_len() >= 1,
                 "degraded quorum ack left no dirty entry under message loss"
@@ -1341,7 +1229,7 @@ fn msg_quorum_ack_loss_bug(env: &mut Env) {
 /// declared fault budget, at least `reads - budget` of the reads must
 /// succeed (a breaker that stays open after its fault's read would eat
 /// the fault-free tail and land below the floor).
-fn msg_breaker_probe(env: &mut Env) {
+fn msg_breaker_probe(env: &mut Env, _: Option<Mutation>) {
     let c = msg_cluster(1, 1, WriteQuorum::All, Some(PROBE_BREAKER));
     c.put(OID, Bytes::copy_from_slice(PAYLOAD))
         .expect("setup write on a fault-free fabric");
@@ -1369,20 +1257,22 @@ fn msg_breaker_probe(env: &mut Env) {
 }
 
 /// Seeded mutant of [`msg_breaker_probe`]: the read path stops counting
-/// an open breaker as transient
-/// ([`Cluster::get_treating_breaker_as_notfound_for_modelcheck`]), and
+/// an open breaker as transient ([`Mutation::BreakerIsAuthoritative`]), and
 /// the stretched cooldown pins the breaker open for a whole read — so a
 /// get that arrives behind a tripped breaker sees only fast-fails and
 /// fabricates an authoritative `NotFound` for a committed object.
 /// Thread-only exploration has no fault to trip the breaker with and
 /// passes exhaustively; `--msg` needs a single fault to catch it.
-fn msg_breaker_notfound_bug(env: &mut Env) {
-    let c = msg_cluster(1, 1, WriteQuorum::All, Some(NOTFOUND_BREAKER));
+fn msg_breaker_notfound_bug(env: &mut Env, mutation: Option<Mutation>) {
+    let c = mutant(
+        msg_cluster(1, 1, WriteQuorum::All, Some(NOTFOUND_BREAKER)),
+        mutation,
+    );
     c.put(OID, Bytes::copy_from_slice(PAYLOAD))
         .expect("setup write on a fault-free fabric");
     env.spawn(move || {
         for _ in 0..2 {
-            match c.get_treating_breaker_as_notfound_for_modelcheck(OID) {
+            match c.get(OID) {
                 Ok(data) => assert_eq!(&data[..], PAYLOAD, "read returned wrong bytes"),
                 Err(e) => assert!(
                     !matches!(e, ClusterError::NotFound),
@@ -1399,8 +1289,18 @@ fn msg_breaker_notfound_bug(env: &mut Env) {
 /// after an acknowledged write returns exactly the committed bytes.
 /// `--msg` proves the idempotence over every single-fault placement;
 /// thread-only exploration never retransmits anything.
-fn msg_dup_idempotence(env: &mut Env) {
-    let c = msg_cluster(3, 3, WriteQuorum::PrimaryPlusMajority, None);
+///
+/// `msg-dup-append-bug` runs this scenario under
+/// [`Mutation::AppendOnStore`], a non-idempotent store. On a fault-free
+/// fabric it is byte-for-byte a first write — the appended-to slot is
+/// empty — so thread-only exploration passes exhaustively; under the
+/// `Duplicate` fate the retransmission appends twice and the reader
+/// observes the doubled payload. Only `--msg` catches it.
+fn msg_dup_idempotence(env: &mut Env, mutation: Option<Mutation>) {
+    let c = mutant(
+        msg_cluster(3, 3, WriteQuorum::PrimaryPlusMajority, None),
+        mutation,
+    );
     env.spawn(move || {
         if c.put(OID, Bytes::copy_from_slice(PAYLOAD)).is_ok() {
             let got = c.get(OID).expect("acked object must stay readable");
@@ -1413,32 +1313,8 @@ fn msg_dup_idempotence(env: &mut Env) {
     });
 }
 
-/// Seeded mutant of [`msg_dup_idempotence`]: the write is rebuilt on a
-/// non-idempotent append store
-/// ([`Cluster::put_appending_for_modelcheck`]). On a fault-free fabric
-/// it is byte-for-byte a first write — the appended-to slot is empty —
-/// so thread-only exploration passes exhaustively; under the `Duplicate`
-/// fate the retransmission appends twice and the reader observes the
-/// doubled payload. Only `--msg` catches it.
-fn msg_dup_append_bug(env: &mut Env) {
-    let c = msg_cluster(3, 3, WriteQuorum::PrimaryPlusMajority, None);
-    env.spawn(move || {
-        if c.put_appending_for_modelcheck(OID, Bytes::copy_from_slice(PAYLOAD))
-            .is_ok()
-        {
-            let got = c.get(OID).expect("acked object must stay readable");
-            assert_eq!(
-                &got[..],
-                PAYLOAD,
-                "retransmitted write corrupted the payload"
-            );
-        }
-    });
-}
-
 /// Seeded history mutant: the write path acknowledges the client
-/// *before* the write body runs
-/// ([`Cluster::put_acking_before_log_for_modelcheck`]). The cluster's
+/// *before* the write body runs ([`Mutation::AckBeforeWrite`]). The cluster's
 /// final state is perfect — the write always lands — so no in-model or
 /// post-state assertion can see anything wrong, and the model carries
 /// none. But in any schedule that preempts the writer between its
@@ -1446,14 +1322,14 @@ fn msg_dup_append_bug(env: &mut Env) {
 /// gap and returns the *old* payload: a read that began after the new
 /// write's acknowledgement observing the superseded value. Only the
 /// recorded history shows it, so only `--lincheck` catches this model.
-fn lin_ack_before_log_bug(env: &mut Env) {
-    let c = tiny_cluster();
+fn lin_ack_before_log_bug(env: &mut Env, mutation: Option<Mutation>) {
+    let c = mutant(tiny_cluster(), mutation);
     c.put(OID, Bytes::copy_from_slice(PAYLOAD))
         .expect("setup write at full power");
     {
         let c = Arc::clone(&c);
         env.spawn(move || {
-            let _ = c.put_acking_before_log_for_modelcheck(OID, Bytes::copy_from_slice(PAYLOAD2));
+            let _ = c.put(OID, Bytes::copy_from_slice(PAYLOAD2));
         });
     }
     env.spawn(move || {
@@ -1462,7 +1338,7 @@ fn lin_ack_before_log_bug(env: &mut Env) {
 }
 
 /// Seeded history mutant: the version-acceptance check is bypassed
-/// ([`Cluster::get_accepting_stale_for_modelcheck`]) in the
+/// ([`Mutation::AcceptStale`]) in the
 /// [`stale_copy_setup`] geometry, where the *current* placement holds a
 /// copy a past resize superseded. Unlike `hedged-stale-bug` — the same
 /// seeded read path convicted by an in-model byte assertion — this
@@ -1471,14 +1347,8 @@ fn lin_ack_before_log_bug(env: &mut Env) {
 /// order the recorded history captures. The racing crash of the fresh
 /// replica makes no schedule correct: every interleaving serves the
 /// superseded payload from the current placement.
-fn lin_stale_read_bug(env: &mut Env) {
-    let c = tiny_cluster_with(
-        3,
-        1,
-        Strategy::Original,
-        WriteQuorum::All,
-        FaultPlan::default(),
-    );
+fn lin_stale_read_bug(env: &mut Env, mutation: Option<Mutation>) {
+    let c = mutant(stale_copy_cluster(), mutation);
     let (oid, fresh) = stale_copy_setup(&c);
     {
         let c = Arc::clone(&c);
@@ -1487,14 +1357,13 @@ fn lin_stale_read_bug(env: &mut Env) {
         });
     }
     env.spawn(move || {
-        let _ = c.get_accepting_stale_for_modelcheck(oid, ReadPolicy::FirstReplica);
+        let _ = c.get_with(oid, ReadPolicy::FirstReplica);
     });
 }
 
 /// Seeded history mutant: a plausible-looking reconciliation pass after
 /// the heal restamps each dirty object's header down to the oldest
-/// surviving replica stamp
-/// ([`Cluster::heal_dirty_restamping_for_modelcheck`]). Every replica
+/// surviving replica stamp ([`Mutation::RestampDownOnHeal`]). Every replica
 /// is intact and every membership invariant holds — state assertions
 /// have nothing to object to — but the downgraded header re-admits the
 /// superseded copy the resize left at the current placement (acceptance
@@ -1502,22 +1371,48 @@ fn lin_stale_read_bug(env: &mut Env) {
 /// the old payload for an object whose newer write was acknowledged
 /// long before. Schedules that read first pass; only the recorded
 /// history of the heal-then-read interleavings convicts the bug.
-fn lin_heal_restamp_bug(env: &mut Env) {
-    let c = tiny_cluster_with(
-        3,
-        1,
-        Strategy::Original,
-        WriteQuorum::All,
-        FaultPlan::default(),
-    );
+fn lin_heal_restamp_bug(env: &mut Env, mutation: Option<Mutation>) {
+    let c = mutant(stale_copy_cluster(), mutation);
     let (oid, _fresh) = stale_copy_setup(&c);
     {
         let c = Arc::clone(&c);
         env.spawn(move || {
-            let _ = c.heal_dirty_restamping_for_modelcheck();
+            let _ = c.heal_dirty();
         });
     }
     env.spawn(move || {
         let _ = c.get(oid);
     });
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Rule D9 pairs every model with a mutant; this extends the pairing
+    /// to decision points. `mutation` is an `Option`, so a model flips at
+    /// most one decision: every mutant (and only a mutant) flips exactly
+    /// one, and every decision the production code consults is flipped
+    /// by at least one model the sweep must catch.
+    #[test]
+    fn mutants_and_decision_points_cover_each_other() {
+        for m in MODELS {
+            let mutant = m.expect_failure
+                || m.expect_failure_weak
+                || m.expect_failure_msg
+                || m.expect_failure_lincheck;
+            assert_eq!(
+                m.mutation.is_some(),
+                mutant,
+                "{}: a mutant selects exactly one Mutation, a safe model none",
+                m.name
+            );
+        }
+        for decision in Mutation::ALL {
+            assert!(
+                MODELS.iter().any(|m| m.mutation == Some(decision)),
+                "no model catches {decision:?}"
+            );
+        }
+    }
 }

@@ -53,7 +53,7 @@ fn canonical_replay(m: &'static Model, trace: &str) -> Report {
         msg_budget: parsed.msg_budget,
         reduce: false,
     };
-    replay(m.name, &cfg, parsed.prefix, m.setup)
+    replay(m.name, &cfg, parsed.prefix, |env| m.build(env))
 }
 
 /// The modes a model participates in: SC and weak always, message
@@ -77,15 +77,15 @@ fn reduced_and_full_exploration_agree_everywhere() {
                 if msg { ", msg" } else { "" }
             );
             // Each exploration twice: determinism first, then verdicts.
-            let reduced = explore(m.name, &config(m, weak, msg, true), m.setup);
-            let reduced2 = explore(m.name, &config(m, weak, msg, true), m.setup);
+            let reduced = explore(m.name, &config(m, weak, msg, true), |env| m.build(env));
+            let reduced2 = explore(m.name, &config(m, weak, msg, true), |env| m.build(env));
             assert_eq!(
                 fingerprint(&reduced),
                 fingerprint(&reduced2),
                 "{label}: reduced exploration is not deterministic"
             );
-            let full = explore(m.name, &config(m, weak, msg, false), m.setup);
-            let full2 = explore(m.name, &config(m, weak, msg, false), m.setup);
+            let full = explore(m.name, &config(m, weak, msg, false), |env| m.build(env));
+            let full2 = explore(m.name, &config(m, weak, msg, false), |env| m.build(env));
             assert_eq!(
                 fingerprint(&full),
                 fingerprint(&full2),

@@ -13,6 +13,8 @@
 
 use crate::dirty_store::{KvDirtyTable, KvHeaderStore};
 use crate::fault::{Clock, FaultInjector, FaultPlan, FaultStatsSnapshot, SystemClock};
+use crate::lincheck::Recorder;
+use crate::mutation::{Installed, Mutation};
 use crate::net::{
     BreakerSnapshot, NetFabric, NetPlan, NetStatsSnapshot, ReplicaBreakers, SendVerdict,
 };
@@ -20,8 +22,7 @@ use crate::node::{NodeError, StorageNode};
 use crate::repair::RepairStats;
 use crate::retry::{Classify, Deadline, RetryPolicy};
 use crate::sync::{
-    counter_u64, footprint, footprint_write, msg_fate, AtomicBool, AtomicU64, MsgFate, Mutex,
-    Ordering,
+    counter_u64, footprint, footprint_write, AtomicBool, AtomicU64, Mutex, Ordering,
 };
 use arc_swap::ArcSwap;
 use bytes::Bytes;
@@ -321,6 +322,12 @@ pub struct Cluster {
     breakers: Option<ReplicaBreakers>,
     clock: Arc<dyn Clock>,
     counters: PathCounters,
+    /// Lincheck recording handle (zero-sized without the `lincheck`
+    /// feature): attached to the session open on the building thread.
+    recorder: Recorder,
+    /// The seeded mutant this cluster runs (zero-sized and constantly
+    /// empty without the `modelcheck` feature).
+    mutation: Installed,
 }
 
 impl Cluster {
@@ -404,7 +411,18 @@ impl Cluster {
             cfg,
             clock,
             counters: PathCounters::default(),
+            recorder: Recorder::attach(),
+            mutation: Installed::default(),
         })
+    }
+
+    /// Turn this cluster into the seeded mutant `m`: from now on the
+    /// one decision point named by `m` takes its wrong branch (see
+    /// [`Mutation`]). A cluster carries at most one mutation for life;
+    /// installing a second is a model bug and panics.
+    #[cfg(feature = "modelcheck")]
+    pub fn install_mutation(&self, m: Mutation) {
+        self.mutation.install(m);
     }
 
     /// Build the optional migration throttle from the configured rate.
@@ -492,6 +510,8 @@ impl Cluster {
                 .map(|b| ReplicaBreakers::new(self.cfg.servers, b)),
             clock: self.clock.clone(),
             counters: PathCounters::default(),
+            recorder: self.recorder.clone(),
+            mutation: Installed::default(),
             kv,
         })
     }
@@ -601,13 +621,14 @@ impl Cluster {
     /// Order of business: (1) an open breaker fails the send fast,
     /// charging one backoff base on the clock (a zero-cost rejection
     /// would let poll loops spin against an open breaker without
-    /// advancing virtual time); (2) the fabric rules on the message
-    /// (deliver/delay/drop/partition) — unless the model checker's
-    /// message-scheduler mode is active, in which case the explorer's
-    /// enumerated [`MsgFate`] overrides the seed-hashed fabric; (3) the
-    /// outcome feeds the breaker. Lost messages cost the sender the
-    /// plan's rpc timeout on the clock before surfacing as
-    /// [`NodeError::Timeout`] / [`NodeError::Partitioned`] — an
+    /// advancing virtual time); (2) one [`SendVerdict`] rules on the
+    /// message (deliver/delay/duplicate/drop/partition) — the seed-hashed
+    /// fabric's, unless the model checker's message-scheduler mode is
+    /// active, in which case the explorer's enumerated fate overrides it
+    /// ([`SendVerdict::from_explorer`]); with neither, the send is a bare
+    /// `op(node)`; (3) the outcome feeds the breaker. Lost messages cost
+    /// the sender the plan's rpc timeout on the clock before surfacing
+    /// as [`NodeError::Timeout`] / [`NodeError::Partitioned`] — an
     /// `Outbound` partition and a dropped *response* still execute `op`
     /// (the node did the work; only the ack vanished), which is what
     /// makes acked-write accounting under partitions honest.
@@ -631,84 +652,46 @@ impl Cluster {
                 return Err(NodeError::BreakerOpen);
             }
         }
-        let result = match msg_fate() {
-            // Message-scheduler mode: the explorer chose this send's
-            // fate; emulate it with the same clock charges and
-            // execute/ack split as the fabric verdicts below.
-            Some(fate) => {
-                let timeout = self
-                    .net
-                    .as_ref()
-                    .map(|n| n.rpc_timeout())
-                    .unwrap_or_else(NetPlan::default_rpc_timeout);
-                match fate {
-                    MsgFate::Deliver => op(node),
-                    MsgFate::DropRequest => {
-                        self.clock.sleep(timeout);
-                        Err(NodeError::Timeout)
-                    }
-                    MsgFate::DropResponse => {
-                        let _ = op(node);
-                        self.clock.sleep(timeout);
-                        Err(NodeError::Timeout)
-                    }
-                    MsgFate::Duplicate => {
-                        let r = op(node);
-                        if r.is_ok() {
-                            let _ = op(node);
-                        }
-                        r
-                    }
-                    MsgFate::Reorder => {
-                        self.clock.sleep(timeout);
-                        op(node)
-                    }
-                    MsgFate::PartitionedInbound => {
-                        self.clock.sleep(timeout);
-                        Err(NodeError::Partitioned)
-                    }
-                    MsgFate::PartitionedOutbound => {
-                        let _ = op(node);
-                        self.clock.sleep(timeout);
-                        Err(NodeError::Partitioned)
-                    }
+        // What a lost message costs the sender on the clock.
+        let timeout = || {
+            self.net
+                .as_ref()
+                .map_or_else(NetPlan::default_rpc_timeout, |n| n.rpc_timeout())
+        };
+        let verdict = SendVerdict::from_explorer(timeout)
+            .or_else(|| self.net.as_ref().map(|net| net.before_send(idx)));
+        let result = match verdict {
+            None => op(node),
+            Some(SendVerdict::Deliver { delay, duplicate }) => {
+                if let Some(d) = delay {
+                    self.clock.sleep(d);
                 }
+                let r = op(node);
+                if duplicate && r.is_ok() {
+                    // A retransmitted request executes twice; node
+                    // ops are idempotent so only the op counters see
+                    // it (the duplicate's own faults are swallowed —
+                    // the first reply already answered the sender).
+                    let _ = op(node);
+                }
+                r
             }
-            None => match &self.net {
-                None => op(node),
-                Some(net) => match net.before_send(idx) {
-                    SendVerdict::Deliver { delay, duplicate } => {
-                        if let Some(d) = delay {
-                            self.clock.sleep(d);
-                        }
-                        let r = op(node);
-                        if duplicate && r.is_ok() {
-                            // A retransmitted request executes twice; node
-                            // ops are idempotent so only the op counters see
-                            // it (the duplicate's own faults are swallowed —
-                            // the first reply already answered the sender).
-                            let _ = op(node);
-                        }
-                        r
-                    }
-                    SendVerdict::DropRequest => {
-                        self.clock.sleep(net.rpc_timeout());
-                        Err(NodeError::Timeout)
-                    }
-                    SendVerdict::DropResponse => {
-                        let _ = op(node);
-                        self.clock.sleep(net.rpc_timeout());
-                        Err(NodeError::Timeout)
-                    }
-                    SendVerdict::Partitioned { request_delivered } => {
-                        if request_delivered {
-                            let _ = op(node);
-                        }
-                        self.clock.sleep(net.rpc_timeout());
-                        Err(NodeError::Partitioned)
-                    }
-                },
-            },
+            Some(SendVerdict::DropRequest) => {
+                self.clock.sleep(timeout());
+                Err(NodeError::Timeout)
+            }
+            Some(SendVerdict::DropResponse) => {
+                let _ = op(node);
+                self.clock.sleep(timeout());
+                Err(NodeError::Timeout)
+            }
+            Some(SendVerdict::Partitioned { request_delivered }) => {
+                if request_delivered {
+                    let _ = op(node);
+                }
+                self.clock.sleep(timeout());
+                Err(NodeError::Partitioned)
+            }
         };
         if let Some(b) = &self.breakers {
             match &result {
@@ -741,9 +724,16 @@ impl Cluster {
     /// exactly like power-offloaded writes — so [`Cluster::heal_dirty`]
     /// and repair converge the object back to full replication.
     pub fn put(&self, oid: ObjectId, data: Bytes) -> Result<Placement, ClusterError> {
-        let span = crate::lincheck::inv_put(oid, &data, &*self.clock);
+        let span = self.recorder.inv_put(oid, &data, &*self.clock);
+        if self.mutation.mutated(Mutation::AckBeforeWrite) {
+            // The ack belongs after the write body: recording it first
+            // is the caller-visible analogue of replying to the client
+            // before the log write is durable.
+            self.recorder.ret_put(span, &Ok(()), &*self.clock);
+            return self.put_epochs(oid, data);
+        }
         let result = self.put_epochs(oid, data);
-        crate::lincheck::ret_put(span, &result, &*self.clock);
+        self.recorder.ret_put(span, &result, &*self.clock);
         result
     }
 
@@ -768,7 +758,7 @@ impl Cluster {
                 let p = view.place_current(oid)?;
                 (p, view.current_version(), view.write_is_dirty())
             };
-            match self.put_at(oid, &data, placement, version, power_dirty, true, deadline) {
+            match self.put_at(oid, &data, placement, version, power_dirty, deadline) {
                 Err(ClusterError::Node(NodeError::PoweredOff))
                     if epochs < 4 && self.current_version() != version =>
                 {
@@ -780,10 +770,6 @@ impl Cluster {
     }
 
     /// One write attempt against a fixed placement snapshot.
-    /// `record_dirty` is always true on the production path; the seeded
-    /// quorum-dirty mutant below passes false to skip the dirty-table
-    /// entry that makes degraded writes self-healing.
-    #[allow(clippy::too_many_arguments)]
     fn put_at(
         &self,
         oid: ObjectId,
@@ -791,7 +777,6 @@ impl Cluster {
         placement: Placement,
         version: VersionId,
         power_dirty: bool,
-        record_dirty: bool,
         deadline: Deadline,
     ) -> Result<Placement, ClusterError> {
         let servers = placement.servers();
@@ -817,7 +802,17 @@ impl Cluster {
                 NodeError::is_transient,
                 || {
                     self.rpc(server, node, |n| {
-                        n.put(oid, data.clone(), version, power_dirty)
+                        let payload = if self.mutation.mutated(Mutation::AppendOnStore) {
+                            // A non-idempotent store: a retransmitted
+                            // request appends a second time.
+                            let held = n.get(oid).map(|o| o.data).unwrap_or_default();
+                            Bytes::from(
+                                held.iter().chain(data.iter()).copied().collect::<Vec<u8>>(),
+                            )
+                        } else {
+                            data.clone()
+                        };
+                        n.put(oid, payload, version, power_dirty)
                     })
                 },
             );
@@ -871,7 +866,9 @@ impl Cluster {
         }
         let is_dirty = power_dirty || missed > 0;
         self.headers.record_write(oid, version, is_dirty);
-        if is_dirty && record_dirty {
+        // The ack and the dirty entry go together: the entry is what
+        // makes a degraded or offloaded write self-healing (§III-E).
+        if is_dirty && !self.mutation.mutated(Mutation::SkipDirtyLog) {
             self.log_dirty(DirtyEntry::new(oid, version));
         }
         if missed > 0 {
@@ -879,123 +876,6 @@ impl Cluster {
             self.counters.add_replicas_missed(missed as u64);
         }
         Ok(placement)
-    }
-
-    /// **Deliberately seeded quorum bug** (modelcheck builds only): a
-    /// quorum write that skips the dirty-table entry for the replicas it
-    /// missed. The ack looks identical to [`Cluster::put`]'s, but the
-    /// missed replicas are no longer self-healing — [`Cluster::heal_dirty`]
-    /// has nothing to scan. The `quorum-dirty-bug` model drives this
-    /// under an always-failing secondary and asserts the dirty table is
-    /// non-empty after the ack.
-    #[cfg(feature = "modelcheck")]
-    pub fn put_unlogged_for_modelcheck(
-        &self,
-        oid: ObjectId,
-        data: Bytes,
-    ) -> Result<Placement, ClusterError> {
-        let span = crate::lincheck::inv_put(oid, &data, &*self.clock);
-        let result = self.put_unlogged_body_for_modelcheck(oid, data);
-        crate::lincheck::ret_put(span, &result, &*self.clock);
-        result
-    }
-
-    #[cfg(feature = "modelcheck")]
-    fn put_unlogged_body_for_modelcheck(
-        &self,
-        oid: ObjectId,
-        data: Bytes,
-    ) -> Result<Placement, ClusterError> {
-        let (placement, version, power_dirty) = {
-            let view = self.view.load();
-            let p = view.place_current(oid)?;
-            (p, view.current_version(), view.write_is_dirty())
-        };
-        self.put_at(
-            oid,
-            &data,
-            placement,
-            version,
-            power_dirty,
-            false,
-            self.op_deadline(),
-        )
-    }
-
-    /// **Deliberately seeded retransmission-safety bug** (modelcheck
-    /// builds only): a quorum write built on the non-idempotent
-    /// [`StorageNode::append_for_modelcheck`] store. On a fault-free
-    /// fabric it is byte-for-byte identical to a first write — the
-    /// appended-to slot is empty — so thread-only exploration passes
-    /// exhaustively. Under the message scheduler's `Duplicate` fate the
-    /// retransmitted request appends twice and a reader observes the
-    /// doubled payload; the `msg-dup-append-bug` model catches it.
-    #[cfg(feature = "modelcheck")]
-    pub fn put_appending_for_modelcheck(
-        &self,
-        oid: ObjectId,
-        data: Bytes,
-    ) -> Result<(), ClusterError> {
-        let span = crate::lincheck::inv_put(oid, &data, &*self.clock);
-        let result = self.put_appending_body_for_modelcheck(oid, data);
-        crate::lincheck::ret_put(span, &result, &*self.clock);
-        result
-    }
-
-    #[cfg(feature = "modelcheck")]
-    fn put_appending_body_for_modelcheck(
-        &self,
-        oid: ObjectId,
-        data: Bytes,
-    ) -> Result<(), ClusterError> {
-        let (placement, version, power_dirty) = {
-            let view = self.view.load();
-            let p = view.place_current(oid)?;
-            (p, view.current_version(), view.write_is_dirty())
-        };
-        let servers = placement.servers();
-        let required = self.cfg.write_quorum.required(servers.len());
-        let mut written = 0usize;
-        for (rank, &server) in servers.iter().enumerate() {
-            let node = self.node(server)?;
-            let result = self.rpc(server, node, |n| {
-                n.append_for_modelcheck(oid, data.clone(), version, power_dirty)
-            });
-            match result {
-                Ok(()) => written += 1,
-                Err(e) if rank == 0 => return Err(ClusterError::Node(e)),
-                Err(_) => {}
-            }
-        }
-        if written < required {
-            return Err(ClusterError::QuorumNotReached { written, required });
-        }
-        self.headers.record_write(oid, version, power_dirty);
-        Ok(())
-    }
-
-    /// **Deliberately seeded ack-ordering bug** (modelcheck builds
-    /// only): [`Cluster::put`] with the acknowledgement surfaced
-    /// *before* any replica I/O or header bookkeeping runs. Every
-    /// state-based invariant still holds once the body completes — the
-    /// final cluster state is byte-identical to a correct put, so
-    /// assertion-style models pass exhaustively. Only a recorded
-    /// history shows the violation: a reader scheduled into the window
-    /// observes the old value *after* the ack, and the linearizability
-    /// checker rejects the history. The `lin-ack-before-log-bug` model
-    /// catches it under `--lincheck`.
-    #[cfg(feature = "modelcheck")]
-    pub fn put_acking_before_log_for_modelcheck(
-        &self,
-        oid: ObjectId,
-        data: Bytes,
-    ) -> Result<Placement, ClusterError> {
-        let span = crate::lincheck::inv_put(oid, &data, &*self.clock);
-        // BUG under test: the ack belongs after the write body; recording
-        // it first is the caller-visible analogue of replying to the
-        // client before the log write is durable.
-        crate::lincheck::ret_put_premature(span, &*self.clock);
-        self.put_epochs(oid, data)
     }
 
     /// Read an object from any live replica.
@@ -1006,7 +886,7 @@ impl Cluster {
     /// known, it is able to accurately find the servers that contain the
     /// latest replicas" (§III-E1).
     pub fn get(&self, oid: ObjectId) -> Result<Bytes, ClusterError> {
-        let span = crate::lincheck::inv_get(oid, &*self.clock);
+        let span = self.recorder.inv_get(oid, &*self.clock);
         // One budget spans the whole read, retries included.
         let deadline = self.op_deadline();
         let result = self
@@ -1017,10 +897,10 @@ impl Cluster {
                 deadline,
                 oid.raw(),
                 ClusterError::is_retryable,
-                || self.get_with_acceptance(oid, ReadPolicy::FirstReplica, true, deadline),
+                || self.get_at(oid, ReadPolicy::FirstReplica, deadline),
             )
             .0;
-        crate::lincheck::ret_get(span, &result, &*self.clock);
+        self.recorder.ret_get(span, &result, &*self.clock);
         result
     }
 
@@ -1033,82 +913,19 @@ impl Cluster {
     /// the authoritative header (§III-E2: the header lets the system
     /// "identify the latest data version and avoid stale data").
     pub fn get_with(&self, oid: ObjectId, policy: ReadPolicy) -> Result<Bytes, ClusterError> {
-        let span = crate::lincheck::inv_get(oid, &*self.clock);
-        let result = self.get_with_acceptance(oid, policy, true, self.op_deadline());
-        crate::lincheck::ret_get(span, &result, &*self.clock);
+        let span = self.recorder.inv_get(oid, &*self.clock);
+        let result = self.get_at(oid, policy, self.op_deadline());
+        self.recorder.ret_get(span, &result, &*self.clock);
         result
     }
 
-    /// **Deliberately seeded staleness bug** (modelcheck builds only):
-    /// a read that skips the header-version acceptance check, returning
-    /// whatever copy it finds first. Superseded replicas awaiting
-    /// collection become observable — the `hedged-stale-bug` model races
-    /// this against a crash of the fresh replica and catches the stale
-    /// payload escaping to the caller.
-    #[cfg(feature = "modelcheck")]
-    pub fn get_accepting_stale_for_modelcheck(
+    /// One read attempt under `deadline`: [`Cluster::get_with`]'s body,
+    /// and what [`Cluster::get`] retries.
+    fn get_at(
         &self,
         oid: ObjectId,
         policy: ReadPolicy,
-    ) -> Result<Bytes, ClusterError> {
-        let span = crate::lincheck::inv_get(oid, &*self.clock);
-        let result = self.get_with_acceptance(oid, policy, false, self.op_deadline());
-        crate::lincheck::ret_get(span, &result, &*self.clock);
-        result
-    }
-
-    /// **Deliberately seeded breaker-misclassification bug** (modelcheck
-    /// builds only): a read that does not count an open breaker toward
-    /// the "could this miss be transient?" verdict. When every replica
-    /// hides behind a tripped breaker, a committed object is reported
-    /// [`ClusterError::NotFound`] — an authoritative answer fabricated
-    /// from a routing veto. Thread-only exploration never trips a
-    /// breaker (no message faults exist to feed it), so the bug is
-    /// invisible without `--msg`; the `msg-breaker-notfound-bug` model
-    /// catches it with a single enumerated fault.
-    #[cfg(feature = "modelcheck")]
-    pub fn get_treating_breaker_as_notfound_for_modelcheck(
-        &self,
-        oid: ObjectId,
-    ) -> Result<Bytes, ClusterError> {
-        let span = crate::lincheck::inv_get(oid, &*self.clock);
-        let result = self.get_with_acceptance_opts(
-            oid,
-            ReadPolicy::FirstReplica,
-            true,
-            self.op_deadline(),
-            false,
-        );
-        crate::lincheck::ret_get(span, &result, &*self.clock);
-        result
-    }
-
-    /// [`Cluster::get_with`] with the version-acceptance check made
-    /// explicit; `enforce_versions` is always true on the production
-    /// path.
-    fn get_with_acceptance(
-        &self,
-        oid: ObjectId,
-        policy: ReadPolicy,
-        enforce_versions: bool,
         deadline: Deadline,
-    ) -> Result<Bytes, ClusterError> {
-        self.get_with_acceptance_opts(oid, policy, enforce_versions, deadline, true)
-    }
-
-    /// [`Cluster::get_with_acceptance`] with the breaker classification
-    /// made explicit. `breaker_is_transient` is always true on the
-    /// production path: an open breaker is a routing verdict about the
-    /// link, never an authoritative statement about the object, so a
-    /// read that saw only tripped breakers must report `Unavailable`,
-    /// not `NotFound`. The seeded mutant below passes false.
-    fn get_with_acceptance_opts(
-        &self,
-        oid: ObjectId,
-        policy: ReadPolicy,
-        enforce_versions: bool,
-        deadline: Deadline,
-        breaker_is_transient: bool,
     ) -> Result<Bytes, ClusterError> {
         let expected = self.headers.header(oid).map(|h| h.version);
         let view = self.view.load();
@@ -1140,7 +957,7 @@ impl Cluster {
         // older than the header, while a concurrent re-integration may
         // restamp fresh copies *past* the header snapshot we took.
         let acceptable = |stamp: ech_core::ids::VersionId| {
-            !enforce_versions || expected.is_none_or(|v| stamp >= v)
+            self.mutation.mutated(Mutation::AcceptStale) || expected.is_none_or(|v| stamp >= v)
         };
         if let ReadPolicy::Hedged { threshold } = policy {
             if let Some(data) = self.hedged_get(oid, &candidates, &acceptable, threshold, deadline)
@@ -1153,8 +970,19 @@ impl Cluster {
         // `NotFound` when every failure could have been a fault. An open
         // breaker counts too — it is a routing verdict about the link,
         // never an authoritative statement about the object.
+        let transient = |e: &NodeError| {
+            e.is_transient()
+                || (matches!(e, NodeError::BreakerOpen)
+                    && !self.mutation.mutated(Mutation::BreakerIsAuthoritative))
+        };
         let mut saw_transient = false;
-        for &server in candidates.iter().cycle().skip(start).take(candidates.len()) {
+        // Placement-guided candidates first; when they fail (e.g. the
+        // fresh copy sits on a server an intermediate re-integration
+        // chose), sweep all nodes for a version-matching copy before
+        // giving up.
+        let guided = candidates.iter().copied().cycle().skip(start);
+        let sweep = (0..self.nodes.len() as u32).map(ServerId);
+        for server in guided.take(candidates.len()).chain(sweep) {
             if deadline.expired(&*self.clock) {
                 self.counters.inc_deadline_exceeded();
                 return Err(ClusterError::DeadlineExceeded);
@@ -1163,27 +991,7 @@ impl Cluster {
             match self.rpc(server, node, |n| n.get(oid)) {
                 Ok(obj) if acceptable(obj.header.version) => return Ok(obj.data),
                 Ok(_) => {}
-                Err(e) => {
-                    saw_transient |= e.is_transient()
-                        || (breaker_is_transient && matches!(e, NodeError::BreakerOpen));
-                }
-            }
-        }
-        // Placement-guided candidates failed (e.g. the fresh copy sits on
-        // a server an intermediate re-integration chose); sweep all
-        // powered nodes for a version-matching copy before giving up.
-        for (i, node) in self.nodes.iter().enumerate() {
-            if deadline.expired(&*self.clock) {
-                self.counters.inc_deadline_exceeded();
-                return Err(ClusterError::DeadlineExceeded);
-            }
-            match self.rpc(ServerId(i as u32), node, |n| n.get(oid)) {
-                Ok(obj) if acceptable(obj.header.version) => return Ok(obj.data),
-                Ok(_) => {}
-                Err(e) => {
-                    saw_transient |= e.is_transient()
-                        || (breaker_is_transient && matches!(e, NodeError::BreakerOpen));
-                }
+                Err(e) => saw_transient |= transient(&e),
             }
         }
         if saw_transient {
@@ -1257,9 +1065,9 @@ impl Cluster {
     /// # Panics
     /// Panics if `active` is outside `1..=n`.
     pub fn resize(&self, active: usize) -> VersionId {
-        let span = crate::lincheck::inv_resize(active, &*self.clock);
+        let span = self.recorder.inv_resize(active, &*self.clock);
         let version = self.resize_views(active);
-        crate::lincheck::ret_resize(span, version, &*self.clock);
+        self.recorder.ret_ok(span, &*self.clock);
         version
     }
 
@@ -1277,7 +1085,15 @@ impl Cluster {
                 node.set_powered(true);
             }
         }
-        self.view.store(Arc::new(next));
+        match () {
+            // The publication must be `Release` (rule D6's dynamic
+            // analogue); `Relaxed` lets it linger in a store buffer.
+            #[cfg(feature = "modelcheck")]
+            () if self.mutation.mutated(Mutation::RelaxedPublish) => {
+                self.view.store_relaxed(Arc::new(next));
+            }
+            () => self.view.store(Arc::new(next)),
+        }
         for (i, node) in self.nodes.iter().enumerate() {
             if i >= active {
                 node.set_powered(false);
@@ -1391,135 +1207,10 @@ impl Cluster {
         Ok(moved)
     }
 
-    /// **Deliberately seeded publish-order bug** (modelcheck builds
-    /// only). Re-enacts the pre-publish-ordering regression: resize to
-    /// `active` and migrate `oid` to its placement at the new version,
-    /// but stamp the authoritative header *before* the copies land and
-    /// the view is published. In the window between the stamp and the
-    /// first new-version copy, a concurrent reader sees a header
-    /// version no replica can satisfy and reports a spurious
-    /// [`ClusterError::NotFound`]. The `seeded-stamp-bug` model drives
-    /// this method so the counterexample-replay test can prove the
-    /// checker finds the interleaving; analyzer rule D6 flags the same
-    /// ordering statically (suppressed below, on purpose).
-    #[cfg(feature = "modelcheck")]
-    pub fn resize_with_seeded_stamp_bug(
-        &self,
-        oid: ObjectId,
-        active: usize,
-    ) -> Result<VersionId, ClusterError> {
-        let span = crate::lincheck::inv_resize(active, &*self.clock);
-        let result = self.resize_with_seeded_stamp_bug_body(oid, active);
-        crate::lincheck::ret_resize_result(span, &result, &*self.clock);
-        result
-    }
-
-    #[cfg(feature = "modelcheck")]
-    fn resize_with_seeded_stamp_bug_body(
-        &self,
-        oid: ObjectId,
-        active: usize,
-    ) -> Result<VersionId, ClusterError> {
-        let _writer = self.view_write.lock();
-        let mut next = ClusterView::clone(&self.view.load());
-        let version = next.resize(active);
-        for (i, node) in self.nodes.iter().enumerate() {
-            if i < active {
-                node.set_powered(true);
-            }
-        }
-        let data = self
-            .nodes
-            .iter()
-            .find_map(|n| n.get(oid).ok())
-            .ok_or(ClusterError::NotFound)?
-            .data;
-        // BUG under test: the stamp belongs after the copies and the
-        // publish; running it first opens the stale-header window.
-        // ech-allow(D4, D6): deliberate seeded bug — the counterexample
-        // replay test needs a real stamp-before-publish violation for
-        // the checker to find, and the stamp's kv retry runs under the
-        // writer lock only on this intentionally wrong path.
-        self.headers.record_write(oid, version, false);
-        let placement = next.place_at(oid, version)?;
-        for &server in placement.servers() {
-            self.node(server)?
-                // ech-allow(D4): same seeded bug — faultable node I/O
-                // under the writer lock is part of the window under
-                // test.
-                .put(oid, data.clone(), version, false)
-                .map_err(ClusterError::Node)?;
-        }
-        self.view.store(Arc::new(next));
-        for (i, node) in self.nodes.iter().enumerate() {
-            if i >= active {
-                node.set_powered(false);
-            }
-        }
-        Ok(version)
-    }
-
-    /// **Deliberately seeded weak-publication bug** (modelcheck builds
-    /// only): [`Cluster::resize`] with the view swap downgraded to a
-    /// `Relaxed` pointer store. Under sequentially consistent
-    /// exploration this is indistinguishable from the correct resize —
-    /// the store still lands before any later read. Only the checker's
-    /// weak-memory mode exhibits the bug: the publication sits in the
-    /// resizing thread's store buffer, and an observer still sees the
-    /// old membership version after the resize "completed".
-    #[cfg(feature = "modelcheck")]
-    pub fn resize_with_relaxed_publish_for_modelcheck(&self, active: usize) -> VersionId {
-        let span = crate::lincheck::inv_resize(active, &*self.clock);
-        let version = self.resize_with_relaxed_publish_body(active);
-        crate::lincheck::ret_resize(span, version, &*self.clock);
-        version
-    }
-
-    #[cfg(feature = "modelcheck")]
-    fn resize_with_relaxed_publish_body(&self, active: usize) -> VersionId {
-        let _writer = self.view_write.lock();
-        let mut next = ClusterView::clone(&self.view.load());
-        let version = next.resize(active);
-        for (i, node) in self.nodes.iter().enumerate() {
-            if i < active {
-                node.set_powered(true);
-            }
-        }
-        for (i, node) in self.nodes.iter().enumerate() {
-            if i >= active {
-                node.set_powered(false);
-            }
-        }
-        // BUG under test: the publication must be `Release` (rule D6's
-        // dynamic analogue); `Relaxed` lets it linger in a store buffer.
-        // It is also this thread's *last* store — a later write-through
-        // store (e.g. the power flips above, which is why they were
-        // hoisted) would drain the buffer in FIFO order and mask the
-        // staleness, exactly as on TSO hardware.
-        self.view.store_relaxed_for_modelcheck(Arc::new(next));
-        version
-    }
-
     /// Execute one selective re-integration task. Returns the stats of
     /// the task, or the idle reason.
     pub fn reintegrate_step(&self) -> Result<ReintegrationStats, Idle> {
         self.reintegrate_batch(1)
-    }
-
-    /// **Deliberately seeded move-ordering bug** (modelcheck builds
-    /// only): plan and execute one re-integration task with the replica
-    /// move inverted to remove-before-copy. A resize that powers the
-    /// destination off in the window between the remove and the copy
-    /// loses the only replica — the `reintegration-lost-replica-bug`
-    /// model finds that interleaving.
-    #[cfg(feature = "modelcheck")]
-    pub fn reintegrate_step_remove_first_for_modelcheck(&self) -> Result<ReintegrationStats, Idle> {
-        let span = crate::lincheck::inv_reintegrate(&*self.clock);
-        let result = self
-            .plan_task()
-            .map(|task| self.execute_task_opts(&task, true));
-        crate::lincheck::ret_reintegrate(span, &result, &*self.clock);
-        result
     }
 
     /// Plan one migration task against the current snapshot. The engine
@@ -1547,9 +1238,9 @@ impl Cluster {
     /// behaves identically: after the first task's header restamp the
     /// later entries no longer qualify and pop without planning work.
     pub fn reintegrate_batch(&self, max_tasks: usize) -> Result<ReintegrationStats, Idle> {
-        let span = crate::lincheck::inv_reintegrate(&*self.clock);
+        let span = self.recorder.inv_reintegrate(&*self.clock);
         let result = self.reintegrate_batch_body(max_tasks);
-        crate::lincheck::ret_reintegrate(span, &result, &*self.clock);
+        self.recorder.ret_ok(span, &*self.clock);
         result
     }
 
@@ -1622,24 +1313,23 @@ impl Cluster {
         Ok(total)
     }
 
-    /// Execute the byte movement and header restamp of one planned task.
+    /// Execute the byte movement and header restamp of one planned
+    /// task. Two orders carry the safety argument: each move copies
+    /// before it removes (a racing failure loses only the *copy*, never
+    /// the source replica), and the header is stamped only after every
+    /// copy landed (a reader never meets a header no replica satisfies).
     fn execute_task(&self, task: &MigrationTask) -> ReintegrationStats {
-        self.execute_task_opts(task, false)
-    }
-
-    /// [`Cluster::execute_task`] with the move ordering made explicit;
-    /// `remove_before_copy` is always false on the production path
-    /// (copy-then-remove is what makes a racing failure lose only the
-    /// *copy*, never the source replica).
-    fn execute_task_opts(
-        &self,
-        task: &MigrationTask,
-        remove_before_copy: bool,
-    ) -> ReintegrationStats {
+        let remove_before_copy = self.mutation.mutated(Mutation::RemoveBeforeCopy);
         let mut stats = ReintegrationStats {
             tasks: 1,
             ..Default::default()
         };
+        if self.mutation.mutated(Mutation::StampBeforeCopy) {
+            // The stamp belongs after the copies (below); running it
+            // first opens the stale-header window.
+            self.headers
+                .record_write(task.oid, task.target_version, true);
+        }
         // A move can fail for benign reasons (the replica already moved,
         // the source raced off) or because the *network* got in the way
         // after retries. The distinction matters: a fault-failed move
@@ -1666,21 +1356,24 @@ impl Cluster {
                 continue;
             };
             let src_token = task.oid.raw() ^ ((m.from.index() as u64) << 48);
-            let got = self.cfg.retry.run_deadline(
-                &*self.clock,
-                deadline,
-                src_token,
-                NodeError::is_transient,
-                || self.rpc(m.from, src, |n| n.get(task.oid)),
-            );
+            let got = self
+                .cfg
+                .retry
+                .run_counted_deadline(
+                    &*self.clock,
+                    deadline,
+                    src_token,
+                    NodeError::is_transient,
+                    || self.rpc(m.from, src, |n| n.get(task.oid)),
+                )
+                .0;
             match got {
                 Ok(obj) => {
                     let bytes = obj.data.len() as u64;
                     self.throttle_migration(bytes as f64);
                     if remove_before_copy {
-                        // BUG under test (seeded, modelcheck only): the
-                        // source goes away before the copy exists, so a
-                        // put failure below loses the replica outright.
+                        // The source goes away before the copy exists,
+                        // so a put failure below loses the replica.
                         // ech-allow(D7): replica removes are reconciliation messages the coordinator repeats at will; they ride the reliable queue and bypass the fabric (DESIGN §8)
                         src.remove(task.oid);
                     }
@@ -1689,22 +1382,26 @@ impl Cluster {
                     // retries) means a racing resize — or a message-level
                     // fault — in which case the entry is re-planned.
                     let dst_token = task.oid.raw() ^ ((m.to.index() as u64) << 48);
-                    let put = self.cfg.retry.run_deadline(
-                        &*self.clock,
-                        deadline,
-                        dst_token,
-                        NodeError::is_transient,
-                        || {
-                            self.rpc(m.to, dst, |n| {
-                                n.put(
-                                    task.oid,
-                                    obj.data.clone(),
-                                    task.target_version,
-                                    obj.header.dirty,
-                                )
-                            })
-                        },
-                    );
+                    let put = self
+                        .cfg
+                        .retry
+                        .run_counted_deadline(
+                            &*self.clock,
+                            deadline,
+                            dst_token,
+                            NodeError::is_transient,
+                            || {
+                                self.rpc(m.to, dst, |n| {
+                                    n.put(
+                                        task.oid,
+                                        obj.data.clone(),
+                                        task.target_version,
+                                        obj.header.dirty,
+                                    )
+                                })
+                            },
+                        )
+                        .0;
                     match put {
                         Ok(()) => {
                             if !remove_before_copy {
@@ -1815,9 +1512,9 @@ impl Cluster {
     /// the same active count as the current one) — the missed replicas
     /// must be re-created before the table drains.
     pub fn reintegrate_all(&self) -> ReintegrationStats {
-        let span = crate::lincheck::inv_reintegrate(&*self.clock);
+        let span = self.recorder.inv_reintegrate(&*self.clock);
         let stats = self.reintegrate_all_body();
-        crate::lincheck::ret_reintegrate_all(span, &stats, &*self.clock);
+        self.recorder.ret_ok(span, &*self.clock);
         stats
     }
 
@@ -1867,7 +1564,15 @@ impl Cluster {
 
     /// Signal the background worker to exit.
     pub fn stop_background_worker(&self) {
-        self.stop_worker.store(true, Ordering::Release);
+        let order = if self.mutation.mutated(Mutation::RelaxedStopFlag) {
+            // ech-allow(D5): deliberate seeded bug — the weak-memory
+            // models need a real Relaxed publication for the checker to
+            // catch.
+            Ordering::Relaxed
+        } else {
+            Ordering::Release
+        };
+        self.stop_worker.store(true, order);
     }
 
     /// Has [`Cluster::stop_background_worker`] been called since the
@@ -1876,20 +1581,6 @@ impl Cluster {
     /// the flag without joining the thread.
     pub fn stop_requested(&self) -> bool {
         self.stop_worker.load(Ordering::Acquire)
-    }
-
-    /// **Deliberately seeded weak-publication bug** (modelcheck builds
-    /// only): [`Cluster::stop_background_worker`] with the flag store
-    /// downgraded to `Relaxed`. Sequentially consistent exploration
-    /// cannot distinguish this from the correct `Release` store; the
-    /// checker's weak-memory mode buffers it, and the worker keeps
-    /// observing `false` after the stop "was requested" — the stale
-    /// publication the `weak-stop-flag-relaxed` model must catch.
-    #[cfg(feature = "modelcheck")]
-    pub fn stop_background_worker_relaxed_for_modelcheck(&self) {
-        // ech-allow(D5): deliberate seeded bug — the weak-memory models
-        // need a real Relaxed publication for the checker to catch.
-        self.stop_worker.store(true, Ordering::Relaxed);
     }
 
     /// Heal replicas missed by degraded (quorum) writes: for every dirty
@@ -1904,9 +1595,9 @@ impl Cluster {
     /// duplicates the engine's migration work. At full power, objects
     /// that end up fully placed get their dirty bit cleared.
     pub fn heal_dirty(&self) -> RepairStats {
-        let span = crate::lincheck::inv_heal(&*self.clock);
+        let span = self.recorder.inv_heal(&*self.clock);
         let stats = self.heal_dirty_body();
-        crate::lincheck::ret_heal(span, &stats, &*self.clock);
+        self.recorder.ret_ok(span, &*self.clock);
         stats
     }
 
@@ -1964,13 +1655,17 @@ impl Cluster {
                         continue;
                     }
                     let token = oid.raw() ^ ((i as u64) << 48) ^ 0x6EA1_0001;
-                    let got = self.cfg.retry.run_deadline(
-                        &*self.clock,
-                        deadline,
-                        token,
-                        NodeError::is_transient,
-                        || self.rpc(ServerId(i as u32), n, |node| node.get(oid)),
-                    );
+                    let got = self
+                        .cfg
+                        .retry
+                        .run_counted_deadline(
+                            &*self.clock,
+                            deadline,
+                            token,
+                            NodeError::is_transient,
+                            || self.rpc(ServerId(i as u32), n, |node| node.get(oid)),
+                        )
+                        .0;
                     if let Ok(obj) = got {
                         if obj.header.version >= h.version {
                             source = Some(obj);
@@ -1987,17 +1682,26 @@ impl Cluster {
                         continue;
                     }
                     let token = oid.raw() ^ ((target.index() as u64) << 48) ^ 0x6EA1_0002;
-                    let put = self.cfg.retry.run_deadline(
-                        &*self.clock,
-                        deadline,
-                        token,
-                        NodeError::is_transient,
-                        || {
-                            self.rpc(target, node, |n| {
-                                n.put(oid, obj.data.clone(), obj.header.version, obj.header.dirty)
-                            })
-                        },
-                    );
+                    let put = self
+                        .cfg
+                        .retry
+                        .run_counted_deadline(
+                            &*self.clock,
+                            deadline,
+                            token,
+                            NodeError::is_transient,
+                            || {
+                                self.rpc(target, node, |n| {
+                                    n.put(
+                                        oid,
+                                        obj.data.clone(),
+                                        obj.header.version,
+                                        obj.header.dirty,
+                                    )
+                                })
+                            },
+                        )
+                        .0;
                     if put.is_ok() {
                         stats.recreated += 1;
                         stats.bytes += obj.data.len() as u64;
@@ -2019,55 +1723,19 @@ impl Cluster {
                     }
                 }
             }
-        }
-        stats
-    }
-
-    /// **Deliberately seeded reconciliation bug** (modelcheck builds
-    /// only): [`Cluster::heal_dirty`] followed by a plausible-looking
-    /// "reconcile the header with what the disks actually hold" pass
-    /// that restamps each dirty object's header *down* to the oldest
-    /// surviving replica stamp. Every replica the heal created is
-    /// intact and every membership invariant holds, so state assertions
-    /// pass — but the downgraded header re-admits the superseded copy a
-    /// past resize left at the *current* placement (acceptance is
-    /// `stamp >= header`), and the next read serves it. Only a recorded
-    /// history convicts the bug: a get that *began after* the newer
-    /// write's ack returns the old value, and the `--lincheck` checker
-    /// rejects the history (`lin-heal-restamp-bug` model).
-    #[cfg(feature = "modelcheck")]
-    pub fn heal_dirty_restamping_for_modelcheck(&self) -> RepairStats {
-        let span = crate::lincheck::inv_heal(&*self.clock);
-        let stats = self.heal_dirty_restamping_body();
-        crate::lincheck::ret_heal(span, &stats, &*self.clock);
-        stats
-    }
-
-    #[cfg(feature = "modelcheck")]
-    fn heal_dirty_restamping_body(&self) -> RepairStats {
-        let entries: Vec<DirtyEntry> = self.dirty.get_range(0, self.dirty.len());
-        let stats = self.heal_dirty_body();
-        let mut seen = std::collections::HashSet::new();
-        for entry in entries {
-            if !seen.insert(entry.oid) {
-                continue;
-            }
-            let Some(h) = self.headers.header(entry.oid) else {
-                continue;
-            };
-            // BUG under test: the oldest surviving stamp is where a
-            // *superseded* copy lives, not where the object's latest
-            // write landed — "reconciling" the header down to it
-            // un-publishes every newer write to the object.
-            let oldest = self
-                .nodes
-                .iter()
-                .filter_map(|n| n.get(entry.oid).ok())
-                .map(|o| o.header.version)
-                .min();
-            if let Some(v) = oldest {
-                if v < h.version {
-                    self.headers.record_write(entry.oid, v, h.dirty);
+            if self.mutation.mutated(Mutation::RestampDownOnHeal) {
+                // The oldest surviving stamp is where a *superseded*
+                // copy lives, not where the object's latest write
+                // landed — "reconciling" the header down to it
+                // un-publishes every newer write to the object.
+                let oldest = self
+                    .nodes
+                    .iter()
+                    .filter_map(|n| n.get(oid).ok())
+                    .map(|o| o.header.version)
+                    .min();
+                if let Some(v) = oldest.filter(|&v| v < h.version) {
+                    self.headers.record_write(oid, v, h.dirty && !placed_now);
                 }
             }
         }
@@ -2677,6 +2345,69 @@ mod tests {
             clock.now().saturating_sub(t0) >= backoff_base * spins,
             "open-breaker fast-fails must charge the clock"
         );
+    }
+
+    /// The explorer's seven message fates are the fabric's verdicts:
+    /// for each fate, the result the sender sees, the clock charge and
+    /// the number of times `op` executes are what the dedicated per-fate
+    /// arm `Cluster::rpc` used to carry produced. Each row replays a
+    /// one-decision `m<code>` trace through the real explorer, so the
+    /// whole path (`msg_fate` → `SendVerdict::from_explorer` → the one
+    /// match) is what is measured.
+    #[cfg(feature = "modelcheck")]
+    #[test]
+    fn explorer_fates_are_fabric_verdicts() {
+        use crate::fault::VirtualClock;
+        use std::cell::Cell;
+        let timeout = NetPlan::default_rpc_timeout();
+        let table = [
+            ("Deliver", Ok(()), Duration::ZERO, 1),
+            ("DropRequest", Err(NodeError::Timeout), timeout, 0),
+            ("DropResponse", Err(NodeError::Timeout), timeout, 1),
+            ("Duplicate", Ok(()), Duration::ZERO, 2),
+            ("Reorder", Ok(()), timeout, 1),
+            (
+                "PartitionedInbound",
+                Err(NodeError::Partitioned),
+                timeout,
+                0,
+            ),
+            (
+                "PartitionedOutbound",
+                Err(NodeError::Partitioned),
+                timeout,
+                1,
+            ),
+        ];
+        let cfg = ech_modelcheck::Config {
+            msg_budget: 1,
+            ..ech_modelcheck::Config::default()
+        };
+        for (code, (fate, want, charge, execs)) in table.into_iter().enumerate() {
+            let trace = ech_modelcheck::parse_trace(&format!("v3:sc:b2:m1:fates:m{code}"))
+                .expect("well-formed trace");
+            let seen = Arc::new(parking_lot::Mutex::new(None));
+            let report = ech_modelcheck::replay("fates", &cfg, trace.prefix, |env| {
+                let clock = Arc::new(VirtualClock::new());
+                let c = Cluster::with_faults_and_clock(
+                    ClusterConfig::paper(),
+                    FaultPlan::default(),
+                    clock.clone(),
+                );
+                let seen = Arc::clone(&seen);
+                env.spawn(move || {
+                    let calls = Cell::new(0);
+                    let node = c.node(ServerId(0)).unwrap();
+                    let got = c.rpc(ServerId(0), node, |_| {
+                        calls.set(calls.get() + 1);
+                        Ok(())
+                    });
+                    *seen.lock() = Some((got, clock.now(), calls.get()));
+                });
+            });
+            assert!(report.failure.is_none(), "{fate}: {:?}", report.failure);
+            assert_eq!(seen.lock().take(), Some((want, charge, execs)), "{fate}");
+        }
     }
 
     #[test]

@@ -28,6 +28,7 @@ pub mod cluster;
 pub mod dirty_store;
 pub mod fault;
 pub mod lincheck;
+pub mod mutation;
 pub mod net;
 pub mod node;
 pub mod repair;

@@ -202,6 +202,40 @@ pub enum SendVerdict {
     },
 }
 
+impl SendVerdict {
+    /// The verdict the model checker's message-scheduler mode assigned
+    /// to the send the caller is about to make: the explorer enumerates
+    /// seven fates, and each is exactly one fabric verdict (`rpc_timeout`
+    /// is what a reordered message arrives late by). `None` when the
+    /// mode is off — and constantly `None` without the `modelcheck`
+    /// feature — in which case the seed-hashed fabric stays in charge.
+    #[cfg(feature = "modelcheck")]
+    pub(crate) fn from_explorer(rpc_timeout: impl FnOnce() -> Duration) -> Option<SendVerdict> {
+        use crate::sync::MsgFate;
+        let deliver = |delay, duplicate| SendVerdict::Deliver { delay, duplicate };
+        Some(match crate::sync::msg_fate()? {
+            MsgFate::Deliver => deliver(None, false),
+            MsgFate::DropRequest => SendVerdict::DropRequest,
+            MsgFate::DropResponse => SendVerdict::DropResponse,
+            MsgFate::Duplicate => deliver(None, true),
+            MsgFate::Reorder => deliver(Some(rpc_timeout()), false),
+            MsgFate::PartitionedInbound => SendVerdict::Partitioned {
+                request_delivered: false,
+            },
+            MsgFate::PartitionedOutbound => SendVerdict::Partitioned {
+                request_delivered: true,
+            },
+        })
+    }
+
+    /// No explorer in this build: the fabric always rules.
+    #[cfg(not(feature = "modelcheck"))]
+    #[inline(always)]
+    pub(crate) fn from_explorer(_rpc_timeout: impl FnOnce() -> Duration) -> Option<SendVerdict> {
+        None
+    }
+}
+
 /// Live message-fault counters (relaxed atomics; shared by `&`).
 #[derive(Debug)]
 struct NetStats {

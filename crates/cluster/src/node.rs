@@ -216,31 +216,6 @@ impl StorageNode {
         Ok(())
     }
 
-    /// **Deliberately seeded idempotence bug** (modelcheck builds only):
-    /// an append-style store that concatenates onto whatever this node
-    /// already holds instead of overwriting it. A retransmitted request
-    /// — the message scheduler's `Duplicate` fate — executes twice and
-    /// doubles the payload. The `msg-dup-append-bug` model catches the
-    /// corrupted bytes escaping to a reader; thread-only exploration
-    /// never retransmits, so the bug is invisible without `--msg`.
-    #[cfg(feature = "modelcheck")]
-    pub fn append_for_modelcheck(
-        &self,
-        oid: ObjectId,
-        data: Bytes,
-        version: VersionId,
-        dirty: bool,
-    ) -> Result<(), NodeError> {
-        let existing = match self.objects.read().get(&oid) {
-            Some(obj) => obj.data.clone(),
-            None => Bytes::new(),
-        };
-        let mut joined = Vec::with_capacity(existing.len() + data.len());
-        joined.extend_from_slice(&existing);
-        joined.extend_from_slice(&data);
-        self.put(oid, Bytes::from(joined), version, dirty)
-    }
-
     /// Read a replica. Fails when powered off or missing.
     pub fn get(&self, oid: ObjectId) -> Result<StoredObject, NodeError> {
         self.fault_gate()?;

@@ -103,13 +103,14 @@ impl Cluster {
             let fresh = |n: &crate::node::StorageNode| -> bool {
                 n.is_powered()
                     && retry
-                        .run_deadline(
+                        .run_counted_deadline(
                             &*clock,
                             deadline,
                             oid.raw() ^ ((n.id().index() as u64) << 48),
                             NodeError::is_transient,
                             || self.rpc(n.id(), n, |node| node.get(oid)),
                         )
+                        .0
                         .map(|o| expected.is_none_or(|v| o.header.version == v))
                         .unwrap_or(false)
             };
@@ -124,13 +125,16 @@ impl Cluster {
                 }
                 continue;
             };
-            let Ok(obj) = retry.run_deadline(
-                &*clock,
-                deadline,
-                oid.raw(),
-                NodeError::is_transient,
-                || self.rpc(source.id(), source, |n| n.get(oid)),
-            ) else {
+            let Ok(obj) = retry
+                .run_counted_deadline(
+                    &*clock,
+                    deadline,
+                    oid.raw(),
+                    NodeError::is_transient,
+                    || self.rpc(source.id(), source, |n| n.get(oid)),
+                )
+                .0
+            else {
                 continue;
             };
             for &target in placement.servers() {
@@ -140,17 +144,19 @@ impl Cluster {
                 if node.holds(oid) {
                     continue;
                 }
-                let put = retry.run_deadline(
-                    &*clock,
-                    deadline,
-                    oid.raw() ^ ((target.index() as u64) << 48),
-                    NodeError::is_transient,
-                    || {
-                        self.rpc(target, node, |n| {
-                            n.put(oid, obj.data.clone(), obj.header.version, obj.header.dirty)
-                        })
-                    },
-                );
+                let put = retry
+                    .run_counted_deadline(
+                        &*clock,
+                        deadline,
+                        oid.raw() ^ ((target.index() as u64) << 48),
+                        NodeError::is_transient,
+                        || {
+                            self.rpc(target, node, |n| {
+                                n.put(oid, obj.data.clone(), obj.header.version, obj.header.dirty)
+                            })
+                        },
+                    )
+                    .0;
                 match put {
                     Ok(()) => {
                         stats.recreated += 1;

@@ -9,7 +9,7 @@
 //! deterministic fault schedule yields a deterministic retry schedule.
 
 use crate::cluster::ClusterError;
-use crate::fault::{splitmix64, Clock, SystemClock};
+use crate::fault::{splitmix64, Clock};
 use crate::node::NodeError;
 use ech_core::placement::PlacementError;
 use ech_kvstore::KvError;
@@ -187,28 +187,20 @@ impl RetryPolicy {
         }
     }
 
-    /// Run `op`, retrying while `retryable` approves the error and
-    /// attempts remain, sleeping on `clock`. Returns the final result and
-    /// the number of retries spent (0 = first try decided).
+    /// Run `op`, retrying while `retryable` approves the error, attempts
+    /// remain and `deadline` has budget left, sleeping on `clock`.
+    /// Returns the final result and the number of retries spent (0 =
+    /// first try decided). This is the only runner: every data-path
+    /// retry loop threads its operation's [`Deadline`] through it
+    /// (analyzer rule D8), and callers that do not count retries drop
+    /// the second field.
     ///
-    /// The loop structure keeps the data path panic-free (analyzer rule
-    /// D2): the final attempt's error is returned, never unwrapped.
-    pub fn run_counted_with<T, E>(
-        &self,
-        clock: &dyn Clock,
-        token: u64,
-        retryable: impl Fn(&E) -> bool,
-        op: impl FnMut() -> Result<T, E>,
-    ) -> (Result<T, E>, u32) {
-        self.run_counted_deadline(clock, Deadline::unbounded(), token, retryable, op)
-    }
-
-    /// [`RetryPolicy::run_counted_with`] under a [`Deadline`]: a retry
-    /// is only granted while the deadline has budget left, and backoff
-    /// sleeps are clamped to the remaining budget so the loop never
-    /// overshoots the expiry by more than the op itself takes. An
+    /// Backoff sleeps are clamped to the remaining budget so the loop
+    /// never overshoots the expiry by more than the op itself takes. An
     /// already-expired deadline still allows the first attempt — the
-    /// caller decides whether to even start — but no retries.
+    /// caller decides whether to even start — but no retries. The loop
+    /// structure keeps the data path panic-free (analyzer rule D2): the
+    /// final attempt's error is returned, never unwrapped.
     pub fn run_counted_deadline<T, E>(
         &self,
         clock: &dyn Clock,
@@ -241,66 +233,42 @@ impl RetryPolicy {
             }
         }
     }
-
-    /// [`RetryPolicy::run_counted_with`] on the wall clock.
-    pub fn run_counted<T, E>(
-        &self,
-        token: u64,
-        retryable: impl Fn(&E) -> bool,
-        op: impl FnMut() -> Result<T, E>,
-    ) -> (Result<T, E>, u32) {
-        self.run_counted_with(&SystemClock::new(), token, retryable, op)
-    }
-
-    /// [`RetryPolicy::run_counted_deadline`] without the retry count:
-    /// the standard runner for data-path call sites, which thread their
-    /// operation's [`Deadline`] through every retry loop (analyzer rule
-    /// D8 checks rpc-reachable code uses a deadline-aware runner).
-    pub fn run_deadline<T, E>(
-        &self,
-        clock: &dyn Clock,
-        deadline: Deadline,
-        token: u64,
-        retryable: impl Fn(&E) -> bool,
-        op: impl FnMut() -> Result<T, E>,
-    ) -> Result<T, E> {
-        self.run_counted_deadline(clock, deadline, token, retryable, op)
-            .0
-    }
-
-    /// [`RetryPolicy::run_counted_with`] without the retry count.
-    pub fn run_with<T, E>(
-        &self,
-        clock: &dyn Clock,
-        token: u64,
-        retryable: impl Fn(&E) -> bool,
-        op: impl FnMut() -> Result<T, E>,
-    ) -> Result<T, E> {
-        self.run_counted_with(clock, token, retryable, op).0
-    }
-
-    /// [`RetryPolicy::run_counted`] without the retry count, on the wall
-    /// clock.
-    pub fn run<T, E>(
-        &self,
-        token: u64,
-        retryable: impl Fn(&E) -> bool,
-        op: impl FnMut() -> Result<T, E>,
-    ) -> Result<T, E> {
-        self.run_counted(token, retryable, op).0
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fault::VirtualClock;
+
+    /// The runner with no deadline, on a fresh virtual clock the caller
+    /// can inspect afterwards.
+    fn run<T, E>(
+        p: &RetryPolicy,
+        clock: &VirtualClock,
+        token: u64,
+        retryable: impl Fn(&E) -> bool,
+        op: impl FnMut() -> Result<T, E>,
+    ) -> (Result<T, E>, u32) {
+        p.run_counted_deadline(clock, Deadline::unbounded(), token, retryable, op)
+    }
 
     #[test]
     fn succeeds_first_try_without_sleeping() {
-        let p = RetryPolicy::default();
-        let (r, retries) = p.run_counted(1, |_: &()| true, || Ok::<_, ()>(7));
+        let clock = VirtualClock::new();
+        let (r, retries) = run(
+            &RetryPolicy::default(),
+            &clock,
+            1,
+            |_: &()| true,
+            || Ok::<_, ()>(7),
+        );
         assert_eq!(r, Ok(7));
         assert_eq!(retries, 0);
+        assert_eq!(
+            clock.now(),
+            Duration::ZERO,
+            "a first-try success never sleeps"
+        );
     }
 
     #[test]
@@ -311,7 +279,9 @@ mod tests {
             cap: Duration::from_micros(10),
         };
         let mut calls = 0;
-        let (r, retries) = p.run_counted(
+        let (r, retries) = run(
+            &p,
+            &VirtualClock::new(),
             9,
             |_: &&str| true,
             || {
@@ -335,7 +305,9 @@ mod tests {
             cap: Duration::from_micros(5),
         };
         let mut calls = 0;
-        let (r, retries) = p.run_counted(
+        let (r, retries) = run(
+            &p,
+            &VirtualClock::new(),
             2,
             |_: &&str| true,
             || {
@@ -350,9 +322,10 @@ mod tests {
 
     #[test]
     fn non_retryable_errors_fail_fast() {
-        let p = RetryPolicy::default();
         let mut calls = 0;
-        let r = p.run(
+        let (r, retries) = run(
+            &RetryPolicy::default(),
+            &VirtualClock::new(),
             3,
             |e: &&str| *e == "transient",
             || {
@@ -361,19 +334,18 @@ mod tests {
             },
         );
         assert_eq!(r, Err("fatal"));
-        assert_eq!(calls, 1);
+        assert_eq!((calls, retries), (1, 0));
     }
 
     #[test]
     fn retry_sleeps_run_on_the_injected_clock() {
-        use crate::fault::VirtualClock;
         let clock = VirtualClock::new();
         let p = RetryPolicy {
             max_attempts: 4,
             base: Duration::from_millis(50),
             cap: Duration::from_millis(200),
         };
-        let (r, retries) = p.run_counted_with(&clock, 11, |_: &&str| true, || Err::<(), _>("down"));
+        let (r, retries) = run(&p, &clock, 11, |_: &&str| true, || Err::<(), _>("down"));
         assert_eq!(r, Err("down"));
         assert_eq!(retries, 3);
         // All backoff time was virtual: the clock advanced by the sleeps
@@ -457,7 +429,6 @@ mod tests {
 
     #[test]
     fn deadline_cuts_retries_short() {
-        use crate::fault::VirtualClock;
         let clock = VirtualClock::new();
         let p = RetryPolicy {
             max_attempts: 10,
@@ -490,7 +461,6 @@ mod tests {
 
     #[test]
     fn unbounded_deadline_never_expires() {
-        use crate::fault::VirtualClock;
         let clock = VirtualClock::new();
         let d = Deadline::unbounded();
         clock.advance(Duration::from_secs(3600));
@@ -501,7 +471,6 @@ mod tests {
 
     #[test]
     fn deadline_remaining_counts_down_and_saturates() {
-        use crate::fault::VirtualClock;
         let clock = VirtualClock::new();
         let d = Deadline::after(&clock, Duration::from_millis(10));
         assert_eq!(d.remaining(&clock), Some(Duration::from_millis(10)));
@@ -515,7 +484,9 @@ mod tests {
     #[test]
     fn none_policy_never_retries() {
         let mut calls = 0;
-        let r = RetryPolicy::none().run(
+        let (r, retries) = run(
+            &RetryPolicy::none(),
+            &VirtualClock::new(),
             4,
             |_: &&str| true,
             || {
@@ -524,6 +495,6 @@ mod tests {
             },
         );
         assert!(r.is_err());
-        assert_eq!(calls, 1);
+        assert_eq!((calls, retries), (1, 0));
     }
 }

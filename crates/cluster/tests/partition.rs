@@ -32,22 +32,6 @@ fn value(oid: u64) -> Bytes {
     Bytes::from(format!("partition-object-{oid}"))
 }
 
-/// The history-recording test feeds a process-global recorder, so with
-/// `--features lincheck` every test in this binary serialises against
-/// it: concurrent cluster traffic from a sibling test would interleave
-/// same-oid operations from a *different* cluster into the recording
-/// and fabricate violations. Without the feature this is a unit.
-#[cfg(feature = "lincheck")]
-static RECORDER_GATE: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
-#[cfg(feature = "lincheck")]
-fn recorder_exclusive() -> std::sync::MutexGuard<'static, ()> {
-    RECORDER_GATE.lock().unwrap_or_else(|e| e.into_inner())
-}
-
-#[cfg(not(feature = "lincheck"))]
-fn recorder_exclusive() {}
-
 fn direction(pick: u8) -> PartitionDirection {
     match pick % 3 {
         0 => PartitionDirection::Both,
@@ -97,7 +81,6 @@ proptest! {
         dir_pick in 0u8..3,
         objects in 20u64..60,
     ) {
-        let _gate = recorder_exclusive();
         let isolated: Vec<u32> = (0..3).map(|k| ((iso_start as u32) + k) % 10).collect();
         let net = NetPlan {
             seed,
@@ -176,7 +159,6 @@ proptest! {
 #[test]
 fn partitioned_primary_fails_within_deadline_budget() {
     use ech_cluster::ClusterError;
-    let _gate = recorder_exclusive();
     // Find object 7's primary under the 10-node/3-replica geometry by
     // asking a fault-free twin first.
     let probe = {
@@ -228,7 +210,6 @@ fn partitioned_primary_fails_within_deadline_budget() {
 /// cluster must converge with zero acked-write loss.
 #[test]
 fn seeded_partition_and_resize_stress_converges() {
-    let _gate = recorder_exclusive();
     let net = NetPlan {
         seed: 0xEC0_5EED,
         default_link: LinkFaultSpec {
@@ -335,7 +316,6 @@ fn seeded_partition_and_resize_stress_converges() {
 fn recorded_partition_history_is_linearizable() {
     use ech_lincheck::{check_kv, Outcome, DEFAULT_BUDGET};
 
-    let _gate = recorder_exclusive();
     const OBJECTS: u64 = 24;
     let net = NetPlan {
         seed: 0x11C_5EED,
@@ -348,8 +328,8 @@ fn recorded_partition_history_is_linearizable() {
         rpc_timeout: Duration::from_millis(2),
         ..NetPlan::default()
     };
+    let session = ech_lincheck::recorder::Session::begin();
     let (c, clock) = partitioned_cluster(net);
-    ech_lincheck::recorder::install();
 
     let mut acked = 0u64;
     let mut failed = 0u64;
@@ -373,7 +353,7 @@ fn recorded_partition_history_is_linearizable() {
         let _ = c.get(ObjectId(i));
     }
 
-    let rec = ech_lincheck::recorder::take().expect("recording installed");
+    let rec = session.finish();
     match check_kv(&rec.events, DEFAULT_BUDGET) {
         Outcome::Linearizable { keys, ops, .. } => {
             assert_eq!(keys as u64, OBJECTS, "every key reaches the checker");

@@ -33,22 +33,6 @@ fn value(oid: u64) -> Bytes {
     Bytes::from(format!("stress-object-{oid}"))
 }
 
-/// The history-recording test feeds a process-global recorder, so with
-/// `--features lincheck` every test in this binary serialises against
-/// it: concurrent cluster traffic from a sibling test would interleave
-/// same-oid operations from a *different* cluster into the recording
-/// and fabricate violations. Without the feature this is a unit.
-#[cfg(feature = "lincheck")]
-static RECORDER_GATE: Mutex<()> = Mutex::new(());
-
-#[cfg(feature = "lincheck")]
-fn recorder_exclusive() -> std::sync::MutexGuard<'static, ()> {
-    RECORDER_GATE.lock().unwrap_or_else(|e| e.into_inner())
-}
-
-#[cfg(not(feature = "lincheck"))]
-fn recorder_exclusive() {}
-
 /// Placement invariants under one pinned snapshot.
 fn check_snapshot_invariants(c: &Cluster, oid: u64) {
     let view = c.view_snapshot();
@@ -96,7 +80,6 @@ fn drain_fault_windows(c: &Cluster) {
 
 #[test]
 fn concurrent_writers_readers_and_resizes_keep_invariants() {
-    let _gate = recorder_exclusive();
     let mut plan = FaultPlan::uniform_io_errors(10, 0x57E5_5EED, 0.05);
     for spec in &mut plan.node_faults {
         spec.io_error_until_op = IO_WINDOW;
@@ -235,11 +218,12 @@ fn concurrent_writers_readers_and_resizes_keep_invariants() {
 fn recorded_stress_history_is_linearizable() {
     use ech_lincheck::{check_kv, Outcome, DEFAULT_BUDGET};
 
-    let _gate = recorder_exclusive();
+    // The cluster attaches to the session open on the thread that
+    // builds it; sibling tests' clusters record nothing into it.
+    let session = ech_lincheck::recorder::Session::begin();
     let mut cfg = ClusterConfig::paper();
     cfg.replicas = 3;
     let c = Arc::new(Cluster::new(cfg));
-    ech_lincheck::recorder::install();
 
     // Few keys on purpose: contention is what gives the checker real
     // reordering work; per-key op counts stay far under the budget.
@@ -279,7 +263,7 @@ fn recorded_stress_history_is_linearizable() {
     c.heal_dirty();
     c.reintegrate_all();
 
-    let rec = ech_lincheck::recorder::take().expect("recording installed");
+    let rec = session.finish();
     match check_kv(&rec.events, DEFAULT_BUDGET) {
         Outcome::Linearizable { keys, ops, .. } => {
             assert_eq!(keys as u64, KEYS, "every key reaches the checker");

@@ -7,21 +7,18 @@
 //! repeatedly: the re-integration engine touches each dirty object at
 //! several versions, and read paths re-resolve hot objects constantly.
 //!
-//! [`PlacementCache`] is a bounded FIFO-evicting map (eviction order is a
-//! deliberate simplification over LRU: entries are immutable and cheap to
-//! recompute, so approximate retention is fine — see the bench
-//! `placement` group for the measured win).
-//!
-//! [`ShardedPlacementCache`] is its concurrent sibling for the cluster
-//! data path: N independently locked shards (key-hash routed) so parallel
-//! readers rarely contend, with hit/miss/contention counters exported
-//! through [`crate::stats::CacheCounters`]. Because placements are
-//! immutable per `(object, version)`, entries cached under one epoch stay
-//! correct forever — epoch transitions need no invalidation.
+//! [`ShardedPlacementCache`] is the cluster data path's cache: N
+//! independently locked, FIFO-evicting shards (key-hash routed) so
+//! parallel readers rarely contend, with hit/miss/contention counters
+//! exported through [`crate::stats::CacheCounters`]. FIFO is a
+//! deliberate simplification over LRU: entries are immutable and cheap
+//! to recompute, so approximate retention is fine. Because placements
+//! are immutable per `(object, version)`, entries cached under one epoch
+//! stay correct forever — epoch transitions need no invalidation.
 //!
 //! ## Epoch-class keying
 //!
-//! Both caches key entries by `(object, epoch class)` rather than
+//! Entries are keyed by `(object, epoch class)` rather than
 //! `(object, version)`: the class of a version is the *first* version
 //! whose membership table is content-equal
 //! ([`crate::membership::MembershipHistory::epoch_class`]). Placement is
@@ -55,106 +52,6 @@ use std::collections::{HashMap, VecDeque};
 /// Full cache key: object, epoch class, and the placement engine the
 /// entry was computed under (module docs, "Engine keying").
 type CacheKey = (ObjectId, VersionId, EngineKind);
-
-/// Bounded cache of resolved placements keyed by
-/// `(object, epoch class, engine)`.
-#[derive(Debug, Clone)]
-pub struct PlacementCache {
-    capacity: usize,
-    map: HashMap<CacheKey, Placement>,
-    order: VecDeque<CacheKey>,
-    hits: u64,
-    misses: u64,
-}
-
-impl PlacementCache {
-    /// Cache holding at most `capacity` placements.
-    ///
-    /// # Panics
-    /// Panics when `capacity == 0`.
-    pub fn new(capacity: usize) -> Self {
-        assert!(capacity > 0, "cache capacity must be positive");
-        PlacementCache {
-            capacity,
-            map: HashMap::with_capacity(capacity),
-            order: VecDeque::with_capacity(capacity),
-            hits: 0,
-            misses: 0,
-        }
-    }
-
-    /// Resolve `oid` at `version` through the cache.
-    pub fn place_at(
-        &mut self,
-        view: &ClusterView,
-        oid: ObjectId,
-        version: VersionId,
-    ) -> Result<Placement, PlacementError> {
-        // Key by epoch class so content-equal memberships share entries
-        // (module docs). Unrecorded versions fall through to the view,
-        // which classifies them as errors — nothing gets cached.
-        let class = view.history().epoch_class(version).unwrap_or(version);
-        let key = (oid, class, view.engine());
-        if let Some(p) = self.map.get(&key) {
-            self.hits += 1;
-            return Ok(p.clone());
-        }
-        self.misses += 1;
-        let p = view.place_at(oid, version)?;
-        if self.map.len() >= self.capacity {
-            // FIFO eviction; skip keys already evicted by re-insertion.
-            while let Some(old) = self.order.pop_front() {
-                if self.map.remove(&old).is_some() {
-                    break;
-                }
-            }
-        }
-        self.map.insert(key, p.clone());
-        self.order.push_back(key);
-        Ok(p)
-    }
-
-    /// Resolve at the view's current version.
-    pub fn place_current(
-        &mut self,
-        view: &ClusterView,
-        oid: ObjectId,
-    ) -> Result<Placement, PlacementError> {
-        self.place_at(view, oid, view.current_version())
-    }
-
-    /// Number of cached placements.
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// True when nothing is cached.
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
-    }
-
-    /// (hits, misses) since construction.
-    pub fn stats(&self) -> (u64, u64) {
-        (self.hits, self.misses)
-    }
-
-    /// Hit ratio in `[0, 1]`; 0 when nothing was looked up.
-    pub fn hit_ratio(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-
-    /// Drop every entry (e.g. when swapping to a different view/topology,
-    /// which would otherwise alias keys).
-    pub fn clear(&mut self) {
-        self.map.clear();
-        self.order.clear();
-    }
-}
 
 /// One shard of the concurrent cache: a lean FIFO-evicting map. Global
 /// hit/miss accounting lives in the parent's [`CacheCounters`], not here.
@@ -353,72 +250,6 @@ mod tests {
     }
 
     #[test]
-    fn cached_results_match_direct_computation() {
-        let mut v = view();
-        v.resize(6);
-        v.resize(10);
-        let mut cache = PlacementCache::new(128);
-        for k in 0..200u64 {
-            for ver in 1..=3u64 {
-                let cached = cache.place_at(&v, ObjectId(k), VersionId(ver)).unwrap();
-                let direct = v.place_at(ObjectId(k), VersionId(ver)).unwrap();
-                assert_eq!(cached, direct);
-            }
-        }
-    }
-
-    #[test]
-    fn hits_accumulate_on_repeats() {
-        let v = view();
-        let mut cache = PlacementCache::new(16);
-        for _ in 0..10 {
-            cache.place_current(&v, ObjectId(5)).unwrap();
-        }
-        let (hits, misses) = cache.stats();
-        assert_eq!(misses, 1);
-        assert_eq!(hits, 9);
-        assert!((cache.hit_ratio() - 0.9).abs() < 1e-12);
-    }
-
-    #[test]
-    fn capacity_is_respected() {
-        let v = view();
-        let mut cache = PlacementCache::new(8);
-        for k in 0..100u64 {
-            cache.place_current(&v, ObjectId(k)).unwrap();
-        }
-        assert!(cache.len() <= 8);
-        // Recently inserted keys are still hits.
-        let before = cache.stats().0;
-        cache.place_current(&v, ObjectId(99)).unwrap();
-        assert_eq!(cache.stats().0, before + 1);
-    }
-
-    #[test]
-    fn unknown_version_errors_are_not_cached() {
-        let v = view();
-        let mut cache = PlacementCache::new(8);
-        // Version 1 exists; place with too many replicas fails via view
-        // construction instead — use an inactive-heavy membership: easier
-        // to test the panic path for unknown versions at the view level,
-        // so here just confirm errors pass through for unplaceable input.
-        // (place_at with a valid version never errors at full power.)
-        let ok = cache.place_at(&v, ObjectId(1), VersionId(1));
-        assert!(ok.is_ok());
-        assert!(cache.is_empty() || cache.len() == 1);
-    }
-
-    #[test]
-    fn clear_resets_contents_but_not_stats() {
-        let v = view();
-        let mut cache = PlacementCache::new(8);
-        cache.place_current(&v, ObjectId(1)).unwrap();
-        cache.clear();
-        assert!(cache.is_empty());
-        assert_eq!(cache.stats().1, 1, "stats survive clear");
-    }
-
-    #[test]
     fn sharded_results_match_direct_computation() {
         let mut v = view();
         v.resize(6);
@@ -528,15 +359,6 @@ mod tests {
             "returning to a seen membership must not refill the cache"
         );
         assert_eq!(s.hits, warmed.hits + 100);
-        // Same for the single-threaded cache.
-        let mut st = PlacementCache::new(1024);
-        for k in 0..50u64 {
-            st.place_at(&v, ObjectId(k), VersionId(1)).unwrap();
-        }
-        for k in 0..50u64 {
-            st.place_at(&v, ObjectId(k), VersionId(3)).unwrap();
-        }
-        assert_eq!(st.stats(), (50, 50));
     }
 
     #[test]

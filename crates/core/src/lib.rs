@@ -67,7 +67,7 @@ pub mod writebalance;
 
 /// The commonly-used types, re-exported for glob import.
 pub mod prelude {
-    pub use crate::cache::{PlacementCache, ShardedPlacementCache};
+    pub use crate::cache::ShardedPlacementCache;
     pub use crate::dirty::{
         DirtyEntry, DirtyTable, HeaderMap, HeaderSource, InMemoryDirtyTable, NoHeaders,
         ObjectHeader,

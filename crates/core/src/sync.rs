@@ -49,38 +49,6 @@ pub fn on_model_thread() -> bool {
     false
 }
 
-/// The fate the model checker's message-scheduler mode assigned to the
-/// message about to be sent (mirrors `ech_modelcheck::msg::MsgFate`).
-/// Production code only ever sees `None` from [`msg_fate`], so the
-/// variants exist purely to keep the `Cluster::rpc` match compilable.
-#[cfg(not(feature = "modelcheck"))]
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum MsgFate {
-    /// The request and its response both arrive.
-    Deliver,
-    /// The request is lost; the sender burns an rpc timeout.
-    DropRequest,
-    /// The request executes but the ack is lost.
-    DropResponse,
-    /// The request arrives twice; the first result is acked.
-    Duplicate,
-    /// Delivered after an extra timeout's worth of delay.
-    Reorder,
-    /// Inbound partition: the request never arrives.
-    PartitionedInbound,
-    /// Outbound partition: the request executes, the ack is lost.
-    PartitionedOutbound,
-}
-
-/// Fate of the message the caller is about to send: always `None` in
-/// production builds (the seed-hashed fault fabric stays in charge);
-/// under the `modelcheck` feature this is the explorer's `MNet` query.
-#[cfg(not(feature = "modelcheck"))]
-#[inline]
-pub fn msg_fate() -> Option<MsgFate> {
-    None
-}
-
 /// Declare a *read* of coarse shared state the model checker's
 /// instrumentation cannot see (raw-locked maps, kv-store backed tables)
 /// under the caller-chosen footprint key. Production shim: compiles

@@ -15,7 +15,7 @@
 //!   allocation-bounded, and emitting minimal non-linearizable
 //!   witnesses.
 //!
-//! [`recorder`] is the process-global recording slot the cluster's
+//! [`recorder`] is the scoped recording session the cluster's
 //! cfg-gated `lincheck` facade feeds. The crate is dependency-free so
 //! every layer of the workspace can link against it, exactly like
 //! `ech-modelcheck`.

@@ -1,15 +1,21 @@
-//! The global history recorder behind the `Cluster` lincheck facade.
+//! Scoped history recording behind the `Cluster` lincheck facade.
 //!
-//! One process-wide slot holds the active recording. Installing a
-//! fresh recording resets it; taking it returns the events (plus the
-//! payload intern table) and disarms recording. With no recording
-//! installed every hook is a cheap check-and-return — and without the
+//! A recording is a [`Session`]: [`Session::begin`] opens one and makes
+//! it the calling thread's *current* session, [`Session::finish`]
+//! returns the events (plus the payload intern table) and closes it.
+//! Nothing is process-global. A cluster records through the
+//! [`Recorder`] handle it captured from the thread that built it
+//! ([`Recorder::current`]), so a cluster built outside any session —
+//! another test in the same binary, say — records nothing, whichever
+//! threads later drive it, and two sessions on two threads own two
+//! disjoint event streams that cannot interleave. With a detached
+//! handle every hook is a cheap check-and-return — and without the
 //! `lincheck` feature the cluster facade compiles the hooks away
 //! entirely, so the production data path never reaches this module.
 //!
 //! Correctness notes:
 //!
-//! - **Thread ids** are recorder-assigned dense indices in
+//! - **Thread ids** are session-assigned dense indices in
 //!   first-record order, not OS thread ids. Under the model checker's
 //!   serialized scheduler the assignment is deterministic per
 //!   schedule, which is what makes witnesses byte-identical on replay.
@@ -23,13 +29,13 @@
 //!
 //! The recorder deliberately uses `std::sync::Mutex`, not the
 //! instrumented sync facade: recording must not add yield points or
-//! footprint accesses, or installing a recorder would change the very
+//! footprint accesses, or opening a session would change the very
 //! schedule spaces it observes (and break existing byte-identical
 //! trace regressions).
 
-use std::cell::Cell;
+use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 use std::thread::ThreadId;
 
 use crate::history::{Event, EventKind, Op, Ret, Val};
@@ -44,7 +50,7 @@ pub struct Recording {
     pub vals: Vec<Vec<u8>>,
 }
 
-#[derive(Default)]
+#[derive(Debug, Default)]
 struct Active {
     events: Vec<Event>,
     threads: Vec<ThreadId>,
@@ -73,49 +79,79 @@ impl Active {
     }
 }
 
-static ACTIVE: Mutex<Option<Active>> = Mutex::new(None);
+/// One session's recording slot: `None` once the session finished, so
+/// a recorder that outlives its session goes inert instead of leaking
+/// events into nowhere.
+type Slot = Arc<Mutex<Option<Active>>>;
 
 thread_local! {
+    /// The session clusters built on this thread attach to.
+    static CURRENT: RefCell<Option<Slot>> = const { RefCell::new(None) };
     /// Open-span depth on this thread; inner spans are suppressed.
     static DEPTH: Cell<u32> = const { Cell::new(0) };
 }
 
-fn lk() -> std::sync::MutexGuard<'static, Option<Active>> {
+fn lk(slot: &Slot) -> std::sync::MutexGuard<'_, Option<Active>> {
     // A panicked hook holds no broken invariant worth poisoning over.
-    match ACTIVE.lock() {
+    match slot.lock() {
         Ok(g) => g,
         Err(p) => p.into_inner(),
     }
 }
 
-/// Install a fresh empty recording, discarding any previous one.
-pub fn install() {
-    *lk() = Some(Active::default());
+/// An open recording session, owned by whoever will check the history.
+/// Dropping it unfinished discards the recording.
+#[derive(Debug)]
+#[must_use = "a session records until `finish` takes its history"]
+pub struct Session {
+    slot: Slot,
 }
 
-/// Take the active recording and disarm the recorder. `None` when no
-/// recording was installed.
-pub fn take() -> Option<Recording> {
-    lk().take().map(|a| Recording {
-        events: a.events,
-        vals: a.vals,
-    })
+impl Session {
+    /// Open a fresh empty recording and make it the calling thread's
+    /// current session: every [`Recorder::current`] taken on this
+    /// thread from now on (i.e. every cluster built on it) records
+    /// here, replacing any session the thread had open before.
+    pub fn begin() -> Session {
+        let slot: Slot = Arc::new(Mutex::new(Some(Active::default())));
+        CURRENT.with(|c| *c.borrow_mut() = Some(Arc::clone(&slot)));
+        Session { slot }
+    }
+
+    /// Take the recording and close the session; recorders still
+    /// attached to it go inert.
+    pub fn finish(self) -> Recording {
+        let a = lk(&self.slot).take().unwrap_or_default();
+        Recording {
+            events: a.events,
+            vals: a.vals,
+        }
+    }
 }
 
-/// Is a recording currently installed?
-pub fn active() -> bool {
-    lk().is_some()
+impl Drop for Session {
+    fn drop(&mut self) {
+        *lk(&self.slot) = None;
+        // try_with: a session dropped during thread teardown must not
+        // panic on the already-destroyed slot (rule: `Drop` never panics).
+        let _ = CURRENT.try_with(|c| {
+            if let Ok(mut c) = c.try_borrow_mut() {
+                if c.as_ref().is_some_and(|s| Arc::ptr_eq(s, &self.slot)) {
+                    *c = None;
+                }
+            }
+        });
+    }
 }
 
-/// Intern a payload in the active recording. Returns 0 when disarmed
-/// (the id is only meaningful alongside a recorded event).
-pub fn intern(payload: &[u8]) -> Val {
-    lk().as_mut().map_or(0, |a| a.intern(payload))
-}
+/// A cluster's handle onto the session it was built under; detached
+/// (records nothing) when there was none.
+#[derive(Debug, Clone, Default)]
+pub struct Recorder(Option<Slot>);
 
-/// An open operation span returned by [`invoke`]; close it with
-/// [`ret`]. `recorded == false` spans (disarmed recorder or nested
-/// call) only maintain the depth counter.
+/// An open operation span returned by [`Recorder::invoke`]; close it
+/// with [`Recorder::ret`]. `recorded == false` spans (detached
+/// recorder or nested call) only maintain the depth counter.
 #[derive(Debug)]
 #[must_use = "a span left open unbalances the thread's depth counter"]
 pub struct Span {
@@ -124,8 +160,7 @@ pub struct Span {
 }
 
 impl Span {
-    /// A span that records nothing and counts nothing — what the
-    /// cluster facade hands out when the feature is off.
+    /// A span that records nothing and counts nothing.
     pub fn disarmed() -> Self {
         Span {
             recorded: false,
@@ -134,56 +169,81 @@ impl Span {
     }
 }
 
-/// Record an operation invocation at `now_ns`, returning the span to
-/// close with [`ret`]. Nested invocations on the same thread (public
-/// API methods calling each other) are suppressed: only the outermost
-/// span records.
-pub fn invoke(op: Op, now_ns: u64) -> Span {
-    let mut g = lk();
-    let Some(a) = g.as_mut() else {
-        return Span::disarmed();
-    };
-    let depth = DEPTH.with(|d| {
-        let v = d.get();
-        d.set(v + 1);
-        v
-    });
-    if depth > 0 {
-        return Span {
-            recorded: false,
-            counted: true,
-        };
+impl Recorder {
+    /// A handle onto the calling thread's current session.
+    pub fn current() -> Recorder {
+        Recorder(CURRENT.with(|c| c.borrow().clone()))
     }
-    let tid = a.tid();
-    a.events.push(Event {
-        tid,
-        kind: EventKind::Invoke(op),
-        at_ns: now_ns,
-    });
-    Span {
-        recorded: true,
-        counted: true,
-    }
-}
 
-/// Record the response for `span` at `now_ns`.
-pub fn ret(span: Span, r: Ret, now_ns: u64) {
-    if span.counted {
-        DEPTH.with(|d| d.set(d.get().saturating_sub(1)));
+    /// Is this handle attached to a session that is still recording?
+    pub fn active(&self) -> bool {
+        self.0.as_ref().is_some_and(|s| lk(s).is_some())
     }
-    if !span.recorded {
-        return;
+
+    /// Intern a payload in the session. Returns 0 when detached (the
+    /// id is only meaningful alongside a recorded event).
+    pub fn intern(&self, payload: &[u8]) -> Val {
+        let Some(slot) = &self.0 else { return 0 };
+        lk(slot).as_mut().map_or(0, |a| a.intern(payload))
     }
-    let mut g = lk();
-    let Some(a) = g.as_mut() else {
-        return;
-    };
-    let tid = a.tid();
-    a.events.push(Event {
-        tid,
-        kind: EventKind::Return(r),
-        at_ns: now_ns,
-    });
+
+    /// Record an operation invocation at `now_ns`, returning the span
+    /// to close with [`Recorder::ret`]. Nested invocations on the same
+    /// thread (public API methods calling each other) are suppressed:
+    /// only the outermost span records.
+    pub fn invoke(&self, op: Op, now_ns: u64) -> Span {
+        let Some(slot) = &self.0 else {
+            return Span::disarmed();
+        };
+        let mut g = lk(slot);
+        let Some(a) = g.as_mut() else {
+            return Span::disarmed();
+        };
+        let depth = DEPTH.with(|d| {
+            let v = d.get();
+            d.set(v + 1);
+            v
+        });
+        if depth > 0 {
+            return Span {
+                recorded: false,
+                counted: true,
+            };
+        }
+        let tid = a.tid();
+        a.events.push(Event {
+            tid,
+            kind: EventKind::Invoke(op),
+            at_ns: now_ns,
+        });
+        Span {
+            recorded: true,
+            counted: true,
+        }
+    }
+
+    /// Record the response for `span` at `now_ns`.
+    pub fn ret(&self, span: Span, r: Ret, now_ns: u64) {
+        if span.counted {
+            DEPTH.with(|d| d.set(d.get().saturating_sub(1)));
+        }
+        if !span.recorded {
+            return;
+        }
+        let Some(slot) = &self.0 else {
+            return;
+        };
+        let mut g = lk(slot);
+        let Some(a) = g.as_mut() else {
+            return;
+        };
+        let tid = a.tid();
+        a.events.push(Event {
+            tid,
+            kind: EventKind::Return(r),
+            at_ns: now_ns,
+        });
+    }
 }
 
 #[cfg(test)]
@@ -192,30 +252,34 @@ mod tests {
 
     #[test]
     fn records_interns_and_suppresses_nesting() {
-        install();
-        let v0 = intern(b"hello");
-        let v1 = intern(b"world");
-        let v0b = intern(b"hello");
+        let session = Session::begin();
+        let rec = Recorder::current();
+        let v0 = rec.intern(b"hello");
+        let v1 = rec.intern(b"world");
+        let v0b = rec.intern(b"hello");
         assert_eq!((v0, v1, v0b), (0, 1, 0));
-        let outer = invoke(Op::Put { key: 5, val: v0 }, 10);
+        let outer = rec.invoke(Op::Put { key: 5, val: v0 }, 10);
         // A nested public-API call inside the outer op records nothing.
-        let inner = invoke(Op::Heal, 11);
-        ret(inner, Ret::Ok, 12);
-        ret(outer, Ret::Ok, 13);
-        let rec = take().expect("installed");
-        assert!(take().is_none(), "take disarms");
-        assert_eq!(rec.vals, vec![b"hello".to_vec(), b"world".to_vec()]);
-        assert_eq!(rec.events.len(), 2);
+        let inner = rec.invoke(Op::Heal, 11);
+        rec.ret(inner, Ret::Ok, 12);
+        rec.ret(outer, Ret::Ok, 13);
+        let done = session.finish();
+        assert!(!rec.active(), "finish closes the session");
+        assert_eq!(done.vals, vec![b"hello".to_vec(), b"world".to_vec()]);
+        assert_eq!(done.events.len(), 2);
         assert_eq!(
-            rec.events[0].kind,
+            done.events[0].kind,
             EventKind::Invoke(Op::Put { key: 5, val: 0 })
         );
-        assert_eq!(rec.events[1].kind, EventKind::Return(Ret::Ok));
-        assert_eq!(rec.events[0].at_ns, 10);
-        assert_eq!(rec.events[1].at_ns, 13);
-        // Disarmed hooks are inert.
-        let s = invoke(Op::Heal, 1);
-        ret(s, Ret::Ok, 2);
-        assert!(take().is_none());
+        assert_eq!(done.events[1].kind, EventKind::Return(Ret::Ok));
+        assert_eq!(done.events[0].at_ns, 10);
+        assert_eq!(done.events[1].at_ns, 13);
+        // A recorder that outlived its session is inert, and so is one
+        // taken where no session is open.
+        for r in [rec, Recorder::current()] {
+            let s = r.invoke(Op::Heal, 1);
+            r.ret(s, Ret::Ok, 2);
+            assert!(!r.active());
+        }
     }
 }
