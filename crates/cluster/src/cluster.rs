@@ -303,9 +303,9 @@ pub struct Cluster {
     /// walk.
     cache: ShardedPlacementCache,
     kv: Arc<KvStore>,
-    /// Dirty-table handle. `KvDirtyTable` clones share the backing
-    /// store and the kv list ops are shard-atomic, so the hot path
-    /// appends through a throwaway clone instead of a coordinator lock;
+    /// Dirty-table handle. The kv list ops are shard-atomic, so the hot
+    /// path appends through `&self` instead of a coordinator lock (the
+    /// planner's `&mut` scans run on clones sharing the backing store);
     /// Algorithm 2's serial scan order is enforced by `engine`'s lock.
     dirty: KvDirtyTable,
     headers: KvHeaderStore,
@@ -563,12 +563,10 @@ impl Cluster {
         self.cache.snapshot()
     }
 
-    /// Append a dirty entry. Handles share the backing store, so a
-    /// throwaway clone provides the `&mut` receiver the [`DirtyTable`]
-    /// trait wants without a coordinator lock (the kv list push is
-    /// shard-atomic).
+    /// Append a dirty entry: no coordinator lock, the kv list push is
+    /// shard-atomic.
     fn log_dirty(&self, entry: DirtyEntry) {
-        self.dirty.clone().push_back(entry);
+        self.dirty.push_entry(entry);
     }
 
     /// Total payload bytes moved by re-integration so far.
@@ -2083,6 +2081,36 @@ mod tests {
         assert_eq!(c2.dirty_len(), 0);
         for i in 0..200u64 {
             assert!(c2.is_fully_placed(ObjectId(i)), "object {i}");
+        }
+    }
+
+    #[test]
+    fn restart_keeps_headers_so_reads_still_reject_stale_copies() {
+        let c = cluster();
+        let overwrite = |i: u64| payload(i + 1_000);
+        for i in 0..100u64 {
+            c.put(ObjectId(i), payload(i)).unwrap();
+        }
+        c.resize(5);
+        for i in 0..100u64 {
+            c.put(ObjectId(i), overwrite(i)).unwrap();
+        }
+        // Full power again, nothing re-integrated: the full-power
+        // placement still holds the first write wherever the offloaded
+        // overwrite landed elsewhere, and only the header's version
+        // tells a read to pass those copies over.
+        c.resize(10);
+        let before: Vec<_> = (0..100u64)
+            .map(|i| c.headers().header(ObjectId(i)))
+            .collect();
+        assert!(before.iter().all(Option::is_some));
+
+        let c2 = c.restart();
+        assert_eq!(c2.headers().len(), 100);
+        for i in 0..100u64 {
+            let oid = ObjectId(i);
+            assert_eq!(c2.headers().header(oid), before[i as usize], "{oid:?}");
+            assert_eq!(c2.get(oid).unwrap(), overwrite(i), "{oid:?}");
         }
     }
 

@@ -4,8 +4,8 @@
 //! dirty table. The dirty table is managed using the LIST data type...
 //! Each dirty data entry is inserted using RPUSH... a LRANGE command is
 //! used to fetch the (OID, version) pair... a LPOP command is used to
-//! remove" it. This module is that wiring, with object headers kept in a
-//! HASH alongside.
+//! remove" it. This module is that wiring, with object headers kept in
+//! the same store's typed, object-sharded header table alongside.
 
 use crate::fault::{Clock, SystemClock};
 use crate::sync::{footprint, footprint_read, footprint_write};
@@ -16,8 +16,6 @@ use std::sync::Arc;
 
 /// Key of the dirty-table LIST.
 const DIRTY_KEY: &str = "ech:dirty";
-/// Key of the object-header HASH.
-const HEADER_KEY: &str = "ech:headers";
 
 /// Run a kv operation through transient shard outages. Outage windows
 /// live in kv-op-count space and every attempt advances the counter, so
@@ -83,14 +81,21 @@ impl KvDirtyTable {
     pub fn with_clock(kv: Arc<KvStore>, clock: Arc<dyn Clock>) -> Self {
         KvDirtyTable { kv, clock }
     }
-}
 
-impl DirtyTable for KvDirtyTable {
-    fn push_back(&mut self, entry: DirtyEntry) {
+    /// Append `entry` through a shared handle: the RPUSH is shard-atomic,
+    /// so the write logger needs neither `&mut self` nor a handle of its
+    /// own. [`DirtyTable::push_back`] is this call.
+    pub fn push_entry(&self, entry: DirtyEntry) {
         footprint_write(footprint::DIRTY);
         kv_retry(&*self.clock, "RPUSH dirty entry", || {
             self.kv.rpush(DIRTY_KEY, encode_entry(&entry))
         });
+    }
+}
+
+impl DirtyTable for KvDirtyTable {
+    fn push_back(&mut self, entry: DirtyEntry) {
+        self.push_entry(entry);
     }
 
     fn get(&self, index: usize) -> Option<DirtyEntry> {
@@ -153,8 +158,8 @@ impl DirtyTable for KvDirtyTable {
     }
 }
 
-/// Object-header map in the shared key-value store (HSET/HGET on one
-/// hash keyed by OID; values are `version:dirty-bit`).
+/// Object-header map in the shared key-value store: one fixed-width
+/// record per object in the store's header table, sharded by object id.
 #[derive(Debug, Clone)]
 pub struct KvHeaderStore {
     kv: Arc<KvStore>,
@@ -175,49 +180,31 @@ impl KvHeaderStore {
     /// Record a write of `oid` at `version` with the given dirty bit.
     pub fn record_write(&self, oid: ObjectId, version: VersionId, dirty: bool) {
         footprint_write(footprint::HEADERS);
-        kv_retry(&*self.clock, "HSET object header", || {
-            self.kv.hset(
-                HEADER_KEY,
-                &oid.raw().to_string(),
-                format!("{}:{}", version.raw(), u8::from(dirty)),
-            )
+        kv_retry(&*self.clock, "put object header", || {
+            self.kv.header_put(oid, ObjectHeader { version, dirty })
         });
     }
 
     /// Clear the dirty bit after re-integration to a full-power version.
     pub fn mark_clean(&self, oid: ObjectId, version: VersionId) {
-        footprint_write(footprint::HEADERS);
-        kv_retry(&*self.clock, "HSET clean header", || {
-            self.kv.hset(
-                HEADER_KEY,
-                &oid.raw().to_string(),
-                format!("{}:0", version.raw()),
-            )
-        });
+        self.record_write(oid, version, false);
     }
 
     /// Number of tracked objects.
     pub fn len(&self) -> usize {
         footprint_read(footprint::HEADERS);
-        kv_retry(&*self.clock, "HLEN header store", || {
-            self.kv.hlen(HEADER_KEY)
+        kv_retry(&*self.clock, "count object headers", || {
+            self.kv.header_len()
         })
     }
 
     /// All tracked object ids, sorted. Repair scans use this to
     /// enumerate the object population; the sort pins the scan order
-    /// (the kv hash iterates in process-random order), which keeps
-    /// fault-injection replays byte-identical across runs.
+    /// (the kv header table iterates in process-random order), which
+    /// keeps fault-injection replays byte-identical across runs.
     pub fn all_objects(&self) -> Vec<ObjectId> {
         footprint_read(footprint::HEADERS);
-        let mut oids: Vec<ObjectId> = kv_retry(&*self.clock, "HKEYS header store", || {
-            self.kv.hkeys(HEADER_KEY)
-        })
-        .into_iter()
-        .filter_map(|k| k.parse::<u64>().ok().map(ObjectId))
-        .collect();
-        oids.sort_unstable();
-        oids
+        kv_retry(&*self.clock, "list object headers", || self.kv.header_ids())
     }
 
     /// True when no headers are tracked.
@@ -229,14 +216,8 @@ impl KvHeaderStore {
 impl HeaderSource for KvHeaderStore {
     fn header(&self, oid: ObjectId) -> Option<ObjectHeader> {
         footprint_read(footprint::HEADERS);
-        let raw = kv_retry(&*self.clock, "HGET object header", || {
-            self.kv.hget(HEADER_KEY, &oid.raw().to_string())
-        })?;
-        let s = std::str::from_utf8(&raw).ok()?;
-        let (ver, dirty) = s.split_once(':')?;
-        Some(ObjectHeader {
-            version: VersionId(ver.parse().ok()?),
-            dirty: dirty == "1",
+        kv_retry(&*self.clock, "get object header", || {
+            self.kv.header_get(oid)
         })
     }
 }
@@ -341,9 +322,82 @@ mod tests {
         for oid in [5u64, 9, 10010] {
             h.record_write(ObjectId(oid), VersionId(3), true);
         }
-        let mut oids = h.all_objects();
-        oids.sort();
-        assert_eq!(oids, vec![ObjectId(5), ObjectId(9), ObjectId(10010)]);
+        assert_eq!(
+            h.all_objects(),
+            vec![ObjectId(5), ObjectId(9), ObjectId(10010)]
+        );
+    }
+
+    #[test]
+    fn browned_out_header_shard_retries_on_the_clock_and_other_shards_do_not_sleep() {
+        use crate::fault::{FaultInjector, FaultPlan, ShardOutage, VirtualClock};
+        let kv = Arc::new(KvStore::new(4));
+        let down = kv.header_shard_of(ObjectId(1));
+        let elsewhere = (2..100)
+            .map(ObjectId)
+            .find(|&o| kv.header_shard_of(o) != down)
+            .unwrap();
+        // Kv ops 0..3 find the shard dark; every attempt is one op.
+        let plan = FaultPlan {
+            kv_outages: vec![ShardOutage {
+                shard: down,
+                from_op: 0,
+                until_op: 3,
+            }],
+            ..FaultPlan::default()
+        };
+        let clock = Arc::new(VirtualClock::new());
+        let inj = Arc::new(FaultInjector::with_clock(4, plan, clock.clone()));
+        kv.set_fault_hook(Some(inj.clone()));
+        let h = KvHeaderStore::with_clock(kv, clock.clone());
+
+        h.record_write(elsewhere, VersionId(2), true);
+        assert_eq!(clock.now(), std::time::Duration::ZERO, "healthy shard");
+        assert_eq!(inj.stats().kv_unavailable, 0);
+
+        // Ops 1 and 2 are refused and slept off, op 3 lands.
+        h.record_write(ObjectId(1), VersionId(2), true);
+        assert_eq!(inj.stats().kv_unavailable, 2);
+        assert_eq!(clock.now(), std::time::Duration::from_micros(40));
+        assert_eq!(
+            h.header(ObjectId(1)),
+            Some(ObjectHeader {
+                version: VersionId(2),
+                dirty: true
+            })
+        );
+        assert_eq!(clock.now(), std::time::Duration::from_micros(40));
+    }
+
+    #[test]
+    fn concurrent_record_writes_on_disjoint_oids_lose_no_update() {
+        const PER_THREAD: u64 = 2_000;
+        let (_, h) = table();
+        let start = std::sync::Barrier::new(2);
+        std::thread::scope(|s| {
+            for t in 0..2u64 {
+                let (h, start) = (&h, &start);
+                s.spawn(move || {
+                    start.wait();
+                    // Interleaved ids (t, t+2, ...), each written twice:
+                    // the second write must win on every one of them.
+                    for i in (t..2 * PER_THREAD).step_by(2) {
+                        h.record_write(ObjectId(i), VersionId(1), true);
+                        h.record_write(ObjectId(i), VersionId(2 + t), false);
+                    }
+                });
+            }
+        });
+        let all = h.all_objects();
+        assert_eq!(all, (0..2 * PER_THREAD).map(ObjectId).collect::<Vec<_>>());
+        assert_eq!(h.len(), all.len());
+        for oid in all {
+            let want = ObjectHeader {
+                version: VersionId(2 + oid.raw() % 2),
+                dirty: false,
+            };
+            assert_eq!(h.header(oid), Some(want), "{oid:?}");
+        }
     }
 
     #[test]

@@ -172,9 +172,16 @@ fn fixed_seed_chaos_with_kv_outages_converges() {
     }
     plan.node_faults[3].crash_at_op = Some(12);
     plan.node_faults[7].crash_at_op = Some(25);
-    // Outage windows on the shards actually holding the dirty table and
-    // the header hash, so the metadata path must retry through them.
+    // Outage windows on the shard actually holding the dirty table and
+    // on the shard serving more of this run's object headers (oids
+    // 0..80) than any other, so the metadata path must retry through
+    // them.
     let probe = ech_kvstore::KvStore::new(10);
+    let mut headers_on = [0usize; 10];
+    for i in 0..80 {
+        headers_on[probe.header_shard_of(ObjectId(i))] += 1;
+    }
+    let busiest_header_shard = (0..10).max_by_key(|&s| headers_on[s]).unwrap();
     plan.kv_outages = vec![
         ShardOutage {
             shard: probe.shard_of("ech:dirty"),
@@ -182,7 +189,7 @@ fn fixed_seed_chaos_with_kv_outages_converges() {
             until_op: 40,
         },
         ShardOutage {
-            shard: probe.shard_of("ech:headers"),
+            shard: busiest_header_shard,
             from_op: 60,
             until_op: 100,
         },
@@ -221,9 +228,12 @@ fn fixed_seed_chaos_with_kv_outages_converges() {
     let stats = c.fault_stats().unwrap();
     assert_eq!(stats.crashes, 2);
     assert!(stats.io_errors > 0, "the 8% error rate must bite");
+    // The dirty-table window is 30 kv ops wide and every refusal is one
+    // op, so anything past 30 was refused by the header window.
     assert!(
-        stats.kv_unavailable > 0,
-        "the shard outages must be exercised"
+        stats.kv_unavailable > 30,
+        "both shard outages must be exercised, got {}",
+        stats.kv_unavailable
     );
 
     converge(&c);

@@ -18,8 +18,13 @@
 //!   (`RPUSH`/`LPUSH`/`LPOP`/`RPOP`/`LRANGE`/`LINDEX`/`LLEN`) and HASH
 //!   (`HSET`/`HGET`/`HDEL`/`HLEN`) with Redis's `WRONGTYPE` error
 //!   semantics.
+//! * **Object-header records** — a typed `ObjectId → ObjectHeader` table
+//!   sharded by a hash of the object id (`header_put`/`header_get`/
+//!   `header_len`/`header_ids`): the one record family every put and get
+//!   touches needs no key string, and its load spreads over all shards.
 //!
-//! `ech-cluster` layers the distributed dirty table on top of this store.
+//! `ech-cluster` layers the distributed dirty table (a LIST) and the
+//! object-header store (the header records) on top of this store.
 //!
 //! ```
 //! use ech_kvstore::KvStore;

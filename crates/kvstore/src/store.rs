@@ -7,19 +7,30 @@
 //! uses — so keys spread across shards exactly the way objects spread
 //! across servers. Each shard is an independently locked hash map, so
 //! disjoint keys never contend.
+//!
+//! Object headers (§III-E2: the last-written version plus the dirty bit)
+//! are the one record family every put and get touches, so they do not
+//! go through the string key space: each shard also holds a typed
+//! `ObjectId → ObjectHeader` table, and a header routes to its shard by
+//! a hash of the object id alone — no key string, no ring walk, no
+//! allocation — which spreads header storage and lookup load evenly over
+//! the shards.
 
 use crate::error::{KvError, KvResult};
 use crate::value::Value;
 use bytes::Bytes;
-use ech_core::ids::ServerId;
+use ech_core::dirty::ObjectHeader;
+use ech_core::ids::{ObjectId, ServerId};
 use ech_core::ring::HashRing;
 use parking_lot::RwLock;
 use std::collections::{HashMap, VecDeque};
 
-/// One shard: a lock around a key space slice.
+/// One shard: a lock around a key space slice, and a second one around
+/// the shard's slice of the object-header table.
 #[derive(Debug, Default)]
 struct Shard {
     map: RwLock<HashMap<String, Value>>,
+    headers: RwLock<HashMap<ObjectId, ObjectHeader>>,
 }
 
 /// Availability oracle consulted before every fallible shard operation.
@@ -38,6 +49,8 @@ pub trait ShardFaultHook: Send + Sync {
 pub struct Snapshot {
     /// Key/value pairs sorted by key.
     entries: Vec<(String, Value)>,
+    /// Object-header records sorted by object id.
+    headers: Vec<(ObjectId, ObjectHeader)>,
 }
 
 impl Snapshot {
@@ -46,9 +59,9 @@ impl Snapshot {
         self.entries.len()
     }
 
-    /// True when the snapshot captured nothing.
+    /// True when the snapshot captured nothing, neither keys nor headers.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.entries.is_empty() && self.headers.is_empty()
     }
 }
 
@@ -94,20 +107,6 @@ impl KvStore {
         *self.fault_hook.write() = hook;
     }
 
-    /// Fail with [`KvError::Unavailable`] when a hook reports the key's
-    /// shard as down. The fault-free path is a read-lock and a `None`
-    /// check.
-    fn fault_check(&self, key: &str) -> KvResult<()> {
-        let hook = self.fault_hook.read();
-        if let Some(h) = hook.as_ref() {
-            let shard = self.shard_of(key);
-            if !h.shard_available(shard) {
-                return Err(KvError::Unavailable { shard });
-            }
-        }
-        Ok(())
-    }
-
     /// Number of shards.
     pub fn shard_count(&self) -> usize {
         self.shards.len()
@@ -126,17 +125,56 @@ impl KvStore {
             .map_or(0, ServerId::index)
     }
 
+    /// Which shard an object's header lives on (exposed for balance
+    /// tests and fault plans that aim at a header-serving shard).
+    ///
+    /// Multiply-shift range reduction of the mixed id: every shard gets
+    /// an equal slice of the 64-bit hash space, and the result is below
+    /// the shard count by construction.
+    pub fn header_shard_of(&self, oid: ObjectId) -> usize {
+        let h = u128::from(ech_core::hash::mix64(oid.raw()));
+        ((h * self.shards.len() as u128) >> 64) as usize
+    }
+
+    fn shard_at(&self, index: usize) -> &Shard {
+        // ech-allow(D2): callers pass `shard_of` (the ring is built over
+        // exactly `self.shards.len()` servers, asserted non-empty in
+        // `new`) or `header_shard_of` (a range reduction onto that same
+        // length), so the bound holds by construction; a miss here is
+        // memory-safety-adjacent corruption that must fail loudly, not
+        // degrade.
+        &self.shards[index]
+    }
+
+    /// The key's shard, for the operations no fault hook covers.
     fn shard(&self, key: &str) -> &Shard {
-        // ech-allow(D2): `shard_of` indexes the ring built over exactly
-        // `self.shards.len()` servers (asserted non-empty in `new`), so
-        // the bound holds by construction; a miss here is memory-safety-
-        // adjacent corruption that must fail loudly, not degrade.
-        &self.shards[self.shard_of(key)]
+        self.shard_at(self.shard_of(key))
+    }
+
+    /// Shard `index`, or [`KvError::Unavailable`] when a hook reports it
+    /// down. Callers resolve the index once and get both the availability
+    /// check and the access from it; the fault-free path is a read-lock
+    /// and a `None` check.
+    fn checked_shard_at(&self, index: usize) -> KvResult<&Shard> {
+        match self.fault_hook.read().as_ref() {
+            Some(h) if !h.shard_available(index) => Err(KvError::Unavailable { shard: index }),
+            _ => Ok(self.shard_at(index)),
+        }
+    }
+
+    /// The key's shard once the fault hook has cleared it.
+    fn checked_shard(&self, key: &str) -> KvResult<&Shard> {
+        self.checked_shard_at(self.shard_of(key))
     }
 
     /// Number of keys per shard (load-balance metric).
     pub fn keys_per_shard(&self) -> Vec<usize> {
         self.shards.iter().map(|s| s.map.read().len()).collect()
+    }
+
+    /// Number of object headers per shard (load-balance metric).
+    pub fn headers_per_shard(&self) -> Vec<usize> {
+        self.shards.iter().map(|s| s.headers.read().len()).collect()
     }
 
     /// Total number of keys.
@@ -153,7 +191,7 @@ impl KvStore {
 
     /// Snapshot the entire store (the RDB analogue): a consistent-enough
     /// copy taken shard by shard. Writers racing the dump land wholly in
-    /// or wholly out per key.
+    /// or wholly out per key and per header.
     pub fn dump(&self) -> Snapshot {
         let mut entries = Vec::with_capacity(self.len());
         for shard in &self.shards {
@@ -161,17 +199,30 @@ impl KvStore {
                 entries.push((k.clone(), v.clone()));
             }
         }
-        // Deterministic output regardless of shard iteration order.
+        let mut headers = Vec::new();
+        for shard in &self.shards {
+            headers.extend(shard.headers.read().iter().map(|(&oid, &h)| (oid, h)));
+        }
+        // Deterministic output regardless of shard and map iteration order.
         entries.sort_by(|a, b| a.0.cmp(&b.0));
-        Snapshot { entries }
+        headers.sort_unstable_by_key(|&(oid, _)| oid);
+        Snapshot { entries, headers }
     }
 
-    /// Rebuild a store from a snapshot, re-sharding over `shards` shards
-    /// (the shard count may differ from the dumping store's).
+    /// Rebuild a store from a snapshot, re-sharding keys and headers over
+    /// `shards` shards (the shard count may differ from the dumping
+    /// store's).
     pub fn restore(snapshot: Snapshot, shards: usize) -> Self {
         let store = KvStore::new(shards);
         for (k, v) in snapshot.entries {
             store.shard(&k).map.write().insert(k, v);
+        }
+        for (oid, header) in snapshot.headers {
+            store
+                .shard_at(store.header_shard_of(oid))
+                .headers
+                .write()
+                .insert(oid, header);
         }
         store
     }
@@ -205,8 +256,7 @@ impl KvStore {
 
     /// `GET key` — `Err(WrongType)` when the key holds a non-string.
     pub fn get(&self, key: &str) -> KvResult<Option<Bytes>> {
-        self.fault_check(key)?;
-        match self.shard(key).map.read().get(key) {
+        match self.checked_shard(key)?.map.read().get(key) {
             None => Ok(None),
             Some(Value::Str(b)) => Ok(Some(b.clone())),
             Some(v) => Err(KvError::WrongType {
@@ -218,8 +268,7 @@ impl KvStore {
 
     /// `INCR key` — increments an integer-encoded string, creating it at 0.
     pub fn incr(&self, key: &str) -> KvResult<i64> {
-        self.fault_check(key)?;
-        let mut map = self.shard(key).map.write();
+        let mut map = self.checked_shard(key)?.map.write();
         let cur = match map.get(key) {
             None => 0i64,
             Some(Value::Str(b)) => std::str::from_utf8(b)
@@ -246,8 +295,7 @@ impl KvStore {
         create: bool,
         f: impl FnOnce(Option<&mut VecDeque<Bytes>>) -> R,
     ) -> KvResult<R> {
-        self.fault_check(key)?;
-        let mut map = self.shard(key).map.write();
+        let mut map = self.checked_shard(key)?.map.write();
         match map.get_mut(key) {
             Some(Value::List(list)) => Ok(f(Some(list))),
             Some(v) => Err(KvError::WrongType {
@@ -339,26 +387,37 @@ impl KvStore {
     // ----- HASH --------------------------------------------------------
 
     /// `HSET key field value` — returns true when the field is new.
+    /// Overwriting an existing field of an existing hash allocates
+    /// nothing: key and field strings are built only when inserted.
     pub fn hset(&self, key: &str, field: &str, value: impl Into<Bytes>) -> KvResult<bool> {
-        self.fault_check(key)?;
         let value = value.into();
-        let mut map = self.shard(key).map.write();
-        match map
-            .entry(key.to_owned())
-            .or_insert_with(|| Value::Hash(HashMap::new()))
-        {
-            Value::Hash(h) => Ok(h.insert(field.to_owned(), value).is_none()),
-            v => Err(KvError::WrongType {
+        let mut map = self.checked_shard(key)?.map.write();
+        match map.get_mut(key) {
+            Some(Value::Hash(h)) => match h.get_mut(field) {
+                Some(slot) => {
+                    *slot = value;
+                    Ok(false)
+                }
+                None => {
+                    h.insert(field.to_owned(), value);
+                    Ok(true)
+                }
+            },
+            Some(v) => Err(KvError::WrongType {
                 expected: "hash",
                 found: v.type_name(),
             }),
+            None => {
+                let h = HashMap::from([(field.to_owned(), value)]);
+                map.insert(key.to_owned(), Value::Hash(h));
+                Ok(true)
+            }
         }
     }
 
     /// `HGET key field`.
     pub fn hget(&self, key: &str, field: &str) -> KvResult<Option<Bytes>> {
-        self.fault_check(key)?;
-        match self.shard(key).map.read().get(key) {
+        match self.checked_shard(key)?.map.read().get(key) {
             None => Ok(None),
             Some(Value::Hash(h)) => Ok(h.get(field).cloned()),
             Some(v) => Err(KvError::WrongType {
@@ -370,8 +429,7 @@ impl KvStore {
 
     /// `HDEL key field` — returns true when the field existed.
     pub fn hdel(&self, key: &str, field: &str) -> KvResult<bool> {
-        self.fault_check(key)?;
-        let mut map = self.shard(key).map.write();
+        let mut map = self.checked_shard(key)?.map.write();
         match map.get_mut(key) {
             None => Ok(false),
             Some(Value::Hash(h)) => Ok(h.remove(field).is_some()),
@@ -382,11 +440,9 @@ impl KvStore {
         }
     }
 
-    /// `HKEYS key` — all field names (order unspecified). Used by repair
-    /// scans that must enumerate every tracked object.
+    /// `HKEYS key` — all field names (order unspecified).
     pub fn hkeys(&self, key: &str) -> KvResult<Vec<String>> {
-        self.fault_check(key)?;
-        match self.shard(key).map.read().get(key) {
+        match self.checked_shard(key)?.map.read().get(key) {
             None => Ok(Vec::new()),
             Some(Value::Hash(h)) => Ok(h.keys().cloned().collect()),
             Some(v) => Err(KvError::WrongType {
@@ -398,8 +454,7 @@ impl KvStore {
 
     /// `HLEN key`.
     pub fn hlen(&self, key: &str) -> KvResult<usize> {
-        self.fault_check(key)?;
-        match self.shard(key).map.read().get(key) {
+        match self.checked_shard(key)?.map.read().get(key) {
             None => Ok(0),
             Some(Value::Hash(h)) => Ok(h.len()),
             Some(v) => Err(KvError::WrongType {
@@ -407,6 +462,48 @@ impl KvStore {
                 found: v.type_name(),
             }),
         }
+    }
+
+    // ----- object headers ------------------------------------------------
+
+    /// Store `oid`'s header, replacing any earlier one.
+    pub fn header_put(&self, oid: ObjectId, header: ObjectHeader) -> KvResult<()> {
+        self.checked_shard_at(self.header_shard_of(oid))?
+            .headers
+            .write()
+            .insert(oid, header);
+        Ok(())
+    }
+
+    /// `oid`'s header, if one was stored.
+    pub fn header_get(&self, oid: ObjectId) -> KvResult<Option<ObjectHeader>> {
+        Ok(self
+            .checked_shard_at(self.header_shard_of(oid))?
+            .headers
+            .read()
+            .get(&oid)
+            .copied())
+    }
+
+    /// Number of stored headers. Visits every shard, so it fails while
+    /// any one of them is unavailable.
+    pub fn header_len(&self) -> KvResult<usize> {
+        let mut len = 0;
+        for index in 0..self.shards.len() {
+            len += self.checked_shard_at(index)?.headers.read().len();
+        }
+        Ok(len)
+    }
+
+    /// Every object id with a stored header, sorted. Visits every shard,
+    /// so it fails while any one of them is unavailable.
+    pub fn header_ids(&self) -> KvResult<Vec<ObjectId>> {
+        let mut ids = Vec::new();
+        for index in 0..self.shards.len() {
+            ids.extend(self.checked_shard_at(index)?.headers.read().keys().copied());
+        }
+        ids.sort_unstable();
+        Ok(ids)
     }
 }
 
@@ -611,14 +708,16 @@ mod tests {
         }
     }
 
+    /// A hook under which exactly one shard is dark.
+    struct DownShard(usize);
+    impl ShardFaultHook for DownShard {
+        fn shard_available(&self, shard: usize) -> bool {
+            shard != self.0
+        }
+    }
+
     #[test]
     fn fault_hook_makes_shards_unavailable() {
-        struct DownShard(usize);
-        impl ShardFaultHook for DownShard {
-            fn shard_available(&self, shard: usize) -> bool {
-                shard != self.0
-            }
-        }
         let kv = KvStore::new(4);
         kv.rpush("q", "1").unwrap();
         let down = kv.shard_of("q");
@@ -638,6 +737,99 @@ mod tests {
         // Removing the hook restores service; no data was lost.
         kv.set_fault_hook(None);
         assert_eq!(kv.lpop("q").unwrap().unwrap(), Bytes::from("1"));
+    }
+
+    fn header(version: u64, dirty: bool) -> ObjectHeader {
+        ObjectHeader {
+            version: ech_core::ids::VersionId(version),
+            dirty,
+        }
+    }
+
+    #[test]
+    fn header_records_round_trip_beside_the_key_space() {
+        let kv = KvStore::new(4);
+        assert_eq!(kv.header_get(ObjectId(7)).unwrap(), None);
+        kv.header_put(ObjectId(7), header(3, true)).unwrap();
+        kv.header_put(ObjectId(7), header(4, false)).unwrap();
+        kv.header_put(ObjectId(2), header(1, true)).unwrap();
+        assert_eq!(kv.header_get(ObjectId(7)).unwrap(), Some(header(4, false)));
+        assert_eq!(kv.header_len().unwrap(), 2);
+        assert_eq!(kv.header_ids().unwrap(), vec![ObjectId(2), ObjectId(7)]);
+        // Headers are not keys: the string key space stays empty.
+        assert!(kv.is_empty());
+        assert!(!kv.dump().is_empty());
+    }
+
+    #[test]
+    fn headers_balance_across_shards() {
+        // §III-E2: "balance the storage usage and the lookup load".
+        let kv = KvStore::new(10);
+        for i in 0..100_000u64 {
+            kv.header_put(ObjectId(i), header(1, false)).unwrap();
+        }
+        let per = kv.headers_per_shard();
+        assert_eq!(per.iter().sum::<usize>(), 100_000);
+        let mean = 10_000.0;
+        for (i, &c) in per.iter().enumerate() {
+            assert!(
+                (c as f64 - mean).abs() <= mean * 0.05,
+                "shard {i} holds {c} headers (mean {mean})"
+            );
+        }
+    }
+
+    #[test]
+    fn snapshot_carries_headers_sorted_and_reshards_them() {
+        let kv = KvStore::new(4);
+        kv.rpush("list", "item").unwrap();
+        for i in (0..500u64).rev() {
+            kv.header_put(ObjectId(i * 7919), header(i % 5, i % 2 == 0))
+                .unwrap();
+        }
+        let snap = kv.dump();
+        assert_eq!((snap.len(), snap.headers.len()), (1, 500));
+        assert!(snap.headers.windows(2).all(|w| w[0].0 < w[1].0));
+
+        let json = serde_json::to_string(&snap).unwrap();
+        let back: Snapshot = serde_json::from_str(&json).unwrap();
+        assert_eq!(back, snap);
+        for shards in [1, 3, 9] {
+            let restored = KvStore::restore(back.clone(), shards);
+            assert_eq!(restored.dump(), snap, "{shards} shards");
+            assert_eq!(restored.header_len().unwrap(), 500);
+            assert_eq!(
+                restored.header_get(ObjectId(3 * 7919)).unwrap(),
+                Some(header(3, false))
+            );
+        }
+    }
+
+    #[test]
+    fn fault_hook_covers_header_ops_on_the_shard_they_route_to() {
+        let kv = KvStore::new(4);
+        let down = kv.header_shard_of(ObjectId(1));
+        let other = (2..100)
+            .map(ObjectId)
+            .find(|&o| kv.header_shard_of(o) != down)
+            .unwrap();
+        kv.header_put(ObjectId(1), header(2, true)).unwrap();
+        kv.set_fault_hook(Some(Arc::new(DownShard(down))));
+        let unavailable = KvError::Unavailable { shard: down };
+        assert_eq!(
+            kv.header_put(ObjectId(1), header(3, true)),
+            Err(unavailable)
+        );
+        assert_eq!(kv.header_get(ObjectId(1)), Err(unavailable));
+        // Another shard's headers are served; whole-table scans are not.
+        kv.header_put(other, header(2, false)).unwrap();
+        assert_eq!(kv.header_get(other).unwrap(), Some(header(2, false)));
+        assert_eq!(kv.header_len(), Err(unavailable));
+        assert_eq!(kv.header_ids(), Err(unavailable));
+        // The refused write left no trace.
+        kv.set_fault_hook(None);
+        assert_eq!(kv.header_get(ObjectId(1)).unwrap(), Some(header(2, true)));
+        assert_eq!(kv.header_len().unwrap(), 2);
     }
 
     #[test]

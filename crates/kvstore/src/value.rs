@@ -2,7 +2,8 @@
 //!
 //! The dirty table only needs Redis's LIST type (§IV uses RPUSH, LRANGE
 //! and LPOP), but a credible store also carries STRING and HASH so other
-//! components (object headers, counters) can share it.
+//! components (counters, ad-hoc maps) can share it. Object headers are
+//! not a `Value`: they live in the store's typed header table.
 
 use bytes::Bytes;
 use serde::{Deserialize, Serialize};

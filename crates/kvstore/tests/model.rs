@@ -1,10 +1,14 @@
 //! Model-based property test: the sharded store must behave exactly like
-//! a single flat map of Redis values under any operation sequence.
+//! a single flat map of Redis values, plus one ordered map of object
+//! headers, under any operation sequence — including a dump → JSON →
+//! restore into a different shard count in the middle of it.
 
 use bytes::Bytes;
-use ech_kvstore::{KvError, KvStore};
+use ech_core::dirty::ObjectHeader;
+use ech_core::ids::{ObjectId, VersionId};
+use ech_kvstore::{KvError, KvStore, Snapshot};
 use proptest::prelude::*;
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 
 #[derive(Debug, Clone)]
 enum Op {
@@ -21,6 +25,12 @@ enum Op {
     Hget(u8, u8),
     Hdel(u8, u8),
     Incr(u8),
+    HeaderPut(u8, u8, bool),
+    HeaderGet(u8),
+    HeaderLen,
+    HeaderIds,
+    /// Dump, round-trip through JSON, restore over this many shards.
+    Reshard(usize),
 }
 
 fn op_strategy() -> impl Strategy<Value = Op> {
@@ -40,6 +50,11 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         (key.clone(), 0u8..4).prop_map(|(k, f)| Op::Hget(k, f)),
         (key.clone(), 0u8..4).prop_map(|(k, f)| Op::Hdel(k, f)),
         key.prop_map(Op::Incr),
+        (0u8..12, 0u8..5, 0u8..2).prop_map(|(o, v, d)| Op::HeaderPut(o, v, d == 1)),
+        (0u8..12).prop_map(Op::HeaderGet),
+        Just(Op::HeaderLen),
+        Just(Op::HeaderIds),
+        (1usize..9).prop_map(Op::Reshard),
     ]
 }
 
@@ -63,13 +78,18 @@ fn field(f: u8) -> String {
     format!("field-{f}")
 }
 
+fn oid(o: u8) -> ObjectId {
+    ObjectId(u64::from(o))
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     #[test]
     fn store_matches_flat_model(ops in proptest::collection::vec(op_strategy(), 1..120), shards in 1usize..9) {
-        let kv = KvStore::new(shards);
+        let mut kv = KvStore::new(shards);
         let mut model: HashMap<String, Model> = HashMap::new();
+        let mut headers: BTreeMap<ObjectId, ObjectHeader> = BTreeMap::new();
 
         for op in ops {
             match op {
@@ -199,10 +219,36 @@ proptest! {
                         Some(_) => prop_assert!(is_wrong_type(&got)),
                     }
                 }
+                Op::HeaderPut(o, v, dirty) => {
+                    let h = ObjectHeader { version: VersionId(u64::from(v)), dirty };
+                    prop_assert_eq!(kv.header_put(oid(o), h), Ok(()));
+                    headers.insert(oid(o), h);
+                }
+                Op::HeaderGet(o) => {
+                    prop_assert_eq!(kv.header_get(oid(o)).unwrap(), headers.get(&oid(o)).copied());
+                }
+                Op::HeaderLen => prop_assert_eq!(kv.header_len().unwrap(), headers.len()),
+                Op::HeaderIds => {
+                    let ids: Vec<ObjectId> = headers.keys().copied().collect();
+                    prop_assert_eq!(kv.header_ids().unwrap(), ids);
+                }
+                Op::Reshard(n) => {
+                    let snap = kv.dump();
+                    let json = serde_json::to_string(&snap).unwrap();
+                    let back: Snapshot = serde_json::from_str(&json).unwrap();
+                    prop_assert_eq!(&back, &snap);
+                    kv = KvStore::restore(back, n);
+                    prop_assert_eq!(kv.shard_count(), n);
+                    prop_assert_eq!(kv.dump(), snap);
+                }
             }
         }
 
-        // Final state: key count agrees.
+        // Final state: key count and header table agree.
         prop_assert_eq!(kv.len(), model.len());
+        prop_assert_eq!(kv.header_len().unwrap(), headers.len());
+        for (&id, &h) in &headers {
+            prop_assert_eq!(kv.header_get(id).unwrap(), Some(h));
+        }
     }
 }
