@@ -26,7 +26,6 @@ use crate::sync::{
 };
 use arc_swap::ArcSwap;
 use bytes::Bytes;
-use ech_core::cache::ShardedPlacementCache;
 use ech_core::dirty::{DirtyEntry, DirtyTable, HeaderSource};
 use ech_core::engine::EngineKind;
 use ech_core::ids::{ObjectId, ServerId, VersionId};
@@ -63,10 +62,12 @@ pub struct ClusterConfig {
     pub write_quorum: WriteQuorum,
     /// Retry budget applied to transiently-failing node operations.
     pub retry: RetryPolicy,
-    /// Entries the sharded placement cache holds before evicting.
+    /// Inert: nothing under `crates/` reads it. The data path computes
+    /// placements from its pinned view; the field stays only because
+    /// `benchmark/` sizes its `core.cache.*` probes with it (ROADMAP
+    /// item 2 deletes it).
     pub cache_capacity: usize,
-    /// Lock stripes of the placement cache (rounded up to a power of
-    /// two).
+    /// Inert, like [`ClusterConfig::cache_capacity`].
     pub cache_shards: usize,
     /// Tasks one re-integration drain batch plans before executing them
     /// (executed in parallel when no fault plan is installed).
@@ -299,9 +300,6 @@ pub struct Cluster {
     /// Serialises view writers (resize, crash marking, repair); readers
     /// never touch it.
     view_write: Mutex<()>,
-    /// Sharded `(oid, version) -> Placement` cache in front of the ring
-    /// walk.
-    cache: ShardedPlacementCache,
     kv: Arc<KvStore>,
     /// Dirty-table handle. The kv list ops are shard-atomic, so the hot
     /// path appends through `&self` instead of a coordinator lock (the
@@ -396,7 +394,6 @@ impl Cluster {
             nodes,
             view: ArcSwap::from_pointee(view),
             view_write: Mutex::new(()),
-            cache: ShardedPlacementCache::new(cfg.cache_capacity.max(1), cfg.cache_shards.max(1)),
             dirty: KvDirtyTable::with_clock(kv.clone(), clock.clone()),
             headers: KvHeaderStore::with_clock(kv.clone(), clock.clone()),
             engine: Mutex::new(Reintegrator::new()),
@@ -487,10 +484,6 @@ impl Cluster {
             nodes: self.nodes.clone(),
             view: ArcSwap::new(view),
             view_write: Mutex::new(()),
-            cache: ShardedPlacementCache::new(
-                self.cfg.cache_capacity.max(1),
-                self.cfg.cache_shards.max(1),
-            ),
             dirty: KvDirtyTable::with_clock(kv.clone(), self.clock.clone()),
             headers: KvHeaderStore::with_clock(kv.clone(), self.clock.clone()),
             engine: Mutex::new(Reintegrator::new()),
@@ -557,10 +550,11 @@ impl Cluster {
         self.dirty.len()
     }
 
-    /// Snapshot of the placement-cache counters (hits, misses, shard
-    /// contention).
+    /// Always all-zero: the data path has no placement cache to count
+    /// (reads walk Algorithm 1 on their pinned view). Kept only because
+    /// `benchmark/` calls it; ROADMAP item 2 deletes it.
     pub fn cache_stats(&self) -> CacheSnapshot {
-        self.cache.snapshot()
+        CacheSnapshot::default()
     }
 
     /// Append a dirty entry: no coordinator lock, the kv list push is
@@ -708,7 +702,7 @@ impl Cluster {
 
     /// Where `oid`'s replicas should live right now.
     pub fn locate(&self, oid: ObjectId) -> Result<Placement, ClusterError> {
-        Ok(self.cache.place_current(&self.view.load(), oid)?)
+        Ok(self.view.load().place_current(oid)?)
     }
 
     /// Write an object: place at the current version, store on the
@@ -749,10 +743,6 @@ impl Cluster {
         loop {
             let (placement, version, power_dirty) = {
                 let view = self.view.load();
-                // Writes compute the placement directly: a first-time oid
-                // would only pay the cache-miss insert for nothing, and
-                // the ring's successor table already makes the walk
-                // cheap. Reads populate and profit from the cache.
                 let p = view.place_current(oid)?;
                 (p, view.current_version(), view.write_is_dirty())
             };
@@ -927,23 +917,30 @@ impl Cluster {
     ) -> Result<Bytes, ClusterError> {
         let expected = self.headers.header(oid).map(|h| h.version);
         let view = self.view.load();
-        let mut candidates: Vec<ServerId> = Vec::new();
-        if let Ok(p) = self.cache.place_current(&view, oid) {
-            candidates.extend_from_slice(p.servers());
-        }
-        if let Some(ver) = expected {
-            if let Ok(p) = self.cache.place_at(&view, oid, ver) {
-                for &s in p.servers() {
-                    if !candidates.contains(&s) {
-                        candidates.push(s);
-                    }
-                }
-            }
-        }
+        let current = view.place_current(oid).ok();
+        // `locate_ser(OID, Ver)` at the header version adds a candidate
+        // only when that membership differs in content from the current
+        // one: after a down/up cycle most headers name an older version
+        // of the *same* membership, and the second walk is skipped. (An
+        // unrecorded version has no class and no placement either way.)
+        let history = view.history();
+        let written = expected
+            .filter(|&ver| history.epoch_class(ver) != history.epoch_class(view.current_version()))
+            .and_then(|ver| view.place_at(oid, ver).ok());
         drop(view);
-        if candidates.is_empty() {
-            return Err(ClusterError::NotFound);
-        }
+        // Current placement first, then the header-version servers it
+        // does not already name. The common case is one placement, whose
+        // server list is borrowed as is.
+        let merged: Vec<ServerId>;
+        let candidates: &[ServerId] = match (&current, &written) {
+            (Some(c), Some(w)) => {
+                let extra = w.servers().iter().filter(|s| !c.contains(**s));
+                merged = c.servers().iter().chain(extra).copied().collect();
+                &merged
+            }
+            (Some(p), None) | (None, Some(p)) => p.servers(),
+            (None, None) => return Err(ClusterError::NotFound),
+        };
         let start = match policy {
             ReadPolicy::FirstReplica | ReadPolicy::Hedged { .. } => 0,
             ReadPolicy::Balanced => {
@@ -958,8 +955,7 @@ impl Cluster {
             self.mutation.mutated(Mutation::AcceptStale) || expected.is_none_or(|v| stamp >= v)
         };
         if let ReadPolicy::Hedged { threshold } = policy {
-            if let Some(data) = self.hedged_get(oid, &candidates, &acceptable, threshold, deadline)
-            {
+            if let Some(data) = self.hedged_get(oid, candidates, &acceptable, threshold, deadline) {
                 return Ok(data);
             }
         }
@@ -1112,11 +1108,11 @@ impl Cluster {
     /// engine (their replicas are removed only after the publish, and
     /// the full-placement sweep fallback in `get` covers the removal
     /// window); readers of the new snapshot find their copies already
-    /// in place. Placement caches key on the engine, so neither side
-    /// ever serves the other's entries. Writes racing the swap are
-    /// healed by the dirty/repair machinery like any degraded write —
-    /// the writer lock held here serialises the swap against resizes,
-    /// not against data-path I/O.
+    /// in place. The engine is part of the view, so each side resolves
+    /// every placement under the backend its snapshot names. Writes
+    /// racing the swap are healed by the dirty/repair machinery like any
+    /// degraded write — the writer lock held here serialises the swap
+    /// against resizes, not against data-path I/O.
     pub fn set_engine(&self, engine: EngineKind) -> Result<usize, ClusterError> {
         let _writer = self.view_write.lock();
         let old = self.view.load();
@@ -1621,10 +1617,6 @@ impl Cluster {
             let Some(h) = self.headers.header(oid) else {
                 continue;
             };
-            // Placements here are one-shot (each entry names a distinct
-            // object, usually at a historical version): computing them
-            // straight off the ring is cheaper than a cache round-trip
-            // and keeps the shared cache free of never-again-used keys.
             let Ok(placement) = view.place_at(oid, h.version) else {
                 continue;
             };
@@ -1894,6 +1886,62 @@ mod tests {
         // servers that do not hold the object yet.
         c.resize(10);
         assert_eq!(c.get(ObjectId(42)).unwrap(), payload(42));
+    }
+
+    fn overwrite(oid: u64) -> Bytes {
+        Bytes::from(format!("overwrite-{oid}"))
+    }
+
+    /// 64 objects written at full power (v1), the even half overwritten
+    /// after `resize(5)` (offloaded, header v2), then `resize(10)` (v3,
+    /// content-equal to v1) with nothing drained.
+    fn overwritten_while_small(placement: EngineKind) -> Arc<Cluster> {
+        let c = Cluster::new(ClusterConfig {
+            placement,
+            ..ClusterConfig::paper()
+        });
+        for k in 0..64u64 {
+            c.put(ObjectId(k), payload(k)).unwrap();
+        }
+        c.resize(5);
+        for k in (0..64u64).step_by(2) {
+            c.put(ObjectId(k), overwrite(k)).unwrap();
+        }
+        assert_eq!(c.resize(10), VersionId(3));
+        c
+    }
+
+    #[test]
+    fn undrained_overwrite_is_found_through_its_header_version() {
+        for engine in [EngineKind::Ring, EngineKind::Jump] {
+            let c = overwritten_while_small(engine);
+            // The current placement equals v1's and still holds the
+            // stale full-power copies; only the header-version walk (or
+            // the sweep) leads to the overwrite.
+            for k in 0..64u64 {
+                let want = if k % 2 == 0 { overwrite(k) } else { payload(k) };
+                assert_eq!(c.get(ObjectId(k)).unwrap(), want, "{engine} oid {k}");
+            }
+        }
+    }
+
+    #[test]
+    fn one_walk_one_read_when_the_header_names_an_equal_membership() {
+        for engine in [EngineKind::Ring, EngineKind::Jump] {
+            let c = overwritten_while_small(engine);
+            // v4 has the content of v2, the version the overwrites'
+            // headers name: the current placement is where they sit.
+            assert_eq!(c.resize(5), VersionId(4));
+            let reads = || c.nodes().iter().map(|n| n.op_counts().0).sum::<u64>();
+            for k in (0..64u64).step_by(2) {
+                let before = reads();
+                assert_eq!(c.get(ObjectId(k)).unwrap(), overwrite(k));
+                assert_eq!(reads() - before, 1, "{engine} oid {k}");
+            }
+            for k in (1..64u64).step_by(2) {
+                assert_eq!(c.get(ObjectId(k)).unwrap(), payload(k), "{engine} oid {k}");
+            }
+        }
     }
 
     #[test]

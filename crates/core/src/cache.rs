@@ -1,15 +1,18 @@
-//! Placement caching.
+//! Placement caching — off the data path, kept for its last callers.
+//!
+//! Nothing under `crates/cluster` consults this module: `Cluster::get`
+//! and `locate` walk Algorithm 1 on the view they pin, because the walk
+//! (66–82 ns) is cheaper than a hit here (115–165 ns), let alone a miss
+//! (393–466 ns; DESIGN §10). [`ShardedPlacementCache`] stays for
+//! `benchmark/`'s `core.cache.*` probes and for the `cache-coherence` /
+//! `cache-counters` model-checker models, which drive the type
+//! directly; ROADMAP item 2 schedules its deletion.
 //!
 //! A placement is a pure function of `(object, version)` for a fixed
 //! topology — membership tables are immutable once recorded — so cached
-//! placements can never go stale; they only compete for space. That makes
-//! caching attractive on hot paths that resolve the same objects
-//! repeatedly: the re-integration engine touches each dirty object at
-//! several versions, and read paths re-resolve hot objects constantly.
-//!
-//! [`ShardedPlacementCache`] is the cluster data path's cache: N
-//! independently locked, FIFO-evicting shards (key-hash routed) so
-//! parallel readers rarely contend, with hit/miss/contention counters
+//! placements can never go stale; they only compete for space.
+//! [`ShardedPlacementCache`] is N independently locked, FIFO-evicting
+//! shards (key-hash routed), with hit/miss/contention counters
 //! exported through [`crate::stats::CacheCounters`]. FIFO is a
 //! deliberate simplification over LRU: entries are immutable and cheap
 //! to recompute, so approximate retention is fine. Because placements
@@ -114,7 +117,7 @@ fn shard_hash(oid: ObjectId, version: VersionId, engine: EngineKind) -> u64 {
     x ^ (x >> 31)
 }
 
-/// Thread-safe, N-way sharded placement cache for the cluster data path.
+/// Thread-safe, N-way sharded placement cache.
 ///
 /// Immutability per key makes this cache coherence-free: a `get` that
 /// pins an old epoch's view and a concurrent `put` on the new epoch can

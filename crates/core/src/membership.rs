@@ -162,9 +162,9 @@ pub struct MembershipHistory {
     /// `classes[i]` is the *epoch class* of version `i + 1`: the first
     /// version whose table is content-equal. Placement is a pure function
     /// of (table content, object), so any two versions in the same class
-    /// place identically — the placement cache keys by class to survive
-    /// resize round-trips (down to `k` and back to full power repeats the
-    /// full-power class, so warm entries keep serving).
+    /// place identically — a read whose header names a version of the
+    /// current class skips the second placement walk (down to `k` and
+    /// back to full power repeats the full-power class).
     classes: Vec<VersionId>,
 }
 

@@ -12,12 +12,17 @@ use crate::membership::{MembershipHistory, MembershipTable};
 use crate::placement::{place_with, Placement, PlacementError, Strategy};
 use crate::ring::HashRing;
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// Immutable topology plus evolving membership, with versioned placement.
+///
+/// The topology (`ring`, `layout`) never changes after construction, so
+/// it is shared: cloning a view — what every epoch publish does — copies
+/// two pointers and the membership history, not the vnode table.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ClusterView {
-    ring: HashRing,
-    layout: Layout,
+    ring: Arc<HashRing>,
+    layout: Arc<Layout>,
     history: MembershipHistory,
     strategy: Strategy,
     replicas: usize,
@@ -45,11 +50,11 @@ impl ClusterView {
             replicas <= layout.server_count(),
             "replication factor exceeds cluster size"
         );
-        let ring = layout.build_ring();
+        let ring = Arc::new(layout.build_ring());
         let history = MembershipHistory::new(MembershipTable::full_power(layout.server_count()));
         ClusterView {
             ring,
-            layout,
+            layout: Arc::new(layout),
             history,
             strategy,
             replicas,
@@ -92,9 +97,9 @@ impl ClusterView {
     /// onto the *same* membership, so placements computed before and
     /// after the swap generally disagree for the same version. Callers
     /// that publish a swapped view are responsible for migrating objects
-    /// (see `Cluster::set_engine`); placement caches key on the engine,
-    /// so entries computed under the old backend can never satisfy
-    /// lookups against the new one.
+    /// (see `Cluster::set_engine`). The engine is a field of the view, so
+    /// a reader resolves every placement of one operation under the one
+    /// backend its pinned snapshot names.
     #[inline]
     pub fn set_engine(&mut self, engine: EngineKind) {
         self.engine = engine;
