@@ -36,7 +36,7 @@ use ech_core::reintegration::{Idle, MigrationTask, Reintegrator};
 use ech_core::stats::{CacheSnapshot, PathCounters, PathSnapshot};
 use ech_core::view::ClusterView;
 use ech_kvstore::{KvStore, ShardFaultHook};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
 /// Cluster construction parameters.
@@ -288,6 +288,18 @@ pub enum ReadPolicy {
     },
 }
 
+/// How many threads the host runs at once, asked once per process: on
+/// Linux the query is a `sched_getaffinity` call plus opening and parsing
+/// cgroup files, and the drain would otherwise pay it per batch.
+fn hardware_threads() -> usize {
+    static THREADS: OnceLock<usize> = OnceLock::new();
+    *THREADS.get_or_init(|| {
+        std::thread::available_parallelism()
+            .map(std::num::NonZero::get)
+            .unwrap_or(1)
+    })
+}
+
 /// The elastic object-store cluster.
 pub struct Cluster {
     cfg: ClusterConfig,
@@ -301,8 +313,8 @@ pub struct Cluster {
     /// never touch it.
     view_write: Mutex<()>,
     kv: Arc<KvStore>,
-    /// Dirty-table handle. The kv list ops are shard-atomic, so the hot
-    /// path appends through `&self` instead of a coordinator lock (the
+    /// Dirty-table handle. The kv log ops are atomic in the store, so the
+    /// hot path appends through `&self` instead of a coordinator lock (the
     /// planner's `&mut` scans run on clones sharing the backing store);
     /// Algorithm 2's serial scan order is enforced by `engine`'s lock.
     dirty: KvDirtyTable,
@@ -557,8 +569,8 @@ impl Cluster {
         CacheSnapshot::default()
     }
 
-    /// Append a dirty entry: no coordinator lock, the kv list push is
-    /// shard-atomic.
+    /// Append a dirty entry: no coordinator lock, the kv log push is
+    /// atomic in the store.
     fn log_dirty(&self, entry: DirtyEntry) {
         self.dirty.push_entry(entry);
     }
@@ -931,12 +943,11 @@ impl Cluster {
         // Current placement first, then the header-version servers it
         // does not already name. The common case is one placement, whose
         // server list is borrowed as is.
-        let merged: Vec<ServerId>;
+        let merged: Placement;
         let candidates: &[ServerId] = match (&current, &written) {
             (Some(c), Some(w)) => {
-                let extra = w.servers().iter().filter(|s| !c.contains(**s));
-                merged = c.servers().iter().chain(extra).copied().collect();
-                &merged
+                merged = c.then_unseen(w);
+                merged.servers()
             }
             (Some(p), None) | (None, Some(p)) => p.servers(),
             (None, None) => return Err(ClusterError::NotFound),
@@ -1240,9 +1251,7 @@ impl Cluster {
 
     fn reintegrate_batch_body(&self, max_tasks: usize) -> Result<ReintegrationStats, Idle> {
         let max_tasks = max_tasks.max(1);
-        let workers_cap = std::thread::available_parallelism()
-            .map(std::num::NonZero::get)
-            .unwrap_or(1);
+        let workers_cap = hardware_threads();
         // Adaptive cutover: the pooled path pays for batch planning,
         // per-task stat slots and real thread spawns, which only ever
         // amortises with both hardware parallelism and a batch worth

@@ -4,8 +4,9 @@
 //! dirty table. The dirty table is managed using the LIST data type...
 //! Each dirty data entry is inserted using RPUSH... a LRANGE command is
 //! used to fetch the (OID, version) pair... a LPOP command is used to
-//! remove" it. This module is that wiring, with object headers kept in
-//! the same store's typed, object-sharded header table alongside.
+//! remove" it. This module is that wiring: the same three verbs on the
+//! store's typed dirty log, with object headers kept in the same store's
+//! typed, object-sharded header table alongside.
 
 use crate::fault::{Clock, SystemClock};
 use crate::sync::{footprint, footprint_read, footprint_write};
@@ -13,9 +14,6 @@ use ech_core::dirty::{DirtyEntry, DirtyTable, HeaderSource, ObjectHeader};
 use ech_core::ids::{ObjectId, VersionId};
 use ech_kvstore::{KvError, KvStore};
 use std::sync::Arc;
-
-/// Key of the dirty-table LIST.
-const DIRTY_KEY: &str = "ech:dirty";
 
 /// Run a kv operation through transient shard outages. Outage windows
 /// live in kv-op-count space and every attempt advances the counter, so
@@ -46,21 +44,6 @@ fn kv_retry<T>(clock: &dyn Clock, what: &str, op: impl Fn() -> Result<T, KvError
     }
 }
 
-/// Serialize a dirty entry as `oid:version` (the value RPUSHed).
-fn encode_entry(e: &DirtyEntry) -> String {
-    format!("{}:{}", e.oid.raw(), e.version.raw())
-}
-
-/// Parse an `oid:version` pair.
-fn decode_entry(bytes: &[u8]) -> Option<DirtyEntry> {
-    let s = std::str::from_utf8(bytes).ok()?;
-    let (oid, ver) = s.split_once(':')?;
-    Some(DirtyEntry {
-        oid: ObjectId(oid.parse().ok()?),
-        version: VersionId(ver.parse().ok()?),
-    })
-}
-
 /// Dirty table living in the shared key-value store.
 ///
 /// Clones share the same underlying store, so the write path (logger) and
@@ -82,13 +65,13 @@ impl KvDirtyTable {
         KvDirtyTable { kv, clock }
     }
 
-    /// Append `entry` through a shared handle: the RPUSH is shard-atomic,
-    /// so the write logger needs neither `&mut self` nor a handle of its
-    /// own. [`DirtyTable::push_back`] is this call.
+    /// Append `entry` through a shared handle: the push is atomic in the
+    /// store, so the write logger needs neither `&mut self` nor a handle
+    /// of its own. [`DirtyTable::push_back`] is this call.
     pub fn push_entry(&self, entry: DirtyEntry) {
         footprint_write(footprint::DIRTY);
         kv_retry(&*self.clock, "RPUSH dirty entry", || {
-            self.kv.rpush(DIRTY_KEY, encode_entry(&entry))
+            self.kv.dirty_push(entry)
         });
     }
 }
@@ -99,62 +82,36 @@ impl DirtyTable for KvDirtyTable {
     }
 
     fn get(&self, index: usize) -> Option<DirtyEntry> {
-        footprint_read(footprint::DIRTY);
-        kv_retry(&*self.clock, "LINDEX dirty entry", || {
-            self.kv.lindex(DIRTY_KEY, index)
-        })
-        .and_then(|b| decode_entry(&b))
+        self.get_range(index, 1).first().copied()
     }
 
     fn pop_front(&mut self) -> Option<DirtyEntry> {
-        footprint_write(footprint::DIRTY);
-        kv_retry(&*self.clock, "LPOP dirty entry", || self.kv.lpop(DIRTY_KEY))
-            .and_then(|b| decode_entry(&b))
+        self.pop_front_n(1).first().copied()
     }
 
     fn get_range(&self, start: usize, count: usize) -> Vec<DirtyEntry> {
         if count == 0 {
             return Vec::new();
         }
-        let stop = start.saturating_add(count - 1);
         footprint_read(footprint::DIRTY);
         kv_retry(&*self.clock, "LRANGE dirty entries", || {
-            self.kv.lrange(DIRTY_KEY, start, stop)
+            self.kv.dirty_range(start, count)
         })
-        .iter()
-        // map_while: a malformed record truncates the batch, matching the
-        // per-index `get` contract (a None mid-table halts the scan).
-        .map_while(|b| decode_entry(b))
-        .collect()
     }
 
     fn pop_front_n(&mut self, count: usize) -> Vec<DirtyEntry> {
         if count == 0 {
             return Vec::new();
         }
-        // Peek before popping: the batch must stop at the first
-        // undecodable record *without consuming it*, matching
-        // `get_range`'s map_while policy — a bare counted LPOP would
-        // remove the corrupt record and everything behind it, popping
-        // entries the planner's preceding peek never surfaced.
         footprint_write(footprint::DIRTY);
-        let decoded: Vec<DirtyEntry> = kv_retry(&*self.clock, "LRANGE dirty entries", || {
-            self.kv.lrange(DIRTY_KEY, 0, count - 1)
+        kv_retry(&*self.clock, "LPOP dirty entries", || {
+            self.kv.dirty_pop_n(count)
         })
-        .iter()
-        .map_while(|b| decode_entry(b))
-        .collect();
-        if !decoded.is_empty() {
-            kv_retry(&*self.clock, "LPOP dirty entries", || {
-                self.kv.lpop_n(DIRTY_KEY, decoded.len())
-            });
-        }
-        decoded
     }
 
     fn len(&self) -> usize {
         footprint_read(footprint::DIRTY);
-        kv_retry(&*self.clock, "LLEN dirty table", || self.kv.llen(DIRTY_KEY))
+        kv_retry(&*self.clock, "LLEN dirty table", || self.kv.dirty_len())
     }
 }
 
@@ -269,34 +226,23 @@ mod tests {
     }
 
     #[test]
-    fn batched_ops_stop_at_first_malformed_record_without_consuming_it() {
+    fn the_string_list_under_the_old_key_is_not_the_dirty_table() {
+        // A replace, not a fork: nothing reads the LIST the table used to
+        // be, so a record pushed there is invisible rather than malformed.
         let kv = Arc::new(KvStore::new(4));
         let mut t = KvDirtyTable::new(kv.clone());
-        let clean = [
-            DirtyEntry::new(ObjectId(1), VersionId(2)),
-            DirtyEntry::new(ObjectId(2), VersionId(2)),
-        ];
-        for e in clean {
-            t.push_back(e);
-        }
-        kv.rpush(DIRTY_KEY, "garbage").unwrap();
-        t.push_back(DirtyEntry::new(ObjectId(3), VersionId(3)));
-
-        // Both batched ops truncate at the corrupt record, and the pop
-        // consumes only the prefix it returned — the corrupt record
-        // stays at the head instead of being dropped along with the
-        // entries behind it (which the peek never surfaced).
-        assert_eq!(t.get_range(0, 10), clean);
-        assert_eq!(t.pop_front_n(10), clean);
-        assert_eq!(t.len(), 2);
-        assert!(t.pop_front_n(10).is_empty());
-        assert_eq!(t.len(), 2);
-        // The per-entry pop is what consumes the corrupt head.
+        kv.rpush("ech:dirty", "garbage").unwrap();
+        assert_eq!(t.len(), 0);
+        assert!(t.get_range(0, 10).is_empty());
         assert!(t.pop_front().is_none());
-        assert_eq!(
-            t.pop_front(),
-            Some(DirtyEntry::new(ObjectId(3), VersionId(3)))
-        );
+
+        let e = DirtyEntry::new(ObjectId(3), VersionId(3));
+        t.push_back(e);
+        assert_eq!(t.len(), 1);
+        assert_eq!(t.pop_front_n(10), vec![e]);
+        assert!(t.is_empty());
+        // And the table never wrote to the LIST either.
+        assert_eq!(kv.llen("ech:dirty").unwrap(), 1);
     }
 
     #[test]
@@ -398,18 +344,6 @@ mod tests {
             };
             assert_eq!(h.header(oid), Some(want), "{oid:?}");
         }
-    }
-
-    #[test]
-    fn malformed_entries_decode_to_none() {
-        assert!(decode_entry(b"garbage").is_none());
-        assert!(decode_entry(b"1:2:3").is_none());
-        assert!(decode_entry(b"x:1").is_none());
-        assert!(decode_entry(&[0xff, 0xfe]).is_none());
-        assert_eq!(
-            decode_entry(b"10010:9"),
-            Some(DirtyEntry::new(ObjectId(10010), VersionId(9)))
-        );
     }
 
     #[test]

@@ -12,9 +12,10 @@ use crate::sync::{
 };
 use bytes::Bytes;
 use ech_core::dirty::ObjectHeader;
+use ech_core::hash::IdMap;
 use ech_core::ids::{ObjectId, ServerId, VersionId};
 use parking_lot::RwLock;
-use std::collections::HashMap;
+use std::collections::hash_map::Entry;
 use std::sync::Arc;
 
 /// One stored replica: payload plus the paper's object header (last
@@ -94,7 +95,10 @@ impl std::error::Error for NodeError {}
 pub struct StorageNode {
     id: ServerId,
     powered: AtomicBool,
-    objects: RwLock<HashMap<ObjectId, StoredObject>>,
+    /// Keyed by program-made ids, so no SipHash; [`IdMap`]'s hash is
+    /// independent of the ring position that chose this node.
+    objects: RwLock<IdMap<ObjectId, StoredObject>>,
+    /// Written only under `objects`' write lock.
     bytes_stored: AtomicU64,
     reads: AtomicU64,
     writes: AtomicU64,
@@ -126,7 +130,7 @@ impl StorageNode {
         StorageNode {
             id,
             powered: AtomicBool::new(true),
-            objects: RwLock::new(HashMap::new()),
+            objects: RwLock::default(),
             bytes_stored: counter_u64(0),
             reads: counter_u64(0),
             writes: counter_u64(0),
@@ -200,7 +204,13 @@ impl StorageNode {
             header: ObjectHeader { version, dirty },
         };
         let mut map = self.objects.write();
-        let old_len = map.get(&oid).map(|o| o.data.len() as u64).unwrap_or(0);
+        // One probe: the entry is both the old length's source and the
+        // slot the new replica goes into.
+        let slot = map.entry(oid);
+        let old_len = match &slot {
+            Entry::Occupied(held) => held.get().data.len() as u64,
+            Entry::Vacant(_) => 0,
+        };
         let needed = self.bytes_stored.load(Ordering::Relaxed) - old_len + obj.data.len() as u64;
         if needed > self.capacity {
             return Err(NodeError::DiskFull {
@@ -208,10 +218,10 @@ impl StorageNode {
                 needed,
             });
         }
-        self.bytes_stored
-            .fetch_add(obj.data.len() as u64, Ordering::Relaxed);
-        self.bytes_stored.fetch_sub(old_len, Ordering::Relaxed);
-        map.insert(oid, obj);
+        slot.insert_entry(obj);
+        // The write lock serialises every writer of the tally, so a plain
+        // store of the figure just checked replaces two atomic RMWs.
+        self.bytes_stored.store(needed, Ordering::Relaxed);
         self.writes.fetch_add(1, Ordering::Relaxed);
         Ok(())
     }

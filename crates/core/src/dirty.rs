@@ -10,7 +10,8 @@
 //!
 //! The table is an abstract interface here — [`InMemoryDirtyTable`] is the
 //! reference implementation, and `ech-cluster` provides one backed by the
-//! Redis-like `ech-kvstore` LIST type (RPUSH/LRANGE/LPOP), matching §IV.
+//! Redis-like `ech-kvstore`'s typed dirty log (the RPUSH/LRANGE/LPOP verbs
+//! of §IV on `DirtyEntry` records).
 
 use crate::ids::{ObjectId, VersionId};
 use serde::{Deserialize, Serialize};

@@ -38,6 +38,54 @@ pub fn mix64(mut z: u64) -> u64 {
     z ^ (z >> 31)
 }
 
+// ---- id-keyed tables -------------------------------------------------
+
+/// Murmur3's 64-bit finalizer: a full-avalanche mixer with constants and
+/// shifts unrelated to [`mix64`]'s.
+#[inline]
+fn fmix64(mut k: u64) -> u64 {
+    k ^= k >> 33;
+    k = k.wrapping_mul(0xff51_afd7_ed55_8ccd);
+    k ^= k >> 33;
+    k = k.wrapping_mul(0xc4ce_b9fe_1a85_ec53);
+    k ^ (k >> 33)
+}
+
+/// Hasher for tables keyed by ids this program makes up itself
+/// ([`ObjectId`]): one mixer round per `u64` instead of SipHash (other
+/// key shapes fold through FNV first). Not for keys an outside party
+/// chooses — it has no secret.
+///
+/// The hash must stay independent of every hash that *selects* which
+/// table an id goes into — `mix64(oid)` routes a header to its kv shard,
+/// [`object_position`] routes an object to its nodes. A table's keys
+/// share the selecting hash's top bits, and the standard map takes its
+/// 7-bit control tag from the top bits of the map hash: reuse the
+/// selecting hash and every key in a table draws from a sliver of the
+/// 128 tags, so probes stop filtering. Hence [`fmix64`], not [`mix64`].
+#[derive(Debug, Default, Clone, Copy)]
+pub struct IdHasher(u64);
+
+impl std::hash::Hasher for IdHasher {
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    #[inline]
+    fn write(&mut self, bytes: &[u8]) {
+        self.write_u64(fnv1a64(bytes));
+    }
+
+    #[inline]
+    fn write_u64(&mut self, v: u64) {
+        self.0 = fmix64(self.0 ^ v);
+    }
+}
+
+/// A `HashMap` keyed by program-made ids, hashed with [`IdHasher`].
+pub type IdMap<K, V> = std::collections::HashMap<K, V, std::hash::BuildHasherDefault<IdHasher>>;
+
 // ---- XXH64 -----------------------------------------------------------
 
 const XXP1: u64 = 0x9E37_79B1_85EB_CA87;

@@ -42,35 +42,104 @@ pub enum Strategy {
     Primary,
 }
 
+/// Replicas a [`Placement`] holds without touching the heap. Covers
+/// every replication factor the paper evaluates (r = 2, 3) and the
+/// current-plus-written candidate list of a read at r ≤ 3.
+const INLINE_REPLICAS: usize = 6;
+
+/// Backing storage of a [`Placement`]: a fixed array up to
+/// [`INLINE_REPLICAS`], a `Vec` only above it. Unused inline slots stay
+/// `ServerId(0)` and are never read.
+#[derive(Clone)]
+enum Servers {
+    Inline {
+        len: u8,
+        slots: [ServerId; INLINE_REPLICAS],
+    },
+    Heap(Vec<ServerId>),
+}
+
 /// Ordered replica locations for one object (index 0 = first replica).
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+///
+/// Every put and get builds one, so the servers live inline: placing an
+/// object allocates nothing at the replication factors in use. Equality,
+/// hashing, `Debug` and the JSON form (`{"servers":[…]}`) are those of the
+/// server list, whichever storage holds it.
+#[derive(Clone)]
 pub struct Placement {
-    servers: Vec<ServerId>,
+    servers: Servers,
 }
 
 impl Placement {
+    /// No replicas yet; the placers [`push`](Self::push) into it.
+    fn empty() -> Self {
+        Placement {
+            servers: Servers::Inline {
+                len: 0,
+                slots: [ServerId(0); INLINE_REPLICAS],
+            },
+        }
+    }
+
+    /// Append the next replica location.
+    fn push(&mut self, server: ServerId) {
+        match &mut self.servers {
+            Servers::Inline { len, slots } => match slots.get_mut(usize::from(*len)) {
+                Some(slot) => {
+                    *slot = server;
+                    *len += 1;
+                }
+                None => {
+                    let mut spilled = Vec::with_capacity(2 * INLINE_REPLICAS);
+                    spilled.extend_from_slice(slots);
+                    spilled.push(server);
+                    self.servers = Servers::Heap(spilled);
+                }
+            },
+            Servers::Heap(v) => v.push(server),
+        }
+    }
+
     /// Replica locations in placement order.
     #[inline]
     pub fn servers(&self) -> &[ServerId] {
-        &self.servers
+        match &self.servers {
+            // ech-allow(D2): `len` only ever advances in `push`, one step
+            // per slot filled, so it is at most `INLINE_REPLICAS`.
+            Servers::Inline { len, slots } => &slots[..usize::from(*len)],
+            Servers::Heap(v) => v,
+        }
     }
 
     /// Number of replicas placed.
     #[inline]
     pub fn len(&self) -> usize {
-        self.servers.len()
+        self.servers().len()
     }
 
     /// True when no replicas were placed (never returned by the placers).
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.servers.is_empty()
+        self.servers().is_empty()
     }
 
     /// True when `server` holds a replica.
     #[inline]
     pub fn contains(&self, server: ServerId) -> bool {
-        self.servers.contains(&server)
+        self.servers().contains(&server)
+    }
+
+    /// This placement's servers followed by those of `other` it does not
+    /// already name: the order a read tries the current placement and
+    /// then the placement of the version the object was written at.
+    pub fn then_unseen(&self, other: &Placement) -> Placement {
+        let mut merged = self.clone();
+        for &s in other.servers() {
+            if !self.contains(s) {
+                merged.push(s);
+            }
+        }
+        merged
     }
 
     /// The replicas that sit on primary servers under `layout`.
@@ -78,17 +147,60 @@ impl Placement {
         &'a self,
         layout: &'a Layout,
     ) -> impl Iterator<Item = ServerId> + 'a {
-        self.servers
+        self.servers()
             .iter()
             .copied()
             .filter(move |&s| layout.is_primary(s))
     }
 }
 
+impl PartialEq for Placement {
+    fn eq(&self, other: &Self) -> bool {
+        self.servers() == other.servers()
+    }
+}
+
+impl Eq for Placement {}
+
+impl std::hash::Hash for Placement {
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        self.servers().hash(state);
+    }
+}
+
+impl fmt::Debug for Placement {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Placement")
+            .field("servers", &self.servers())
+            .finish()
+    }
+}
+
+// Hand-written so the wire form stays the derived one of the former
+// `servers: Vec<ServerId>` field: `{"servers":[…]}`.
+impl Serialize for Placement {
+    fn serialize_content(&self) -> serde::Content {
+        serde::Content::Map(vec![(
+            "servers".to_owned(),
+            self.servers().serialize_content(),
+        )])
+    }
+}
+
+impl<'de> Deserialize<'de> for Placement {
+    fn deserialize_content(content: &serde::Content) -> Result<Self, serde::Error> {
+        let mut placement = Placement::empty();
+        for server in content.get_field("servers")?.as_seq()? {
+            placement.push(serde::from_content(server)?);
+        }
+        Ok(placement)
+    }
+}
+
 impl fmt::Display for Placement {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "[")?;
-        for (i, s) in self.servers.iter().enumerate() {
+        for (i, s) in self.servers().iter().enumerate() {
             if i > 0 {
                 write!(f, ", ")?;
             }
@@ -175,11 +287,11 @@ pub fn place_original_with<E: PlacementEngine>(
             active,
         });
     }
-    let mut chosen: Vec<ServerId> = Vec::with_capacity(replicas);
+    let mut chosen = Placement::empty();
     let mut cursor = engine.start(oid);
     while chosen.len() < replicas {
         let found = engine.search(oid, cursor, |s| {
-            membership.is_active(s) && !chosen.contains(&s)
+            membership.is_active(s) && !chosen.contains(s)
         });
         // `active >= replicas` plus engine coverage guarantees a hit; if
         // not, degrade with a classified error rather than panicking
@@ -192,7 +304,7 @@ pub fn place_original_with<E: PlacementEngine>(
         chosen.push(server);
         cursor = next;
     }
-    Ok(Placement { servers: chosen })
+    Ok(chosen)
 }
 
 /// What kind of server the current replica may use.
@@ -264,7 +376,7 @@ pub fn place_primary_with<E: PlacementEngine>(
         active - active_primaries < replicas.saturating_sub(1)
     };
 
-    let mut chosen: Vec<ServerId> = Vec::with_capacity(replicas);
+    let mut chosen = Placement::empty();
     let mut has_primary = false;
     let mut cursor = engine.start(oid);
 
@@ -296,7 +408,7 @@ pub fn place_primary_with<E: PlacementEngine>(
         for pass in 0..2 {
             let pass_need = if pass == 0 { need } else { Need::Any };
             let accept = |s: ServerId| {
-                if !membership.is_active(s) || chosen.contains(&s) {
+                if !membership.is_active(s) || chosen.contains(s) {
                     return false;
                 }
                 match pass_need {
@@ -330,7 +442,7 @@ pub fn place_primary_with<E: PlacementEngine>(
         cursor = next;
     }
 
-    Ok(Placement { servers: chosen })
+    Ok(chosen)
 }
 
 /// Dispatch on [`Strategy`].

@@ -143,3 +143,37 @@ fn placement_roundtrip() {
     assert_eq!(back, p);
     assert_eq!(back.servers(), p.servers());
 }
+
+/// The JSON and `Debug` forms recorded from the `servers: Vec<ServerId>`
+/// representation: inline storage (r = 1, 2, 3) and the heap spill above
+/// it (r = 7, 10) must both keep them.
+#[test]
+fn placement_wire_form_does_not_depend_on_its_storage() {
+    let recorded = [
+        (1, r#"{"servers":[0]}"#),
+        (2, r#"{"servers":[0,8]}"#),
+        (3, r#"{"servers":[0,8,2]}"#),
+        (7, r#"{"servers":[0,8,2,5,3,4,9]}"#),
+        (10, r#"{"servers":[0,1,8,2,5,3,4,9,6,7]}"#),
+    ];
+    for (replicas, json) in recorded {
+        let view = ClusterView::new(Layout::equal_work(10, 10_000), Strategy::Primary, replicas);
+        let p = view.place_current(ObjectId(10010)).unwrap();
+        assert_eq!(p.len(), replicas);
+        assert_eq!(serde_json::to_string(&p).unwrap(), json);
+        let back: Placement = serde_json::from_str(json).unwrap();
+        assert_eq!(back, p, "r = {replicas}");
+        let ids: Vec<String> = p.servers().iter().map(|s| format!("{s:?}")).collect();
+        assert_eq!(
+            format!("{p:?}"),
+            format!("Placement {{ servers: [{}] }}", ids.join(", "))
+        );
+        // A read's candidate list: the current servers, then the unseen
+        // ones of another placement, spilling to the heap when it must.
+        let other = view.place_current(ObjectId(7)).unwrap();
+        let merged = p.then_unseen(&other);
+        let mut want = p.servers().to_vec();
+        want.extend(other.servers().iter().filter(|s| !p.contains(**s)));
+        assert_eq!(merged.servers(), want);
+    }
+}

@@ -22,9 +22,15 @@
 //!   sharded by a hash of the object id (`header_put`/`header_get`/
 //!   `header_len`/`header_ids`): the one record family every put and get
 //!   touches needs no key string, and its load spreads over all shards.
+//! * **The dirty log** — the dirty table as a typed FIFO of
+//!   `DirtyEntry` records with the LIST verbs the paper uses
+//!   (`dirty_push` = RPUSH, `dirty_range` = LRANGE, `dirty_pop_n` = LPOP
+//!   with a count, `dirty_len` = LLEN), served by the shard its LIST key
+//!   would hash to: every write below full power appends one entry, and
+//!   none is formatted or parsed.
 //!
-//! `ech-cluster` layers the distributed dirty table (a LIST) and the
-//! object-header store (the header records) on top of this store.
+//! `ech-cluster` layers the distributed dirty table (the dirty log) and
+//! the object-header store (the header records) on top of this store.
 //!
 //! ```
 //! use ech_kvstore::KvStore;

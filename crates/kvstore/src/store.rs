@@ -15,22 +15,38 @@
 //! a hash of the object id alone — no key string, no ring walk, no
 //! allocation — which spreads header storage and lookup load evenly over
 //! the shards.
+//!
+//! The dirty table (§III-E2, kept in a Redis LIST in §IV) is the other
+//! record family on the write path: every write made below full power
+//! appends to it. It is a typed FIFO of `DirtyEntry` records with the
+//! LIST verbs the paper uses (RPUSH / LRANGE / LPOP / LLEN), served by the
+//! shard its LIST key would have hashed to, so nothing is formatted on the
+//! way in or parsed on the way out.
 
 use crate::error::{KvError, KvResult};
 use crate::value::Value;
 use bytes::Bytes;
-use ech_core::dirty::ObjectHeader;
+use ech_core::dirty::{DirtyEntry, ObjectHeader};
+use ech_core::hash::IdMap;
 use ech_core::ids::{ObjectId, ServerId};
 use ech_core::ring::HashRing;
 use parking_lot::RwLock;
 use std::collections::{HashMap, VecDeque};
+use std::sync::atomic::{AtomicBool, Ordering};
+
+/// The key the dirty table had as a LIST: it still names the shard that
+/// serves the typed log, so a fault plan aimed at that shard darkens it.
+const DIRTY_LOG_HOME: &str = "ech:dirty";
 
 /// One shard: a lock around a key space slice, and a second one around
 /// the shard's slice of the object-header table.
 #[derive(Debug, Default)]
 struct Shard {
     map: RwLock<HashMap<String, Value>>,
-    headers: RwLock<HashMap<ObjectId, ObjectHeader>>,
+    /// Keyed by program-made ids, so no SipHash. [`IdMap`]'s hash is
+    /// independent of [`KvStore::header_shard_of`]'s routing hash, which
+    /// it must be: see [`ech_core::hash::IdHasher`].
+    headers: RwLock<IdMap<ObjectId, ObjectHeader>>,
 }
 
 /// Availability oracle consulted before every fallible shard operation.
@@ -51,6 +67,8 @@ pub struct Snapshot {
     entries: Vec<(String, Value)>,
     /// Object-header records sorted by object id.
     headers: Vec<(ObjectId, ObjectHeader)>,
+    /// The dirty log, head first.
+    dirty: Vec<DirtyEntry>,
 }
 
 impl Snapshot {
@@ -59,9 +77,10 @@ impl Snapshot {
         self.entries.len()
     }
 
-    /// True when the snapshot captured nothing, neither keys nor headers.
+    /// True when the snapshot captured nothing: no keys, no headers, no
+    /// dirty entries.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty() && self.headers.is_empty()
+        self.entries.is_empty() && self.headers.is_empty() && self.dirty.is_empty()
     }
 }
 
@@ -72,7 +91,23 @@ impl Snapshot {
 pub struct KvStore {
     shards: Vec<Shard>,
     ring: HashRing,
+    /// The dirty log and the shard that serves it
+    /// (`shard_of(DIRTY_LOG_HOME)`, resolved once).
+    dirty: RwLock<VecDeque<DirtyEntry>>,
+    dirty_shard: usize,
     fault_hook: RwLock<Option<std::sync::Arc<dyn ShardFaultHook>>>,
+    /// Mirrors `fault_hook.is_some()`, so the fault-free path of every
+    /// header and dirty op reads one never-written flag instead of taking
+    /// a lock all clients share.
+    hooked: AtomicBool,
+}
+
+/// The shard `key` hashes to on `ring`.
+fn ring_shard(ring: &HashRing, key: &str) -> usize {
+    let pos = ech_core::hash::mix64(ech_core::hash::fnv1a64(key.as_bytes()));
+    ring.distinct_servers_from(pos)
+        .next()
+        .map_or(0, ServerId::index)
 }
 
 impl std::fmt::Debug for KvStore {
@@ -93,10 +128,14 @@ impl KvStore {
     /// within a few percent of even.
     pub fn new(shards: usize) -> Self {
         assert!(shards > 0, "need at least one shard");
+        let ring = HashRing::build(&vec![128u32; shards]);
         KvStore {
             shards: (0..shards).map(|_| Shard::default()).collect(),
-            ring: HashRing::build(&vec![128u32; shards]),
+            dirty: RwLock::default(),
+            dirty_shard: ring_shard(&ring, DIRTY_LOG_HOME),
+            ring,
             fault_hook: RwLock::new(None),
+            hooked: AtomicBool::new(false),
         }
     }
 
@@ -104,7 +143,13 @@ impl KvStore {
     /// every fallible operation. Restored stores ([`KvStore::restore`])
     /// start with no hook.
     pub fn set_fault_hook(&self, hook: Option<std::sync::Arc<dyn ShardFaultHook>>) {
-        *self.fault_hook.write() = hook;
+        let mut slot = self.fault_hook.write();
+        // Set under the slot's lock, so two installers cannot leave the
+        // flag disagreeing with the slot. The flag only says whether the
+        // slot is worth locking (Release here, Acquire in
+        // `checked_shard_at`); the lock is what publishes the hook.
+        self.hooked.store(hook.is_some(), Ordering::Release);
+        *slot = hook;
     }
 
     /// Number of shards.
@@ -118,11 +163,7 @@ impl KvStore {
     /// that count is non-zero, so the walk always yields; shard 0 is a
     /// total fallback rather than a panic path.
     pub fn shard_of(&self, key: &str) -> usize {
-        let pos = ech_core::hash::mix64(ech_core::hash::fnv1a64(key.as_bytes()));
-        self.ring
-            .distinct_servers_from(pos)
-            .next()
-            .map_or(0, ServerId::index)
+        ring_shard(&self.ring, key)
     }
 
     /// Which shard an object's header lives on (exposed for balance
@@ -153,13 +194,17 @@ impl KvStore {
 
     /// Shard `index`, or [`KvError::Unavailable`] when a hook reports it
     /// down. Callers resolve the index once and get both the availability
-    /// check and the access from it; the fault-free path is a read-lock
-    /// and a `None` check.
+    /// check and the access from it; the fault-free path is one flag load
+    /// and takes no lock.
     fn checked_shard_at(&self, index: usize) -> KvResult<&Shard> {
-        match self.fault_hook.read().as_ref() {
-            Some(h) if !h.shard_available(index) => Err(KvError::Unavailable { shard: index }),
-            _ => Ok(self.shard_at(index)),
+        if self.hooked.load(Ordering::Acquire) {
+            if let Some(h) = self.fault_hook.read().as_ref() {
+                if !h.shard_available(index) {
+                    return Err(KvError::Unavailable { shard: index });
+                }
+            }
         }
+        Ok(self.shard_at(index))
     }
 
     /// The key's shard once the fault hook has cleared it.
@@ -191,7 +236,7 @@ impl KvStore {
 
     /// Snapshot the entire store (the RDB analogue): a consistent-enough
     /// copy taken shard by shard. Writers racing the dump land wholly in
-    /// or wholly out per key and per header.
+    /// or wholly out per key, per header and per dirty entry.
     pub fn dump(&self) -> Snapshot {
         let mut entries = Vec::with_capacity(self.len());
         for shard in &self.shards {
@@ -206,14 +251,20 @@ impl KvStore {
         // Deterministic output regardless of shard and map iteration order.
         entries.sort_by(|a, b| a.0.cmp(&b.0));
         headers.sort_unstable_by_key(|&(oid, _)| oid);
-        Snapshot { entries, headers }
+        let dirty = self.dirty.read().iter().copied().collect();
+        Snapshot {
+            entries,
+            headers,
+            dirty,
+        }
     }
 
     /// Rebuild a store from a snapshot, re-sharding keys and headers over
     /// `shards` shards (the shard count may differ from the dumping
-    /// store's).
+    /// store's). The dirty log keeps its FIFO order.
     pub fn restore(snapshot: Snapshot, shards: usize) -> Self {
         let store = KvStore::new(shards);
+        *store.dirty.write() = snapshot.dirty.into();
         for (k, v) in snapshot.entries {
             store.shard(&k).map.write().insert(k, v);
         }
@@ -504,6 +555,42 @@ impl KvStore {
         }
         ids.sort_unstable();
         Ok(ids)
+    }
+
+    // ----- dirty log -----------------------------------------------------
+
+    /// The dirty log once the fault hook has cleared the shard serving it.
+    fn checked_dirty(&self) -> KvResult<&RwLock<VecDeque<DirtyEntry>>> {
+        self.checked_shard_at(self.dirty_shard)?;
+        Ok(&self.dirty)
+    }
+
+    /// RPUSH: append `entry` at the tail, returning the new length. This
+    /// is how the write logger inserts dirty entries (§IV).
+    pub fn dirty_push(&self, entry: DirtyEntry) -> KvResult<usize> {
+        let mut log = self.checked_dirty()?.write();
+        log.push_back(entry);
+        Ok(log.len())
+    }
+
+    /// LRANGE: up to `count` entries from FIFO position `start`, without
+    /// removing them — fewer near the tail, none past it.
+    pub fn dirty_range(&self, start: usize, count: usize) -> KvResult<Vec<DirtyEntry>> {
+        let log = self.checked_dirty()?.read();
+        Ok(log.iter().skip(start).take(count).copied().collect())
+    }
+
+    /// LPOP with a count: remove and return up to `count` head entries
+    /// under one lock acquisition, as the re-integration planner drains.
+    pub fn dirty_pop_n(&self, count: usize) -> KvResult<Vec<DirtyEntry>> {
+        let mut log = self.checked_dirty()?.write();
+        let take = count.min(log.len());
+        Ok(log.drain(..take).collect())
+    }
+
+    /// LLEN: number of logged entries.
+    pub fn dirty_len(&self) -> KvResult<usize> {
+        Ok(self.checked_dirty()?.read().len())
     }
 }
 
@@ -830,6 +917,57 @@ mod tests {
         kv.set_fault_hook(None);
         assert_eq!(kv.header_get(ObjectId(1)).unwrap(), Some(header(2, true)));
         assert_eq!(kv.header_len().unwrap(), 2);
+    }
+
+    fn entry(oid: u64, version: u64) -> DirtyEntry {
+        DirtyEntry::new(ObjectId(oid), ech_core::ids::VersionId(version))
+    }
+
+    #[test]
+    fn dirty_log_is_not_a_key_but_counts_in_a_snapshot() {
+        // The verbs themselves are checked against a model in
+        // `tests/model.rs`; this pins what the model cannot see.
+        let kv = KvStore::new(4);
+        let entries = [entry(7919, 2), entry(3, 2), entry(7919, 3)];
+        for (i, &e) in entries.iter().enumerate() {
+            assert_eq!(kv.dirty_push(e).unwrap(), i + 1);
+        }
+        // The string key space never saw the log...
+        assert!(kv.is_empty());
+        assert_eq!(kv.llen(DIRTY_LOG_HOME).unwrap(), 0);
+        // ...but a snapshot holding only the log is not empty, and carries
+        // it head first.
+        let snap = kv.dump();
+        assert!(!snap.is_empty());
+        assert_eq!(snap.dirty, entries);
+        assert_eq!(KvStore::restore(snap, 9).dirty_pop_n(10).unwrap(), entries);
+    }
+
+    #[test]
+    fn fault_hook_covers_dirty_ops_on_the_shard_ech_dirty_routes_to() {
+        let kv = KvStore::new(4);
+        let down = kv.shard_of("ech:dirty");
+        kv.dirty_push(entry(1, 2)).unwrap();
+        kv.set_fault_hook(Some(Arc::new(DownShard(down))));
+        // The log is dark exactly when that shard is...
+        let unavailable = KvError::Unavailable { shard: down };
+        assert_eq!(kv.dirty_push(entry(2, 2)), Err(unavailable));
+        assert_eq!(kv.dirty_range(0, 1), Err(unavailable));
+        assert_eq!(kv.dirty_pop_n(1), Err(unavailable));
+        assert_eq!(kv.dirty_len(), Err(unavailable));
+        // ...while the other shards serve headers and keys.
+        let elsewhere = (0..100)
+            .map(ObjectId)
+            .find(|&o| kv.header_shard_of(o) != down)
+            .unwrap();
+        kv.header_put(elsewhere, header(2, true)).unwrap();
+        assert_eq!(kv.header_get(elsewhere).unwrap(), Some(header(2, true)));
+        // A hook that darkens another shard leaves the log alone.
+        kv.set_fault_hook(Some(Arc::new(DownShard((down + 1) % 4))));
+        assert_eq!(kv.dirty_len().unwrap(), 1);
+        // The refused ops left no trace.
+        kv.set_fault_hook(None);
+        assert_eq!(kv.dirty_pop_n(10).unwrap(), vec![entry(1, 2)]);
     }
 
     #[test]

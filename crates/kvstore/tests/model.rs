@@ -1,10 +1,11 @@
 //! Model-based property test: the sharded store must behave exactly like
 //! a single flat map of Redis values, plus one ordered map of object
-//! headers, under any operation sequence — including a dump → JSON →
-//! restore into a different shard count in the middle of it.
+//! headers and one FIFO of dirty entries, under any operation sequence —
+//! including a dump → JSON → restore into a different shard count in the
+//! middle of it.
 
 use bytes::Bytes;
-use ech_core::dirty::ObjectHeader;
+use ech_core::dirty::{DirtyEntry, ObjectHeader};
 use ech_core::ids::{ObjectId, VersionId};
 use ech_kvstore::{KvError, KvStore, Snapshot};
 use proptest::prelude::*;
@@ -29,6 +30,10 @@ enum Op {
     HeaderGet(u8),
     HeaderLen,
     HeaderIds,
+    DirtyPush(u8, u8),
+    DirtyRange(usize, usize),
+    DirtyPopN(usize),
+    DirtyLen,
     /// Dump, round-trip through JSON, restore over this many shards.
     Reshard(usize),
 }
@@ -54,6 +59,13 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         (0u8..12).prop_map(Op::HeaderGet),
         Just(Op::HeaderLen),
         Just(Op::HeaderIds),
+        // Listed twice: pushes outnumber pops, so a reshard usually finds
+        // entries in the log.
+        (0u8..12, 0u8..5).prop_map(|(o, v)| Op::DirtyPush(o, v)),
+        (0u8..12, 0u8..5).prop_map(|(o, v)| Op::DirtyPush(o, v)),
+        (0usize..10, 0usize..6).prop_map(|(s, c)| Op::DirtyRange(s, c)),
+        (0usize..4).prop_map(Op::DirtyPopN),
+        Just(Op::DirtyLen),
         (1usize..9).prop_map(Op::Reshard),
     ]
 }
@@ -90,6 +102,7 @@ proptest! {
         let mut kv = KvStore::new(shards);
         let mut model: HashMap<String, Model> = HashMap::new();
         let mut headers: BTreeMap<ObjectId, ObjectHeader> = BTreeMap::new();
+        let mut dirty: VecDeque<DirtyEntry> = VecDeque::new();
 
         for op in ops {
             match op {
@@ -232,6 +245,22 @@ proptest! {
                     let ids: Vec<ObjectId> = headers.keys().copied().collect();
                     prop_assert_eq!(kv.header_ids().unwrap(), ids);
                 }
+                Op::DirtyPush(o, v) => {
+                    let e = DirtyEntry::new(oid(o), VersionId(u64::from(v)));
+                    dirty.push_back(e);
+                    prop_assert_eq!(kv.dirty_push(e), Ok(dirty.len()));
+                }
+                Op::DirtyRange(start, count) => {
+                    let want: Vec<DirtyEntry> =
+                        dirty.iter().skip(start).take(count).copied().collect();
+                    prop_assert_eq!(kv.dirty_range(start, count).unwrap(), want);
+                }
+                Op::DirtyPopN(count) => {
+                    let take = count.min(dirty.len());
+                    let want: Vec<DirtyEntry> = dirty.drain(..take).collect();
+                    prop_assert_eq!(kv.dirty_pop_n(count).unwrap(), want);
+                }
+                Op::DirtyLen => prop_assert_eq!(kv.dirty_len().unwrap(), dirty.len()),
                 Op::Reshard(n) => {
                     let snap = kv.dump();
                     let json = serde_json::to_string(&snap).unwrap();
@@ -244,8 +273,10 @@ proptest! {
             }
         }
 
-        // Final state: key count and header table agree.
+        // Final state: key count, dirty log and header table agree.
         prop_assert_eq!(kv.len(), model.len());
+        let logged: Vec<DirtyEntry> = dirty.iter().copied().collect();
+        prop_assert_eq!(kv.dirty_range(0, usize::MAX).unwrap(), logged);
         prop_assert_eq!(kv.header_len().unwrap(), headers.len());
         for (&id, &h) in &headers {
             prop_assert_eq!(kv.header_get(id).unwrap(), Some(h));

@@ -84,13 +84,12 @@ fn dirty_table_in_kvstore_matches_cluster_accounting() {
     let c = Cluster::new(ClusterConfig::paper());
     c.resize(6);
     write_range(&c, 0..120);
-    // The dirty table lives in the shared kv store under the documented
-    // key layout.
-    assert_eq!(c.kv().llen("ech:dirty").unwrap(), 120);
+    // The dirty table lives in the shared kv store, as its typed log.
+    assert_eq!(c.kv().dirty_len().unwrap(), 120);
     assert_eq!(c.dirty_len(), 120);
     c.resize(10);
     c.reintegrate_all();
-    assert_eq!(c.kv().llen("ech:dirty").unwrap(), 0);
+    assert_eq!(c.kv().dirty_len().unwrap(), 0);
 }
 
 #[test]
