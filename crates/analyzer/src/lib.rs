@@ -35,8 +35,9 @@
 //! - **D9 model/mutant pairing** — every entry in the model-checker's
 //!   scenario table (`mc_models.rs`) names its role-opposed `pair`
 //!   (correct protocol ↔ seeded mutant), the pairing resolves and
-//!   crosses roles, and every mutant is quoted elsewhere in the CLI
-//!   sources by the replay regression test pinning its counterexample.
+//!   crosses roles, and every mutant is quoted elsewhere in the checker
+//!   host's sources (`crates/check/src`) by the replay regression test
+//!   pinning its counterexample.
 //!
 //! Findings carry stable line-number-free keys; a checked-in baseline
 //! (`analyzer-baseline.txt`) records accepted debt and `--deny-new`

@@ -1781,8 +1781,12 @@ fn matching_paren(t: &[Token], open: usize) -> usize {
 
 // ---------------------------------------------------------------- D9
 
+/// The checker host's sources: a mutant's replay evidence must be
+/// quoted somewhere under here.
+const D9_SCOPE: &str = "crates/check/src/";
+
 /// The model-checker's scenario table: the one file D9 scans.
-const D9_MODELS: &str = "crates/cli/src/mc_models.rs";
+const D9_MODELS: &str = "crates/check/src/mc_models.rs";
 
 /// One `Model { .. }` literal lifted out of the table's raw text.
 struct D9Model {
@@ -1848,8 +1852,8 @@ fn d9_parse_models(text: &str) -> Vec<D9Model> {
 /// and a mutant points back at the protocol it corrupts. Pairings need
 /// not be unique — several models may share one mutant — but they must
 /// resolve, must not be reflexive, and must cross roles. Additionally,
-/// every mutant's name must be quoted somewhere else in the CLI
-/// sources: that quote is the replay regression test pinning the
+/// every mutant's name must be quoted somewhere else in the checker
+/// host's sources: that quote is the replay regression test pinning the
 /// mutant's counterexample (a mutant nothing references is a seeded
 /// bug nobody would notice going un-caught).
 fn d9_model_pairing(units: &[Unit], out: &mut Vec<Finding>) {
@@ -1919,7 +1923,7 @@ fn d9_model_pairing(units: &[Unit], out: &mut Vec<Finding>) {
             // identifiers.
             let referenced = units.iter().any(|u| {
                 u.path != D9_MODELS
-                    && u.path.starts_with("crates/cli/src/")
+                    && u.path.starts_with(D9_SCOPE)
                     && u.text.contains(m.name.as_str())
             });
             if !referenced {
@@ -1929,7 +1933,7 @@ fn d9_model_pairing(units: &[Unit], out: &mut Vec<Finding>) {
                     line: m.line,
                     key: format!("D9 {} {} unreferenced-mutant", mu.path, m.name),
                     message: format!(
-                        "mutant `{}` is quoted nowhere else in crates/cli/src — \
+                        "mutant `{}` is quoted nowhere else in {D9_SCOPE} — \
                          add the expected-caught replay regression test that pins \
                          its counterexample",
                         m.name

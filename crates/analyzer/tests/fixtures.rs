@@ -802,7 +802,7 @@ fn d8_accepts_threaded_and_minted_budgets_and_ignores_non_rpc_code() {
 fn d9_flags_missing_unknown_self_and_same_role_pairs_and_orphan_mutants() {
     let files = vec![
         file(
-            "crates/cli/src/mc_models.rs",
+            "crates/check/src/mc_models.rs",
             "pub static MODELS: &[Model] = &[\n\
              Model {\n name: \"good-protocol\",\n expect_failure: false,\n },\n\
              Model {\n name: \"orphan-bug\",\n expect_failure: true,\n pair: \"no-such-model\",\n },\n\
@@ -812,7 +812,7 @@ fn d9_flags_missing_unknown_self_and_same_role_pairs_and_orphan_mutants() {
         ),
         // Only two of the three mutants have replay-test evidence.
         file(
-            "crates/cli/src/commands.rs",
+            "crates/check/src/commands.rs",
             "fn t() { run(\"modelcheck --model orphan-bug\"); run(\"modelcheck --model navel-bug\"); }\n",
         ),
     ];
@@ -845,7 +845,7 @@ fn d9_accepts_resolved_cross_role_pairs_with_replay_evidence() {
     // mutant's own back-pointer picks one of them.
     let files = vec![
         file(
-            "crates/cli/src/mc_models.rs",
+            "crates/check/src/mc_models.rs",
             "pub struct Model {\n pub name: &'static str,\n pub pair: &'static str,\n }\n\
              pub static MODELS: &[Model] = &[\n\
              Model {\n name: \"good-protocol\",\n expect_failure: false,\n pair: \"good-bug\",\n },\n\
@@ -854,7 +854,7 @@ fn d9_accepts_resolved_cross_role_pairs_with_replay_evidence() {
              ];\n",
         ),
         file(
-            "crates/cli/src/commands.rs",
+            "crates/check/src/commands.rs",
             "fn t() { run(\"modelcheck --model good-bug --msg true\"); }\n",
         ),
     ];

@@ -87,6 +87,34 @@ fn suppressions_cover_real_reachable_findings() {
 }
 
 #[test]
+fn d9_reads_the_real_scenario_table() {
+    // Strip every `pair:` field from the real table and re-analyze: a
+    // missing-pair finding per scenario must surface. This proves D9
+    // still finds the table after it moves — a stale path would make
+    // the rule return early and check nothing, silently.
+    let root = workspace_root();
+    let mut files = collect_workspace_sources(&root).expect("workspace sources readable");
+    let table = files
+        .iter_mut()
+        .find(|f| f.path.ends_with("/mc_models.rs"))
+        .expect("the workspace has a scenario table");
+    let scenarios = table.text.matches(" pair: \"").count();
+    assert!(
+        scenarios > 20,
+        "expected the real table, got {scenarios} pairs"
+    );
+    table.text = table.text.replace(" pair: \"", " peer: \"");
+    let missing = analyze(&files)
+        .iter()
+        .filter(|f| f.rule == "D9" && f.key.contains(" missing-pair"))
+        .count();
+    assert_eq!(
+        missing, scenarios,
+        "stripping every `pair:` must resurface one D9 finding per scenario"
+    );
+}
+
+#[test]
 fn every_suppression_in_the_workspace_carries_a_reason() {
     let root = workspace_root();
     let files = collect_workspace_sources(&root).expect("workspace sources readable");

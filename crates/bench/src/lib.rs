@@ -1,4 +1,4 @@
-//! # ech-bench — experiment harnesses and micro-benchmarks
+//! # ech-bench — experiment harnesses
 //!
 //! One binary per table/figure of the paper's evaluation (run with
 //! `cargo run -p ech-bench --release --bin <name>`):
@@ -23,11 +23,12 @@
 //! | `ext_dynamic_primaries` | extension: SpringFS-style dynamic primary count |
 //! | `ext_closed_loop` | extension: controller + cluster end to end |
 //!
-//! Criterion micro-benches live under `benches/`.
+//! [`placement`] is the engine-scaling report behind `ech bench
+//! placement`. Performance of the live cluster is measured by the repo
+//! benchmark (`benchmark/`), not here.
 
 use std::fmt::Display;
 
-pub mod hotpath;
 pub mod placement;
 
 /// Print a header line for an experiment harness.

@@ -1,4 +1,4 @@
-//! `ech bench modelcheck`: measure what the partial-order reduction
+//! `ech-check bench modelcheck`: measure what the partial-order reduction
 //! buys at the declared per-model bounds.
 //!
 //! Every registered model runs twice per mode — reduction on and off —
@@ -56,7 +56,7 @@ pub struct McBenchReport {
 }
 
 impl McBenchReport {
-    /// The JSON report `ech bench modelcheck` prints.
+    /// The JSON report `ech-check bench modelcheck` prints.
     pub fn to_json(&self) -> String {
         serde_json::to_string_pretty(self).expect("report serializes")
     }

@@ -11,9 +11,10 @@ use std::collections::HashMap;
 pub struct Args {
     /// The first positional token.
     pub command: String,
-    /// Positional tokens after the subcommand (e.g. `hotpath` in
-    /// `ech bench hotpath`). Most commands take none and reject them via
-    /// [`Args::no_positionals`].
+    /// Positional tokens after the subcommand (e.g. `placement` in
+    /// `ech bench placement`). Most commands take none and reject them
+    /// via [`Args::no_positionals`]; a grouped command takes exactly one
+    /// via [`Args::one_of`].
     pub positionals: Vec<String>,
     /// `--key value` pairs.
     pub options: HashMap<String, String>,
@@ -36,7 +37,7 @@ pub fn parse<I: IntoIterator<Item = String>>(tokens: I) -> Result<Args, ParseErr
     let mut it = tokens.into_iter();
     let command = it
         .next()
-        .ok_or_else(|| ParseError("missing subcommand; try `ech help`".into()))?;
+        .ok_or_else(|| ParseError("missing subcommand; try `help`".into()))?;
     if command.starts_with("--") {
         return Err(ParseError(format!(
             "expected a subcommand before flags, found {command}"
@@ -91,6 +92,39 @@ impl Args {
         }
     }
 
+    /// The contents of the file a path-valued option names, if given.
+    pub fn read_file(&self, key: &str) -> Result<Option<String>, ParseError> {
+        let Some(path) = self.options.get(key) else {
+            return Ok(None);
+        };
+        std::fs::read_to_string(path)
+            .map(Some)
+            .map_err(|e| ParseError(format!("cannot read --{key} {path}: {e}")))
+    }
+
+    /// The single positional a grouped command takes (`bench <group>`),
+    /// which must be one of `choices`. A missing, extra or unknown name
+    /// fails with the list of choices.
+    pub fn one_of<'a>(&'a self, what: &str, choices: &[&str]) -> Result<&'a str, ParseError> {
+        let available = choices.join(", ");
+        match self.positionals.as_slice() {
+            [] => Err(ParseError(format!(
+                "`{}` needs a {what} (available: {available})",
+                self.command
+            ))),
+            [one] if choices.contains(&one.as_str()) => Ok(one),
+            [one] => Err(ParseError(format!(
+                "unknown `{}` {what} `{one}` (available: {available})",
+                self.command
+            ))),
+            more => Err(ParseError(format!(
+                "`{}` takes one {what}, got {}",
+                self.command,
+                more.len()
+            ))),
+        }
+    }
+
     /// Fail on options outside the allowed set (catches typos).
     pub fn allow_only(&self, allowed: &[&str]) -> Result<(), ParseError> {
         for key in self.options.keys() {
@@ -137,13 +171,22 @@ mod tests {
 
     #[test]
     fn positionals_are_collected_and_rejectable() {
-        let a = parse(toks("bench hotpath --smoke true")).unwrap();
+        let a = parse(toks("bench placement --smoke true")).unwrap();
         assert_eq!(a.command, "bench");
-        assert_eq!(a.positionals, vec!["hotpath".to_owned()]);
+        assert_eq!(a.positionals, vec!["placement".to_owned()]);
         assert!(a.no_positionals().is_err());
+        assert_eq!(a.one_of("group", &["placement"]).unwrap(), "placement");
+        let err = a.one_of("group", &["modelcheck"]).unwrap_err();
+        assert!(err.0.contains("available: modelcheck"), "{}", err.0);
+        assert!(parse(toks("bench a b"))
+            .unwrap()
+            .one_of("group", &["a"])
+            .is_err());
         let b = parse(toks("place --oid 1")).unwrap();
         assert!(b.positionals.is_empty());
         assert!(b.no_positionals().is_ok());
+        let err = b.one_of("group", &["placement"]).unwrap_err();
+        assert!(err.0.contains("available: placement"), "{}", err.0);
     }
 
     #[test]

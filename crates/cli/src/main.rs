@@ -1,32 +1,9 @@
 //! `ech` — command-line interface to the elastic consistent hashing
 //! toolkit. See `ech help` for usage.
 
-mod args;
-mod bench_mc;
+mod chaos;
 mod commands;
-mod mc_models;
-#[cfg(test)]
-mod reduction_soundness;
 
-use std::process::ExitCode;
-
-fn main() -> ExitCode {
-    let tokens: Vec<String> = std::env::args().skip(1).collect();
-    let parsed = match args::parse(tokens) {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    match commands::run(&parsed) {
-        Ok(output) => {
-            print!("{output}");
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("error: {e}");
-            ExitCode::FAILURE
-        }
-    }
+fn main() -> std::process::ExitCode {
+    ech_cli::main_with(commands::run)
 }
