@@ -487,7 +487,9 @@ impl Cluster {
     /// re-integration is correct by construction.
     pub fn restart(&self) -> Arc<Cluster> {
         let view = self.view.load();
-        let kv = Arc::new(KvStore::restore(self.kv.dump(), self.cfg.kv_shards));
+        let kv = KvStore::restore(self.kv.dump(), self.cfg.kv_shards)
+            .expect("a live store's own dump holds only headers it packed");
+        let kv = Arc::new(kv);
         if let Some(inj) = &self.fault {
             kv.set_fault_hook(Some(inj.clone() as Arc<dyn ShardFaultHook>));
         }

@@ -11,7 +11,7 @@ use crate::sync::{
     counter_u64, footprint, footprint_read, footprint_write, AtomicBool, AtomicU64, Ordering,
 };
 use bytes::Bytes;
-use ech_core::dirty::ObjectHeader;
+use ech_core::dirty::{ObjectHeader, PackedHeader};
 use ech_core::hash::IdMap;
 use ech_core::ids::{ObjectId, ServerId, VersionId};
 use parking_lot::RwLock;
@@ -27,6 +27,16 @@ pub struct StoredObject {
     /// Version/dirty header.
     pub header: ObjectHeader,
 }
+
+/// A replica as the node's map holds it: a [`StoredObject`] in two words,
+/// so a map bucket with its key is 24 bytes.
+#[derive(Debug)]
+struct Replica {
+    data: Bytes,
+    header: PackedHeader,
+}
+
+const _: () = assert!(std::mem::size_of::<(ObjectId, Replica)>() == 24);
 
 /// Errors from node-level operations.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -97,7 +107,7 @@ pub struct StorageNode {
     powered: AtomicBool,
     /// Keyed by program-made ids, so no SipHash; [`IdMap`]'s hash is
     /// independent of the ring position that chose this node.
-    objects: RwLock<IdMap<ObjectId, StoredObject>>,
+    objects: RwLock<IdMap<ObjectId, Replica>>,
     /// Written only under `objects`' write lock.
     bytes_stored: AtomicU64,
     reads: AtomicU64,
@@ -199,9 +209,9 @@ impl StorageNode {
             return Err(NodeError::PoweredOff);
         }
         footprint_write(self.foot_key());
-        let obj = StoredObject {
+        let obj = Replica {
             data,
-            header: ObjectHeader { version, dirty },
+            header: ObjectHeader { version, dirty }.into(),
         };
         let mut map = self.objects.write();
         // One probe: the entry is both the old length's source and the
@@ -237,7 +247,10 @@ impl StorageNode {
         self.objects
             .read()
             .get(&oid)
-            .cloned()
+            .map(|held| StoredObject {
+                data: held.data.clone(),
+                header: held.header.unpack(),
+            })
             .ok_or(NodeError::NotFound)
     }
 
@@ -264,8 +277,8 @@ impl StorageNode {
         footprint_write(self.foot_key());
         let mut map = self.objects.write();
         match map.get_mut(&oid) {
-            Some(obj) if obj.header.version <= version => {
-                obj.header = ObjectHeader { version, dirty };
+            Some(obj) if obj.header.unpack().version <= version => {
+                obj.header = ObjectHeader { version, dirty }.into();
                 true
             }
             _ => false,

@@ -71,6 +71,8 @@ impl Classify for KvError {
             KvError::Unavailable { .. } => ErrorClass::Retryable,
             KvError::WrongType { .. } => ErrorClass::Permanent,
             KvError::NotAnInteger => ErrorClass::Permanent,
+            // A snapshot that does not fit stays that way on a retry.
+            KvError::VersionOutOfRange { .. } => ErrorClass::Permanent,
         }
     }
 }
@@ -355,6 +357,7 @@ mod tests {
 
     #[test]
     fn every_data_path_error_is_classified() {
+        use ech_core::ids::{ObjectId, VersionId};
         use ech_core::placement::PlacementError;
         use ech_kvstore::KvError;
         assert_eq!(NodeError::Io.class(), ErrorClass::Retryable);
@@ -388,6 +391,14 @@ mod tests {
             ErrorClass::Retryable
         );
         assert_eq!(KvError::NotAnInteger.class(), ErrorClass::Permanent);
+        assert_eq!(
+            KvError::VersionOutOfRange {
+                oid: ObjectId(1),
+                version: VersionId(1 << 63)
+            }
+            .class(),
+            ErrorClass::Permanent
+        );
         assert_eq!(ClusterError::Unavailable.class(), ErrorClass::Retryable);
         assert_eq!(
             ClusterError::QuorumNotReached {

@@ -153,6 +153,55 @@ pub struct ObjectHeader {
     pub dirty: bool,
 }
 
+/// An [`ObjectHeader`] in one word, `version << 1 | dirty`: the form the
+/// node stores and the header table keep, where a 16-byte header per
+/// replica and per table entry would be mostly padding.
+///
+/// This type is the only place the format lives. Versions come from
+/// [`crate::membership::MembershipHistory`], one per recorded table
+/// starting at 1, so the data path never reaches `2^63`; input from
+/// outside the program (a snapshot) goes through
+/// [`PackedHeader::checked`] instead of `From`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PackedHeader(u64);
+
+const _: () = assert!(std::mem::size_of::<PackedHeader>() == 8);
+
+impl PackedHeader {
+    /// The largest version a packed header holds, `2^63 − 1`.
+    pub const MAX_VERSION: VersionId = VersionId(u64::MAX >> 1);
+
+    /// `header` packed, or `None` when its version exceeds
+    /// [`MAX_VERSION`](Self::MAX_VERSION).
+    pub fn checked(header: ObjectHeader) -> Option<Self> {
+        (header.version <= Self::MAX_VERSION).then_some(PackedHeader(
+            header.version.0 << 1 | u64::from(header.dirty),
+        ))
+    }
+
+    /// The header this word holds.
+    pub fn unpack(self) -> ObjectHeader {
+        ObjectHeader {
+            version: VersionId(self.0 >> 1),
+            dirty: self.0 & 1 == 1,
+        }
+    }
+}
+
+impl From<ObjectHeader> for PackedHeader {
+    /// # Panics
+    ///
+    /// When the version exceeds [`PackedHeader::MAX_VERSION`], which no
+    /// membership history issues: a bug, not an input.
+    fn from(header: ObjectHeader) -> Self {
+        // ech-allow(D2): every put and restamp packs a header, but only
+        // with a version its membership history issued; a version at
+        // `2^63` is a broken invariant that must fail loudly, not be
+        // truncated into another version.
+        PackedHeader::checked(header).expect("membership versions stay below 2^63")
+    }
+}
+
 /// Source of object headers for staleness checks during re-integration.
 pub trait HeaderSource {
     /// The object's current header, if the object exists.
@@ -292,5 +341,32 @@ mod tests {
     #[test]
     fn no_headers_reports_nothing() {
         assert!(NoHeaders.header(ObjectId(1)).is_none());
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn packed_header_round_trips(version in 0u64..1 << 63, dirty in 0u8..2) {
+            let header = ObjectHeader { version: VersionId(version), dirty: dirty == 1 };
+            proptest::prop_assert_eq!(PackedHeader::from(header).unpack(), header);
+        }
+    }
+
+    #[test]
+    fn packed_header_holds_versions_below_two_to_the_63() {
+        for dirty in [false, true] {
+            let top = ObjectHeader {
+                version: PackedHeader::MAX_VERSION,
+                dirty,
+            };
+            assert_eq!(top.version, VersionId((1 << 63) - 1));
+            assert_eq!(PackedHeader::from(top).unpack(), top);
+            let over = ObjectHeader {
+                version: VersionId(1 << 63),
+                dirty,
+            };
+            assert_eq!(PackedHeader::checked(over), None);
+        }
     }
 }

@@ -1,5 +1,6 @@
 //! Error type for key-value operations.
 
+use ech_core::ids::{ObjectId, VersionId};
 use std::fmt;
 
 /// Failure of a key-value operation.
@@ -21,6 +22,16 @@ pub enum KvError {
         /// Index of the unavailable shard.
         shard: usize,
     },
+    /// A snapshot handed to [`crate::KvStore::restore`] holds a header
+    /// whose version does not fit a packed header
+    /// ([`ech_core::dirty::PackedHeader::MAX_VERSION`]). The snapshot is
+    /// refused whole: no version is truncated.
+    VersionOutOfRange {
+        /// The object the header belongs to.
+        oid: ObjectId,
+        /// Its out-of-range version.
+        version: VersionId,
+    },
 }
 
 impl fmt::Display for KvError {
@@ -35,6 +46,10 @@ impl fmt::Display for KvError {
             KvError::Unavailable { shard } => {
                 write!(f, "shard {shard} is temporarily unavailable")
             }
+            KvError::VersionOutOfRange { oid, version } => write!(
+                f,
+                "header of {oid} names {version}, beyond the largest version a header holds"
+            ),
         }
     }
 }

@@ -11,10 +11,10 @@
 //! Object headers (§III-E2: the last-written version plus the dirty bit)
 //! are the one record family every put and get touches, so they do not
 //! go through the string key space: each shard also holds a typed
-//! `ObjectId → ObjectHeader` table, and a header routes to its shard by
-//! a hash of the object id alone — no key string, no ring walk, no
-//! allocation — which spreads header storage and lookup load evenly over
-//! the shards.
+//! `ObjectId → PackedHeader` table (16 bytes a bucket), and a header
+//! routes to its shard by a hash of the object id alone — no key string,
+//! no ring walk, no allocation — which spreads header storage and lookup
+//! load evenly over the shards.
 //!
 //! The dirty table (§III-E2, kept in a Redis LIST in §IV) is the other
 //! record family on the write path: every write made below full power
@@ -26,7 +26,7 @@
 use crate::error::{KvError, KvResult};
 use crate::value::Value;
 use bytes::Bytes;
-use ech_core::dirty::{DirtyEntry, ObjectHeader};
+use ech_core::dirty::{DirtyEntry, ObjectHeader, PackedHeader};
 use ech_core::hash::IdMap;
 use ech_core::ids::{ObjectId, ServerId};
 use ech_core::ring::HashRing;
@@ -46,8 +46,10 @@ struct Shard {
     /// Keyed by program-made ids, so no SipHash. [`IdMap`]'s hash is
     /// independent of [`KvStore::header_shard_of`]'s routing hash, which
     /// it must be: see [`ech_core::hash::IdHasher`].
-    headers: RwLock<IdMap<ObjectId, ObjectHeader>>,
+    headers: RwLock<IdMap<ObjectId, PackedHeader>>,
 }
+
+const _: () = assert!(std::mem::size_of::<(ObjectId, PackedHeader)>() == 16);
 
 /// Availability oracle consulted before every fallible shard operation.
 ///
@@ -246,7 +248,13 @@ impl KvStore {
         }
         let mut headers = Vec::new();
         for shard in &self.shards {
-            headers.extend(shard.headers.read().iter().map(|(&oid, &h)| (oid, h)));
+            headers.extend(
+                shard
+                    .headers
+                    .read()
+                    .iter()
+                    .map(|(&oid, &h)| (oid, h.unpack())),
+            );
         }
         // Deterministic output regardless of shard and map iteration order.
         entries.sort_by(|a, b| a.0.cmp(&b.0));
@@ -262,20 +270,29 @@ impl KvStore {
     /// Rebuild a store from a snapshot, re-sharding keys and headers over
     /// `shards` shards (the shard count may differ from the dumping
     /// store's). The dirty log keeps its FIFO order.
-    pub fn restore(snapshot: Snapshot, shards: usize) -> Self {
+    ///
+    /// A snapshot is input from outside the store, so its headers are
+    /// checked here: one whose version exceeds
+    /// [`PackedHeader::MAX_VERSION`] refuses the whole snapshot with
+    /// [`KvError::VersionOutOfRange`].
+    pub fn restore(snapshot: Snapshot, shards: usize) -> KvResult<Self> {
         let store = KvStore::new(shards);
         *store.dirty.write() = snapshot.dirty.into();
         for (k, v) in snapshot.entries {
             store.shard(&k).map.write().insert(k, v);
         }
         for (oid, header) in snapshot.headers {
+            let packed = PackedHeader::checked(header).ok_or(KvError::VersionOutOfRange {
+                oid,
+                version: header.version,
+            })?;
             store
                 .shard_at(store.header_shard_of(oid))
                 .headers
                 .write()
-                .insert(oid, header);
+                .insert(oid, packed);
         }
-        store
+        Ok(store)
     }
 
     // ----- generic key operations -------------------------------------
@@ -522,7 +539,7 @@ impl KvStore {
         self.checked_shard_at(self.header_shard_of(oid))?
             .headers
             .write()
-            .insert(oid, header);
+            .insert(oid, header.into());
         Ok(())
     }
 
@@ -533,7 +550,7 @@ impl KvStore {
             .headers
             .read()
             .get(&oid)
-            .copied())
+            .map(|h| h.unpack()))
     }
 
     /// Number of stored headers. Visits every shard, so it fails while
@@ -745,7 +762,7 @@ mod tests {
         assert_eq!(snap.len(), 3);
 
         // Restore with a different shard count: contents identical.
-        let restored = KvStore::restore(snap.clone(), 9);
+        let restored = KvStore::restore(snap.clone(), 9).unwrap();
         assert_eq!(restored.len(), 3);
         assert_eq!(
             restored.get("s").unwrap().unwrap(),
@@ -770,7 +787,7 @@ mod tests {
         kv.rpush("dirty", "10010:9").unwrap();
         let json = serde_json::to_string(&kv.dump()).unwrap();
         let back: Snapshot = serde_json::from_str(&json).unwrap();
-        let restored = KvStore::restore(back, 2);
+        let restored = KvStore::restore(back, 2).unwrap();
         assert_eq!(
             restored.lpop("dirty").unwrap().unwrap(),
             Bytes::from("10010:9")
@@ -782,7 +799,7 @@ mod tests {
         let kv = KvStore::new(3);
         let snap = kv.dump();
         assert!(snap.is_empty());
-        let restored = KvStore::restore(snap, 1);
+        let restored = KvStore::restore(snap, 1).unwrap();
         assert!(restored.is_empty());
     }
 
@@ -879,15 +896,45 @@ mod tests {
         assert!(snap.headers.windows(2).all(|w| w[0].0 < w[1].0));
 
         let json = serde_json::to_string(&snap).unwrap();
+        // Packing is the table's business: the snapshot speaks headers.
+        assert!(json.contains(r#"{"version":3,"dirty":false}"#), "{json}");
         let back: Snapshot = serde_json::from_str(&json).unwrap();
         assert_eq!(back, snap);
         for shards in [1, 3, 9] {
-            let restored = KvStore::restore(back.clone(), shards);
+            let restored = KvStore::restore(back.clone(), shards).unwrap();
             assert_eq!(restored.dump(), snap, "{shards} shards");
             assert_eq!(restored.header_len().unwrap(), 500);
             assert_eq!(
                 restored.header_get(ObjectId(3 * 7919)).unwrap(),
                 Some(header(3, false))
+            );
+        }
+    }
+
+    #[test]
+    fn restore_refuses_a_header_version_a_packed_header_cannot_hold() {
+        let top = PackedHeader::MAX_VERSION.0;
+        let snapshot = |version| Snapshot {
+            entries: vec![("s".to_string(), Value::Str(Bytes::from("v")))],
+            headers: vec![(ObjectId(1), header(3, false)), (ObjectId(2), version)],
+            dirty: vec![entry(1, 3)],
+        };
+        for dirty in [false, true] {
+            let fits = snapshot(header(top, dirty));
+            let restored = KvStore::restore(fits.clone(), 3).unwrap();
+            assert_eq!(
+                restored.header_get(ObjectId(2)).unwrap(),
+                Some(header(top, dirty))
+            );
+            assert_eq!(restored.dump(), fits);
+
+            let over = header(top + 1, dirty);
+            assert_eq!(
+                KvStore::restore(snapshot(over), 3).err(),
+                Some(KvError::VersionOutOfRange {
+                    oid: ObjectId(2),
+                    version: over.version
+                })
             );
         }
     }
@@ -940,7 +987,10 @@ mod tests {
         let snap = kv.dump();
         assert!(!snap.is_empty());
         assert_eq!(snap.dirty, entries);
-        assert_eq!(KvStore::restore(snap, 9).dirty_pop_n(10).unwrap(), entries);
+        assert_eq!(
+            KvStore::restore(snap, 9).unwrap().dirty_pop_n(10).unwrap(),
+            entries
+        );
     }
 
     #[test]

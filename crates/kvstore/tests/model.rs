@@ -266,7 +266,7 @@ proptest! {
                     let json = serde_json::to_string(&snap).unwrap();
                     let back: Snapshot = serde_json::from_str(&json).unwrap();
                     prop_assert_eq!(&back, &snap);
-                    kv = KvStore::restore(back, n);
+                    kv = KvStore::restore(back, n).unwrap();
                     prop_assert_eq!(kv.shard_count(), n);
                     prop_assert_eq!(kv.dump(), snap);
                 }
