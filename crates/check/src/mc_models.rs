@@ -991,11 +991,11 @@ fn engine_swap_vs_read(env: &mut Env, _: Option<Mutation>) {
     });
 }
 
-/// A batched re-integration drain (the chunked LRANGE + batched LPOP
-/// planner path) racing an independent client write: the drain pops two
-/// dirty entries in one engine call while a put lands on a *third*
-/// object. No interleaving may lose a dirty entry, cross-contaminate
-/// payloads, or leave the table dirty after a full drain at full power.
+/// One `reintegrate_batch(2)` call — two plan-then-execute rounds of the
+/// one drain loop, each planning under the engine lock — racing an
+/// independent client write to a *third* object. No interleaving may
+/// lose a dirty entry, cross-contaminate payloads, or leave the table
+/// dirty after a full drain at full power.
 fn batched_drain_vs_put(env: &mut Env, _: Option<Mutation>) {
     let c = tiny_cluster();
     c.resize(2);

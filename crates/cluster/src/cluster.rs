@@ -36,7 +36,7 @@ use ech_core::reintegration::{Idle, MigrationTask, Reintegrator};
 use ech_core::stats::{CacheSnapshot, PathCounters, PathSnapshot};
 use ech_core::view::ClusterView;
 use ech_kvstore::{KvStore, ShardFaultHook};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use std::time::Duration;
 
 /// Cluster construction parameters.
@@ -69,8 +69,8 @@ pub struct ClusterConfig {
     pub cache_capacity: usize,
     /// Inert, like [`ClusterConfig::cache_capacity`].
     pub cache_shards: usize,
-    /// Tasks one re-integration drain batch plans before executing them
-    /// (executed in parallel when no fault plan is installed).
+    /// Tasks one [`Cluster::reintegrate_batch`] call plans and executes
+    /// when `reintegrate_all` or the background worker drains.
     pub reintegration_batch: usize,
     /// Migration throttle in payload bytes per second; `None` leaves
     /// re-integration unthrottled. Must be positive when set.
@@ -288,18 +288,6 @@ pub enum ReadPolicy {
     },
 }
 
-/// How many threads the host runs at once, asked once per process: on
-/// Linux the query is a `sched_getaffinity` call plus opening and parsing
-/// cgroup files, and the drain would otherwise pay it per batch.
-fn hardware_threads() -> usize {
-    static THREADS: OnceLock<usize> = OnceLock::new();
-    *THREADS.get_or_init(|| {
-        std::thread::available_parallelism()
-            .map(std::num::NonZero::get)
-            .unwrap_or(1)
-    })
-}
-
 /// The elastic object-store cluster.
 pub struct Cluster {
     cfg: ClusterConfig,
@@ -378,10 +366,7 @@ impl Cluster {
             Strategy::Original => Layout::uniform(cfg.servers, cfg.layout_base),
         };
         let view = ClusterView::with_engine(layout, cfg.strategy, cfg.replicas, cfg.placement);
-        let kv = Arc::new(KvStore::new(cfg.kv_shards));
-        if let Some(inj) = &fault {
-            kv.set_fault_hook(Some(inj.clone() as Arc<dyn ShardFaultHook>));
-        }
+        let kv = KvStore::new(cfg.kv_shards);
         let nodes = (0..cfg.servers)
             .map(|i| {
                 let id = ServerId(i as u32);
@@ -401,26 +386,57 @@ impl Cluster {
             .as_ref()
             .and_then(|inj| inj.plan().net.clone())
             .map(|plan| Arc::new(NetFabric::new(cfg.servers, plan, clock.clone())));
-        let breakers = cfg.breaker.map(|b| ReplicaBreakers::new(cfg.servers, b));
+        let recorder = Recorder::attach();
+        Self::assemble(cfg, fault, clock, nodes, Arc::new(view), kv, net, recorder)
+    }
+
+    /// Assemble a coordinator around the parts a fresh build and a
+    /// restart obtain differently. Everything else is the coordinator's
+    /// own and starts fresh: the re-integration engine, breakers, path
+    /// counters, migration throttle and (unmutated) decision points.
+    /// The fault plan is installed as `kv`'s shard-fault hook.
+    #[allow(clippy::too_many_arguments)] // one argument per differing part
+    fn assemble(
+        cfg: ClusterConfig,
+        fault: Option<Arc<FaultInjector>>,
+        clock: Arc<dyn Clock>,
+        nodes: Vec<Arc<StorageNode>>,
+        view: Arc<ClusterView>,
+        kv: KvStore,
+        net: Option<Arc<NetFabric>>,
+        recorder: Recorder,
+    ) -> Arc<Self> {
+        let kv = Arc::new(kv);
+        if let Some(inj) = &fault {
+            kv.set_fault_hook(Some(inj.clone() as Arc<dyn ShardFaultHook>));
+        }
+        // The throttle's burst is one second of budget, so a drain never
+        // outruns the rate by more than a second's worth of bytes.
+        let migration_limiter = cfg.migration_rate.map(|rate| {
+            Mutex::new(MigrationThrottle {
+                bucket: TokenBucket::new(rate, rate),
+                last_refill: clock.now(),
+            })
+        });
         Arc::new(Cluster {
             nodes,
-            view: ArcSwap::from_pointee(view),
+            view: ArcSwap::new(view),
             view_write: Mutex::new(()),
             dirty: KvDirtyTable::with_clock(kv.clone(), clock.clone()),
             headers: KvHeaderStore::with_clock(kv.clone(), clock.clone()),
             engine: Mutex::new(Reintegrator::new()),
-            migration_limiter: Self::migration_limiter(&cfg, &clock),
+            migration_limiter,
             stop_worker: AtomicBool::new(false),
             migrated_bytes: counter_u64(0),
             read_rr: counter_u64(0),
             kv,
             fault,
             net,
-            breakers,
+            breakers: cfg.breaker.map(|b| ReplicaBreakers::new(cfg.servers, b)),
             cfg,
             clock,
             counters: PathCounters::default(),
-            recorder: Recorder::attach(),
+            recorder,
             mutation: Installed::default(),
         })
     }
@@ -432,21 +448,6 @@ impl Cluster {
     #[cfg(feature = "modelcheck")]
     pub fn install_mutation(&self, m: Mutation) {
         self.mutation.install(m);
-    }
-
-    /// Build the optional migration throttle from the configured rate.
-    /// The burst is one second of budget, so a drain never outruns the
-    /// rate by more than a second's worth of bytes.
-    fn migration_limiter(
-        cfg: &ClusterConfig,
-        clock: &Arc<dyn Clock>,
-    ) -> Option<Mutex<MigrationThrottle>> {
-        cfg.migration_rate.map(|rate| {
-            Mutex::new(MigrationThrottle {
-                bucket: TokenBucket::new(rate, rate),
-                last_refill: clock.now(),
-            })
-        })
     }
 
     /// The configuration.
@@ -485,42 +486,25 @@ impl Cluster {
     /// re-integration engine starts fresh — which is exactly Algorithm
     /// 2's own rule (a new scan restarts from the table head), so resumed
     /// re-integration is correct by construction.
+    ///
+    /// The fabric (and its message counters) survives the restart: the
+    /// network does not reset because the coordinator did. Breaker state
+    /// is process-local health tracking and starts fresh, like the
+    /// re-integration engine.
     pub fn restart(&self) -> Arc<Cluster> {
         let view = self.view.load();
         let kv = KvStore::restore(self.kv.dump(), self.cfg.kv_shards)
             .expect("a live store's own dump holds only headers it packed");
-        let kv = Arc::new(kv);
-        if let Some(inj) = &self.fault {
-            kv.set_fault_hook(Some(inj.clone() as Arc<dyn ShardFaultHook>));
-        }
-        Arc::new(Cluster {
-            cfg: self.cfg.clone(),
-            nodes: self.nodes.clone(),
-            view: ArcSwap::new(view),
-            view_write: Mutex::new(()),
-            dirty: KvDirtyTable::with_clock(kv.clone(), self.clock.clone()),
-            headers: KvHeaderStore::with_clock(kv.clone(), self.clock.clone()),
-            engine: Mutex::new(Reintegrator::new()),
-            migration_limiter: Self::migration_limiter(&self.cfg, &self.clock),
-            stop_worker: AtomicBool::new(false),
-            migrated_bytes: counter_u64(0),
-            read_rr: counter_u64(0),
-            fault: self.fault.clone(),
-            // The fabric (and its message counters) survives the restart:
-            // the network does not reset because the coordinator did.
-            // Breaker state is process-local health tracking and starts
-            // fresh, like the re-integration engine.
-            net: self.net.clone(),
-            breakers: self
-                .cfg
-                .breaker
-                .map(|b| ReplicaBreakers::new(self.cfg.servers, b)),
-            clock: self.clock.clone(),
-            counters: PathCounters::default(),
-            recorder: self.recorder.clone(),
-            mutation: Installed::default(),
+        Self::assemble(
+            self.cfg.clone(),
+            self.fault.clone(),
+            self.clock.clone(),
+            self.nodes.clone(),
+            view,
             kv,
-        })
+            self.net.clone(),
+            self.recorder.clone(),
+        )
     }
 
     /// Clone-mutate-publish a new cluster view. `f` runs on a private
@@ -1230,20 +1214,15 @@ impl Cluster {
         engine.next_task(&view, &mut dirty, &self.headers)
     }
 
-    /// Drain up to `max_tasks` re-integration tasks in one call.
+    /// Drain up to `max_tasks` (at least one) re-integration tasks on
+    /// the calling thread, planning and executing them task by task.
+    /// Returns the idle reason only when not even the first task could
+    /// be planned.
     ///
-    /// With no fault plan installed the batch is planned first (the scan
-    /// is inherently serial) and the replica moves then execute on
-    /// parallel threads, one per task. Under fault injection — or with a
-    /// batch of one — planning and execution interleave task by task,
-    /// which keeps deterministic drills (`ech chaos`) byte-identical to
-    /// the sequential engine.
-    ///
-    /// Batch planning consumes dirty entries before any byte moves;
-    /// duplicate entries for one object collapse into a single task
-    /// inside [`Reintegrator::next_tasks`]. The interleaved engine
-    /// behaves identically: after the first task's header restamp the
-    /// later entries no longer qualify and pop without planning work.
+    /// Interleaving is what makes duplicate dirty entries cheap: once
+    /// the first task for an object has restamped its header, the
+    /// object's later entries no longer qualify and pop without planning
+    /// work.
     pub fn reintegrate_batch(&self, max_tasks: usize) -> Result<ReintegrationStats, Idle> {
         let span = self.recorder.inv_reintegrate(&*self.clock);
         let result = self.reintegrate_batch_body(max_tasks);
@@ -1252,68 +1231,13 @@ impl Cluster {
     }
 
     fn reintegrate_batch_body(&self, max_tasks: usize) -> Result<ReintegrationStats, Idle> {
-        let max_tasks = max_tasks.max(1);
-        let workers_cap = hardware_threads();
-        // Adaptive cutover: the pooled path pays for batch planning,
-        // per-task stat slots and real thread spawns, which only ever
-        // amortises with both hardware parallelism and a batch worth
-        // sharing. Small batches — and any machine the scheduler caps at
-        // one thread — drain faster through the sequential engine.
-        if self.fault.is_some() || max_tasks < 4 || workers_cap <= 1 {
-            let mut total = ReintegrationStats::default();
-            for planned in 0..max_tasks {
-                match self.plan_task() {
-                    Ok(task) => total.absorb(self.execute_task(&task)),
-                    Err(idle) if planned == 0 => return Err(idle),
-                    Err(_) => break,
-                }
-            }
-            return Ok(total);
-        }
-        // Plan the whole batch in one engine call: `next_tasks` reads
-        // the table in chunked LRANGEs and drains consumed entries with
-        // one batched LPOP per chunk, instead of a table round-trip per
-        // entry as the task-at-a-time loop above pays.
-        let tasks: Vec<MigrationTask> = {
-            let view = self.view.load();
-            let mut engine = self.engine.lock();
-            let mut dirty = self.dirty.clone();
-            engine.next_tasks(&view, &mut dirty, &self.headers, max_tasks)?
-        };
-        if tasks.is_empty() {
-            return Err(Idle::NothingQualifies);
-        }
-        // One worker thread per hardware thread, not per task: each
-        // worker takes a strided share of the batch, so a small machine
-        // does not drown the drain in thread-spawn overhead.
-        let workers = workers_cap.min(tasks.len());
         let mut total = ReintegrationStats::default();
-        if workers <= 1 {
-            for task in &tasks {
-                total.absorb(self.execute_task(task));
+        for planned in 0..max_tasks.max(1) {
+            match self.plan_task() {
+                Ok(task) => total.absorb(self.execute_task(&task)),
+                Err(idle) if planned == 0 => return Err(idle),
+                Err(_) => break,
             }
-            return Ok(total);
-        }
-        let slots: Vec<Mutex<ReintegrationStats>> = tasks
-            .iter()
-            .map(|_| Mutex::new(ReintegrationStats::default()))
-            .collect();
-        rayon::scope(|s| {
-            for w in 0..workers {
-                let tasks = &tasks;
-                let slots = &slots;
-                s.spawn(move || {
-                    for (i, (task, slot)) in tasks.iter().zip(slots).enumerate() {
-                        if i % workers == w {
-                            let stats = self.execute_task(task);
-                            *slot.lock() = stats;
-                        }
-                    }
-                });
-            }
-        });
-        for slot in &slots {
-            total.absorb(*slot.lock());
         }
         Ok(total)
     }
@@ -1501,8 +1425,9 @@ impl Cluster {
                 }
                 Duration::from_secs_f64(remaining / t.bucket.rate())
             };
-            // Guard dropped before sleeping: parallel executors refill
-            // and drain the bucket independently.
+            // Guard dropped before sleeping: the background worker and
+            // `reintegrate_all` share the bucket, and neither may hold it
+            // while the other refills and drains.
             self.clock
                 .sleep(wait.clamp(Duration::from_micros(100), Duration::from_millis(50)));
         }
@@ -1968,6 +1893,35 @@ mod tests {
     }
 
     #[test]
+    fn reintegrate_batch_plans_each_object_once() {
+        let c = cluster();
+        let partial = c.resize(6);
+        let view = c.view_snapshot();
+        let oid = (0..10_000u64)
+            .map(ObjectId)
+            .find(|&o| view.place_at(o, partial) != view.place_at(o, VersionId(1)))
+            .expect("some object is offloaded at six servers");
+        // The same object logged three times in one version window.
+        for round in 0..3u64 {
+            c.put(oid, payload(round)).unwrap();
+        }
+        assert_eq!(c.dirty_len(), 3);
+        let full = c.resize(10);
+        let view = c.view_snapshot();
+        let diff = ech_core::reintegration::placement_moves(
+            &view.place_at(oid, partial).unwrap(),
+            &view.place_at(oid, full).unwrap(),
+        );
+        // The first entry's task restamps the header at `full`, so the
+        // two duplicates no longer qualify and pop without planning work.
+        let stats = c.reintegrate_batch(8).unwrap();
+        assert_eq!(stats.tasks, 1);
+        assert_eq!(stats.moves, diff.len());
+        assert_eq!(c.dirty_len(), 0);
+        assert_eq!(c.get(oid).unwrap(), payload(2));
+    }
+
+    #[test]
     fn original_strategy_cluster_works_too() {
         let mut cfg = ClusterConfig::paper();
         cfg.strategy = Strategy::Original;
@@ -1991,18 +1945,17 @@ mod tests {
         c.resize(10);
         let worker = c.start_background_worker(std::time::Duration::from_millis(1));
         // Writers race with the background re-integration.
-        crossbeam::scope(|s| {
+        std::thread::scope(|s| {
             for t in 0..4u64 {
                 let c = &c;
-                s.spawn(move |_| {
+                s.spawn(move || {
                     for i in 0..200u64 {
                         let oid = ObjectId(1000 + t * 1000 + i);
                         c.put(oid, payload(oid.raw())).unwrap();
                     }
                 });
             }
-        })
-        .unwrap();
+        });
         // Wait for the table to drain.
         let mut spins = 0;
         while c.dirty_len() > 0 && spins < 5000 {

@@ -54,8 +54,8 @@ pub trait DirtyTable {
     ///
     /// The default delegates to [`get`](DirtyTable::get); backends with
     /// per-call overhead (locks, RPCs) should override with one batched
-    /// read, which is what lets the re-integration planner amortize
-    /// table access across a whole batch.
+    /// read, which is what lets the cluster's heal scan read its whole
+    /// backlog in one table access.
     fn get_range(&self, start: usize, count: usize) -> Vec<DirtyEntry> {
         (start..start.saturating_add(count))
             .map_while(|i| self.get(i))

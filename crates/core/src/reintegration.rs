@@ -19,16 +19,10 @@
 //! The engine is a pull-based planner: each call to
 //! [`Reintegrator::next_task`] yields one migration. Callers (the live
 //! cluster, the simulator) execute the byte movement and apply their own
-//! rate limit ([`crate::ratelimit::TokenBucket`]).
-//!
-//! [`Reintegrator::next_tasks`] is the batched form: it plans up to `k`
-//! migrations per call while touching the dirty table only
-//! O(k / chunk) times ([`DirtyTable::get_range`] peeks, one
-//! [`DirtyTable::pop_front_n`] per chunk consumes), instead of one
-//! locked table operation per entry. Against the kv-backed table that
-//! amortizes a shard lock round per entry down to one per chunk. Its
-//! observable effect on the table is identical to calling `next_task`
-//! in a loop.
+//! rate limit ([`crate::ratelimit::TokenBucket`]). Executing a task
+//! before planning the next is what keeps duplicate entries cheap: the
+//! executor's header restamp makes an object's later entries stop
+//! qualifying, so they are consumed without planning work.
 
 use crate::dirty::{DirtyTable, HeaderSource};
 use crate::ids::{ObjectId, ServerId, VersionId};
@@ -114,7 +108,7 @@ pub enum RunState {
     Paused,
 }
 
-/// Why [`Reintegrator::next_task`] returned `None`.
+/// Why [`Reintegrator::next_task`] planned no task (its `Err` value).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Idle {
     /// The dirty table is empty.
@@ -285,142 +279,6 @@ impl Reintegrator {
                 to,
                 moves,
             });
-        }
-    }
-
-    /// Algorithm 2's consume rule (lines 11–13), deferred: at the head
-    /// of a full-power scan the entry is finished and will be popped
-    /// (the caller batches the pops); everywhere else the cursor
-    /// advances past it. Popping keeps the cursor at 0, so a pop streak
-    /// stays poppable and the first cursor advance ends it for good —
-    /// exactly the sequential engine's behaviour.
-    #[inline]
-    fn consume(&mut self, full_power: bool, pops: &mut usize) {
-        if full_power && self.cursor == 0 {
-            *pops += 1;
-        } else {
-            self.cursor += 1;
-        }
-    }
-
-    /// Plan up to `max_tasks` migrations (at most one per object) in one
-    /// batched pass over the dirty table.
-    ///
-    /// Table reads go through [`DirtyTable::get_range`] and removals
-    /// through one [`DirtyTable::pop_front_n`] per chunk, so a backend
-    /// with per-call overhead (the kv-backed table locks a shard per
-    /// op) pays it per *chunk* instead of per entry. The resulting
-    /// table state and planned tasks match a `next_task` loop with
-    /// oid-deduplication exactly.
-    pub fn next_tasks<T: DirtyTable, H: HeaderSource>(
-        &mut self,
-        view: &ClusterView,
-        dirty: &mut T,
-        headers: &H,
-        max_tasks: usize,
-    ) -> Result<Vec<MigrationTask>, Idle> {
-        if self.state == RunState::Paused {
-            return Err(Idle::Paused);
-        }
-        if max_tasks == 0 {
-            return Ok(Vec::new());
-        }
-        let curr = view.current_version();
-        // Lines 2–4: a new version restarts the scan from the head.
-        if curr > self.last_version {
-            self.cursor = 0;
-            self.last_version = curr;
-        }
-        let full_power = view.current_membership().is_full_power();
-        let curr_active = view.history().active_count(curr);
-
-        let chunk = max_tasks.clamp(32, 1024);
-        let mut tasks: Vec<MigrationTask> = Vec::new();
-        // Set when the current version's target placement errors — the
-        // sequential engine stops planning there without consuming.
-        let mut halt = false;
-
-        while tasks.len() < max_tasks && !halt {
-            let batch = dirty.get_range(self.cursor, chunk);
-            if batch.is_empty() {
-                break;
-            }
-            // Pops deferred within the chunk; applied in one batched
-            // take below, before the next peek.
-            let mut pops = 0usize;
-            for entry in batch {
-                if tasks.len() >= max_tasks {
-                    break; // unconsumed; the next call resumes here
-                }
-                let from_version = headers
-                    .header(entry.oid)
-                    .map(|h| h.version.max(entry.version))
-                    .unwrap_or(entry.version);
-
-                // Entries stamped ahead of this view snapshot belong to
-                // a newer version's scan: skip, never consume by pop.
-                if from_version > curr {
-                    self.cursor += 1;
-                    continue;
-                }
-
-                // Line 6: only re-integrate towards more servers.
-                if curr_active <= view.history().active_count(from_version) {
-                    self.consume(full_power, &mut pops);
-                    continue;
-                }
-
-                if tasks.iter().any(|t| t.oid == entry.oid) {
-                    // An earlier task in this batch already covers the
-                    // object (and proved its target placement
-                    // computable); the entry consumes exactly as the
-                    // sequential engine would, yielding no extra work.
-                    self.consume(full_power, &mut pops);
-                    continue;
-                }
-
-                let from = match view.place_at(entry.oid, from_version) {
-                    Ok(p) => p,
-                    Err(_) => {
-                        self.consume(full_power, &mut pops);
-                        continue;
-                    }
-                };
-                let to = match view.place_at(entry.oid, curr) {
-                    Ok(p) => p,
-                    Err(_) => {
-                        halt = true;
-                        break; // entry stays unconsumed
-                    }
-                };
-                let moves = placement_moves(&from, &to);
-                self.consume(full_power, &mut pops);
-                if moves.is_empty() {
-                    continue;
-                }
-                tasks.push(MigrationTask {
-                    oid: entry.oid,
-                    entry_version: entry.version,
-                    from_version,
-                    target_version: curr,
-                    from,
-                    to,
-                    moves,
-                });
-            }
-            if pops > 0 {
-                dirty.pop_front_n(pops);
-            }
-        }
-
-        if tasks.is_empty() {
-            Err(if dirty.is_empty() {
-                Idle::TableEmpty
-            } else {
-                Idle::NothingQualifies
-            })
-        } else {
-            Ok(tasks)
         }
     }
 
@@ -693,161 +551,6 @@ mod tests {
             engine.next_task(&v, &mut dirty, &NoHeaders),
             Err(Idle::TableEmpty)
         );
-    }
-
-    /// Drain `engine` via the sequential `next_task` until idle,
-    /// collecting the planned tasks.
-    fn drain_sequential(
-        engine: &mut Reintegrator,
-        v: &ClusterView,
-        dirty: &mut InMemoryDirtyTable,
-    ) -> (Vec<MigrationTask>, Idle) {
-        let mut tasks = Vec::new();
-        loop {
-            match engine.next_task(v, dirty, &NoHeaders) {
-                Ok(t) => tasks.push(t),
-                Err(idle) => return (tasks, idle),
-            }
-        }
-    }
-
-    #[test]
-    fn batched_planning_matches_sequential_at_full_power() {
-        let mut v = view();
-        let mut dirty_seq = InMemoryDirtyTable::new();
-        v.resize(6); // v2
-        write_objects(&v, &mut dirty_seq, 0, 300);
-        v.resize(10); // v3: full power
-        let mut dirty_bat = dirty_seq.clone();
-
-        let mut seq = Reintegrator::new();
-        let (want, idle) = drain_sequential(&mut seq, &v, &mut dirty_seq);
-        assert_eq!(idle, Idle::TableEmpty);
-
-        let mut bat = Reintegrator::new();
-        let got = bat
-            .next_tasks(&v, &mut dirty_bat, &NoHeaders, usize::MAX)
-            .unwrap();
-        assert_eq!(got, want);
-        assert!(dirty_bat.is_empty());
-        assert_eq!(
-            bat.next_tasks(&v, &mut dirty_bat, &NoHeaders, usize::MAX),
-            Err(Idle::TableEmpty)
-        );
-    }
-
-    #[test]
-    fn batched_planning_matches_sequential_at_partial_power() {
-        let mut v = view();
-        let mut dirty_seq = InMemoryDirtyTable::new();
-        v.resize(5); // v2
-        write_objects(&v, &mut dirty_seq, 0, 200);
-        v.resize(8); // v3: size up, still partial power
-        let mut dirty_bat = dirty_seq.clone();
-
-        let mut seq = Reintegrator::new();
-        let (want, idle) = drain_sequential(&mut seq, &v, &mut dirty_seq);
-        assert_eq!(idle, Idle::NothingQualifies);
-
-        let mut bat = Reintegrator::new();
-        let got = bat
-            .next_tasks(&v, &mut dirty_bat, &NoHeaders, usize::MAX)
-            .unwrap();
-        assert_eq!(got, want);
-        // Partial power preserves every entry, same as sequential.
-        assert_eq!(dirty_bat.len(), dirty_seq.len());
-        assert_eq!(dirty_bat.len(), 200);
-        assert_eq!(bat.cursor, seq.cursor);
-        // At the same version the scan is exhausted.
-        assert_eq!(
-            bat.next_tasks(&v, &mut dirty_bat, &NoHeaders, usize::MAX),
-            Err(Idle::NothingQualifies)
-        );
-    }
-
-    #[test]
-    fn batched_planning_respects_max_tasks_and_resumes() {
-        let mut v = view();
-        let mut dirty = InMemoryDirtyTable::new();
-        v.resize(6); // v2
-        write_objects(&v, &mut dirty, 0, 300);
-        v.resize(10); // v3
-        let mut engine = Reintegrator::new();
-        assert_eq!(
-            engine.next_tasks(&v, &mut dirty, &NoHeaders, 0).unwrap(),
-            vec![]
-        );
-        let mut all = Vec::new();
-        loop {
-            match engine.next_tasks(&v, &mut dirty, &NoHeaders, 7) {
-                Ok(batch) => {
-                    assert!(!batch.is_empty() && batch.len() <= 7);
-                    all.extend(batch);
-                }
-                Err(idle) => {
-                    assert_eq!(idle, Idle::TableEmpty);
-                    break;
-                }
-            }
-        }
-        // Quota-sized calls plan the same set as one unbounded call.
-        let mut dirty2 = InMemoryDirtyTable::new();
-        let v2 = {
-            let mut v2 = view();
-            v2.resize(6);
-            write_objects(&v2, &mut dirty2, 0, 300);
-            v2.resize(10);
-            v2
-        };
-        let want = Reintegrator::new()
-            .next_tasks(&v2, &mut dirty2, &NoHeaders, usize::MAX)
-            .unwrap();
-        assert_eq!(all, want);
-    }
-
-    #[test]
-    fn batched_planning_plans_each_object_once() {
-        let mut v = view();
-        let mut dirty = InMemoryDirtyTable::new();
-        v.resize(6); // v2
-        let oid = (0..10_000u64)
-            .map(ObjectId)
-            .find(|&o| {
-                let mut probe = v.clone();
-                probe.resize(10);
-                v.place_current(o).unwrap() != probe.place_current(o).unwrap()
-            })
-            .expect("some object moves");
-        // The same object logged three times in one version window.
-        for _ in 0..3 {
-            dirty.push_back(DirtyEntry::new(oid, VersionId(2)));
-        }
-        v.resize(10); // v3: full power
-        let mut engine = Reintegrator::new();
-        let tasks = engine
-            .next_tasks(&v, &mut dirty, &NoHeaders, usize::MAX)
-            .unwrap();
-        assert_eq!(tasks.len(), 1);
-        assert_eq!(tasks[0].oid, oid);
-        // The duplicate entries are still consumed.
-        assert!(dirty.is_empty());
-    }
-
-    #[test]
-    fn batched_planning_honours_pause() {
-        let mut v = view();
-        let mut dirty = InMemoryDirtyTable::new();
-        v.resize(5);
-        write_objects(&v, &mut dirty, 0, 10);
-        v.resize(10);
-        let mut engine = Reintegrator::new();
-        engine.pause();
-        assert_eq!(
-            engine.next_tasks(&v, &mut dirty, &NoHeaders, 4),
-            Err(Idle::Paused)
-        );
-        engine.resume();
-        assert!(engine.next_tasks(&v, &mut dirty, &NoHeaders, 4).is_ok());
     }
 
     #[test]

@@ -10,6 +10,8 @@
 //! * membership histories resolve every recorded version;
 //! * applying Algorithm 2's moves to the write-time placement yields the
 //!   current placement exactly (re-integration converges);
+//! * a write whose full-power placement is entirely active at its version
+//!   plans no re-integration task;
 //! * the token bucket never grants more than `rate · t + burst`.
 
 use ech_core::placement::Strategy as PlacementStrategy;
@@ -154,6 +156,35 @@ proptest! {
             }
             let want: BTreeSet<ServerId> = t.to.servers().iter().copied().collect();
             prop_assert_eq!(replicas, want);
+        }
+    }
+
+    #[test]
+    fn writes_whose_home_stays_active_never_move(
+        (n, b, r) in cluster_shape(),
+        oid_base in 0u64..1_000_000,
+    ) {
+        // An object is offloaded only if its full-power placement names
+        // a server that is off: when every server of that placement is
+        // active at the write's version, Algorithm 1 picks the same
+        // servers there and at full power, so its dirty entry can never
+        // plan a move. Checked at every active count.
+        let mut view = ClusterView::new(Layout::equal_work(n, b), PlacementStrategy::Primary, r);
+        let oids: Vec<ObjectId> = (oid_base..oid_base + 50).map(ObjectId).collect();
+        let homes: Vec<Placement> = oids.iter().map(|&o| view.place_current(o).unwrap()).collect();
+        for active in r..=n {
+            let wver = view.resize(active);
+            let mut dirty = InMemoryDirtyTable::new();
+            for (&oid, home) in oids.iter().zip(&homes) {
+                if home.servers().iter().all(|&s| view.current_membership().is_active(s)) {
+                    prop_assert_eq!(&view.place_at(oid, wver).unwrap(), home);
+                    dirty.push_back(DirtyEntry::new(oid, wver));
+                }
+            }
+            view.resize(n);
+            let tasks = Reintegrator::new().drain(&view, &mut dirty, &NoHeaders);
+            prop_assert!(tasks.is_empty(), "n={} r={} active={}", n, r, active);
+            prop_assert!(dirty.is_empty());
         }
     }
 
