@@ -249,13 +249,6 @@ pub const MODELS: &[Model] = &[
         ..SAFE
     },
     Model {
-        name: "engine-swap-vs-read",
-        about: "placement-engine swap migrates objects while a reader resolves them",
-        pair: "lin-stale-read-bug",
-        setup: engine_swap_vs_read,
-        ..SAFE
-    },
-    Model {
         name: "batched-drain-vs-put",
         about: "batched re-integration drain racing an independent client write",
         pair: "lin-ack-before-log-bug",
@@ -949,45 +942,6 @@ fn reintegration_pool(env: &mut Env, _: Option<Mutation>) {
                 Err(e) => panic!("object lost by the re-integration pool: {e}"),
             }
         }
-    });
-}
-
-/// A placement-engine swap racing a reader: [`Cluster::set_engine`]
-/// copies every object to its new-engine placement *before* publishing
-/// the swapped view and removes stale copies after, so a reader pinning
-/// either snapshot must resolve the committed bytes (the full-placement
-/// sweep in `get` covers the removal window). The post-state check
-/// confirms the swap converged: the view places through the new engine
-/// and the object is fully placed under it.
-fn engine_swap_vs_read(env: &mut Env, _: Option<Mutation>) {
-    let c = tiny_cluster();
-    c.put(OID, Bytes::copy_from_slice(PAYLOAD))
-        .expect("setup write at full power");
-    {
-        let c = Arc::clone(&c);
-        env.spawn(move || {
-            c.set_engine(EngineKind::Jump)
-                .expect("engine swap must migrate cleanly");
-        });
-    }
-    {
-        let c = Arc::clone(&c);
-        env.spawn(move || {
-            let got = c.get(OID);
-            match got {
-                Ok(data) => assert_eq!(&data[..], PAYLOAD, "read returned wrong bytes"),
-                Err(e) => panic!("read during engine swap failed: {e}"),
-            }
-        });
-    }
-    env.after(move || {
-        assert_eq!(c.view_snapshot().engine(), EngineKind::Jump);
-        assert!(
-            c.is_fully_placed(OID),
-            "object not fully placed under the swapped engine"
-        );
-        let got = c.get(OID).expect("committed object must survive the swap");
-        assert_eq!(&got[..], PAYLOAD, "read returned wrong bytes after swap");
     });
 }
 

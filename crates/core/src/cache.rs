@@ -37,12 +37,11 @@
 //!
 //! ## Engine keying
 //!
-//! The placement *engine* is part of the key as well: an engine swap
-//! (`ClusterView::set_engine`) changes the id→node mapping on the same
-//! membership, so an entry computed under one backend is wrong for
-//! another. Folding the engine into the key makes swaps coherence-free
-//! the same way epochs are — no invalidation protocol, old-engine
-//! entries simply stop being queried and age out under FIFO pressure.
+//! The placement *engine* is part of the key as well: two views of the
+//! same membership built with different engines map ids to different
+//! nodes, so an entry computed under one backend is wrong for another.
+//! Folding the engine into the key lets one cache serve views of any
+//! engine with no invalidation protocol, the same way epochs do.
 
 use crate::engine::EngineKind;
 use crate::ids::{ObjectId, VersionId};

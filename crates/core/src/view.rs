@@ -92,19 +92,6 @@ impl ClusterView {
         self.engine
     }
 
-    /// Switch the placement backend. The ring, layout, and membership
-    /// history are untouched — an engine swap changes how object ids map
-    /// onto the *same* membership, so placements computed before and
-    /// after the swap generally disagree for the same version. Callers
-    /// that publish a swapped view are responsible for migrating objects
-    /// (see `Cluster::set_engine`). The engine is a field of the view, so
-    /// a reader resolves every placement of one operation under the one
-    /// backend its pinned snapshot names.
-    #[inline]
-    pub fn set_engine(&mut self, engine: EngineKind) {
-        self.engine = engine;
-    }
-
     /// Bytes of resident lookup state for the active backend (the ring's
     /// vnode array + LUT for `Ring`; a few machine words otherwise).
     pub fn placement_resident_bytes(&self) -> usize {
