@@ -790,14 +790,7 @@ fn d3_retry_exhaustive(units: &[Unit], out: &mut Vec<Finding>) {
 /// Function names that are retry/fault-injection points: holding a lock
 /// across a call that can reach one of these risks deadlock with the
 /// fault injector's delays and unbounded retry backoff.
-const D4_RETRY_POINTS: &[&str] = &[
-    "run",
-    "run_with",
-    "run_counted",
-    "run_counted_with",
-    "kv_retry",
-    "before_node_op",
-];
+const D4_RETRY_POINTS: &[&str] = &["run_counted_deadline", "kv_retry", "before_node_op"];
 
 #[derive(Debug)]
 struct LockSite {

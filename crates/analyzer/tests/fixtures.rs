@@ -183,7 +183,7 @@ fn d4_flags_lock_held_across_retry_point() {
         "crates/cluster/src/cluster.rs",
         "pub struct C;\n\
          impl C {\n\
-         fn a(&self) { let g = self.view.write(); self.retryer.run_with(tok, f, op); }\n\
+         fn a(&self) { let g = self.view.write(); self.retry.run_counted_deadline(clock, d, tok, f, op); }\n\
          }\n",
     )];
     let hits = analyze(&files);
@@ -204,9 +204,9 @@ fn d4_accepts_consistent_order_and_scoped_guards() {
          fn b(&self) { let g = self.view.read(); let h = self.dirty.lock(); }\n\
          fn c(&self) {\n\
          { let g = self.view.read(); }\n\
-         self.retryer.run_with(tok, f, op);\n\
+         self.retry.run_counted_deadline(clock, d, tok, f, op);\n\
          }\n\
-         fn d(&self) { let v = self.view.read().snapshot(); self.retryer.run_with(tok, f, op); }\n\
+         fn d(&self) { let v = self.view.read().snapshot(); self.retry.run_counted_deadline(clock, d, tok, f, op); }\n\
          }\n",
     )];
     assert!(analyze(&files).is_empty(), "{:?}", analyze(&files));
@@ -412,7 +412,7 @@ fn typed_receivers_block_same_owner_name_guessing() {
         "pub struct Cluster { map: BTreeMap<u8, u8>, gate: Mutex<u8> }\n\
          impl Cluster {\n\
          pub fn locate(&self) { let g = self.gate.lock(); let n = self.map.len(); }\n\
-         fn len(&self) -> usize { self.retryer.run_with(tok, f, op); 0 }\n\
+         fn len(&self) -> usize { self.retry.run_counted_deadline(clock, d, tok, f, op); 0 }\n\
          }\n",
     )];
     assert!(analyze(&files).is_empty(), "{:?}", analyze(&files));

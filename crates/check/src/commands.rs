@@ -234,7 +234,7 @@ fn modelcheck_cmd(args: &Args) -> Result<String, ParseError> {
         .expect("write to string");
     }
     let mut problems: Vec<String> = Vec::new();
-    let mut stats_rows: Vec<String> = Vec::new();
+    let mut stats_rows: Vec<StatsRow> = Vec::new();
     for m in selected {
         let msg_budget = if msg {
             budget_override.unwrap_or(m.msg_budget)
@@ -263,20 +263,19 @@ fn modelcheck_cmd(args: &Args) -> Result<String, ParseError> {
             }
             (false, false) => ech_modelcheck::explore(m.name, &cfg, |env| m.build(env)),
         };
-        stats_rows.push(format!(
-            "    {{\"model\": \"{}\", \"pair\": \"{}\", \"verdict\": \"{}\", \"schedules\": {}, \"blocked\": {}, \"exhausted\": {}}}",
-            m.name,
-            m.pair,
-            match (&report.failure, expect) {
+        stats_rows.push(StatsRow {
+            model: m.name,
+            pair: m.pair,
+            verdict: match (&report.failure, expect) {
                 (None, false) => "pass",
                 (Some(_), true) => "caught",
                 (Some(_), false) => "fail",
                 (None, true) => "missed",
             },
-            report.schedules,
-            report.blocked,
-            report.exhausted
-        ));
+            schedules: report.schedules,
+            blocked: report.blocked,
+            exhausted: report.exhausted,
+        });
         match (&report.failure, expect) {
             (None, false) => {
                 let coverage = if report.exhausted {
@@ -353,10 +352,16 @@ fn modelcheck_cmd(args: &Args) -> Result<String, ParseError> {
     // that died half-green is exactly when CI wants the per-model
     // verdicts machine-readable.
     if let Some(path) = args.options.get("stats-json") {
-        let json = format!(
-            "{{\n  \"mode\": {{\"weak\": {weak}, \"msg\": {msg}, \"lincheck\": {lincheck}, \"random\": {random}}},\n  \"models\": [\n{}\n  ]\n}}\n",
-            stats_rows.join(",\n")
-        );
+        let sidecar = StatsSidecar {
+            mode: StatsMode {
+                weak,
+                msg,
+                lincheck,
+                random,
+            },
+            models: stats_rows,
+        };
+        let json = serde_json::to_string_pretty(&sidecar).expect("sidecar serializes") + "\n";
         std::fs::write(path, json)
             .map_err(|e| ParseError(format!("cannot write --stats-json {path}: {e}")))?;
     }
@@ -369,6 +374,33 @@ fn modelcheck_cmd(args: &Args) -> Result<String, ParseError> {
             problems.join("; ")
         )))
     }
+}
+
+/// The `modelcheck --stats-json` sidecar: mode flags, one row per model.
+#[derive(serde::Serialize)]
+struct StatsSidecar {
+    mode: StatsMode,
+    models: Vec<StatsRow>,
+}
+
+/// The flags that select a sweep's exploration mode.
+#[derive(serde::Serialize)]
+struct StatsMode {
+    weak: bool,
+    msg: bool,
+    lincheck: bool,
+    random: bool,
+}
+
+/// One model's verdict and schedule counts; `pair` is its D9 counterpart.
+#[derive(serde::Serialize)]
+struct StatsRow {
+    model: &'static str,
+    pair: &'static str,
+    verdict: &'static str,
+    schedules: usize,
+    blocked: usize,
+    exhausted: bool,
 }
 
 /// `*`/`?` wildcard match for `--models` (no character classes; model
