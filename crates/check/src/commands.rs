@@ -43,7 +43,6 @@ COMMANDS:
                   violations with a replayable trace
                   [--model NAME | --models GLOB] [--weak true] [--bound P]
                   [--msg true] [--msg-budget N] [--lincheck true]
-                  [--random true --seed S --iters N]
                   [--replay TRACE] [--max-preemptions P]
                   [--max-schedules B] [--no-reduce true] [--stats true]
                   [--stats-json FILE]
@@ -115,9 +114,6 @@ fn modelcheck_cmd(args: &Args) -> Result<String, ParseError> {
         "msg-budget",
         "lincheck",
         "bound",
-        "random",
-        "seed",
-        "iters",
         "replay",
         "max-preemptions",
         "max-schedules",
@@ -156,9 +152,6 @@ fn modelcheck_cmd(args: &Args) -> Result<String, ParseError> {
         let explicit_weak = args.options.contains_key("weak").then_some(weak);
         return modelcheck_replay(trace, explicit_weak, lincheck);
     }
-    let random: bool = args.get_or("random", false)?;
-    let seed: u64 = args.get_or("seed", 0xec11)?;
-    let iters: usize = args.get_or("iters", 400)?;
     let selected: Vec<&'static crate::mc_models::Model> =
         match (args.options.get("model"), args.options.get("models")) {
             (Some(_), Some(_)) => {
@@ -220,19 +213,11 @@ fn modelcheck_cmd(args: &Args) -> Result<String, ParseError> {
         ", partial-order reduction"
     };
     let mut out = String::new();
-    if random {
-        writeln!(
-            out,
-            "modelcheck: seeded random exploration (seed {seed}, {iters} schedules per model, {mode}{fates}{histories})"
-        )
-        .expect("write to string");
-    } else {
-        writeln!(
-            out,
-            "modelcheck: bounded exhaustive exploration ({bound_desc}, {mode}{fates}{reduction}{histories})"
-        )
-        .expect("write to string");
-    }
+    writeln!(
+        out,
+        "modelcheck: bounded exhaustive exploration ({bound_desc}, {mode}{fates}{reduction}{histories})"
+    )
+    .expect("write to string");
     let mut problems: Vec<String> = Vec::new();
     let mut stats_rows: Vec<StatsRow> = Vec::new();
     for m in selected {
@@ -249,19 +234,10 @@ fn modelcheck_cmd(args: &Args) -> Result<String, ParseError> {
             reduce: !no_reduce,
         };
         let expect = m.expects_failure_with(weak, msg_budget > 0, lincheck);
-        // Expected-failure models always run the deterministic DFS: its
-        // point is *finding* the planted violation, and the DFS both
-        // finds it within a handful of schedules and reports the same
-        // trace every run.
-        let report = match (lincheck, random && !expect) {
-            (true, true) => {
-                ech_modelcheck::explore_random(m.name, &cfg, seed, iters, lincheck_wrapped(m))
-            }
-            (true, false) => ech_modelcheck::explore(m.name, &cfg, lincheck_wrapped(m)),
-            (false, true) => {
-                ech_modelcheck::explore_random(m.name, &cfg, seed, iters, |env| m.build(env))
-            }
-            (false, false) => ech_modelcheck::explore(m.name, &cfg, |env| m.build(env)),
+        let report = if lincheck {
+            ech_modelcheck::explore(m.name, &cfg, lincheck_wrapped(m))
+        } else {
+            ech_modelcheck::explore(m.name, &cfg, |env| m.build(env))
         };
         stats_rows.push(StatsRow {
             model: m.name,
@@ -280,8 +256,6 @@ fn modelcheck_cmd(args: &Args) -> Result<String, ParseError> {
             (None, false) => {
                 let coverage = if report.exhausted {
                     "exhaustive"
-                } else if random {
-                    "sampled"
                 } else {
                     problems.push(format!(
                         "{}: schedule budget exhausted before full coverage",
@@ -357,7 +331,6 @@ fn modelcheck_cmd(args: &Args) -> Result<String, ParseError> {
                 weak,
                 msg,
                 lincheck,
-                random,
             },
             models: stats_rows,
         };
@@ -389,7 +362,6 @@ struct StatsMode {
     weak: bool,
     msg: bool,
     lincheck: bool,
-    random: bool,
 }
 
 /// One model's verdict and schedule counts; `pair` is its D9 counterpart.
@@ -707,17 +679,6 @@ mod tests {
         // The reproduced trace round-trips: replay reports the same
         // schedule it was given.
         assert!(first.contains(trace), "replay rewrote the trace:\n{first}");
-    }
-
-    /// Seeded random mode (the CI smoke gate) is a pure function of the
-    /// seed: identical invocations must render identical reports.
-    #[test]
-    fn modelcheck_random_mode_is_deterministic() {
-        let line = "modelcheck --model cache-counters --random true --seed 7 --iters 50";
-        let a = run_line(line).unwrap();
-        let b = run_line(line).unwrap();
-        assert_eq!(a, b);
-        assert!(a.contains("(sampled)"), "random mode not sampled:\n{a}");
     }
 
     #[test]

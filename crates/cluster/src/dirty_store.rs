@@ -242,7 +242,7 @@ mod tests {
         assert_eq!(t.pop_front_n(10), vec![e]);
         assert!(t.is_empty());
         // And the table never wrote to the LIST either.
-        assert_eq!(kv.llen("ech:dirty").unwrap(), 1);
+        assert_eq!(kv.lpop_n("ech:dirty", 10).unwrap().len(), 1);
     }
 
     #[test]

@@ -70,7 +70,6 @@ impl Classify for KvError {
             // clock, so retrying through one always exits it.
             KvError::Unavailable { .. } => ErrorClass::Retryable,
             KvError::WrongType { .. } => ErrorClass::Permanent,
-            KvError::NotAnInteger => ErrorClass::Permanent,
             // A snapshot that does not fit stays that way on a retry.
             KvError::VersionOutOfRange { .. } => ErrorClass::Permanent,
         }
@@ -390,7 +389,14 @@ mod tests {
             KvError::Unavailable { shard: 0 }.class(),
             ErrorClass::Retryable
         );
-        assert_eq!(KvError::NotAnInteger.class(), ErrorClass::Permanent);
+        assert_eq!(
+            KvError::WrongType {
+                expected: "list",
+                found: "hash"
+            }
+            .class(),
+            ErrorClass::Permanent
+        );
         assert_eq!(
             KvError::VersionOutOfRange {
                 oid: ObjectId(1),

@@ -13,8 +13,6 @@ pub enum KvError {
         /// What the key actually holds.
         found: &'static str,
     },
-    /// A string value could not be parsed as an integer (for `INCR`).
-    NotAnInteger,
     /// The shard holding the key is temporarily unavailable (injected by
     /// a fault hook; the real system's analogue is a Redis replica
     /// brown-out). Retryable.
@@ -42,7 +40,6 @@ impl fmt::Display for KvError {
                 "WRONGTYPE operation against a key holding the wrong kind of value \
                  (expected {expected}, found {found})"
             ),
-            KvError::NotAnInteger => write!(f, "value is not an integer or out of range"),
             KvError::Unavailable { shard } => {
                 write!(f, "shard {shard} is temporarily unavailable")
             }

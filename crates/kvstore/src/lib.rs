@@ -14,10 +14,8 @@
 //!   across shards like objects across servers.
 //! * **Thread-safe** — each shard holds its own `RwLock`; disjoint keys
 //!   never contend. Share as `Arc<KvStore>`.
-//! * **Redis-flavoured API** — STRING (`GET`/`SET`/`INCR`), LIST
-//!   (`RPUSH`/`LPUSH`/`LPOP`/`RPOP`/`LRANGE`/`LINDEX`/`LLEN`) and HASH
-//!   (`HSET`/`HGET`/`HDEL`/`HLEN`) with Redis's `WRONGTYPE` error
-//!   semantics.
+//! * **Redis-flavoured key space** — LIST (`RPUSH`, `LPOP` with a count)
+//!   and HASH (`HSET`/`HGET`) with Redis's `WRONGTYPE` error semantics.
 //! * **Object-header records** — a typed `ObjectId → ObjectHeader` table
 //!   sharded by a hash of the object id (`header_put`/`header_get`/
 //!   `header_len`/`header_ids`): the one record family every put and get
@@ -33,14 +31,16 @@
 //! the object-header store (the header records) on top of this store.
 //!
 //! ```
+//! use ech_core::dirty::DirtyEntry;
+//! use ech_core::ids::{ObjectId, VersionId};
 //! use ech_kvstore::KvStore;
 //!
 //! let kv = KvStore::new(8);
-//! kv.rpush("dirty", "10010:9").unwrap();
-//! kv.rpush("dirty", "20400:9").unwrap();
-//! assert_eq!(kv.llen("dirty").unwrap(), 2);
-//! let head = kv.lpop("dirty").unwrap().unwrap();
-//! assert_eq!(&head[..], b"10010:9");
+//! kv.dirty_push(DirtyEntry::new(ObjectId(10010), VersionId(9))).unwrap();
+//! kv.dirty_push(DirtyEntry::new(ObjectId(20400), VersionId(9))).unwrap();
+//! assert_eq!(kv.dirty_len().unwrap(), 2);
+//! let head = kv.dirty_pop_n(1).unwrap();
+//! assert_eq!(head, [DirtyEntry::new(ObjectId(10010), VersionId(9))]);
 //! ```
 
 mod error;

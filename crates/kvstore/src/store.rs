@@ -295,66 +295,6 @@ impl KvStore {
         Ok(store)
     }
 
-    // ----- generic key operations -------------------------------------
-
-    /// `EXISTS key`.
-    pub fn exists(&self, key: &str) -> bool {
-        self.shard(key).map.read().contains_key(key)
-    }
-
-    /// `DEL key` — returns true when a key was removed.
-    pub fn del(&self, key: &str) -> bool {
-        self.shard(key).map.write().remove(key).is_some()
-    }
-
-    /// `TYPE key` — the stored value's type name, if present.
-    pub fn value_type(&self, key: &str) -> Option<&'static str> {
-        self.shard(key).map.read().get(key).map(Value::type_name)
-    }
-
-    // ----- STRING ------------------------------------------------------
-
-    /// `SET key value`.
-    pub fn set(&self, key: &str, value: impl Into<Bytes>) {
-        self.shard(key)
-            .map
-            .write()
-            .insert(key.to_owned(), Value::Str(value.into()));
-    }
-
-    /// `GET key` — `Err(WrongType)` when the key holds a non-string.
-    pub fn get(&self, key: &str) -> KvResult<Option<Bytes>> {
-        match self.checked_shard(key)?.map.read().get(key) {
-            None => Ok(None),
-            Some(Value::Str(b)) => Ok(Some(b.clone())),
-            Some(v) => Err(KvError::WrongType {
-                expected: "string",
-                found: v.type_name(),
-            }),
-        }
-    }
-
-    /// `INCR key` — increments an integer-encoded string, creating it at 0.
-    pub fn incr(&self, key: &str) -> KvResult<i64> {
-        let mut map = self.checked_shard(key)?.map.write();
-        let cur = match map.get(key) {
-            None => 0i64,
-            Some(Value::Str(b)) => std::str::from_utf8(b)
-                .ok()
-                .and_then(|s| s.parse::<i64>().ok())
-                .ok_or(KvError::NotAnInteger)?,
-            Some(v) => {
-                return Err(KvError::WrongType {
-                    expected: "string",
-                    found: v.type_name(),
-                })
-            }
-        };
-        let next = cur + 1;
-        map.insert(key.to_owned(), Value::Str(next.to_string().into()));
-        Ok(next)
-    }
-
     // ----- LIST --------------------------------------------------------
 
     fn with_list<R>(
@@ -382,8 +322,7 @@ impl KvStore {
         }
     }
 
-    /// `RPUSH key value` — appends, returning the new length. This is how
-    /// the write logger inserts dirty entries (§IV).
+    /// `RPUSH key value` — appends, returning the new length.
     pub fn rpush(&self, key: &str, value: impl Into<Bytes>) -> KvResult<usize> {
         let value = value.into();
         self.with_list(key, true, |list| {
@@ -394,61 +333,12 @@ impl KvStore {
         })
     }
 
-    /// `LPUSH key value` — prepends, returning the new length.
-    pub fn lpush(&self, key: &str, value: impl Into<Bytes>) -> KvResult<usize> {
-        let value = value.into();
-        self.with_list(key, true, |list| {
-            list.map_or(0, |l| {
-                l.push_front(value);
-                l.len()
-            })
-        })
-    }
-
-    /// `LPOP key` — removes and returns the head. Used when a dirty entry
-    /// is consumed at a full-power version (§IV).
-    pub fn lpop(&self, key: &str) -> KvResult<Option<Bytes>> {
-        self.with_list(key, false, |list| list.and_then(VecDeque::pop_front))
-    }
-
     /// `LPOP key count` — removes and returns up to `count` head entries
-    /// under one lock acquisition. The batched form of [`lpop`] the
-    /// re-integration planner drains with (one shard-lock round per
-    /// batch instead of per entry).
+    /// under one lock acquisition.
     pub fn lpop_n(&self, key: &str, count: usize) -> KvResult<Vec<Bytes>> {
         self.with_list(key, false, |list| match list {
             None => Vec::new(),
             Some(l) => l.drain(..count.min(l.len())).collect(),
-        })
-    }
-
-    /// `RPOP key` — removes and returns the tail.
-    pub fn rpop(&self, key: &str) -> KvResult<Option<Bytes>> {
-        self.with_list(key, false, |list| list.and_then(VecDeque::pop_back))
-    }
-
-    /// `LLEN key`.
-    pub fn llen(&self, key: &str) -> KvResult<usize> {
-        self.with_list(key, false, |list| list.map_or(0, |l| l.len()))
-    }
-
-    /// `LINDEX key index` — positional read (a one-element LRANGE); used
-    /// by the re-integration cursor when entries must *not* be removed.
-    pub fn lindex(&self, key: &str, index: usize) -> KvResult<Option<Bytes>> {
-        self.with_list(key, false, |list| list.and_then(|l| l.get(index).cloned()))
-    }
-
-    /// `LRANGE key start stop` (inclusive stop, saturating, no negative
-    /// indices — the dirty-table reader only scans forward).
-    pub fn lrange(&self, key: &str, start: usize, stop: usize) -> KvResult<Vec<Bytes>> {
-        self.with_list(key, false, |list| match list {
-            None => Vec::new(),
-            Some(l) => l
-                .iter()
-                .skip(start)
-                .take(stop.saturating_sub(start).saturating_add(1))
-                .cloned()
-                .collect(),
         })
     }
 
@@ -488,43 +378,6 @@ impl KvStore {
         match self.checked_shard(key)?.map.read().get(key) {
             None => Ok(None),
             Some(Value::Hash(h)) => Ok(h.get(field).cloned()),
-            Some(v) => Err(KvError::WrongType {
-                expected: "hash",
-                found: v.type_name(),
-            }),
-        }
-    }
-
-    /// `HDEL key field` — returns true when the field existed.
-    pub fn hdel(&self, key: &str, field: &str) -> KvResult<bool> {
-        let mut map = self.checked_shard(key)?.map.write();
-        match map.get_mut(key) {
-            None => Ok(false),
-            Some(Value::Hash(h)) => Ok(h.remove(field).is_some()),
-            Some(v) => Err(KvError::WrongType {
-                expected: "hash",
-                found: v.type_name(),
-            }),
-        }
-    }
-
-    /// `HKEYS key` — all field names (order unspecified).
-    pub fn hkeys(&self, key: &str) -> KvResult<Vec<String>> {
-        match self.checked_shard(key)?.map.read().get(key) {
-            None => Ok(Vec::new()),
-            Some(Value::Hash(h)) => Ok(h.keys().cloned().collect()),
-            Some(v) => Err(KvError::WrongType {
-                expected: "hash",
-                found: v.type_name(),
-            }),
-        }
-    }
-
-    /// `HLEN key`.
-    pub fn hlen(&self, key: &str) -> KvResult<usize> {
-        match self.checked_shard(key)?.map.read().get(key) {
-            None => Ok(0),
-            Some(Value::Hash(h)) => Ok(h.len()),
             Some(v) => Err(KvError::WrongType {
                 expected: "hash",
                 found: v.type_name(),
@@ -617,32 +470,17 @@ mod tests {
     use std::sync::Arc;
 
     #[test]
-    fn string_roundtrip() {
-        let kv = KvStore::new(4);
-        assert_eq!(kv.get("a").unwrap(), None);
-        kv.set("a", "hello");
-        assert_eq!(kv.get("a").unwrap().unwrap(), Bytes::from("hello"));
-        assert!(kv.exists("a"));
-        assert!(kv.del("a"));
-        assert!(!kv.exists("a"));
-        assert!(!kv.del("a"));
-    }
-
-    #[test]
     fn list_fifo_matches_redis_semantics() {
         let kv = KvStore::new(4);
         assert_eq!(kv.rpush("q", "1").unwrap(), 1);
         assert_eq!(kv.rpush("q", "2").unwrap(), 2);
         assert_eq!(kv.rpush("q", "3").unwrap(), 3);
-        assert_eq!(kv.llen("q").unwrap(), 3);
+        assert_eq!(kv.lpop_n("q", 1).unwrap(), vec![Bytes::from("1")]);
+        assert_eq!(kv.rpush("q", "4").unwrap(), 3);
         assert_eq!(
-            kv.lrange("q", 0, 1).unwrap(),
-            vec![Bytes::from("1"), Bytes::from("2")]
+            kv.lpop_n("q", 3).unwrap(),
+            vec![Bytes::from("2"), Bytes::from("3"), Bytes::from("4")]
         );
-        assert_eq!(kv.lindex("q", 2).unwrap().unwrap(), Bytes::from("3"));
-        assert_eq!(kv.lpop("q").unwrap().unwrap(), Bytes::from("1"));
-        assert_eq!(kv.rpop("q").unwrap().unwrap(), Bytes::from("3"));
-        assert_eq!(kv.llen("q").unwrap(), 1);
     }
 
     #[test]
@@ -655,47 +493,43 @@ mod tests {
             kv.lpop_n("q", 3).unwrap(),
             vec![Bytes::from("0"), Bytes::from("1"), Bytes::from("2")]
         );
-        assert_eq!(kv.llen("q").unwrap(), 2);
         // Over-asking drains the rest; missing keys and empty lists
         // yield nothing.
         assert_eq!(kv.lpop_n("q", 100).unwrap().len(), 2);
         assert!(kv.lpop_n("q", 3).unwrap().is_empty());
         assert!(kv.lpop_n("missing", 3).unwrap().is_empty());
-        kv.set("s", "x");
-        assert!(matches!(kv.lpop_n("s", 1), Err(KvError::WrongType { .. })));
-    }
-
-    #[test]
-    fn lpush_prepends() {
-        let kv = KvStore::new(2);
-        kv.rpush("l", "b").unwrap();
-        kv.lpush("l", "a").unwrap();
-        assert_eq!(
-            kv.lrange("l", 0, 10).unwrap(),
-            vec![Bytes::from("a"), Bytes::from("b")]
-        );
+        kv.hset("h", "f", "x").unwrap();
+        assert!(matches!(kv.lpop_n("h", 1), Err(KvError::WrongType { .. })));
     }
 
     #[test]
     fn lrange_bounds() {
+        // The dirty log's LRANGE: a window past the tail is short, one
+        // wholly past it is empty.
         let kv = KvStore::new(2);
+        assert!(kv.dirty_range(0, 10).unwrap().is_empty());
         for i in 0..5 {
-            kv.rpush("l", i.to_string()).unwrap();
+            kv.dirty_push(entry(i, 2)).unwrap();
         }
-        assert_eq!(kv.lrange("l", 3, 100).unwrap().len(), 2);
-        assert_eq!(kv.lrange("l", 10, 20).unwrap().len(), 0);
-        assert_eq!(kv.lrange("missing", 0, 10).unwrap().len(), 0);
+        assert_eq!(
+            kv.dirty_range(3, 100).unwrap(),
+            vec![entry(3, 2), entry(4, 2)]
+        );
+        assert!(kv.dirty_range(10, 20).unwrap().is_empty());
+        assert_eq!(kv.dirty_len().unwrap(), 5, "LRANGE removes nothing");
     }
 
     #[test]
     fn wrong_type_errors() {
         let kv = KvStore::new(4);
-        kv.set("s", "x");
-        assert!(matches!(kv.rpush("s", "y"), Err(KvError::WrongType { .. })));
-        assert!(matches!(kv.hget("s", "f"), Err(KvError::WrongType { .. })));
+        kv.hset("h", "f", "x").unwrap();
+        assert!(matches!(kv.rpush("h", "y"), Err(KvError::WrongType { .. })));
         kv.rpush("l", "y").unwrap();
-        assert!(matches!(kv.get("l"), Err(KvError::WrongType { .. })));
-        assert!(matches!(kv.incr("l"), Err(KvError::WrongType { .. })));
+        assert!(matches!(kv.hget("l", "f"), Err(KvError::WrongType { .. })));
+        assert!(matches!(
+            kv.hset("l", "f", "x"),
+            Err(KvError::WrongType { .. })
+        ));
     }
 
     #[test]
@@ -703,41 +537,33 @@ mod tests {
         let kv = KvStore::new(4);
         assert!(kv.hset("h", "f1", "v1").unwrap());
         assert!(!kv.hset("h", "f1", "v2").unwrap());
+        assert!(kv.hset("h", "f2", "v3").unwrap());
         assert_eq!(kv.hget("h", "f1").unwrap().unwrap(), Bytes::from("v2"));
-        assert_eq!(kv.hlen("h").unwrap(), 1);
-        assert!(kv.hdel("h", "f1").unwrap());
-        assert!(!kv.hdel("h", "f1").unwrap());
+        assert_eq!(kv.hget("h", "f3").unwrap(), None);
         assert_eq!(kv.hget("missing", "f").unwrap(), None);
+        assert_eq!(kv.len(), 1);
     }
 
     #[test]
     fn hkeys_enumerates_fields() {
+        // The header table's HKEYS: every object id once, sorted, however
+        // the ids spread over the shards.
         let kv = KvStore::new(4);
-        assert!(kv.hkeys("h").unwrap().is_empty());
-        for f in ["a", "b", "c"] {
-            kv.hset("h", f, "v").unwrap();
+        assert!(kv.header_ids().unwrap().is_empty());
+        for oid in [9, 3, 7919, 3] {
+            kv.header_put(ObjectId(oid), header(1, false)).unwrap();
         }
-        let mut keys = kv.hkeys("h").unwrap();
-        keys.sort();
-        assert_eq!(keys, vec!["a", "b", "c"]);
-        kv.set("s", "x");
-        assert!(matches!(kv.hkeys("s"), Err(KvError::WrongType { .. })));
-    }
-
-    #[test]
-    fn incr_counts() {
-        let kv = KvStore::new(4);
-        assert_eq!(kv.incr("c").unwrap(), 1);
-        assert_eq!(kv.incr("c").unwrap(), 2);
-        kv.set("bad", "not a number");
-        assert_eq!(kv.incr("bad"), Err(KvError::NotAnInteger));
+        assert_eq!(
+            kv.header_ids().unwrap(),
+            vec![ObjectId(3), ObjectId(9), ObjectId(7919)]
+        );
     }
 
     #[test]
     fn keys_balance_across_shards() {
         let kv = KvStore::new(8);
         for i in 0..8000 {
-            kv.set(&format!("key:{i}"), "v");
+            kv.hset(&format!("key:{i}"), "f", "v").unwrap();
         }
         let per = kv.keys_per_shard();
         assert_eq!(per.iter().sum::<usize>(), 8000);
@@ -753,32 +579,25 @@ mod tests {
     #[test]
     fn snapshot_restore_round_trips_across_shard_counts() {
         let kv = KvStore::new(4);
-        kv.set("s", "string-value");
         for i in 0..10 {
             kv.rpush("list", format!("item-{i}")).unwrap();
         }
         kv.hset("hash", "field", "val").unwrap();
         let snap = kv.dump();
-        assert_eq!(snap.len(), 3);
+        assert_eq!(snap.len(), 2);
 
-        // Restore with a different shard count: contents identical.
+        // Restore with a different shard count: contents identical, and
+        // the restored store dumps back to the same snapshot.
         let restored = KvStore::restore(snap.clone(), 9).unwrap();
-        assert_eq!(restored.len(), 3);
-        assert_eq!(
-            restored.get("s").unwrap().unwrap(),
-            Bytes::from("string-value")
-        );
-        assert_eq!(restored.llen("list").unwrap(), 10);
-        assert_eq!(
-            restored.lindex("list", 3).unwrap().unwrap(),
-            Bytes::from("item-3")
-        );
+        assert_eq!(restored.len(), 2);
+        assert_eq!(restored.dump(), snap);
         assert_eq!(
             restored.hget("hash", "field").unwrap().unwrap(),
             Bytes::from("val")
         );
-        // And the restored store dumps back to the same snapshot.
-        assert_eq!(restored.dump(), snap);
+        let items = restored.lpop_n("list", 100).unwrap();
+        assert_eq!(items.len(), 10);
+        assert_eq!(items[3], Bytes::from("item-3"));
     }
 
     #[test]
@@ -789,8 +608,8 @@ mod tests {
         let back: Snapshot = serde_json::from_str(&json).unwrap();
         let restored = KvStore::restore(back, 2).unwrap();
         assert_eq!(
-            restored.lpop("dirty").unwrap().unwrap(),
-            Bytes::from("10010:9")
+            restored.lpop_n("dirty", 1).unwrap(),
+            vec![Bytes::from("10010:9")]
         );
     }
 
@@ -826,7 +645,7 @@ mod tests {
         kv.rpush("q", "1").unwrap();
         let down = kv.shard_of("q");
         kv.set_fault_hook(Some(Arc::new(DownShard(down))));
-        assert_eq!(kv.lpop("q"), Err(KvError::Unavailable { shard: down }));
+        assert_eq!(kv.lpop_n("q", 1), Err(KvError::Unavailable { shard: down }));
         assert_eq!(
             kv.rpush("q", "2"),
             Err(KvError::Unavailable { shard: down })
@@ -836,11 +655,11 @@ mod tests {
             .map(|i| format!("k{i}"))
             .find(|k| kv.shard_of(k) != down)
             .unwrap();
-        kv.set(&other, "v");
-        assert!(kv.get(&other).unwrap().is_some());
+        kv.hset(&other, "f", "v").unwrap();
+        assert!(kv.hget(&other, "f").unwrap().is_some());
         // Removing the hook restores service; no data was lost.
         kv.set_fault_hook(None);
-        assert_eq!(kv.lpop("q").unwrap().unwrap(), Bytes::from("1"));
+        assert_eq!(kv.lpop_n("q", 10).unwrap(), vec![Bytes::from("1")]);
     }
 
     fn header(version: u64, dirty: bool) -> ObjectHeader {
@@ -915,7 +734,7 @@ mod tests {
     fn restore_refuses_a_header_version_a_packed_header_cannot_hold() {
         let top = PackedHeader::MAX_VERSION.0;
         let snapshot = |version| Snapshot {
-            entries: vec![("s".to_string(), Value::Str(Bytes::from("v")))],
+            entries: vec![("l".to_string(), Value::List([Bytes::from("v")].into()))],
             headers: vec![(ObjectId(1), header(3, false)), (ObjectId(2), version)],
             dirty: vec![entry(1, 3)],
         };
@@ -981,7 +800,7 @@ mod tests {
         }
         // The string key space never saw the log...
         assert!(kv.is_empty());
-        assert_eq!(kv.llen(DIRTY_LOG_HOME).unwrap(), 0);
+        assert!(kv.lpop_n(DIRTY_LOG_HOME, 1).unwrap().is_empty());
         // ...but a snapshot holding only the log is not empty, and carries
         // it head first.
         let snap = kv.dump();
@@ -1040,14 +859,14 @@ mod tests {
                 let kv = kv.clone();
                 let popped = popped.clone();
                 s.spawn(move |_| loop {
-                    match kv.lpop("q").unwrap() {
-                        Some(item) => popped.lock().push(item),
-                        None => {
-                            if popped.lock().len() >= produced {
-                                break;
-                            }
-                            std::thread::yield_now();
+                    let batch = kv.lpop_n("q", 8).unwrap();
+                    if batch.is_empty() {
+                        if popped.lock().len() >= produced {
+                            break;
                         }
+                        std::thread::yield_now();
+                    } else {
+                        popped.lock().extend(batch);
                     }
                 });
             }

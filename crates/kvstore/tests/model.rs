@@ -13,19 +13,10 @@ use std::collections::{BTreeMap, HashMap, VecDeque};
 
 #[derive(Debug, Clone)]
 enum Op {
-    Set(u8, String),
-    Get(u8),
-    Del(u8),
     Rpush(u8, String),
-    Lpush(u8, String),
-    Lpop(u8),
-    Rpop(u8),
-    Llen(u8),
-    Lindex(u8, usize),
+    LpopN(u8, usize),
     Hset(u8, u8, String),
     Hget(u8, u8),
-    Hdel(u8, u8),
-    Incr(u8),
     HeaderPut(u8, u8, bool),
     HeaderGet(u8),
     HeaderLen,
@@ -42,19 +33,10 @@ fn op_strategy() -> impl Strategy<Value = Op> {
     let key = 0u8..6; // few keys => lots of cross-type collisions
     let val = "[a-z]{0,6}";
     prop_oneof![
-        (key.clone(), val).prop_map(|(k, v)| Op::Set(k, v)),
-        key.clone().prop_map(Op::Get),
-        key.clone().prop_map(Op::Del),
         (key.clone(), val).prop_map(|(k, v)| Op::Rpush(k, v)),
-        (key.clone(), val).prop_map(|(k, v)| Op::Lpush(k, v)),
-        key.clone().prop_map(Op::Lpop),
-        key.clone().prop_map(Op::Rpop),
-        key.clone().prop_map(Op::Llen),
-        (key.clone(), 0usize..8).prop_map(|(k, i)| Op::Lindex(k, i)),
+        (key.clone(), 0usize..4).prop_map(|(k, n)| Op::LpopN(k, n)),
         (key.clone(), 0u8..4, val).prop_map(|(k, f, v)| Op::Hset(k, f, v)),
-        (key.clone(), 0u8..4).prop_map(|(k, f)| Op::Hget(k, f)),
-        (key.clone(), 0u8..4).prop_map(|(k, f)| Op::Hdel(k, f)),
-        key.prop_map(Op::Incr),
+        (key, 0u8..4).prop_map(|(k, f)| Op::Hget(k, f)),
         (0u8..12, 0u8..5, 0u8..2).prop_map(|(o, v, d)| Op::HeaderPut(o, v, d == 1)),
         (0u8..12).prop_map(Op::HeaderGet),
         Just(Op::HeaderLen),
@@ -73,7 +55,6 @@ fn op_strategy() -> impl Strategy<Value = Op> {
 /// Reference model of one key's value.
 #[derive(Debug, Clone, PartialEq)]
 enum Model {
-    Str(Bytes),
     List(VecDeque<Bytes>),
     Hash(HashMap<String, Bytes>),
 }
@@ -106,22 +87,6 @@ proptest! {
 
         for op in ops {
             match op {
-                Op::Set(k, v) => {
-                    kv.set(&key(k), v.clone());
-                    model.insert(key(k), Model::Str(Bytes::from(v)));
-                }
-                Op::Get(k) => {
-                    let got = kv.get(&key(k));
-                    match model.get(&key(k)) {
-                        None => prop_assert_eq!(got.unwrap(), None),
-                        Some(Model::Str(b)) => prop_assert_eq!(got.unwrap(), Some(b.clone())),
-                        Some(_) => prop_assert!(is_wrong_type(&got)),
-                    }
-                }
-                Op::Del(k) => {
-                    let got = kv.del(&key(k));
-                    prop_assert_eq!(got, model.remove(&key(k)).is_some());
-                }
                 Op::Rpush(k, v) => {
                     let got = kv.rpush(&key(k), v.clone());
                     match model.entry(key(k)).or_insert_with(|| Model::List(VecDeque::new())) {
@@ -134,47 +99,14 @@ proptest! {
                         }
                     }
                 }
-                Op::Lpush(k, v) => {
-                    let got = kv.lpush(&key(k), v.clone());
-                    match model.entry(key(k)).or_insert_with(|| Model::List(VecDeque::new())) {
-                        Model::List(l) => {
-                            l.push_front(Bytes::from(v));
-                            prop_assert_eq!(got.unwrap(), l.len());
-                        }
-                        _ => {
-                            prop_assert!(is_wrong_type(&got));
-                        }
-                    }
-                }
-                Op::Lpop(k) => {
-                    let got = kv.lpop(&key(k));
+                Op::LpopN(k, n) => {
+                    let got = kv.lpop_n(&key(k), n);
                     match model.get_mut(&key(k)) {
-                        None => prop_assert_eq!(got.unwrap(), None),
-                        Some(Model::List(l)) => prop_assert_eq!(got.unwrap(), l.pop_front()),
-                        Some(_) => prop_assert!(is_wrong_type(&got)),
-                    }
-                }
-                Op::Rpop(k) => {
-                    let got = kv.rpop(&key(k));
-                    match model.get_mut(&key(k)) {
-                        None => prop_assert_eq!(got.unwrap(), None),
-                        Some(Model::List(l)) => prop_assert_eq!(got.unwrap(), l.pop_back()),
-                        Some(_) => prop_assert!(is_wrong_type(&got)),
-                    }
-                }
-                Op::Llen(k) => {
-                    let got = kv.llen(&key(k));
-                    match model.get(&key(k)) {
-                        None => prop_assert_eq!(got.unwrap(), 0),
-                        Some(Model::List(l)) => prop_assert_eq!(got.unwrap(), l.len()),
-                        Some(_) => prop_assert!(is_wrong_type(&got)),
-                    }
-                }
-                Op::Lindex(k, i) => {
-                    let got = kv.lindex(&key(k), i);
-                    match model.get(&key(k)) {
-                        None => prop_assert_eq!(got.unwrap(), None),
-                        Some(Model::List(l)) => prop_assert_eq!(got.unwrap(), l.get(i).cloned()),
+                        None => prop_assert_eq!(got.unwrap(), Vec::<Bytes>::new()),
+                        Some(Model::List(l)) => {
+                            let want: Vec<Bytes> = l.drain(..n.min(l.len())).collect();
+                            prop_assert_eq!(got.unwrap(), want);
+                        }
                         Some(_) => prop_assert!(is_wrong_type(&got)),
                     }
                 }
@@ -196,38 +128,6 @@ proptest! {
                         None => prop_assert_eq!(got.unwrap(), None),
                         Some(Model::Hash(h)) => {
                             prop_assert_eq!(got.unwrap(), h.get(&field(f)).cloned())
-                        }
-                        Some(_) => prop_assert!(is_wrong_type(&got)),
-                    }
-                }
-                Op::Hdel(k, f) => {
-                    let got = kv.hdel(&key(k), &field(f));
-                    match model.get_mut(&key(k)) {
-                        None => prop_assert_eq!(got.unwrap(), false),
-                        Some(Model::Hash(h)) => {
-                            prop_assert_eq!(got.unwrap(), h.remove(&field(f)).is_some())
-                        }
-                        Some(_) => prop_assert!(is_wrong_type(&got)),
-                    }
-                }
-                Op::Incr(k) => {
-                    let got = kv.incr(&key(k));
-                    match model.get(&key(k)).cloned() {
-                        None => {
-                            prop_assert_eq!(got.unwrap(), 1);
-                            model.insert(key(k), Model::Str(Bytes::from("1")));
-                        }
-                        Some(Model::Str(b)) => {
-                            match std::str::from_utf8(&b).ok().and_then(|s| s.parse::<i64>().ok()) {
-                                Some(cur) => {
-                                    prop_assert_eq!(got.unwrap(), cur + 1);
-                                    model.insert(
-                                        key(k),
-                                        Model::Str(Bytes::from((cur + 1).to_string())),
-                                    );
-                                }
-                                None => prop_assert_eq!(got, Err(KvError::NotAnInteger)),
-                            }
                         }
                         Some(_) => prop_assert!(is_wrong_type(&got)),
                     }

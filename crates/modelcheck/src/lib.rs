@@ -7,8 +7,7 @@
 //! and — via the `modelcheck` feature of `vendor/arc_swap` — the real
 //! `ArcSwap`). The explorer runs the model once per *schedule*,
 //! enumerating thread interleavings by depth-first search over bounded
-//! preemptions ([`explore`]) or by seeded random walks
-//! ([`explore_random`]); every violation — a failed assertion, a
+//! preemptions ([`explore`]); every violation — a failed assertion, a
 //! vector-clock data race or stale relaxed read, or a scheduler-level
 //! deadlock — comes back with a [`Failure::trace`] that [`replay`]
 //! re-executes deterministically, byte for byte.
@@ -173,7 +172,7 @@ fn render_trace(model: &str, cfg: &Config, decisions: &[Decision]) -> String {
     )
 }
 
-/// Parse a trace produced by [`explore`]/[`explore_random`]. `v1:` and
+/// Parse a trace produced by [`explore`]. `v1:` and
 /// `v2:` traces (which did not record the memory mode, respectively the
 /// message fault budget) are rejected with an explanation instead of
 /// silently diverging under the wrong semantics.
@@ -276,7 +275,7 @@ fn explore_full(model: &str, cfg: &Config, setup: &dyn Fn(&mut Env)) -> Report {
             break;
         }
         let plen = prefix.len();
-        let exec = sched::run_one(prefix, None, cfg.weak, cfg.msg_budget, Vec::new(), setup);
+        let exec = sched::run_one(prefix, cfg.weak, cfg.msg_budget, Vec::new(), setup);
         schedules += 1;
         if let Some(message) = exec.failure {
             return Report {
@@ -453,7 +452,7 @@ fn explore_reduced(model: &str, cfg: &Config, setup: &dyn Fn(&mut Env)) -> Repor
             break;
         }
         let plen = prefix.len();
-        let exec = sched::run_one(prefix, None, cfg.weak, cfg.msg_budget, sleep.clone(), setup);
+        let exec = sched::run_one(prefix, cfg.weak, cfg.msg_budget, sleep.clone(), setup);
         schedules += 1;
         if exec.pruned {
             blocked += 1;
@@ -639,51 +638,6 @@ fn explore_reduced(model: &str, cfg: &Config, setup: &dyn Fn(&mut Env)) -> Repor
     }
 }
 
-/// Random-walk smoke mode: `iterations` schedules with seeded random
-/// choices at every decision point. Fully deterministic for a fixed
-/// `(seed, iterations)` pair — this is what CI's byte-identical check
-/// runs.
-pub fn explore_random(
-    model: &str,
-    cfg: &Config,
-    seed: u64,
-    iterations: usize,
-    setup: impl Fn(&mut Env),
-) -> Report {
-    let mut schedules = 0;
-    for i in 0..iterations {
-        let iter_seed = sched::splitmix64(seed ^ (i as u64).wrapping_mul(0x9e37_79b9));
-        let exec = sched::run_one(
-            Vec::new(),
-            Some(iter_seed),
-            cfg.weak,
-            cfg.msg_budget,
-            Vec::new(),
-            &setup,
-        );
-        schedules += 1;
-        if let Some(message) = exec.failure {
-            return Report {
-                model: model.to_string(),
-                schedules,
-                blocked: 0,
-                exhausted: false,
-                failure: Some(Failure {
-                    trace: render_trace(model, cfg, &exec.decisions),
-                    message,
-                }),
-            };
-        }
-    }
-    Report {
-        model: model.to_string(),
-        schedules,
-        blocked: 0,
-        exhausted: false,
-        failure: None,
-    }
-}
-
 /// Re-execute a single schedule from a counterexample trace. The forced
 /// prefix pins every recorded decision; any decision points beyond it
 /// follow the deterministic default policy, so the same trace always
@@ -693,7 +647,7 @@ pub fn explore_random(
 /// is empty and no pruning can occur, so a recorded trace re-executes
 /// byte-for-byte regardless of how it was found.
 pub fn replay(model: &str, cfg: &Config, prefix: Vec<usize>, setup: impl Fn(&mut Env)) -> Report {
-    let exec = sched::run_one(prefix, None, cfg.weak, cfg.msg_budget, Vec::new(), &setup);
+    let exec = sched::run_one(prefix, cfg.weak, cfg.msg_budget, Vec::new(), &setup);
     Report {
         model: model.to_string(),
         schedules: 1,
@@ -866,26 +820,6 @@ mod tests {
         assert_eq!(f1.message, f2.message);
         assert_eq!(f1.trace, f2.trace);
         assert_eq!(f1.message, failure.message);
-    }
-
-    /// Random mode is deterministic for a fixed seed.
-    #[test]
-    fn random_mode_is_deterministic() {
-        let model = |env: &mut Env| {
-            let cell = Arc::new(MData::new(0u64));
-            for _ in 0..2 {
-                let cell = Arc::clone(&cell);
-                env.spawn(move || {
-                    let v = cell.read();
-                    cell.write(v + 1);
-                });
-            }
-        };
-        let r1 = explore_random("rnd", &Config::default(), 7, 64, model);
-        let r2 = explore_random("rnd", &Config::default(), 7, 64, model);
-        let f1 = r1.failure.expect("race found");
-        let f2 = r2.failure.expect("race found");
-        assert_eq!((r1.schedules, &f1.trace), (r2.schedules, &f2.trace));
     }
 
     #[test]

@@ -223,9 +223,6 @@ struct State {
     prefix: Vec<usize>,
     cursor: usize,
     decisions: Vec<Decision>,
-    /// Seeded RNG for random scheduling mode (`None` = deterministic
-    /// continue-last policy past the prefix).
-    rng: Option<u64>,
     last_granted: Option<usize>,
     /// Mutex token → holding thread.
     holders: BTreeMap<usize, usize>,
@@ -244,7 +241,7 @@ struct State {
     cells: BTreeMap<usize, Cell>,
     /// Event log for partial-order reduction: one entry per grant.
     events: Vec<Event>,
-    /// Sleep set handed in by the explorer (empty for replay/random).
+    /// Sleep set handed in by the explorer (empty for replay).
     initial_sleep: Vec<SleepEntry>,
     /// Liveness of each `initial_sleep` entry; entries wake (die) when a
     /// conflicting access executes, and only shrink within one run.
@@ -331,7 +328,6 @@ impl Session {
     fn new(
         nthreads: usize,
         prefix: Vec<usize>,
-        rng: Option<u64>,
         weak: bool,
         msg_budget: usize,
         initial_sleep: Vec<SleepEntry>,
@@ -348,7 +344,6 @@ impl Session {
                 prefix,
                 cursor: 0,
                 decisions: Vec::new(),
-                rng,
                 last_granted: None,
                 holders: BTreeMap::new(),
                 mutex_clocks: BTreeMap::new(),
@@ -778,8 +773,8 @@ impl Session {
     }
 
     /// Pick among several enabled threads: forced prefix first, then the
-    /// seeded RNG (random mode) or the deterministic continue-last
-    /// policy — steered away from sleeping choices. Records the
+    /// deterministic continue-last policy — steered away from sleeping
+    /// choices. Records the
     /// decision. Returns `None` (prune) when every enabled choice is
     /// asleep; with an empty sleep set the policy is byte-identical to
     /// the pre-reduction scheduler.
@@ -793,34 +788,28 @@ impl Session {
         };
         let chosen = match forced {
             Some(c) => c,
-            None => match &mut st.rng {
-                Some(seed) => {
-                    *seed = splitmix64(*seed);
-                    enabled[(*seed % enabled.len() as u64) as usize]
+            None => {
+                // Fate decisions (all choices >= MSG_BASE) are data
+                // nondeterminism, never slept; thread/flush decisions
+                // skip sleeping choices.
+                let fate = enabled[0] >= MSG_BASE;
+                let awake: Vec<usize> = if fate {
+                    enabled.to_vec()
+                } else {
+                    enabled
+                        .iter()
+                        .copied()
+                        .filter(|&c| !st.sleeping(c))
+                        .collect()
+                };
+                if awake.is_empty() {
+                    return None;
                 }
-                None => {
-                    // Fate decisions (all choices >= MSG_BASE) are data
-                    // nondeterminism, never slept; thread/flush
-                    // decisions skip sleeping choices.
-                    let fate = enabled[0] >= MSG_BASE;
-                    let awake: Vec<usize> = if fate {
-                        enabled.to_vec()
-                    } else {
-                        enabled
-                            .iter()
-                            .copied()
-                            .filter(|&c| !st.sleeping(c))
-                            .collect()
-                    };
-                    if awake.is_empty() {
-                        return None;
-                    }
-                    match st.last_granted {
-                        Some(l) if awake.contains(&l) => l,
-                        _ => awake[0],
-                    }
+                match st.last_granted {
+                    Some(l) if awake.contains(&l) => l,
+                    _ => awake[0],
                 }
-            },
+            }
         };
         let prev = st.last_granted;
         let cum =
@@ -842,14 +831,6 @@ impl Session {
         });
         Some(chosen)
     }
-}
-
-/// Deterministic 64-bit mixer (same family the fault injector uses).
-pub(crate) fn splitmix64(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
 }
 
 /// Model environment handed to the setup closure: collects the virtual
@@ -891,10 +872,9 @@ fn panic_message(e: Box<dyn std::any::Any + Send>) -> String {
 /// ops), spawn its threads under the scheduler with the given forced
 /// decision `prefix`, drive to completion, then run the after-hook.
 /// `initial_sleep` is the explorer's sleep set for this branch (empty
-/// on replay and in random mode — reduction never touches those paths).
+/// on replay — reduction never touches that path).
 pub(crate) fn run_one(
     prefix: Vec<usize>,
-    rng: Option<u64>,
     weak: bool,
     msg_budget: usize,
     initial_sleep: Vec<SleepEntry>,
@@ -904,7 +884,7 @@ pub(crate) fn run_one(
     // Build the model under a provisional session so that primitives
     // created during setup bind to this session's epoch.
     let mut env = Env::default();
-    let sess = Session::new(0, prefix, rng, weak, msg_budget, initial_sleep);
+    let sess = Session::new(0, prefix, weak, msg_budget, initial_sleep);
     set_current(Some(Ctx {
         sess: Arc::clone(&sess),
         tid: None,
@@ -1016,11 +996,5 @@ mod tests {
         b.join(&a);
         assert!(a.event_before(0, &b));
         assert!(!b.event_before(1, &a));
-    }
-
-    #[test]
-    fn splitmix_is_deterministic() {
-        assert_eq!(splitmix64(1), splitmix64(1));
-        assert_ne!(splitmix64(1), splitmix64(2));
     }
 }

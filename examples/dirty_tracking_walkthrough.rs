@@ -3,7 +3,8 @@
 //! 9 → 10 → 11.
 //!
 //! Uses the real `ech-cluster` data path, so the dirty table you see is
-//! the actual RPUSH/LINDEX/LPOP state in `ech-kvstore`.
+//! the actual typed dirty log in `ech-kvstore` (its RPUSH / LRANGE / LPOP
+//! verbs are `dirty_push` / `dirty_range` / `dirty_pop_n`).
 //!
 //! Run with: `cargo run -p ech-apps --example dirty_tracking_walkthrough`
 
