@@ -309,6 +309,7 @@ const RECEIVER_HOPS: &[&str] = &[
     "write",
     "clone",
     "load",
+    "peek",
     "borrow",
     "borrow_mut",
 ];
@@ -1198,7 +1199,8 @@ fn counter_bindings(units: &[Unit]) -> BTreeSet<&str> {
 /// D5: atomic-ordering discipline.
 ///
 /// `Ordering::Relaxed` is the *counter* ordering: legal on
-/// `fetch_add`/`fetch_sub`, and on a `load`/`store` whose receiver was
+/// `fetch_add`/`fetch_sub`, and on a `load`/`store`/`compare_exchange`
+/// (a tally that must stay under a bound) whose receiver was
 /// constructed via the sync facade's counter helpers ([`counter_bindings`])
 /// — the declared constructor, not per-file name pairing, decides what
 /// is a counter. Anywhere else a relaxed access on an atomic that other
@@ -1237,10 +1239,11 @@ fn d5_atomic_discipline(units: &[Unit], out: &mut Vec<Finding>) {
                 .map(|open| (open, t[open - 1].text.clone()));
             let allowed = match &method {
                 Some((_, m)) if m == "fetch_add" || m == "fetch_sub" => true,
-                Some((open, m)) if m == "load" || m == "store" => {
-                    // `<recv>.load/store(.., Ordering::Relaxed)` —
-                    // legal when the receiver is a declared counter
-                    // (snapshot reads and counter resets).
+                Some((open, m)) if m == "load" || m == "store" || m == "compare_exchange" => {
+                    // `<recv>.load/store/compare_exchange(..,
+                    // Ordering::Relaxed)` — legal when the receiver is a
+                    // declared counter (snapshot reads, counter resets,
+                    // bounded tallies).
                     *open >= 3
                         && t[open - 2].is_punct('.')
                         && t[open - 3].kind == TokKind::Ident
@@ -1334,12 +1337,12 @@ const D6_STAMP: &[&str] = &["record_write", "mark_clean", "restamp"];
 ///    rule.
 /// 2. **unpinned-cache-consult** — every `cache.place_at`/
 ///    `cache.place_current` consult must happen under a pinned view
-///    epoch (a `load()` on an `ArcSwap` field or a `view_snapshot()`
+///    epoch (a `load()` or `peek()` on an `ArcSwap` field or a `view_snapshot()`
 ///    earlier in, or inside, the consulting expression); consulting the
 ///    cache against an unpinned view races the next publication.
 ///
 /// Publication and pin points are derived from the *declared field
-/// type*: any `store`/`swap` (`load` for pins) whose receiver resolves
+/// type*: any `store` (`load` / `peek` for pins) whose receiver resolves
 /// to a field wrapped in the facade's RCU primitive (`ArcSwap<..>`)
 /// counts, whatever the field or helper is called — renaming `view` or
 /// adding a second publication path needs no rule edit.
@@ -1372,12 +1375,12 @@ fn d6_publish_order(units: &[Unit], out: &mut Vec<Finding>) {
                 e.stamps.push((i, name.to_string()));
                 continue;
             }
-            // A view publication: `store`/`swap` on a field declared
+            // A view publication: `store` on a field declared
             // with the RCU publication type (`ArcSwap<..>`). Helpers
             // that publish internally (e.g. a clone-mutate-publish
             // wrapper) need no special-casing — they become publish
             // points through the call-graph fixpoint below.
-            if (name == "store" || name == "swap") && arcswap_receiver(&g, f, t, i, &aliases) {
+            if name == "store" && arcswap_receiver(&g, f, t, i, &aliases) {
                 e.publishes.push(i);
                 continue;
             }
@@ -1459,7 +1462,8 @@ fn d6_publish_order(units: &[Unit], out: &mut Vec<Finding>) {
         }
         // Unpinned cache consults: `cache.place_*` with no view pin
         // before the consulting expression completes. A pin is a
-        // `load()` on an `ArcSwap`-typed field or the snapshot helper.
+        // `load()` or `peek()` on an `ArcSwap`-typed field or the
+        // snapshot helper.
         let aliases = local_aliases(t, f);
         let pins: Vec<usize> = (f.body.0..=f.body.1.min(t.len().saturating_sub(1)))
             .filter(|&i| {
@@ -1467,7 +1471,8 @@ fn d6_publish_order(units: &[Unit], out: &mut Vec<Finding>) {
                 if !t.get(i + 1).is_some_and(|x| x.is_punct('(')) {
                     return false;
                 }
-                (tok.is_ident("load") && arcswap_receiver(&g, f, t, i, &aliases))
+                ((tok.is_ident("load") || tok.is_ident("peek"))
+                    && arcswap_receiver(&g, f, t, i, &aliases))
                     || tok.is_ident("view_snapshot")
             })
             .collect();

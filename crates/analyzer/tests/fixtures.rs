@@ -446,6 +446,30 @@ fn d5_flags_relaxed_on_non_counter_atomics() {
 }
 
 #[test]
+fn d5_allows_relaxed_compare_exchange_only_on_counters() {
+    // A bounded tally (bytes against a capacity) moves by a Relaxed
+    // compare-exchange loop; on a synchronisation atomic the same call
+    // publishes nothing and fires.
+    let files = vec![file(
+        "crates/cluster/src/node.rs",
+        "pub struct Node;\n\
+         impl Node {\n\
+         fn new() -> Self { Node { bytes: counter_u64(0), owner: AtomicU64::new(0) } }\n\
+         fn grow(&self) { let _ = self.bytes.compare_exchange(1, 2, Ordering::Relaxed, Ordering::Relaxed); }\n\
+         fn claim(&self) { let _ = self.owner.compare_exchange(0, 1, Ordering::Relaxed, Ordering::Relaxed); }\n\
+         }\n",
+    )];
+    let hits = rules_at(&files, "crates/cluster/src/node.rs");
+    let mut d5: Vec<u32> = hits
+        .iter()
+        .filter(|(r, _)| r == "D5")
+        .map(|(_, l)| *l)
+        .collect();
+    d5.dedup();
+    assert_eq!(d5, [5], "only the non-counter exchange fires: {hits:?}");
+}
+
+#[test]
 fn d5_counter_classification_survives_renames_and_crosses_files() {
     // The constructor, not per-file RMW pairing, declares the counter:
     // `tally` is built with `counter_u64` in stats.rs, so its Relaxed
@@ -557,7 +581,7 @@ fn d6_flags_stamp_before_publish_and_accepts_the_inverse() {
 fn d6_derives_publication_points_from_arcswap_typed_fields() {
     // A brand-new publication helper over a differently-named ArcSwap
     // field must be picked up with zero rule edits: the declared field
-    // type makes `membership.swap` a publication, and the call-graph
+    // type makes `membership.store` a publication, and the call-graph
     // fixpoint makes `publish_roster` a publishing helper. A store on a
     // non-ArcSwap field must NOT count as a publication (else the stamp
     // would be mis-ordered against it).
@@ -565,7 +589,7 @@ fn d6_derives_publication_points_from_arcswap_typed_fields() {
         "crates/cluster/src/cluster.rs",
         "pub struct Cluster { membership: ArcSwap<Roster>, stop: AtomicBool }\n\
          impl Cluster {\n\
-         fn publish_roster(&self, next: Roster) { self.membership.swap(next); }\n\
+         fn publish_roster(&self, next: Roster) { self.membership.store(next); }\n\
          fn resize(&self) {\n\
          self.headers.record_write(o, v, false);\n\
          self.publish_roster(r);\n\
@@ -622,6 +646,17 @@ fn d6_flags_cache_consults_outside_a_pinned_view() {
          }\n",
     )];
     assert!(analyze(&good).is_empty(), "{:?}", analyze(&good));
+
+    // A count-free `peek` pins the epoch for the borrow just as `load`
+    // pins it for the `Arc`.
+    let peeked = vec![file(
+        "crates/cluster/src/cluster.rs",
+        "pub struct Cluster { epochs: ArcSwap<ClusterView> }\n\
+         impl Cluster {\n\
+         fn locate(&self) { let v = self.epochs.peek(); let p = self.cache.place_current(v, oid); }\n\
+         }\n",
+    )];
+    assert!(analyze(&peeked).is_empty(), "{:?}", analyze(&peeked));
 }
 
 // ---------------------------------------------------------------- D7

@@ -253,10 +253,14 @@ struct MigrationThrottle {
 pub struct Cluster {
     cfg: ClusterConfig,
     nodes: Vec<Arc<StorageNode>>,
-    /// RCU-style membership snapshot: readers [`ArcSwap::load`] an
-    /// immutable `Arc<ClusterView>` without locking, and the `Arc` pins a
-    /// coherent epoch for as long as they hold it. Writers
-    /// clone-mutate-publish under `view_write`.
+    /// RCU-style membership snapshot. Readers that finish within the
+    /// call [`ArcSwap::peek`] it — one `Acquire` load, no reference
+    /// count, so concurrent clients share no written cache line here —
+    /// and the borrow pins a coherent epoch until they return;
+    /// [`Cluster::view_snapshot`] hands out an owned `Arc` for holding a
+    /// view across calls. Writers clone-mutate-publish under
+    /// `view_write`. The retire list is never trimmed under `&self`, which
+    /// is what keeps a `peek` valid (see `vendor/arc_swap`).
     view: ArcSwap<ClusterView>,
     /// Serialises view writers (resize, crash marking, repair); readers
     /// never touch it.
@@ -475,7 +479,7 @@ impl Cluster {
     /// repair module to record irregular memberships.
     pub(crate) fn update_view<R>(&self, f: impl FnOnce(&mut ClusterView) -> R) -> R {
         let _writer = self.view_write.lock();
-        let mut next = ClusterView::clone(&self.view.load());
+        let mut next = ClusterView::clone(self.view.peek());
         let out = f(&mut next);
         self.view.store(Arc::new(next));
         out
@@ -496,12 +500,12 @@ impl Cluster {
 
     /// Current membership version.
     pub fn current_version(&self) -> VersionId {
-        self.view.load().current_version()
+        self.view.peek().current_version()
     }
 
     /// Number of active (placement-eligible) servers.
     pub fn active_count(&self) -> usize {
-        self.view.load().current_membership().active_count()
+        self.view.peek().current_membership().active_count()
     }
 
     /// Dirty-table length.
@@ -684,7 +688,7 @@ impl Cluster {
 
     /// Where `oid`'s replicas should live right now.
     pub fn locate(&self, oid: ObjectId) -> Result<Placement, ClusterError> {
-        Ok(self.view.load().place_current(oid)?)
+        Ok(self.view.peek().place_current(oid)?)
     }
 
     /// Check that every replica of `oid` required by the current

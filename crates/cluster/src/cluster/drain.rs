@@ -38,10 +38,10 @@ impl Cluster {
     /// lock serialises Algorithm 2's scan (and with it the dirty-table
     /// pops the scan performs).
     fn plan_task(&self) -> Result<MigrationTask, Idle> {
-        let view = self.view.load();
+        let view = self.view.peek();
         let mut engine = self.engine.lock();
         let mut dirty = self.dirty.clone();
-        engine.next_task(&view, &mut dirty, &self.headers)
+        engine.next_task(view, &mut dirty, &self.headers)
     }
 
     /// Drain up to `max_tasks` (at least one) re-integration tasks on
@@ -186,7 +186,7 @@ impl Cluster {
         // untouched siblings would look stale next to the new header.
         // A concurrent rewrite may have advanced the header beyond the
         // task's target; never downgrade it.
-        let full_power = self.view.load().current_membership().is_full_power();
+        let full_power = self.view.peek().current_membership().is_full_power();
         let still_dirty = !full_power;
         let superseded = self
             .headers
@@ -348,7 +348,7 @@ impl Cluster {
         // One pinned view for the whole scan: entries healed against a
         // placement snapshot, not a per-entry reload (a resize racing
         // the scan is caught by the next heal pass either way).
-        let view = self.view.load();
+        let view = self.view.peek();
         let full_power = view.current_membership().is_full_power();
         let mut seen = std::collections::HashSet::new();
         let mut stats = RepairStats::default();

@@ -76,7 +76,7 @@ impl Cluster {
         deadline: Deadline,
     ) -> Result<Bytes, ClusterError> {
         let expected = self.headers.header(oid).map(|h| h.version);
-        let view = self.view.load();
+        let view = self.view.peek();
         let current = view.place_current(oid).ok();
         // `locate_ser(OID, Ver)` at the header version adds a candidate
         // only when that membership differs in content from the current
@@ -87,7 +87,6 @@ impl Cluster {
         let written = expected
             .filter(|&ver| history.epoch_class(ver) != history.epoch_class(view.current_version()))
             .and_then(|ver| view.place_at(oid, ver).ok());
-        drop(view);
         // Current placement first, then the header-version servers it
         // does not already name. The common case is one placement, whose
         // server list is borrowed as is.

@@ -41,7 +41,7 @@ impl Cluster {
         let deadline = self.op_deadline();
         loop {
             let (placement, version, power_dirty) = {
-                let view = self.view.load();
+                let view = self.view.peek();
                 let p = view.place_current(oid)?;
                 (p, view.current_version(), view.write_is_dirty())
             };

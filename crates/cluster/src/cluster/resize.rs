@@ -18,7 +18,7 @@ impl Cluster {
 
     fn resize_views(&self, active: usize) -> VersionId {
         let _writer = self.view_write.lock();
-        let mut next = ClusterView::clone(&self.view.load());
+        let mut next = ClusterView::clone(self.view.peek());
         let version = next.resize(active);
         // Power ordering around the snapshot swap: servers joining the
         // membership power on *before* the new view is published (a
@@ -54,7 +54,7 @@ impl Cluster {
     /// servers.
     pub fn detect_and_mark_crashed(&self) -> Vec<ServerId> {
         let _writer = self.view_write.lock();
-        let view = self.view.load();
+        let view = self.view.peek();
         let dark: Vec<ServerId> = (0..self.cfg.servers as u32)
             .map(ServerId)
             .filter(|&s| {
@@ -63,7 +63,7 @@ impl Cluster {
             })
             .collect();
         if let Some((&head, tail)) = dark.split_first() {
-            let mut next = ClusterView::clone(&view);
+            let mut next = ClusterView::clone(view);
             let mut table = next
                 .current_membership()
                 .with_state(head, ech_core::membership::PowerState::Off);

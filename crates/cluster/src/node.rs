@@ -12,7 +12,7 @@ use crate::sync::{
 };
 use bytes::Bytes;
 use ech_core::dirty::{ObjectHeader, PackedHeader};
-use ech_core::hash::IdMap;
+use ech_core::hash::{mix64, IdMap};
 use ech_core::ids::{ObjectId, ServerId, VersionId};
 use parking_lot::RwLock;
 use std::collections::hash_map::Entry;
@@ -37,6 +37,36 @@ struct Replica {
 }
 
 const _: () = assert!(std::mem::size_of::<(ObjectId, Replica)>() == 24);
+
+/// Lock stripes per node. Under the paper's layout every object keeps
+/// one replica on a primary, so a primary's map is touched by most
+/// operations; two clients meet on one stripe's lock 1/16 as often as
+/// on a single map lock.
+const STRIPES: usize = 16;
+
+/// One stripe of a node's objects: its own map lock and op counters,
+/// alone on a cache line so stripes do not share a line across cores.
+#[derive(Debug)]
+#[repr(align(64))]
+struct Stripe {
+    /// Keyed by program-made ids, so no SipHash; [`IdMap`]'s hash is
+    /// independent of the ring position that chose this node and of
+    /// the hash that chose this stripe.
+    objects: RwLock<IdMap<ObjectId, Replica>>,
+    /// Written only under `objects`' write lock.
+    writes: AtomicU64,
+    reads: AtomicU64,
+}
+
+impl Stripe {
+    fn new() -> Self {
+        Stripe {
+            objects: RwLock::default(),
+            writes: counter_u64(0),
+            reads: counter_u64(0),
+        }
+    }
+}
 
 /// Errors from node-level operations.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -105,13 +135,13 @@ impl std::error::Error for NodeError {}
 pub struct StorageNode {
     id: ServerId,
     powered: AtomicBool,
-    /// Keyed by program-made ids, so no SipHash; [`IdMap`]'s hash is
-    /// independent of the ring position that chose this node.
-    objects: RwLock<IdMap<ObjectId, Replica>>,
-    /// Written only under `objects`' write lock.
+    /// The node's objects, split by [`StorageNode::stripe_of`].
+    stripes: [Stripe; STRIPES],
+    /// Bytes stored across all stripes. Moves only when a write changes
+    /// an object's size (a compare-exchange that refuses growth past
+    /// `capacity`) or a remove or crash drops it; an equal-size
+    /// overwrite leaves it alone.
     bytes_stored: AtomicU64,
-    reads: AtomicU64,
-    writes: AtomicU64,
     /// Disk capacity in bytes; `u64::MAX` = unlimited.
     capacity: u64,
     /// Optional fault injector; `None` keeps the data path fault-free at
@@ -140,10 +170,8 @@ impl StorageNode {
         StorageNode {
             id,
             powered: AtomicBool::new(true),
-            objects: RwLock::default(),
+            stripes: std::array::from_fn(|_| Stripe::new()),
             bytes_stored: counter_u64(0),
-            reads: counter_u64(0),
-            writes: counter_u64(0),
             capacity,
             fault,
         }
@@ -174,11 +202,58 @@ impl StorageNode {
         self.capacity
     }
 
-    /// Footprint key covering this node's raw-locked object map and its
-    /// byte accounting (the state the checker cannot instrument).
+    /// Footprint key covering this node's raw-locked object maps (every
+    /// stripe) and its byte accounting (the state the checker cannot
+    /// instrument).
     #[inline]
     fn foot_key(&self) -> u64 {
         footprint::NODE_BASE | self.id.index() as u64
+    }
+
+    #[inline]
+    fn stripe(&self, oid: ObjectId) -> &Stripe {
+        // ech-allow(D2): `stripe_of` reduces modulo `STRIPES`, the
+        // array's length, so the index is always in range.
+        &self.stripes[Self::stripe_of(oid)]
+    }
+
+    /// Account a replica going from `old` to `new` bytes, refusing growth
+    /// past `capacity`. Callers hold the replica's stripe write lock, so
+    /// `old` is still counted in the tally; other stripes move it
+    /// concurrently, hence the compare-exchange.
+    fn resize_tally(&self, old: u64, new: u64) -> Result<(), NodeError> {
+        let mut stored = self.bytes_stored.load(Ordering::Relaxed);
+        loop {
+            let needed = stored - old + new;
+            if needed > self.capacity {
+                return Err(NodeError::DiskFull {
+                    capacity: self.capacity,
+                    needed,
+                });
+            }
+            match self.bytes_stored.compare_exchange(
+                stored,
+                needed,
+                Ordering::Relaxed,
+                Ordering::Relaxed,
+            ) {
+                Ok(_) => return Ok(()),
+                Err(seen) => stored = seen,
+            }
+        }
+    }
+
+    /// Number of lock stripes a node splits its objects over.
+    pub const STRIPES: usize = STRIPES;
+
+    /// Which stripe of a node holds `oid` (`0..STRIPES`): the low bits
+    /// of `mix64(oid)`, a third hash independent of both the ring
+    /// position ([`ech_core::hash::object_position`]) and the map's own
+    /// [`ech_core::hash::IdHasher`] — striping by the map hash would give
+    /// each stripe's table 1/16 of its bucket residues.
+    #[inline]
+    pub fn stripe_of(oid: ObjectId) -> usize {
+        mix64(oid.raw()) as usize % STRIPES
     }
 
     /// This node's server id.
@@ -213,7 +288,8 @@ impl StorageNode {
             data,
             header: ObjectHeader { version, dirty }.into(),
         };
-        let mut map = self.objects.write();
+        let stripe = self.stripe(oid);
+        let mut map = stripe.objects.write();
         // One probe: the entry is both the old length's source and the
         // slot the new replica goes into.
         let slot = map.entry(oid);
@@ -221,18 +297,15 @@ impl StorageNode {
             Entry::Occupied(held) => held.get().data.len() as u64,
             Entry::Vacant(_) => 0,
         };
-        let needed = self.bytes_stored.load(Ordering::Relaxed) - old_len + obj.data.len() as u64;
-        if needed > self.capacity {
-            return Err(NodeError::DiskFull {
-                capacity: self.capacity,
-                needed,
-            });
+        let new_len = obj.data.len() as u64;
+        if new_len != old_len {
+            self.resize_tally(old_len, new_len)?;
         }
         slot.insert_entry(obj);
-        // The write lock serialises every writer of the tally, so a plain
-        // store of the figure just checked replaces two atomic RMWs.
-        self.bytes_stored.store(needed, Ordering::Relaxed);
-        self.writes.fetch_add(1, Ordering::Relaxed);
+        // The write lock serialises this stripe's writers, so a plain
+        // store replaces an atomic RMW.
+        let writes = stripe.writes.load(Ordering::Relaxed);
+        stripe.writes.store(writes + 1, Ordering::Relaxed);
         Ok(())
     }
 
@@ -243,8 +316,12 @@ impl StorageNode {
             return Err(NodeError::PoweredOff);
         }
         footprint_read(self.foot_key());
-        self.reads.fetch_add(1, Ordering::Relaxed);
-        self.objects
+        let stripe = self.stripe(oid);
+        // The counter shares the stripe lock's line, which the read lock
+        // below writes anyway.
+        stripe.reads.fetch_add(1, Ordering::Relaxed);
+        stripe
+            .objects
             .read()
             .get(&oid)
             .map(|held| StoredObject {
@@ -259,7 +336,7 @@ impl StorageNode {
     /// system would queue the delete until power-on.
     pub fn remove(&self, oid: ObjectId) -> bool {
         footprint_write(self.foot_key());
-        let mut map = self.objects.write();
+        let mut map = self.stripe(oid).objects.write();
         if let Some(obj) = map.remove(&oid) {
             self.bytes_stored
                 .fetch_sub(obj.data.len() as u64, Ordering::Relaxed);
@@ -275,7 +352,7 @@ impl StorageNode {
     /// updated.
     pub fn restamp(&self, oid: ObjectId, version: VersionId, dirty: bool) -> bool {
         footprint_write(self.foot_key());
-        let mut map = self.objects.write();
+        let mut map = self.stripe(oid).objects.write();
         match map.get_mut(&oid) {
             Some(obj) if obj.header.unpack().version <= version => {
                 obj.header = ObjectHeader { version, dirty }.into();
@@ -290,9 +367,12 @@ impl StorageNode {
     pub fn crash(&self) -> usize {
         footprint_write(self.foot_key());
         self.set_powered(false);
-        let mut map = self.objects.write();
-        let lost = map.len();
-        map.clear();
+        // Every stripe's lock, in index order, held until the tally is
+        // reset: no write can land in a cleared stripe and then have its
+        // bytes wiped by the reset below.
+        let mut maps = self.stripes.each_ref().map(|s| s.objects.write());
+        let lost = maps.iter().map(|m| m.len()).sum();
+        maps.iter_mut().for_each(|m| m.clear());
         // Counter reset on crash: `bytes_stored` is constructed via
         // `counter_u64`, which is what licenses the relaxed store — the
         // node is already dark, so no reader can order against it.
@@ -303,27 +383,31 @@ impl StorageNode {
     /// Does this node hold `oid` (regardless of power state)?
     pub fn holds(&self, oid: ObjectId) -> bool {
         footprint_read(self.foot_key());
-        self.objects.read().contains_key(&oid)
+        self.stripe(oid).objects.read().contains_key(&oid)
     }
 
-    /// Number of replicas stored.
+    /// Number of replicas stored (stripe by stripe, so exact only while
+    /// no write is in flight).
     pub fn object_count(&self) -> usize {
         footprint_read(self.foot_key());
-        self.objects.read().len()
+        self.stripes.iter().map(|s| s.objects.read().len()).sum()
     }
 
-    /// Bytes stored.
+    /// Bytes stored: the sum of the stored replicas' payload lengths,
+    /// never above [`StorageNode::capacity`].
     pub fn bytes_stored(&self) -> u64 {
         footprint_read(self.foot_key());
         self.bytes_stored.load(Ordering::Relaxed)
     }
 
-    /// (reads, writes) op counters.
+    /// (reads, writes) op counters, summed over the stripes.
     pub fn op_counts(&self) -> (u64, u64) {
-        (
-            self.reads.load(Ordering::Relaxed),
-            self.writes.load(Ordering::Relaxed),
-        )
+        self.stripes.iter().fold((0, 0), |(r, w), s| {
+            (
+                r + s.reads.load(Ordering::Relaxed),
+                w + s.writes.load(Ordering::Relaxed),
+            )
+        })
     }
 }
 

@@ -6,7 +6,11 @@
 //! top bits of `mix64(oid)` (that is how they were routed there), and the
 //! objects on one node share a stretch of ring positions: a map hash that
 //! repeats either would hand all of a table's keys the same few tags.
+//! A node splits its map into lock stripes, chosen by a third hash: a
+//! stripe chosen by the map hash's own low bits would hand each stripe's
+//! table the same few bucket residues.
 
+use ech_cluster::StorageNode;
 use ech_core::hash::{mix64, IdHasher};
 use ech_core::ids::ObjectId;
 use ech_core::layout::Layout;
@@ -77,4 +81,69 @@ fn node_map_tags_are_independent_of_the_ring_position() {
         }
     }
     assert_even("node", &by_map_hash);
+}
+
+/// Low 7 bits of the map hash: the bucket residue in a table of 128 or
+/// more buckets.
+fn residue(hash: u64) -> usize {
+    (hash & (TAGS as u64 - 1)) as usize
+}
+
+/// Ids for the per-stripe statistics. A stripe is a sixteenth of its
+/// node's table, and the smallest node of the equal-work layout holds
+/// about 2 % of the replicas: at 100,000 ids its stripes hold ~440
+/// objects each, and a uniform draw that small leaves some of the 128
+/// tags or residues empty by chance alone. At 1,000,000 the smallest
+/// stripe holds 4,294.
+const STRIPE_IDS: u64 = 1_000_000;
+
+#[test]
+fn node_stripes_are_even_and_see_every_tag_and_residue() {
+    const STRIPES: usize = StorageNode::STRIPES;
+    let view = ClusterView::new(Layout::equal_work(10, 10_000), Strategy::Primary, 2);
+    let mut tags = vec![[[0usize; TAGS]; STRIPES]; 10];
+    let mut residues = vec![[[0usize; TAGS]; STRIPES]; 10];
+    // The negative control: stripes chosen by the map hash's own low bits.
+    let mut control = vec![[[0usize; TAGS]; STRIPES]; 10];
+    for oid in (0..STRIPE_IDS).map(ObjectId) {
+        let h = id_map_hash(oid);
+        let stripe = StorageNode::stripe_of(oid);
+        for server in view.place_current(oid).unwrap().servers() {
+            let node = server.index();
+            tags[node][stripe][tag(h)] += 1;
+            residues[node][stripe][residue(h)] += 1;
+            control[node][residue(h) % STRIPES][residue(h)] += 1;
+        }
+    }
+    for node in 0..10 {
+        let per_stripe: Vec<usize> = tags[node].iter().map(|t| t.iter().sum()).collect();
+        let mean = per_stripe.iter().sum::<usize>() as f64 / STRIPES as f64;
+        for (stripe, &n) in per_stripe.iter().enumerate() {
+            assert!(
+                n as f64 <= 1.5 * mean,
+                "node {node} stripe {stripe}: {n} objects, mean {mean:.0}"
+            );
+        }
+        for stripe in 0..STRIPES {
+            let used = |counts: &[usize; TAGS]| counts.iter().filter(|&&n| n > 0).count();
+            assert_eq!(
+                used(&tags[node][stripe]),
+                TAGS,
+                "node {node} stripe {stripe} tags"
+            );
+            assert_eq!(
+                used(&residues[node][stripe]),
+                TAGS,
+                "node {node} stripe {stripe} residues"
+            );
+            // Striped by the map hash, a stripe's table would use one
+            // residue in sixteen: its probes would start in 1/16 of the
+            // buckets.
+            assert_eq!(
+                used(&control[node][stripe]),
+                TAGS / STRIPES,
+                "control: node {node} stripe {stripe}"
+            );
+        }
+    }
 }
