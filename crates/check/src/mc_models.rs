@@ -107,7 +107,7 @@ impl Model {
     }
 
     /// The expectation that applies under the given memory mode.
-    pub fn expects_failure(&self, weak: bool) -> bool {
+    fn expects_failure(&self, weak: bool) -> bool {
         if weak {
             self.expect_failure_weak
         } else {
@@ -466,8 +466,8 @@ fn tiny_config(
         replicas,
         layout_base: 64,
         strategy,
-        // Models replay pinned schedules; the engine stays the ring so
-        // traces are byte-identical regardless of ECH_PLACEMENT.
+        // Models replay pinned schedules on the ring engine, so traces
+        // are byte-identical.
         placement: EngineKind::Ring,
         kv_shards: 2,
         capacity_plan: None,

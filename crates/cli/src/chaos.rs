@@ -33,8 +33,8 @@ pub fn chaos_cmd(args: &Args) -> Result<String, ParseError> {
     let crash1: u64 = args.get_or("crash1", 12)?;
     let crash2: u64 = args.get_or("crash2", 25)?;
     let net: bool = args.get_or("net", false)?;
-    // `--placement` overrides the ECH_PLACEMENT env default picked up by
-    // `ClusterConfig::paper()`; absent, the env (or the ring) stands.
+    // `--placement` overrides the engine of `ClusterConfig::paper()`;
+    // absent, the ring stands.
     let placement: Option<ech_core::engine::EngineKind> = match args.options.get("placement") {
         Some(v) => Some(v.parse().map_err(ParseError)?),
         None => None,
@@ -90,7 +90,6 @@ pub fn chaos_cmd(args: &Args) -> Result<String, ParseError> {
                 direction: PartitionDirection::Inbound,
             }],
             rpc_timeout: Duration::from_millis(2),
-            ..NetPlan::default()
         });
     }
 

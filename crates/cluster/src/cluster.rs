@@ -98,33 +98,14 @@ pub struct ClusterConfig {
 
 impl ClusterConfig {
     /// The paper's deployment shape: 10 nodes, 2-way replication,
-    /// primary placement over the equal-work layout.
-    ///
-    /// The placement engine defaults to the ring but honours the
-    /// `ECH_PLACEMENT` environment variable (`ring|jump|dx|power`), so
-    /// whole drill suites (chaos, stress, model replay) can be re-run
-    /// under an O(1) backend without touching their configs.
-    ///
-    /// # Panics
-    /// Panics on an unparseable `ECH_PLACEMENT` value: a typo silently
-    /// falling back to the ring would make an entire drill suite believe
-    /// it exercised an O(1) backend while actually re-running the ring.
+    /// primary placement over the equal-work layout, on the ring engine.
     pub fn paper() -> Self {
-        let placement = match std::env::var("ECH_PLACEMENT") {
-            // ech-allow(D2): this is config-time, not the data path —
-            // a typoed engine name must fail the drill loudly, not
-            // silently invalidate its coverage by running the default.
-            Ok(v) => v.parse().unwrap_or_else(|e| panic!("ECH_PLACEMENT: {e}")),
-            Err(std::env::VarError::NotPresent) => EngineKind::default(),
-            // ech-allow(D2): same reasoning for a non-unicode value.
-            Err(e) => panic!("ECH_PLACEMENT: {e}"),
-        };
         ClusterConfig {
             servers: 10,
             replicas: 2,
             layout_base: 10_000,
             strategy: Strategy::Primary,
-            placement,
+            placement: EngineKind::default(),
             kv_shards: 10,
             capacity_plan: None,
             write_quorum: WriteQuorum::default(),

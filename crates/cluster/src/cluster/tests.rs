@@ -80,6 +80,42 @@ fn reintegration_moves_offloaded_data_home() {
     assert!(c.migrated_bytes() > 0);
 }
 
+/// `migration_rate` paces the drain on the cluster clock: the same
+/// offloaded bytes move either way, for free when unthrottled and at no
+/// more than the rate (past the one-second burst) when throttled.
+#[test]
+fn migration_rate_paces_the_drain_on_the_clock() {
+    use crate::fault::{FaultPlan, VirtualClock};
+    let drain = |rate: Option<f64>| {
+        let mut cfg = ClusterConfig::paper();
+        cfg.migration_rate = rate;
+        let clock = Arc::new(VirtualClock::new());
+        let c = Cluster::with_faults_and_clock(cfg, FaultPlan::default(), clock.clone());
+        c.resize(5);
+        for i in 0..400u64 {
+            c.put(ObjectId(i), Bytes::from(vec![i as u8; 1_000]))
+                .unwrap();
+        }
+        c.resize(10);
+        let before = clock.now();
+        c.reintegrate_all();
+        assert_eq!(c.dirty_len(), 0);
+        (c.migrated_bytes(), before, clock.now())
+    };
+    let (free_bytes, _, free_end) = drain(None);
+    assert!(free_bytes > 0, "some objects must have been offloaded");
+    assert_eq!(free_end, Duration::ZERO, "an unthrottled drain never waits");
+    let rate = 20_000.0;
+    let (paced_bytes, before, after) = drain(Some(rate));
+    assert_eq!(paced_bytes, free_bytes);
+    let paced_elapsed = after - before;
+    let floor = (paced_bytes as f64 - rate) / rate;
+    assert!(
+        paced_elapsed.as_secs_f64() >= floor,
+        "{paced_bytes} B drained in {paced_elapsed:?}, under the {floor} s the rate allows"
+    );
+}
+
 #[test]
 fn partial_size_up_keeps_dirty_entries() {
     let c = cluster();

@@ -2,8 +2,8 @@
 //! the coordinator and the storage nodes.
 //!
 //! The node-op injector ([`crate::fault`]) faults the *disk* side of an
-//! operation; this module faults the *messages* that carry it: per-link
-//! drop / duplicate / reorder / delay distributions and scripted
+//! operation; this module faults the *messages* that carry it: one
+//! drop / duplicate / reorder / delay distribution for every link and scripted
 //! (possibly asymmetric) partition windows. Every probabilistic verdict
 //! is a pure hash of `(seed, link, per-link message counter)` and every
 //! window is keyed on the cluster's injected [`Clock`], so a drill on a
@@ -104,7 +104,7 @@ impl PartitionWindow {
     }
 
     /// Is server `index` on the isolated side?
-    pub fn isolates(&self, index: u32) -> bool {
+    fn isolates(&self, index: u32) -> bool {
         self.isolated.contains(&index)
     }
 }
@@ -115,11 +115,8 @@ pub struct NetPlan {
     /// Seed of the decision hash; same seed + same send order = same
     /// verdicts.
     pub seed: u64,
-    /// Fault spec applied to every link without an override.
+    /// Fault spec applied to every link.
     pub default_link: LinkFaultSpec,
-    /// Per-destination overrides, indexed by server index; `None` falls
-    /// back to `default_link`.
-    pub links: Vec<Option<LinkFaultSpec>>,
     /// Scripted partition windows on the injected clock.
     pub partitions: Vec<PartitionWindow>,
     /// What a lost message costs the sender before it gives up — the
@@ -135,7 +132,6 @@ impl NetPlan {
         NetPlan {
             seed,
             default_link: spec,
-            links: Vec::new(),
             partitions: Vec::new(),
             rpc_timeout: Self::default_rpc_timeout(),
         }
@@ -147,28 +143,9 @@ impl NetPlan {
         Duration::from_millis(2)
     }
 
-    /// Override link `index`'s spec (growing the override vector).
-    pub fn set_link(&mut self, index: usize, spec: LinkFaultSpec) -> &mut Self {
-        if self.links.len() <= index {
-            self.links.resize(index + 1, None);
-        }
-        if let Some(slot) = self.links.get_mut(index) {
-            *slot = Some(spec);
-        }
-        self
-    }
-
-    /// The effective spec of link `index`.
-    pub fn link(&self, index: usize) -> &LinkFaultSpec {
-        self.links
-            .get(index)
-            .and_then(|o| o.as_ref())
-            .unwrap_or(&self.default_link)
-    }
-
     /// The effective rpc timeout (zero in a plan built field-by-field
     /// falls back to the default so a lost message always costs budget).
-    pub fn effective_rpc_timeout(&self) -> Duration {
+    fn effective_rpc_timeout(&self) -> Duration {
         if self.rpc_timeout.is_zero() {
             Self::default_rpc_timeout()
         } else {
@@ -299,9 +276,7 @@ impl NetFabric {
     /// A fabric for `nodes` links running `plan` on `clock`.
     pub fn new(nodes: usize, plan: NetPlan, clock: Arc<dyn Clock>) -> Self {
         NetFabric {
-            link_ops: (0..nodes.max(plan.links.len()))
-                .map(|_| counter_u64(0))
-                .collect(),
+            link_ops: (0..nodes).map(|_| counter_u64(0)).collect(),
             healed: AtomicBool::new(false),
             stats: NetStats::default(),
             plan,
@@ -366,7 +341,7 @@ impl NetFabric {
                 };
             }
         }
-        let spec = self.plan.link(dst);
+        let spec = &self.plan.default_link;
         let op = self
             .link_ops
             .get(dst)
@@ -498,14 +473,6 @@ impl ReplicaBreakers {
             self.fastfails.fetch_add(1, Ordering::Relaxed);
         }
         !open
-    }
-
-    /// Is replica `index`'s breaker open at `now`? (No side effects.)
-    pub fn is_open(&self, index: usize, now: Duration) -> bool {
-        self.states.get(index).is_some_and(|s| {
-            // ech-allow(D5): counter_u64-built field behind `.get`.
-            (now.as_nanos() as u64) < s.open_until_nanos.load(Ordering::Relaxed)
-        })
     }
 
     /// Record a successful send: the breaker closes and the failure
@@ -717,22 +684,6 @@ mod tests {
     }
 
     #[test]
-    fn link_overrides_fall_back_to_the_default_spec() {
-        let mut plan = NetPlan::uniform(
-            9,
-            LinkFaultSpec {
-                drop_prob: 1.0,
-                ..LinkFaultSpec::default()
-            },
-        );
-        plan.set_link(1, LinkFaultSpec::default());
-        let (f, _) = fabric(plan);
-        assert!(matches!(f.before_send(1), SendVerdict::Deliver { .. }));
-        assert!(matches!(f.before_send(1), SendVerdict::Deliver { .. }));
-        assert!(!matches!(f.before_send(0), SendVerdict::Deliver { .. }));
-    }
-
-    #[test]
     fn breaker_opens_after_threshold_and_half_opens_after_cooldown() {
         let cfg = BreakerConfig {
             failure_threshold: 3,
@@ -746,7 +697,6 @@ mod tests {
         assert!(b.try_acquire(0, t0), "below threshold stays closed");
         b.record_failure(0, t0);
         assert!(!b.try_acquire(0, t0), "third consecutive failure trips it");
-        assert!(b.is_open(0, t0));
         assert!(b.try_acquire(1, t0), "other replicas unaffected");
         let snap = b.snapshot(t0);
         assert_eq!(snap.trips, 1);

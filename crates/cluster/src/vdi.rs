@@ -95,13 +95,8 @@ impl VirtualDisk {
         self.object_size
     }
 
-    /// Number of stripes the volume spans.
-    pub fn stripe_count(&self) -> u64 {
-        self.size.div_ceil(self.object_size)
-    }
-
     /// Object id of the stripe containing byte `offset`.
-    pub fn object_for(&self, offset: u64) -> ObjectId {
+    fn object_for(&self, offset: u64) -> ObjectId {
         let stripe = offset / self.object_size;
         ObjectId(((self.vdi_id as u64) << Self::STRIPE_BITS) | stripe)
     }

@@ -233,7 +233,6 @@ fn seeded_partition_and_resize_stress_converges() {
             },
         ],
         rpc_timeout: Duration::from_millis(2),
-        ..NetPlan::default()
     };
     let (c, clock) = partitioned_cluster(net);
 

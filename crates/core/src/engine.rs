@@ -300,7 +300,7 @@ where
 /// Lamping–Veach jump consistent hash: `O(ln n)` expected time, no
 /// state. Consistent in the textbook sense — growing `buckets` by one
 /// moves exactly `1/(buckets+1)` of keys, all into the new bucket.
-pub fn jump_bucket(mut key: u64, buckets: u32) -> u32 {
+fn jump_bucket(mut key: u64, buckets: u32) -> u32 {
     let buckets = buckets.max(1);
     let mut b: i64 = -1;
     let mut j: i64 = 0;
@@ -314,11 +314,18 @@ pub fn jump_bucket(mut key: u64, buckets: u32) -> u32 {
     b.max(0) as u32
 }
 
-/// [`power_bucket`] for a key that is *already* a uniform hash (an
-/// `object_position` or `rekey` output). Skipping the leading `mix64`
-/// matters on the lookup path: the mixes sit on a serial dependency
-/// chain (mask needs mix needs key), and one avoidable ~4 ns latency
-/// link per probe is visible at 10⁷ lookups/sec.
+/// Power-of-two consistent hash: draw over `m = next_pow2(buckets)`
+/// masked bits; accept when `< buckets`, else re-draw with a stepped
+/// salt. Acceptance probability exceeds 1/2 (`m/2 < buckets <= m`), so
+/// the expected draw count is below 2 — O(1) with zero table state.
+/// Within one power-of-two band, growing `buckets` only moves keys into
+/// the new bucket (draws accepted before stay accepted first).
+///
+/// `key` must *already* be a uniform hash (an `object_position` or
+/// `rekey` output): no leading `mix64`, because the mixes sit on a
+/// serial dependency chain (mask needs mix needs key), and one
+/// avoidable ~4 ns latency link per probe is visible at 10⁷
+/// lookups/sec.
 #[inline]
 fn power_draw(key: u64, buckets: u32) -> u32 {
     let buckets = buckets.max(1);
@@ -348,16 +355,6 @@ fn power_draw(key: u64, buckets: u32) -> u32 {
     // Deterministic uniform-ish fallback keeps the path total without
     // panicking (D2).
     (mix64(key ^ POWER_SALT) % u64::from(buckets)) as u32
-}
-
-/// Power-of-two consistent hash: draw over `m = next_pow2(buckets)`
-/// masked bits; accept when `< buckets`, else re-draw with a stepped
-/// salt. Acceptance probability exceeds 1/2 (`m/2 < buckets <= m`), so
-/// the expected draw count is below 2 — O(1) with zero table state.
-/// Within one power-of-two band, growing `buckets` only moves keys into
-/// the new bucket (draws accepted before stay accepted first).
-pub fn power_bucket(key: u64, buckets: u32) -> u32 {
-    power_draw(mix64(key), buckets)
 }
 
 /// The `attempt`-th *hit* of the per-key pseudo-random sequence over
@@ -542,7 +539,7 @@ impl PlacementEngine for PowerEngine {
     ) -> Option<(ServerId, u64)> {
         let h = object_position(oid);
         // `rekey` output (and `h` itself at probe 0) is already mixed,
-        // so the draw skips `power_bucket`'s leading mix.
+        // as `power_draw` requires.
         probe_then_sweep(self.servers, h, cursor, accept, |h, i| {
             power_draw(rekey(h, i), self.servers)
         })
@@ -564,18 +561,6 @@ impl PlacementEngine for PowerEngine {
 
     fn resident_bytes(&self) -> usize {
         std::mem::size_of::<Self>()
-    }
-}
-
-/// Resident lookup-state bytes for `kind` over `servers` servers,
-/// without building a ring (`ring_bytes` supplies the ring's own
-/// figure, since only the ring has data-dependent state).
-pub fn resident_bytes_for(kind: EngineKind, servers: usize, ring_bytes: usize) -> usize {
-    match kind {
-        EngineKind::Ring => ring_bytes,
-        EngineKind::Jump => JumpEngine::new(servers).resident_bytes(),
-        EngineKind::Dx => DxEngine::new(servers).resident_bytes(),
-        EngineKind::Power => PowerEngine::new(servers).resident_bytes(),
     }
 }
 
@@ -660,7 +645,7 @@ mod tests {
         for n in [3u32, 10, 100, 1000] {
             let mut counts = vec![0u64; n as usize];
             for k in 0..keys {
-                let b = power_bucket(mix64(k), n);
+                let b = power_draw(mix64(k), n);
                 assert!(b < n);
                 counts[b as usize] += 1;
             }
@@ -676,8 +661,8 @@ mod tests {
         // into bucket n.
         for n in [9u32, 12] {
             for k in 0..20_000u64 {
-                let a = power_bucket(mix64(k), n);
-                let b = power_bucket(mix64(k), n + 1);
+                let a = power_draw(mix64(k), n);
+                let b = power_draw(mix64(k), n + 1);
                 if a != b {
                     assert_eq!(b, n, "key {k} moved to {b}, not the new bucket");
                 }
@@ -881,14 +866,13 @@ mod tests {
     fn resident_bytes_are_tiny_for_hashed_engines() {
         let ring = HashRing::build(&vec![64u32; 100]);
         let ring_bytes = RingEngine::new(&ring).resident_bytes();
-        for kind in [EngineKind::Jump, EngineKind::Dx, EngineKind::Power] {
-            let b = resident_bytes_for(kind, 100, ring_bytes);
+        for (kind, b) in [
+            (EngineKind::Jump, JumpEngine::new(100).resident_bytes()),
+            (EngineKind::Dx, DxEngine::new(100).resident_bytes()),
+            (EngineKind::Power, PowerEngine::new(100).resident_bytes()),
+        ] {
             assert!(b <= 16, "{kind} should be table-free, got {b} bytes");
             assert!(b < ring_bytes);
         }
-        assert_eq!(
-            resident_bytes_for(EngineKind::Ring, 100, ring_bytes),
-            ring_bytes
-        );
     }
 }

@@ -85,7 +85,7 @@ pub mod prelude {
     };
     pub use crate::ratelimit::TokenBucket;
     pub use crate::reintegration::{
-        placement_moves, Idle, MigrationMove, MigrationTask, Reintegrator, RunState,
+        placement_moves, Idle, MigrationMove, MigrationTask, Reintegrator,
     };
     pub use crate::ring::{HashRing, VirtualNode};
     pub use crate::view::ClusterView;

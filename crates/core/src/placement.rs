@@ -29,7 +29,6 @@ use crate::ids::{ObjectId, ServerId};
 use crate::layout::Layout;
 use crate::membership::MembershipTable;
 use crate::ring::HashRing;
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -475,23 +474,6 @@ pub fn place_with<E: PlacementEngine>(
     }
 }
 
-/// Place many objects in parallel (rayon), preserving input order.
-///
-/// Used by layout-analysis sweeps and the experiment harnesses, where
-/// placements for 10⁵–10⁷ objects are computed per membership version.
-pub fn par_place_many(
-    strategy: Strategy,
-    ring: &HashRing,
-    layout: &Layout,
-    membership: &MembershipTable,
-    oids: &[ObjectId],
-    replicas: usize,
-) -> Vec<Result<Placement, PlacementError>> {
-    oids.par_iter()
-        .map(|&oid| place(strategy, ring, layout, membership, oid, replicas))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -732,20 +714,6 @@ mod tests {
         let c = place(Strategy::Primary, &ring, &layout, &m, ObjectId(5), 2).unwrap();
         let d = place_primary(&ring, &layout, &m, ObjectId(5), 2).unwrap();
         assert_eq!(c, d);
-    }
-
-    #[test]
-    fn par_place_matches_serial() {
-        let (ring, layout) = setup(10);
-        let m = MembershipTable::full_power(10);
-        let oids: Vec<ObjectId> = (0..500).map(ObjectId).collect();
-        let par = par_place_many(Strategy::Primary, &ring, &layout, &m, &oids, 2);
-        for (oid, res) in oids.iter().zip(par) {
-            assert_eq!(
-                res.unwrap(),
-                place_primary(&ring, &layout, &m, *oid, 2).unwrap()
-            );
-        }
     }
 
     #[test]

@@ -99,15 +99,6 @@ pub fn placement_moves(old: &Placement, new: &Placement) -> Vec<MigrationMove> {
     moves
 }
 
-/// Engine run state (`state` in Algorithm 2).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum RunState {
-    /// Produce tasks.
-    Running,
-    /// Produce nothing until resumed.
-    Paused,
-}
-
 /// Why [`Reintegrator::next_task`] planned no task (its `Err` value).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Idle {
@@ -115,8 +106,6 @@ pub enum Idle {
     TableEmpty,
     /// Entries exist but none qualify under the current version.
     NothingQualifies,
-    /// The engine is paused.
-    Paused,
 }
 
 /// The selective re-integration engine (Algorithm 2).
@@ -126,7 +115,6 @@ pub struct Reintegrator {
     last_version: VersionId,
     /// FIFO position of the next entry to examine.
     cursor: usize,
-    state: RunState,
 }
 
 impl Default for Reintegrator {
@@ -141,23 +129,7 @@ impl Reintegrator {
         Reintegrator {
             last_version: VersionId(0),
             cursor: 0,
-            state: RunState::Running,
         }
-    }
-
-    /// Pause task production (line 1's `state=RUNNING` guard).
-    pub fn pause(&mut self) {
-        self.state = RunState::Paused;
-    }
-
-    /// Resume task production.
-    pub fn resume(&mut self) {
-        self.state = RunState::Running;
-    }
-
-    /// Current run state.
-    pub fn state(&self) -> RunState {
-        self.state
     }
 
     /// Plan the next migration, or report why none is available.
@@ -172,9 +144,6 @@ impl Reintegrator {
         dirty: &mut T,
         headers: &H,
     ) -> Result<MigrationTask, Idle> {
-        if self.state == RunState::Paused {
-            return Err(Idle::Paused);
-        }
         let curr = view.current_version();
         // Algorithm 2 lines 2–4: a new version restarts the scan from the
         // table head. (We also advance Last_Ver here rather than only
@@ -523,23 +492,6 @@ mod tests {
             .unwrap()
             .oid;
         assert_eq!(task.oid, expected_oid);
-    }
-
-    #[test]
-    fn paused_engine_yields_nothing() {
-        let mut v = view();
-        let mut dirty = InMemoryDirtyTable::new();
-        v.resize(5);
-        write_objects(&v, &mut dirty, 0, 10);
-        v.resize(10);
-        let mut engine = Reintegrator::new();
-        engine.pause();
-        assert_eq!(
-            engine.next_task(&v, &mut dirty, &NoHeaders),
-            Err(Idle::Paused)
-        );
-        engine.resume();
-        assert!(engine.next_task(&v, &mut dirty, &NoHeaders).is_ok());
     }
 
     #[test]

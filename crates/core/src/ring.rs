@@ -156,7 +156,7 @@ impl HashRing {
     /// Served from the precomputed acceleration table (O(1) expected);
     /// rings deserialized without one fall back to binary search.
     #[inline]
-    pub fn successor_index(&self, position: u64) -> usize {
+    fn successor_index(&self, position: u64) -> usize {
         let bucket = (position >> self.lut_shift) as usize;
         let Some(&start) = self.lut.get(bucket) else {
             return self.successor_index_binary(position);

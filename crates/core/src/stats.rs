@@ -2,13 +2,11 @@
 //!
 //! These back the equal-work layout validation (Figure 5's per-rank block
 //! counts) and the disruption analyses (how many replicas move between two
-//! membership versions). Sweeps run in parallel with Rayon — a layout
-//! analysis touches 10⁵–10⁷ objects.
+//! membership versions).
 
 use crate::ids::{ObjectId, VersionId};
 use crate::sync::{counter_observed_u64, counter_u64, AtomicU64, Ordering};
 use crate::view::ClusterView;
-use rayon::prelude::*;
 
 /// Counters for the degraded data path: retries spent, writes
 /// acknowledged below full replication, replicas recorded as missed, and
@@ -203,28 +201,15 @@ impl CacheSnapshot {
 /// Unplaceable objects (placement error) are skipped; for well-formed
 /// views every object places.
 pub fn replica_distribution(view: &ClusterView, oids: &[ObjectId], version: VersionId) -> Vec<u64> {
-    let n = view.server_count();
-    oids.par_iter()
-        .fold(
-            || vec![0u64; n],
-            |mut acc, &oid| {
-                if let Ok(p) = view.place_at(oid, version) {
-                    for s in p.servers() {
-                        acc[s.index()] += 1;
-                    }
-                }
-                acc
-            },
-        )
-        .reduce(
-            || vec![0u64; n],
-            |mut a, b| {
-                for (x, y) in a.iter_mut().zip(b) {
-                    *x += y;
-                }
-                a
-            },
-        )
+    let mut counts = vec![0u64; view.server_count()];
+    for &oid in oids {
+        if let Ok(p) = view.place_at(oid, version) {
+            for s in p.servers() {
+                counts[s.index()] += 1;
+            }
+        }
+    }
+    counts
 }
 
 /// Number of replicas whose server changes between two versions — the
@@ -236,7 +221,7 @@ pub fn moved_replicas(
     from_version: VersionId,
     to_version: VersionId,
 ) -> u64 {
-    oids.par_iter()
+    oids.iter()
         .map(|&oid| {
             match (
                 view.place_at(oid, from_version),

@@ -65,7 +65,7 @@ impl WriteBalancer {
     /// The primary count needed to absorb `write_load` client write
     /// bytes/s: the primary tier receives `write_load / r` of it (one of
     /// the `r` replicas per object).
-    pub fn required_primaries(&self, write_load: f64) -> usize {
+    fn required_primaries(&self, write_load: f64) -> usize {
         assert!(write_load >= 0.0);
         let primary_bytes = write_load / self.replicas as f64;
         let need = (primary_bytes / self.per_primary_rate).ceil() as usize;

@@ -215,13 +215,8 @@ impl KvStore {
     }
 
     /// Number of keys per shard (load-balance metric).
-    pub fn keys_per_shard(&self) -> Vec<usize> {
+    fn keys_per_shard(&self) -> Vec<usize> {
         self.shards.iter().map(|s| s.map.read().len()).collect()
-    }
-
-    /// Number of object headers per shard (load-balance metric).
-    pub fn headers_per_shard(&self) -> Vec<usize> {
-        self.shards.iter().map(|s| s.headers.read().len()).collect()
     }
 
     /// Total number of keys.
@@ -691,8 +686,11 @@ mod tests {
         for i in 0..100_000u64 {
             kv.header_put(ObjectId(i), header(1, false)).unwrap();
         }
-        let per = kv.headers_per_shard();
-        assert_eq!(per.iter().sum::<usize>(), 100_000);
+        assert_eq!(kv.header_len().unwrap(), 100_000);
+        let mut per = [0usize; 10];
+        for i in 0..100_000u64 {
+            per[kv.header_shard_of(ObjectId(i))] += 1;
+        }
         let mean = 10_000.0;
         for (i, &c) in per.iter().enumerate() {
             assert!(
@@ -846,10 +844,10 @@ mod tests {
         let kv = Arc::new(KvStore::new(4));
         let produced = 8 * 1000;
         let popped = Arc::new(parking_lot::Mutex::new(Vec::new()));
-        crossbeam::scope(|s| {
+        std::thread::scope(|s| {
             for t in 0..8 {
                 let kv = kv.clone();
-                s.spawn(move |_| {
+                s.spawn(move || {
                     for i in 0..1000 {
                         kv.rpush("q", format!("{t}:{i}")).unwrap();
                     }
@@ -858,7 +856,7 @@ mod tests {
             for _ in 0..4 {
                 let kv = kv.clone();
                 let popped = popped.clone();
-                s.spawn(move |_| loop {
+                s.spawn(move || loop {
                     let batch = kv.lpop_n("q", 8).unwrap();
                     if batch.is_empty() {
                         if popped.lock().len() >= produced {
@@ -870,8 +868,7 @@ mod tests {
                     }
                 });
             }
-        })
-        .unwrap();
+        });
         let mut items = popped.lock().clone();
         assert_eq!(items.len(), produced);
         items.sort();

@@ -9,7 +9,7 @@
 //! make recorded histories auditable against the cluster's clock.
 //!
 //! The witness schema (`l1:<model>:<events…>`) serialises an event
-//! stream compactly and reversibly: [`render_events`] and
+//! stream compactly and reversibly: [`render_witness`] and
 //! [`parse_witness`] round-trip byte-identically, which is what makes a
 //! non-linearizable witness a standalone replayable artifact — the
 //! checker re-runs on the parsed events and must reach the same
@@ -116,7 +116,7 @@ pub struct Event {
 /// Render an event stream in the `l1` witness body format:
 /// events joined by `/`, invocations as `i<tid>.<op>`, responses as
 /// `r<tid>.<ret>`.
-pub fn render_events(events: &[Event]) -> String {
+fn render_events(events: &[Event]) -> String {
     let mut out = String::new();
     for (n, e) in events.iter().enumerate() {
         if n > 0 {

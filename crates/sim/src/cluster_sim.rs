@@ -240,12 +240,6 @@ impl ClusterSim {
         self.energy.kwh()
     }
 
-    /// Replace the per-state power model (default: a typical dual-socket
-    /// storage server).
-    pub fn set_power_model(&mut self, model: PowerModel) {
-        self.power_model = model;
-    }
-
     /// Total payload bytes moved by background work so far.
     pub fn migrated_bytes(&self) -> f64 {
         self.migrated_bytes
@@ -678,23 +672,6 @@ impl ClusterSim {
             .accumulate(self.power_model.cluster_draw(&self.power), dt);
         self.time += dt;
         events
-    }
-
-    /// Step until `predicate` is true or `max_seconds` elapse, recording a
-    /// sample per tick. Returns the samples.
-    pub fn run_until(
-        &mut self,
-        max_seconds: f64,
-        mut on_step: impl FnMut(&mut ClusterSim, StepEvents),
-    ) -> Vec<Sample> {
-        let mut samples = Vec::new();
-        let end = self.time + max_seconds;
-        while self.time < end {
-            let ev = self.step();
-            samples.push(self.sample());
-            on_step(self, ev);
-        }
-        samples
     }
 }
 

@@ -31,14 +31,6 @@ pub enum ElasticityMode {
 }
 
 impl ElasticityMode {
-    /// True for the modes that use the equal-work layout and Algorithm 1.
-    pub fn is_elastic(self) -> bool {
-        matches!(
-            self,
-            ElasticityMode::PrimaryFull | ElasticityMode::PrimarySelective
-        )
-    }
-
     /// Harness label matching the paper's figure legends.
     pub fn label(self) -> &'static str {
         match self {

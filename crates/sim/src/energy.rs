@@ -80,12 +80,6 @@ impl EnergyMeter {
     }
 }
 
-/// Convert machine-seconds to kWh under a flat active-power assumption —
-/// the paper's implicit model, provided so harnesses can report both.
-pub fn machine_seconds_to_kwh(machine_seconds: f64, active_w: f64) -> f64 {
-    machine_seconds * active_w / 3.6e6
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -110,13 +104,6 @@ mod tests {
         e.accumulate(1000.0, 3600.0); // 1 kW for 1 h
         assert!((e.kwh() - 1.0).abs() < 1e-12);
         assert!((e.joules() - 3.6e6).abs() < 1e-9);
-    }
-
-    #[test]
-    fn machine_seconds_conversion() {
-        // 10 servers for 1 hour at 220 W = 2.2 kWh.
-        let kwh = machine_seconds_to_kwh(10.0 * 3600.0, 220.0);
-        assert!((kwh - 2.2).abs() < 1e-12);
     }
 
     #[test]

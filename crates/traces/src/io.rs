@@ -14,7 +14,7 @@ pub fn to_json(trace: &Trace) -> String {
 }
 
 /// Parse and validate a trace from JSON.
-pub fn from_json(json: &str) -> Result<Trace, String> {
+fn from_json(json: &str) -> Result<Trace, String> {
     let trace: Trace = serde_json::from_str(json).map_err(|e| format!("parse error: {e}"))?;
     trace.validate()?;
     Ok(trace)

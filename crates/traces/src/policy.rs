@@ -19,7 +19,6 @@
 
 use crate::spec::Trace;
 use ech_core::layout::primary_count;
-use rayon::prelude::*;
 use serde::Serialize;
 
 /// The four evaluation cases of Figures 8 and 9.
@@ -341,10 +340,10 @@ pub fn simulate(trace: &Trace, params: &PolicyParams, kind: PolicyKind) -> Polic
     }
 }
 
-/// Run all four policies (in parallel) over a trace.
+/// Run all four policies over a trace.
 pub fn analyze(trace: &Trace, params: &PolicyParams) -> TraceAnalysis {
     let results: Vec<PolicyResult> = PolicyKind::all()
-        .into_par_iter()
+        .into_iter()
         .map(|k| simulate(trace, params, k))
         .collect();
     TraceAnalysis {

@@ -32,22 +32,9 @@ impl ObjectAllocator {
         oid
     }
 
-    /// Allocate enough objects to hold `bytes` (rounding up to whole
-    /// objects of `object_size` bytes).
-    pub fn alloc_bytes(&mut self, bytes: u64, object_size: u64) -> Vec<ObjectId> {
-        assert!(object_size > 0);
-        let count = bytes.div_ceil(object_size);
-        (0..count).map(|_| self.alloc()).collect()
-    }
-
     /// The id the next allocation will return.
     pub fn peek(&self) -> ObjectId {
         ObjectId(self.next)
-    }
-
-    /// How many objects have been allocated since `first`.
-    pub fn allocated_since(&self, first: u64) -> u64 {
-        self.next.saturating_sub(first)
     }
 }
 
@@ -73,11 +60,6 @@ impl UniformPicker {
     pub fn pick(&mut self, lo: u64, hi: u64) -> ObjectId {
         assert!(hi > lo, "empty object range");
         ObjectId(self.rng.random_range(lo..hi))
-    }
-
-    /// Pick `count` objects (with replacement) from `lo..hi`.
-    pub fn pick_many(&mut self, lo: u64, hi: u64, count: usize) -> Vec<ObjectId> {
-        (0..count).map(|_| self.pick(lo, hi)).collect()
     }
 }
 
@@ -136,25 +118,6 @@ mod tests {
         assert_eq!(a.alloc(), ObjectId(100));
         assert_eq!(a.alloc(), ObjectId(101));
         assert_eq!(a.peek(), ObjectId(102));
-        assert_eq!(a.allocated_since(100), 2);
-    }
-
-    #[test]
-    fn alloc_bytes_rounds_up() {
-        let mut a = ObjectAllocator::new(0);
-        // 14 GB in 4 MB objects = 3500 exactly (decimal GB: 14e9/4MiB).
-        let objs = a.alloc_bytes(9 * OBJECT_SIZE + 1, OBJECT_SIZE);
-        assert_eq!(objs.len(), 10);
-        assert_eq!(objs[0], ObjectId(0));
-        assert_eq!(objs[9], ObjectId(9));
-    }
-
-    #[test]
-    fn paper_phase1_object_count() {
-        // 14 GiB-ish write in 4 MB objects: 14 * 2^30 / (4 * 2^20) = 3584.
-        let mut a = ObjectAllocator::new(0);
-        let objs = a.alloc_bytes(14 * (1 << 30), OBJECT_SIZE);
-        assert_eq!(objs.len(), 3584);
     }
 
     #[test]

@@ -34,16 +34,6 @@ impl PhaseSpec {
     pub fn total_bytes(&self) -> u64 {
         self.read_bytes + self.write_bytes
     }
-
-    /// Fraction of bytes that are writes (0 when the phase is empty).
-    pub fn write_ratio(&self) -> f64 {
-        let total = self.total_bytes();
-        if total == 0 {
-            0.0
-        } else {
-            self.write_bytes as f64 / total as f64
-        }
-    }
 }
 
 /// A multi-phase workload specification.
@@ -103,11 +93,6 @@ impl Workload {
     pub fn total_bytes(&self) -> u64 {
         self.phases.iter().map(PhaseSpec::total_bytes).sum()
     }
-
-    /// Number of phases.
-    pub fn phase_count(&self) -> usize {
-        self.phases.len()
-    }
 }
 
 #[cfg(test)]
@@ -117,21 +102,20 @@ mod tests {
     #[test]
     fn paper_phases_match_section_v_a() {
         let w = Workload::three_phase_paper();
-        assert_eq!(w.phase_count(), 3);
+        assert_eq!(w.phases.len(), 3);
         let p1 = &w.phases[0];
         assert_eq!(p1.write_bytes, 14 * GB);
         assert_eq!(p1.read_bytes, 0);
-        assert!((p1.write_ratio() - 1.0).abs() < 1e-12);
         assert!(p1.offered_rate.is_none());
 
         let p2 = &w.phases[1];
         assert_eq!(p2.read_bytes, 4_200 * MB);
         assert_eq!(p2.write_bytes, 8_400 * MB);
         assert_eq!(p2.offered_rate, Some(20.0 * MB as f64));
-        assert!((p2.write_ratio() - 2.0 / 3.0).abs() < 1e-9);
+        assert_eq!(p2.write_bytes * 3, p2.total_bytes() * 2);
 
         let p3 = &w.phases[2];
-        assert!((p3.write_ratio() - 0.2).abs() < 1e-9);
+        assert_eq!(p3.write_bytes * 5, p3.total_bytes());
         assert_eq!(p3.total_bytes(), 14 * GB);
     }
 
@@ -141,19 +125,10 @@ mod tests {
         let expect = (20.0 * MB as f64 * 280.0) as u64;
         assert_eq!(w.phases[1].total_bytes(), expect);
         // 1:2 read:write ratio preserved.
-        assert!((w.phases[1].write_ratio() - 2.0 / 3.0).abs() < 0.01);
+        let write_ratio = w.phases[1].write_bytes as f64 / expect as f64;
+        assert!((write_ratio - 2.0 / 3.0).abs() < 0.01);
         // Outer phases untouched.
         assert_eq!(w.phases[0].write_bytes, 14 * GB);
         assert_eq!(w.phases[2].total_bytes(), 14 * GB);
-    }
-
-    #[test]
-    fn empty_phase_write_ratio_is_zero() {
-        let p = PhaseSpec {
-            read_bytes: 0,
-            write_bytes: 0,
-            offered_rate: None,
-        };
-        assert_eq!(p.write_ratio(), 0.0);
     }
 }

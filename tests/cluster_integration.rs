@@ -133,10 +133,10 @@ fn original_strategy_moves_more_than_selective_on_size_up() {
 fn concurrent_clients_with_elastic_resizes_lose_nothing() {
     let c = Cluster::new(ClusterConfig::paper());
     let worker = c.start_background_worker(std::time::Duration::from_millis(1));
-    crossbeam::scope(|s| {
+    std::thread::scope(|s| {
         for t in 0..8u64 {
             let c = &c;
-            s.spawn(move |_| {
+            s.spawn(move || {
                 for i in 0..500u64 {
                     let oid = ObjectId(t * 10_000 + i);
                     c.put(oid, payload(oid.raw())).unwrap();
@@ -146,14 +146,13 @@ fn concurrent_clients_with_elastic_resizes_lose_nothing() {
             });
         }
         let c = &c;
-        s.spawn(move |_| {
+        s.spawn(move || {
             for &k in &[8usize, 6, 4, 7, 9, 5, 10] {
                 std::thread::sleep(std::time::Duration::from_millis(15));
                 c.resize(k);
             }
         });
-    })
-    .unwrap();
+    });
     c.resize(10);
     let mut spins = 0;
     while c.dirty_len() > 0 && spins < 10_000 {
