@@ -1,7 +1,7 @@
 //! `ech-analyzer`: a dependency-free static analyzer for this
 //! workspace's invariants.
 //!
-//! Nine rule families (see `DESIGN.md` §9):
+//! Ten rule families (see `DESIGN.md` §9):
 //!
 //! - **D1 determinism** — no wall clocks, OS entropy or order-sensitive
 //!   hash iteration in seed-deterministic code (placement, sim, trace
@@ -38,13 +38,16 @@
 //!   crosses roles, and every mutant is quoted elsewhere in the checker
 //!   host's sources (`crates/check/src`) by the replay regression test
 //!   pinning its counterexample.
+//! - **D10 forbidden text by path** — a table of retired names and
+//!   patterns (copied mutant bodies, a second retry runner, the string
+//!   header key, the dirty-entry text codec, the placement cache, a
+//!   locked view, a second recorder naming site), each banned from the
+//!   paths it once lived in, matched in raw text like D9.
 //!
-//! Findings carry stable line-number-free keys; a checked-in baseline
-//! (`analyzer-baseline.txt`) records accepted debt and `--deny-new`
-//! gates CI on anything not in it. Inline
-//! `// ech-allow(<rule>): reason` comments suppress individual lines.
+//! Any finding fails the run. Findings carry stable line-number-free
+//! keys; an inline `// ech-allow(<rule>): reason` comment is the only
+//! way to suppress one, for one line.
 
-pub mod baseline;
 pub mod lexer;
 pub mod parse;
 pub mod rules;
@@ -111,178 +114,4 @@ fn walk_rs(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
         }
     }
     Ok(())
-}
-
-/// CLI entry point shared by the `ech-analyzer` binary and `ech lint`.
-/// Returns the process exit code.
-pub fn run_cli(args: &[String]) -> i32 {
-    let mut root = PathBuf::from(".");
-    let mut baseline_path: Option<PathBuf> = None;
-    let mut deny_new = false;
-    let mut write_baseline = false;
-    let mut json = false;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--root" if i + 1 < args.len() => {
-                root = PathBuf::from(&args[i + 1]);
-                i += 2;
-            }
-            "--baseline" if i + 1 < args.len() => {
-                baseline_path = Some(PathBuf::from(&args[i + 1]));
-                i += 2;
-            }
-            "--deny-new" => {
-                deny_new = true;
-                i += 1;
-            }
-            "--json" => {
-                json = true;
-                i += 1;
-            }
-            "--write-baseline" => {
-                write_baseline = true;
-                i += 1;
-            }
-            "--help" | "-h" => {
-                print_help();
-                return 0;
-            }
-            other => {
-                eprintln!("error: unknown argument `{other}` (try --help)");
-                return 2;
-            }
-        }
-    }
-    let baseline_path = baseline_path.unwrap_or_else(|| root.join("analyzer-baseline.txt"));
-    let files = match collect_workspace_sources(&root) {
-        Ok(f) => f,
-        Err(e) => {
-            eprintln!(
-                "error: cannot read workspace sources under {}: {e}",
-                root.display()
-            );
-            return 2;
-        }
-    };
-    let findings = analyze(&files);
-    if write_baseline {
-        let text = baseline::render(&findings);
-        if let Err(e) = std::fs::write(&baseline_path, text) {
-            eprintln!("error: cannot write {}: {e}", baseline_path.display());
-            return 2;
-        }
-        println!(
-            "wrote {} finding(s) to {}",
-            findings.len(),
-            baseline_path.display()
-        );
-        return 0;
-    }
-    let known = std::fs::read_to_string(&baseline_path)
-        .map(|t| baseline::parse(&t))
-        .unwrap_or_default();
-    let delta = baseline::diff(&findings, &known);
-    if json {
-        // Machine-readable report: same findings, same exit-code
-        // semantics, one JSON object on stdout (hand-rendered — the
-        // analyzer stays dependency-free).
-        let rows: Vec<String> = findings
-            .iter()
-            .map(|f| {
-                format!(
-                    "    {{\"rule\": \"{}\", \"file\": \"{}\", \"line\": {}, \"key\": \"{}\", \
-                     \"baselined\": {}, \"message\": \"{}\"}}",
-                    f.rule,
-                    json_escape(&f.file),
-                    f.line,
-                    json_escape(&f.key),
-                    known.contains(&f.key),
-                    json_escape(&f.message)
-                )
-            })
-            .collect();
-        let stale: Vec<String> = delta
-            .stale
-            .iter()
-            .map(|k| format!("\"{}\"", json_escape(k)))
-            .collect();
-        println!(
-            "{{\n  \"findings\": [\n{}\n  ],\n  \"new\": {},\n  \"stale\": [{}]\n}}",
-            rows.join(",\n"),
-            delta.new.len(),
-            stale.join(", ")
-        );
-    } else {
-        for f in &findings {
-            let status = if known.contains(&f.key) {
-                "warning"
-            } else {
-                "error"
-            };
-            println!("{status}[{}]: {}", f.rule, f.message);
-            println!("  --> {}:{}", f.file, f.line);
-            println!("  key: {}", f.key);
-        }
-        for k in &delta.stale {
-            println!("note: baseline entry no longer produced (stale): {k}");
-        }
-        println!(
-            "{} finding(s): {} baselined, {} new, {} stale baseline entr(ies)",
-            findings.len(),
-            findings.len() - delta.new.len(),
-            delta.new.len(),
-            delta.stale.len()
-        );
-    }
-    if deny_new && (!delta.new.is_empty() || !delta.stale.is_empty()) {
-        if !delta.new.is_empty() {
-            eprintln!(
-                "error: {} new finding(s) not in {} — fix them, add an \
-                 `// ech-allow(<rule>): reason`, or regenerate the baseline",
-                delta.new.len(),
-                baseline_path.display()
-            );
-        }
-        if !delta.stale.is_empty() {
-            eprintln!(
-                "error: {} stale baseline entr(ies) in {} — debt was paid, \
-                 regenerate the baseline to lock in the improvement",
-                delta.stale.len(),
-                baseline_path.display()
-            );
-        }
-        return 1;
-    }
-    0
-}
-
-/// Minimal JSON string escaping for the `--json` report.
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-fn print_help() {
-    println!(
-        "ech-analyzer: workspace invariant linter (rules D1-D9)\n\n\
-         USAGE: ech-analyzer [--root DIR] [--baseline FILE] [--deny-new] [--write-baseline] [--json]\n\n\
-         OPTIONS:\n  \
-         --root DIR         workspace root (default: .)\n  \
-         --baseline FILE    baseline file (default: <root>/analyzer-baseline.txt)\n  \
-         --deny-new         exit 1 on findings absent from the baseline or stale entries\n  \
-         --write-baseline   rewrite the baseline from current findings\n  \
-         --json             render the report as one JSON object on stdout\n  \
-         -h, --help         show this help"
-    );
 }

@@ -1,8 +1,8 @@
-//! The nine rule families (D1–D9) over parsed source files.
+//! The ten rule families (D1–D10) over parsed source files.
 //!
 //! Each rule produces [`Finding`]s with a stable, line-number-free
-//! `key` so the baseline survives unrelated edits, plus a 1-based line
-//! for human-facing diagnostics.
+//! `key`, which tests select findings by, plus a 1-based line for
+//! human-facing diagnostics.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -13,13 +13,13 @@ use crate::SourceFile;
 /// One diagnostic produced by a rule.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 pub struct Finding {
-    /// Rule id (`"D1"`..`"D9"`).
+    /// Rule id (`"D1"`..`"D10"`).
     pub rule: &'static str,
     /// Workspace-relative path.
     pub file: String,
     /// 1-based line of the offending token.
     pub line: u32,
-    /// Stable baseline key (no line numbers).
+    /// Stable key (no line numbers).
     pub key: String,
     /// Human-readable message.
     pub message: String,
@@ -35,7 +35,7 @@ pub struct Unit {
     pub parsed: ParsedFile,
     /// Raw file text. The lexer erases string-literal contents, so
     /// rules that key on literal values (D9 reads model names out of
-    /// `Model { name: "…" }` tables) scan this instead.
+    /// `Model { name: "…" }` tables, D10 matches text) scan this instead.
     pub text: String,
 }
 
@@ -91,6 +91,7 @@ pub fn run_all(units: &[Unit]) -> Vec<Finding> {
     d7_rpc_choke_point(units, &mut findings);
     d8_deadline_propagation(units, &mut findings);
     d9_model_pairing(units, &mut findings);
+    d10_forbidden_text(units, &mut findings);
     findings.retain(|f| {
         let unit = units.iter().find(|u| u.path == f.file);
         !unit.is_some_and(|u| suppressed(u, f.rule, f.line))
@@ -1935,6 +1936,192 @@ fn d9_model_pairing(units: &[Unit], out: &mut Vec<Finding>) {
                          add the expected-caught replay regression test that pins \
                          its counterexample",
                         m.name
+                    ),
+                });
+            }
+        }
+    }
+}
+
+// --------------------------------------------------------------- D10
+
+/// The one place a D10 row may spell its needle.
+#[derive(Debug, Clone, Copy)]
+pub enum D10Except {
+    /// Nowhere in scope.
+    Nowhere,
+    /// Only in this file.
+    File(&'static str),
+    /// Only as this whole word (the needle followed by no further
+    /// identifier character).
+    Word(&'static str),
+}
+
+/// One row of D10's table: `needle` must not appear under `scope`.
+#[derive(Debug)]
+pub struct D10Row {
+    /// Path prefix the row scans; `crates/*/src/` means every crate's
+    /// `src/`.
+    pub scope: &'static str,
+    /// Literal text, matched in the raw file, comments and strings
+    /// included.
+    pub needle: &'static str,
+    /// The sanctioned spelling, if any.
+    pub except: D10Except,
+    /// What the ban protects.
+    pub why: &'static str,
+    /// What replaced the banned thing.
+    pub now: &'static str,
+}
+
+/// The file holding [`D10_ROWS`]: it must spell every needle, so it is
+/// exempt from all of them.
+const D10_TABLE: &str = "crates/analyzer/src/rules.rs";
+
+const ONE_DATA_PATH: &str = "seeded mutants are `Mutation` decision points in the shipped \
+                             bodies, never copies of them";
+const NO_PLACEMENT_CACHE: &str = "reads compute placements on the view they pin; the memo \
+                                  that fronted the Algorithm-1 walk cost more than the walk";
+const NO_VIEW_LOCK: &str = "the read path is lock-free: views are published as \
+                            epoch-pinned snapshots, never behind an RwLock";
+const TYPED_DIRTY_LOG: &str = "the dirty table is `ech-kvstore`'s typed log: a put below \
+                               full power formats nothing and the drain parses nothing";
+
+/// Retired names and patterns, each banned from the paths it lived in.
+pub const D10_ROWS: &[D10Row] = &[
+    D10Row {
+        scope: "crates/cluster/src/",
+        needle: "for_modelcheck",
+        except: D10Except::Nowhere,
+        why: ONE_DATA_PATH,
+        now: "`Mutation` decision points (`mutation.rs`)",
+    },
+    D10Row {
+        scope: "crates/cluster/src/",
+        needle: "seeded_stamp_bug",
+        except: D10Except::Nowhere,
+        why: ONE_DATA_PATH,
+        now: "`Mutation` decision points (`mutation.rs`)",
+    },
+    D10Row {
+        scope: "crates/cluster/src/retry.rs",
+        needle: "pub fn run",
+        except: D10Except::Word("pub fn run_counted_deadline"),
+        why: "the retry facade has exactly one runner",
+        now: "`RetryPolicy::run_counted_deadline`, called through `Cluster::call`",
+    },
+    D10Row {
+        scope: "crates/*/src/",
+        needle: "ech:headers",
+        except: D10Except::Nowhere,
+        why: "object headers live in `ech-kvstore`'s typed header table, sharded by \
+              object id, not behind one string-keyed HASH",
+        now: "`KvStore::header_put` / `header_get`",
+    },
+    D10Row {
+        scope: "crates/*/src/",
+        needle: "encode_entry",
+        except: D10Except::Nowhere,
+        why: TYPED_DIRTY_LOG,
+        now: "`KvStore::dirty_push` / `dirty_pop_n` on `DirtyEntry`",
+    },
+    D10Row {
+        scope: "crates/*/src/",
+        needle: "decode_entry",
+        except: D10Except::Nowhere,
+        why: TYPED_DIRTY_LOG,
+        now: "`KvStore::dirty_push` / `dirty_pop_n` on `DirtyEntry`",
+    },
+    D10Row {
+        scope: "crates/cluster/src/",
+        needle: "ShardedPlacementCache",
+        except: D10Except::Nowhere,
+        why: NO_PLACEMENT_CACHE,
+        now: "`ClusterView::place_current` / `place_at` on the pinned view",
+    },
+    D10Row {
+        scope: "crates/cluster/src/",
+        needle: "cache.place_",
+        except: D10Except::Nowhere,
+        why: NO_PLACEMENT_CACHE,
+        now: "`ClusterView::place_current` / `place_at` on the pinned view",
+    },
+    D10Row {
+        scope: "crates/cluster/src/",
+        needle: "RwLock<ClusterView>",
+        except: D10Except::Nowhere,
+        why: NO_VIEW_LOCK,
+        now: "`ArcSwap<ClusterView>`, pinned by `load` / `peek`",
+    },
+    D10Row {
+        scope: "crates/cluster/src/",
+        needle: "view.read()",
+        except: D10Except::Nowhere,
+        why: NO_VIEW_LOCK,
+        now: "`ArcSwap<ClusterView>`, pinned by `load` / `peek`",
+    },
+    D10Row {
+        scope: "crates/cluster/src/",
+        needle: "view.write()",
+        except: D10Except::Nowhere,
+        why: NO_VIEW_LOCK,
+        now: "`ArcSwap<ClusterView>`, published by `store`",
+    },
+    D10Row {
+        scope: "crates/cluster/src/",
+        needle: "ech_lincheck",
+        except: D10Except::File("crates/cluster/src/lincheck.rs"),
+        why: "the history recorder compiles to empty shims without `--features \
+              lincheck` only while one cfg-gated facade names it",
+        now: "the cfg-gated facade in `lincheck.rs`",
+    },
+];
+
+impl D10Row {
+    /// Does this row scan `path`?
+    pub fn covers(&self, path: &str) -> bool {
+        let in_scope = match self.scope.strip_prefix("crates/*/") {
+            Some(rest) => path
+                .strip_prefix("crates/")
+                .and_then(|p| p.split_once('/'))
+                .is_some_and(|(_, p)| p.starts_with(rest)),
+            None => path.starts_with(self.scope),
+        };
+        in_scope && path != D10_TABLE && !matches!(self.except, D10Except::File(f) if f == path)
+    }
+
+    /// Is the occurrence at the start of `rest` the sanctioned word?
+    fn sanctioned(&self, rest: &str) -> bool {
+        let D10Except::Word(word) = self.except else {
+            return false;
+        };
+        rest.strip_prefix(word)
+            .is_some_and(|after| !after.starts_with(|c: char| c.is_alphanumeric() || c == '_'))
+    }
+}
+
+/// D10: forbidden text by path.
+///
+/// Each [`D10_ROWS`] entry bans a literal from a path scope: the copied
+/// mutant bodies, the second retry runner, the string header key, the
+/// dirty-entry text codec, the placement cache and the locked view stay
+/// gone, and one facade names the history recorder. Like D9 it scans
+/// raw file text, comments included, so a needle cannot hide in a doc.
+fn d10_forbidden_text(units: &[Unit], out: &mut Vec<Finding>) {
+    for row in D10_ROWS {
+        for u in units.iter().filter(|u| row.covers(&u.path)) {
+            for (at, _) in u.text.match_indices(row.needle) {
+                if row.sanctioned(&u.text[at..]) {
+                    continue;
+                }
+                out.push(Finding {
+                    rule: "D10",
+                    file: u.path.clone(),
+                    line: 1 + u.text[..at].matches('\n').count() as u32,
+                    key: format!("D10 {} {}", u.path, row.needle),
+                    message: format!(
+                        "`{}` is banned under {}: {} (now {})",
+                        row.needle, row.scope, row.why, row.now
                     ),
                 });
             }

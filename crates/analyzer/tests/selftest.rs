@@ -1,12 +1,12 @@
-//! Self-test over the real workspace: the checked-in baseline must be
-//! exact (no new findings, no stale entries), and the inline
-//! `ech-allow` suppressions must be doing real work (the code they
-//! cover is reachable and would otherwise be flagged).
+//! Self-test over the real workspace: it must have no findings, the
+//! inline `ech-allow` suppressions must be doing real work (the code
+//! they cover is reachable and would otherwise be flagged), and the
+//! table-driven rules D9 and D10 must find the real files they check.
 
-use std::collections::BTreeSet;
 use std::path::PathBuf;
 
-use ech_analyzer::{analyze, baseline, collect_workspace_sources};
+use ech_analyzer::rules::{D10Except, D10_ROWS};
+use ech_analyzer::{analyze, collect_workspace_sources};
 
 fn workspace_root() -> PathBuf {
     // crates/analyzer -> workspace root.
@@ -18,33 +18,22 @@ fn workspace_root() -> PathBuf {
 }
 
 #[test]
-fn workspace_matches_checked_in_baseline_exactly() {
-    let root = workspace_root();
-    let files = collect_workspace_sources(&root).expect("workspace sources readable");
+fn workspace_has_no_findings() {
+    let files = collect_workspace_sources(&workspace_root()).expect("workspace sources readable");
     assert!(
         files.len() > 20,
         "expected a real workspace, got {} files",
         files.len()
     );
     let findings = analyze(&files);
-    let text = std::fs::read_to_string(root.join("analyzer-baseline.txt"))
-        .expect("analyzer-baseline.txt is checked in at the workspace root");
-    let known = baseline::parse(&text);
-    let delta = baseline::diff(&findings, &known);
     assert!(
-        delta.new.is_empty(),
-        "new findings not in the baseline (fix, ech-allow, or regenerate):\n{}",
-        delta
-            .new
+        findings.is_empty(),
+        "the workspace must lint clean (fix, or `ech-allow` with a reason):\n{}",
+        findings
             .iter()
             .map(|f| format!("  {} ({}:{})", f.key, f.file, f.line))
             .collect::<Vec<_>>()
             .join("\n")
-    );
-    assert!(
-        delta.stale.is_empty(),
-        "stale baseline entries (debt was paid — regenerate to lock it in):\n  {}",
-        delta.stale.join("\n  ")
     );
 }
 
@@ -54,20 +43,12 @@ fn suppressions_cover_real_reachable_findings() {
     // must resurface. This proves (a) the call-graph actually reaches
     // them and (b) the suppressions are what keeps the workspace clean,
     // not dead analysis.
-    let root = workspace_root();
-    let mut files = collect_workspace_sources(&root).expect("workspace sources readable");
-    let baseline_keys: BTreeSet<String> = {
-        let text = std::fs::read_to_string(root.join("analyzer-baseline.txt")).unwrap();
-        baseline::parse(&text)
-    };
+    let mut files =
+        collect_workspace_sources(&workspace_root()).expect("workspace sources readable");
     for f in &mut files {
         f.text = f.text.replace("ech-allow(", "ech-denied(");
     }
-    let findings = analyze(&files);
-    let extra: Vec<_> = findings
-        .iter()
-        .filter(|f| !baseline_keys.contains(&f.key))
-        .collect();
+    let extra = analyze(&files);
     // The sanctioned wall-clock shim in cluster::fault (D1) and the
     // kv_retry budget-exhaustion panics in cluster::dirty_store (D2)
     // must be among the resurfaced findings.
@@ -92,8 +73,8 @@ fn d9_reads_the_real_scenario_table() {
     // missing-pair finding per scenario must surface. This proves D9
     // still finds the table after it moves — a stale path would make
     // the rule return early and check nothing, silently.
-    let root = workspace_root();
-    let mut files = collect_workspace_sources(&root).expect("workspace sources readable");
+    let mut files =
+        collect_workspace_sources(&workspace_root()).expect("workspace sources readable");
     let table = files
         .iter_mut()
         .find(|f| f.path.ends_with("/mc_models.rs"))
@@ -115,9 +96,76 @@ fn d9_reads_the_real_scenario_table() {
 }
 
 #[test]
+fn d10_reads_the_real_workspace() {
+    // Append each row's needle as a comment to a real file the row
+    // covers: exactly one D10 finding. Append it to a real file the row
+    // does not cover: none. A mistyped scope would check nothing,
+    // silently, and fail here instead.
+    let files = collect_workspace_sources(&workspace_root()).expect("workspace sources readable");
+    let d10_hits = |path: &str, needle: &str| {
+        let mut files = files.clone();
+        let f = files
+            .iter_mut()
+            .find(|f| f.path == path)
+            .expect("picked from the workspace");
+        f.text.push_str(&format!("\n// {needle}\n"));
+        analyze(&files)
+            .into_iter()
+            .filter(|f| f.rule == "D10")
+            .map(|f| f.file)
+            .collect::<Vec<_>>()
+    };
+    for row in D10_ROWS {
+        let inside = files
+            .iter()
+            .find(|f| row.covers(&f.path))
+            .unwrap_or_else(|| panic!("`{}`: no real file under {}", row.needle, row.scope));
+        assert_eq!(
+            d10_hits(&inside.path, row.needle),
+            [inside.path.as_str()],
+            "`{}` appended to {}",
+            row.needle,
+            inside.path
+        );
+        // The exempt file where a row has one, else the first file
+        // out of scope (for the `crates/*/src/` rows, the table itself).
+        let outside = files
+            .iter()
+            .find(|f| matches!(row.except, D10Except::File(p) if p == f.path))
+            .or_else(|| files.iter().find(|f| !row.covers(&f.path)))
+            .expect("some file is out of scope or exempt");
+        assert_eq!(
+            d10_hits(&outside.path, row.needle),
+            Vec::<String>::new(),
+            "`{}` appended to {}",
+            row.needle,
+            outside.path
+        );
+        // The sanctioned spelling is still there: the retry facade has
+        // its one runner, the recorder its one facade.
+        match row.except {
+            D10Except::Nowhere => {}
+            D10Except::File(path) => assert!(
+                files
+                    .iter()
+                    .any(|f| f.path == path && f.text.contains(row.needle)),
+                "{path} no longer names `{}`",
+                row.needle
+            ),
+            D10Except::Word(word) => assert!(
+                files
+                    .iter()
+                    .any(|f| row.covers(&f.path) && f.text.contains(word)),
+                "no `{word}` under {}",
+                row.scope
+            ),
+        }
+    }
+}
+
+#[test]
 fn every_suppression_in_the_workspace_carries_a_reason() {
-    let root = workspace_root();
-    let files = collect_workspace_sources(&root).expect("workspace sources readable");
+    let files = collect_workspace_sources(&workspace_root()).expect("workspace sources readable");
     for f in &files {
         if f.path.starts_with("crates/analyzer/") {
             continue; // the analyzer's own sources mention the syntax in docs/tests

@@ -41,11 +41,10 @@ COMMANDS:
   modelcheck      explore thread interleavings of the cluster's
                   publish/read/reintegrate protocols and report
                   violations with a replayable trace
-                  [--model NAME | --models GLOB] [--weak true] [--bound P]
+                  [--model PATTERN] [--weak true] [--bound P]
                   [--msg true] [--msg-budget N] [--lincheck true]
-                  [--replay TRACE] [--max-preemptions P]
-                  [--max-schedules B] [--no-reduce true] [--stats true]
-                  [--stats-json FILE]
+                  [--replay TRACE] [--max-schedules B]
+                  [--no-reduce true] [--stats true]
                   (partial-order reduction is on by default: sleep sets
                   plus dynamically inserted backtrack points prune
                   schedules equivalent up to reordering of independent
@@ -57,17 +56,17 @@ COMMANDS:
                   Cluster::rpc send through the explorer, which
                   enumerates per-message fates — drops, duplicates,
                   reorders, partition edges — under each model's fault
-                  budget; --bound is an alias for --max-preemptions;
-                  traces are v3 and carry the memory mode, preemption
-                  bound and message budget they were recorded under)
-                  (--models GLOB selects the subset matching a `*`
-                  wildcard pattern; --lincheck records every schedule's
-                  operation history at the Cluster API boundary and
-                  rejects schedules whose history admits no
-                  linearization order — witnesses are replayable `l1:`
-                  lines the lincheck command re-verifies; --stats-json
-                  also writes per-model verdicts and schedule counts to
-                  FILE without changing the text report)
+                  budget; --bound pins the preemption bound for every
+                  model; traces are v3 and carry the memory mode,
+                  preemption bound and message budget they were
+                  recorded under)
+                  (--model selects the models matching a `*`/`?`
+                  wildcard pattern — a plain name matches only itself;
+                  --lincheck records every schedule's operation history
+                  at the Cluster API boundary and rejects schedules
+                  whose history admits no linearization order —
+                  witnesses are replayable `l1:` lines the lincheck
+                  command re-verifies)
   lincheck        record a seeded deterministic stress history against a
                   live cluster on a virtual clock and check it with the
                   Wing–Gong linearizability checker
@@ -108,32 +107,27 @@ fn bench_cmd(args: &Args) -> Result<String, ParseError> {
 fn modelcheck_cmd(args: &Args) -> Result<String, ParseError> {
     args.allow_only(&[
         "model",
-        "models",
         "weak",
         "msg",
         "msg-budget",
         "lincheck",
         "bound",
         "replay",
-        "max-preemptions",
         "max-schedules",
         "no-reduce",
         "stats",
-        "stats-json",
     ])?;
     let weak: bool = args.get_or("weak", false)?;
     let msg: bool = args.get_or("msg", false)?;
     let lincheck: bool = args.get_or("lincheck", false)?;
     let no_reduce: bool = args.get_or("no-reduce", false)?;
     let stats: bool = args.get_or("stats", false)?;
-    // `--bound` is the short alias for `--max-preemptions`; without
-    // either flag every model runs at its own declared bound.
-    let bound_override: Option<usize> =
-        if args.options.contains_key("bound") || args.options.contains_key("max-preemptions") {
-            Some(args.get_or("bound", args.get_or("max-preemptions", 2)?)?)
-        } else {
-            None
-        };
+    // Without `--bound` every model runs at its own declared bound.
+    let bound_override: Option<usize> = if args.options.contains_key("bound") {
+        Some(args.get_or("bound", 2)?)
+    } else {
+        None
+    };
     // Same shape for the message-fault budget: `--msg-budget` pins it
     // for the whole run, otherwise each model's declared budget applies
     // (zero for the memory-protocol models, so `--msg` sweeps stay
@@ -152,42 +146,21 @@ fn modelcheck_cmd(args: &Args) -> Result<String, ParseError> {
         let explicit_weak = args.options.contains_key("weak").then_some(weak);
         return modelcheck_replay(trace, explicit_weak, lincheck);
     }
-    let selected: Vec<&'static crate::mc_models::Model> =
-        match (args.options.get("model"), args.options.get("models")) {
-            (Some(_), Some(_)) => {
-                return Err(ParseError(
-                    "--model and --models are mutually exclusive".into(),
-                ))
-            }
-            (Some(name), None) => vec![crate::mc_models::find(name).ok_or_else(|| {
-                ParseError(format!(
-                    "unknown model `{name}`; available models:\n{}",
-                    crate::mc_models::MODELS
-                        .iter()
-                        .map(|m| format!("  {} — {}", m.name, m.about))
-                        .collect::<Vec<_>>()
-                        .join("\n")
-                ))
-            })?],
-            (None, Some(pat)) => {
-                let hits: Vec<&'static crate::mc_models::Model> = crate::mc_models::MODELS
-                    .iter()
-                    .filter(|m| glob_match(pat, m.name))
-                    .collect();
-                if hits.is_empty() {
-                    return Err(ParseError(format!(
-                        "--models `{pat}` matches no model; available models:\n{}",
-                        crate::mc_models::MODELS
-                            .iter()
-                            .map(|m| format!("  {} — {}", m.name, m.about))
-                            .collect::<Vec<_>>()
-                            .join("\n")
-                    )));
-                }
-                hits
-            }
-            (None, None) => crate::mc_models::MODELS.iter().collect(),
-        };
+    let pattern = args.str_or("model", "*");
+    let selected: Vec<&'static crate::mc_models::Model> = crate::mc_models::MODELS
+        .iter()
+        .filter(|m| glob_match(pattern, m.name))
+        .collect();
+    if selected.is_empty() {
+        return Err(ParseError(format!(
+            "--model `{pattern}` matches no model; available models:\n{}",
+            crate::mc_models::MODELS
+                .iter()
+                .map(|m| format!("  {} — {}", m.name, m.about))
+                .collect::<Vec<_>>()
+                .join("\n")
+        )));
+    }
     let mode = if weak {
         "store-buffer weak memory"
     } else {
@@ -219,7 +192,6 @@ fn modelcheck_cmd(args: &Args) -> Result<String, ParseError> {
     )
     .expect("write to string");
     let mut problems: Vec<String> = Vec::new();
-    let mut stats_rows: Vec<StatsRow> = Vec::new();
     for m in selected {
         let msg_budget = if msg {
             budget_override.unwrap_or(m.msg_budget)
@@ -239,19 +211,6 @@ fn modelcheck_cmd(args: &Args) -> Result<String, ParseError> {
         } else {
             ech_modelcheck::explore(m.name, &cfg, |env| m.build(env))
         };
-        stats_rows.push(StatsRow {
-            model: m.name,
-            pair: m.pair,
-            verdict: match (&report.failure, expect) {
-                (None, false) => "pass",
-                (Some(_), true) => "caught",
-                (Some(_), false) => "fail",
-                (None, true) => "missed",
-            },
-            schedules: report.schedules,
-            blocked: report.blocked,
-            exhausted: report.exhausted,
-        });
         match (&report.failure, expect) {
             (None, false) => {
                 let coverage = if report.exhausted {
@@ -322,22 +281,6 @@ fn modelcheck_cmd(args: &Args) -> Result<String, ParseError> {
             .expect("write to string");
         }
     }
-    // The JSON stats sidecar is written on failing runs too: a sweep
-    // that died half-green is exactly when CI wants the per-model
-    // verdicts machine-readable.
-    if let Some(path) = args.options.get("stats-json") {
-        let sidecar = StatsSidecar {
-            mode: StatsMode {
-                weak,
-                msg,
-                lincheck,
-            },
-            models: stats_rows,
-        };
-        let json = serde_json::to_string_pretty(&sidecar).expect("sidecar serializes") + "\n";
-        std::fs::write(path, json)
-            .map_err(|e| ParseError(format!("cannot write --stats-json {path}: {e}")))?;
-    }
     if problems.is_empty() {
         writeln!(out, "modelcheck: ok").expect("write to string");
         Ok(out)
@@ -349,33 +292,7 @@ fn modelcheck_cmd(args: &Args) -> Result<String, ParseError> {
     }
 }
 
-/// The `modelcheck --stats-json` sidecar: mode flags, one row per model.
-#[derive(serde::Serialize)]
-struct StatsSidecar {
-    mode: StatsMode,
-    models: Vec<StatsRow>,
-}
-
-/// The flags that select a sweep's exploration mode.
-#[derive(serde::Serialize)]
-struct StatsMode {
-    weak: bool,
-    msg: bool,
-    lincheck: bool,
-}
-
-/// One model's verdict and schedule counts; `pair` is its D9 counterpart.
-#[derive(serde::Serialize)]
-struct StatsRow {
-    model: &'static str,
-    pair: &'static str,
-    verdict: &'static str,
-    schedules: usize,
-    blocked: usize,
-    exhausted: bool,
-}
-
-/// `*`/`?` wildcard match for `--models` (no character classes; model
+/// `*`/`?` wildcard match for `--model` (no character classes; model
 /// names are flat kebab-case, so this is all a sweep filter needs).
 fn glob_match(pat: &str, name: &str) -> bool {
     let (p, n) = (pat.as_bytes(), name.as_bytes());
@@ -464,8 +381,7 @@ fn lincheck_cmd(args: &Args) -> Result<String, ParseError> {
     cfg.servers = 3;
     cfg.replicas = 2;
     let session = ech_lincheck::recorder::Session::begin();
-    let c =
-        Cluster::with_faults_and_clock(cfg, FaultPlan::default(), Arc::new(VirtualClock::new()));
+    let c = Cluster::with_faults(cfg, FaultPlan::default(), Arc::new(VirtualClock::new()));
     // A seeded op mix over a handful of keys: overwrites (so the
     // last-write-wins register has history to get wrong), reads, power
     // resizes (degraded-write windows), and heal/drain passes. Scripted
@@ -1019,11 +935,10 @@ mod tests {
         }
     }
 
-    /// `--models` selects by wildcard, errors when nothing matches, and
-    /// refuses to combine with `--model`.
+    /// `--model` selects by wildcard and errors when nothing matches.
     #[test]
     fn modelcheck_models_glob_selects_and_rejects() {
-        let out = run_line("modelcheck --models lin-*-bug --lincheck true").unwrap();
+        let out = run_line("modelcheck --model lin-*-bug --lincheck true").unwrap();
         for model in [
             "lin-ack-before-log-bug",
             "lin-stale-read-bug",
@@ -1036,64 +951,12 @@ mod tests {
             "glob over-matched:\n{out}"
         );
 
-        let err = run_line("modelcheck --models zzz-*").unwrap_err();
+        let err = run_line("modelcheck --model zzz-*").unwrap_err();
         assert!(
             err.0.contains("matches no model"),
             "empty glob match does not explain itself: {}",
             err.0
         );
-        let err = run_line("modelcheck --model cache-counters --models cache-*").unwrap_err();
-        assert!(
-            err.0.contains("--model") && err.0.contains("--models"),
-            "flag conflict does not name both flags: {}",
-            err.0
-        );
-    }
-
-    /// `--stats-json` writes a machine-readable sidecar (one row per
-    /// model with its D9 pair and verdict) without changing a byte of
-    /// the text report.
-    #[test]
-    fn modelcheck_stats_json_sidecar_leaves_text_unchanged() {
-        let path = std::env::temp_dir().join(format!("ech-stats-{}.json", std::process::id()));
-        let path_s = path.to_str().expect("temp path is utf-8");
-        let plain = run_line("modelcheck --model cache-counters").unwrap();
-        let with = run_line(&format!(
-            "modelcheck --model cache-counters --stats-json {path_s}"
-        ))
-        .unwrap();
-        assert_eq!(plain, with, "--stats-json changed the text report");
-        let json = std::fs::read_to_string(&path).expect("sidecar written");
-        std::fs::remove_file(&path).ok();
-        assert!(
-            json.contains("\"model\": \"cache-counters\""),
-            "sidecar lacks the model row:\n{json}"
-        );
-        assert!(
-            json.contains("\"verdict\": \"pass\""),
-            "sidecar lacks the verdict:\n{json}"
-        );
-        assert!(
-            json.contains("\"pair\": \"weak-view-publish-relaxed\""),
-            "sidecar lacks the D9 pair:\n{json}"
-        );
-        #[derive(serde::Deserialize)]
-        struct Sidecar {
-            mode: Mode,
-            models: Vec<Row>,
-        }
-        #[derive(serde::Deserialize)]
-        struct Mode {
-            lincheck: bool,
-        }
-        #[derive(serde::Deserialize)]
-        struct Row {
-            model: String,
-        }
-        let parsed: Sidecar = serde_json::from_str(&json).expect("sidecar is well-formed JSON");
-        assert!(!parsed.mode.lincheck);
-        assert_eq!(parsed.models.len(), 1);
-        assert_eq!(parsed.models[0].model, "cache-counters");
     }
 
     /// The standalone history harness is a pure function of its seed:

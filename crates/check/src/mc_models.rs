@@ -80,6 +80,10 @@ pub struct Model {
     /// that proves its failure mode is detectable, and every mutant
     /// names the correct twin it was derived from. Pairs are
     /// role-opposed (safe ↔ mutant), not necessarily unique.
+    #[expect(
+        dead_code,
+        reason = "the analyzer's D9 reads pairs from this table's source text"
+    )]
     pub pair: &'static str,
     /// Preemption bound the sweep explores this model at (the `--bound`
     /// flag overrides it for the whole run).
@@ -451,7 +455,7 @@ fn tiny_cluster_with(
     plan: FaultPlan,
 ) -> Arc<Cluster> {
     let cfg = tiny_config(servers, replicas, strategy, write_quorum);
-    Cluster::with_faults_and_clock(cfg, plan, Arc::new(VirtualClock::new()))
+    Cluster::with_faults(cfg, plan, Arc::new(VirtualClock::new()))
 }
 
 /// The configuration every model cluster starts from.
@@ -1122,7 +1126,7 @@ fn msg_cluster(
         breaker,
         ..tiny_config(servers, replicas, Strategy::Primary, write_quorum)
     };
-    Cluster::with_faults_and_clock(cfg, FaultPlan::default(), Arc::new(VirtualClock::new()))
+    Cluster::with_faults(cfg, FaultPlan::default(), Arc::new(VirtualClock::new()))
 }
 
 /// Breaker for the recovery model: a single failure trips it, and the

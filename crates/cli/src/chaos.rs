@@ -110,7 +110,7 @@ pub fn chaos_cmd(args: &Args) -> Result<String, ParseError> {
     // backoff, brown-out waits and hedged-read thresholds advance the
     // same logical nanoseconds on every run, so replays are exact.
     let clock = Arc::new(VirtualClock::new());
-    let c = Cluster::with_faults_and_clock(cfg, plan, clock.clone());
+    let c = Cluster::with_faults(cfg, plan, clock.clone());
     let value = |i: u64| Bytes::from(format!("chaos-object-{i}"));
 
     // Write phase under fire, with power resizes at the quarter marks.

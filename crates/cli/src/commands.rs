@@ -21,7 +21,6 @@ const COMMANDS: &[(&str, ech_cli::Command)] = &[
     ("latency", latency_cmd),
     ("chaos", crate::chaos::chaos_cmd),
     ("bench", bench_cmd),
-    ("lint", lint_cmd),
     ("help", help),
 ];
 
@@ -32,6 +31,7 @@ pub fn run(args: &Args) -> Result<String, ParseError> {
             checker @ ("modelcheck" | "lincheck") => format!(
                 "`{checker}` is a subcommand of the `ech-check` binary: run `ech-check {checker}`"
             ),
+            "lint" => "`lint` is the `ech-analyzer` binary: run `ech-analyzer --root .`".to_owned(),
             other => format!("unknown subcommand `{other}`; try `ech help`"),
         }))
     })
@@ -71,13 +71,11 @@ COMMANDS:
                   (placement measures every engine backend — lookup
                   rate, resident bytes, remap fraction — at the
                   million-key × 10³/10⁴-node grid)
-  lint            run the workspace invariant analyzer (rules D1-D9)
-                  [--root DIR] [--baseline FILE] [--deny-new true]
-                  [--write-baseline true] [--json true]
   help            this text
 
 The checker hosts — modelcheck, lincheck, bench modelcheck — are the
-`ech-check` binary; see `ech-check help`.
+`ech-check` binary; see `ech-check help`. The invariant analyzer is the
+`ech-analyzer` binary.
 "
     .to_owned())
 }
@@ -105,28 +103,6 @@ fn bench_cmd(args: &Args) -> Result<String, ParseError> {
         out.push_str(&verdict.map_err(ParseError)?);
     }
     Ok(out)
-}
-
-/// `ech lint`: delegate to the analyzer's CLI. The analyzer prints its
-/// diagnostics directly and reports failure through the exit code, so
-/// this returns an empty output string on success.
-fn lint_cmd(args: &Args) -> Result<String, ParseError> {
-    args.allow_only(&["root", "baseline", "deny-new", "write-baseline", "json"])?;
-    let mut argv: Vec<String> = vec!["--root".into(), args.str_or("root", ".").to_owned()];
-    if let Some(b) = args.options.get("baseline") {
-        argv.push("--baseline".into());
-        argv.push(b.clone());
-    }
-    for flag in ["deny-new", "write-baseline", "json"] {
-        if args.get_or(flag, false)? {
-            argv.push(format!("--{flag}"));
-        }
-    }
-    let code = ech_analyzer::run_cli(&argv);
-    if code != 0 {
-        return Err(ParseError(format!("lint failed with exit code {code}")));
-    }
-    Ok(String::new())
 }
 
 fn layout(args: &Args) -> Result<String, ParseError> {
@@ -384,6 +360,9 @@ mod tests {
             assert!(err.0.contains(&format!("ech-check {cmd}")), "{}", err.0);
             assert_eq!(err.0.lines().count(), 1, "pointer is one line: {}", err.0);
         }
+        let err = run_line("lint").unwrap_err();
+        assert!(err.0.contains("ech-analyzer --root"), "{}", err.0);
+        assert_eq!(err.0.lines().count(), 1, "pointer is one line: {}", err.0);
     }
 
     #[test]

@@ -280,25 +280,15 @@ impl Cluster {
         Self::build(cfg, None)
     }
 
-    /// Build a cluster running a deterministic [`FaultPlan`]: the
-    /// injector is threaded through every node's data path and installed
-    /// as the key-value store's shard-fault hook.
-    pub fn with_faults(cfg: ClusterConfig, plan: FaultPlan) -> Arc<Self> {
-        let injector = Arc::new(FaultInjector::new(cfg.servers, plan));
-        Self::build(cfg, Some(injector))
-    }
-
-    /// [`Cluster::with_faults`] running on an injected [`Clock`]: retry
+    /// Build a cluster running a deterministic [`FaultPlan`] on `clock`:
+    /// the injector is threaded through every node's data path and
+    /// installed as the key-value store's shard-fault hook, and retry
     /// backoff, kv brown-out waits, slow-replica delays and hedged-read
-    /// thresholds all consume `clock` instead of the wall clock, so a
-    /// [`crate::fault::VirtualClock`] makes a whole drill replayable
-    /// without real-time dependence (`ech chaos` uses this).
-    pub fn with_faults_and_clock(
-        cfg: ClusterConfig,
-        plan: FaultPlan,
-        clock: Arc<dyn Clock>,
-    ) -> Arc<Self> {
-        let injector = Arc::new(FaultInjector::with_clock(cfg.servers, plan, clock));
+    /// thresholds all consume `clock`. A [`crate::fault::VirtualClock`]
+    /// makes a whole drill replayable without real-time dependence
+    /// (`ech chaos` uses one); [`SystemClock`] runs on the wall clock.
+    pub fn with_faults(cfg: ClusterConfig, plan: FaultPlan, clock: Arc<dyn Clock>) -> Arc<Self> {
+        let injector = Arc::new(FaultInjector::new(cfg.servers, plan, clock));
         Self::build(cfg, Some(injector))
     }
 

@@ -90,7 +90,7 @@ fn migration_rate_paces_the_drain_on_the_clock() {
         let mut cfg = ClusterConfig::paper();
         cfg.migration_rate = rate;
         let clock = Arc::new(VirtualClock::new());
-        let c = Cluster::with_faults_and_clock(cfg, FaultPlan::default(), clock.clone());
+        let c = Cluster::with_faults(cfg, FaultPlan::default(), clock.clone());
         c.resize(5);
         for i in 0..400u64 {
             c.put(ObjectId(i), Bytes::from(vec![i as u8; 1_000]))
@@ -485,7 +485,7 @@ fn degraded_write_acks_at_quorum_and_heals() {
             ..NodeFaultSpec::default()
         },
     );
-    let c = Cluster::with_faults(cfg, plan);
+    let c = Cluster::with_faults(cfg, plan, Arc::new(SystemClock::new()));
     c.put(oid, payload(77)).unwrap();
     assert!(!c.is_fully_placed(oid), "one replica must be missing");
     assert_eq!(c.dirty_len(), 1, "degraded ack logs a dirty entry");
@@ -520,7 +520,7 @@ fn quorum_failure_rejects_the_write() {
             },
         );
     }
-    let c = Cluster::with_faults(cfg, plan);
+    let c = Cluster::with_faults(cfg, plan, Arc::new(SystemClock::new()));
     let err = c.put(oid, payload(321)).unwrap_err();
     assert_eq!(
         err,
@@ -560,7 +560,7 @@ fn transient_failures_surface_as_unavailable_not_notfound() {
             ..NodeFaultSpec::default()
         },
     );
-    let c = Cluster::with_faults(cfg, plan);
+    let c = Cluster::with_faults(cfg, plan, Arc::new(SystemClock::new()));
     c.put(oid, payload(5)).unwrap();
     assert_eq!(c.counters().replicas_missed, 1);
     c.nodes()[servers[0].index()].set_powered(false);
@@ -583,7 +583,7 @@ fn silent_crashes_are_detected_and_excluded() {
             ..NodeFaultSpec::default()
         },
     );
-    let c = Cluster::with_faults(ClusterConfig::paper(), plan);
+    let c = Cluster::with_faults(ClusterConfig::paper(), plan, Arc::new(SystemClock::new()));
     assert!(c.detect_and_mark_crashed().is_empty());
     // Any op on node 2 fires the injected crash; the coordinator is
     // not told (that is what makes it silent).
@@ -621,7 +621,7 @@ fn hedged_reads_dodge_a_slow_replica() {
     // overrunning the 2 ms threshold fires the hedge
     // deterministically.
     let clock = Arc::new(VirtualClock::new());
-    let c = Cluster::with_faults_and_clock(cfg, plan, clock.clone());
+    let c = Cluster::with_faults(cfg, plan, clock.clone());
     c.put(oid, payload(9000)).unwrap();
     let hedged_before = c.counters().hedged_reads;
     let t0 = clock.now();
@@ -682,7 +682,7 @@ fn open_breaker_fast_fails_charge_the_clock() {
         },
     );
     let clock = Arc::new(VirtualClock::new());
-    let c = Cluster::with_faults_and_clock(cfg, plan, clock.clone());
+    let c = Cluster::with_faults(cfg, plan, clock.clone());
     // Trip the primary's breaker with two message-level failures.
     let node = c.node(servers[0]).unwrap();
     for _ in 0..2 {
@@ -751,11 +751,8 @@ fn explorer_fates_are_fabric_verdicts() {
         let seen = Arc::new(parking_lot::Mutex::new(None));
         let report = ech_modelcheck::replay("fates", &cfg, trace.prefix, |env| {
             let clock = Arc::new(VirtualClock::new());
-            let c = Cluster::with_faults_and_clock(
-                ClusterConfig::paper(),
-                FaultPlan::default(),
-                clock.clone(),
-            );
+            let c =
+                Cluster::with_faults(ClusterConfig::paper(), FaultPlan::default(), clock.clone());
             let seen = Arc::clone(&seen);
             env.spawn(move || {
                 let calls = Cell::new(0);

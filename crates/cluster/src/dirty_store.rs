@@ -293,7 +293,7 @@ mod tests {
             ..FaultPlan::default()
         };
         let clock = Arc::new(VirtualClock::new());
-        let inj = Arc::new(FaultInjector::with_clock(4, plan, clock.clone()));
+        let inj = Arc::new(FaultInjector::new(4, plan, clock.clone()));
         kv.set_fault_hook(Some(inj.clone()));
         let h = KvHeaderStore::with_clock(kv, clock.clone());
 

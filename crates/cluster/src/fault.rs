@@ -270,15 +270,11 @@ pub struct FaultInjector {
 }
 
 impl FaultInjector {
-    /// An injector for `nodes` nodes running `plan` on the wall clock.
-    pub fn new(nodes: usize, plan: FaultPlan) -> Self {
-        Self::with_clock(nodes, plan, Arc::new(SystemClock::new()))
-    }
-
-    /// An injector whose time-dependent faults (slow-replica delays) and
-    /// downstream consumers (retry backoff, hedging thresholds) run on
-    /// `clock` — pass a [`VirtualClock`] for wall-clock-free replays.
-    pub fn with_clock(nodes: usize, plan: FaultPlan, clock: Arc<dyn Clock>) -> Self {
+    /// An injector for `nodes` nodes running `plan`, whose time-dependent
+    /// faults (slow-replica delays) and downstream consumers (retry
+    /// backoff, hedging thresholds) run on `clock` — pass a
+    /// [`VirtualClock`] for wall-clock-free replays.
+    pub fn new(nodes: usize, plan: FaultPlan, clock: Arc<dyn Clock>) -> Self {
         FaultInjector {
             node_ops: (0..nodes.max(plan.node_faults.len()))
                 .map(|_| counter_u64(0))
@@ -383,8 +379,8 @@ mod tests {
     #[test]
     fn decisions_are_deterministic_per_op_number() {
         let plan = FaultPlan::uniform_io_errors(4, 42, 0.3);
-        let a = FaultInjector::new(4, plan.clone());
-        let b = FaultInjector::new(4, plan);
+        let a = FaultInjector::new(4, plan.clone(), Arc::new(SystemClock::new()));
+        let b = FaultInjector::new(4, plan, Arc::new(SystemClock::new()));
         let run = |inj: &FaultInjector| -> Vec<bool> {
             (0..200).map(|_| inj.before_node_op(2).is_err()).collect()
         };
@@ -395,7 +391,11 @@ mod tests {
 
     #[test]
     fn error_rate_tracks_probability() {
-        let inj = FaultInjector::new(1, FaultPlan::uniform_io_errors(1, 7, 0.10));
+        let inj = FaultInjector::new(
+            1,
+            FaultPlan::uniform_io_errors(1, 7, 0.10),
+            Arc::new(SystemClock::new()),
+        );
         let n = 20_000;
         let errors = (0..n).filter(|_| inj.before_node_op(0).is_err()).count();
         let rate = errors as f64 / n as f64;
@@ -412,7 +412,7 @@ mod tests {
                 ..NodeFaultSpec::default()
             },
         );
-        let inj = FaultInjector::new(3, plan);
+        let inj = FaultInjector::new(3, plan, Arc::new(SystemClock::new()));
         for op in 0..20 {
             let r = inj.before_node_op(1);
             if op == 5 {
@@ -438,7 +438,7 @@ mod tests {
                 ..NodeFaultSpec::default()
             },
         );
-        let inj = FaultInjector::new(1, plan);
+        let inj = FaultInjector::new(1, plan, Arc::new(SystemClock::new()));
         for _ in 0..4 {
             assert_eq!(inj.before_node_op(0), Err(InjectedFault::Io));
         }
@@ -457,7 +457,7 @@ mod tests {
                 ..NodeFaultSpec::default()
             },
         );
-        let inj = FaultInjector::new(2, plan);
+        let inj = FaultInjector::new(2, plan, Arc::new(SystemClock::new()));
         assert_eq!(inj.before_node_op(0), Ok(Some(Duration::from_micros(50))));
         // Node 1 has no spec; node 7 is outside the vector entirely.
         assert_eq!(inj.before_node_op(1), Ok(None));
@@ -476,7 +476,7 @@ mod tests {
             }],
             ..FaultPlan::default()
         };
-        let inj = FaultInjector::new(0, plan);
+        let inj = FaultInjector::new(0, plan, Arc::new(SystemClock::new()));
         let outcomes: Vec<bool> = (0..10).map(|_| inj.shard_available(2)).collect();
         assert_eq!(
             outcomes,

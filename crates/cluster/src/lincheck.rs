@@ -6,7 +6,7 @@
 //! there was none — recording is scoped, never process-global);
 //! without the feature `Recorder` is zero-sized, every hook is an empty
 //! `#[inline]` shim and the data path compiles to exactly the
-//! un-instrumented code (CI grep-gates that this module is the only
+//! un-instrumented code (analyzer rule D10 keeps this module the only
 //! place in the crate that names `ech_lincheck`).
 //!
 //! Hooks deliberately do **not** touch the instrumented sync

@@ -522,7 +522,7 @@ mod tests {
 
     #[test]
     fn fault_gate_injects_errors_then_crashes() {
-        use crate::fault::{FaultInjector, FaultPlan, NodeFaultSpec};
+        use crate::fault::{FaultInjector, FaultPlan, NodeFaultSpec, SystemClock};
         let mut plan = FaultPlan::default();
         plan.set_node(
             3,
@@ -533,7 +533,7 @@ mod tests {
                 ..NodeFaultSpec::default()
             },
         );
-        let inj = Arc::new(FaultInjector::new(4, plan));
+        let inj = Arc::new(FaultInjector::new(4, plan, Arc::new(SystemClock::new())));
         let n = StorageNode::with_capacity_and_faults(ServerId(3), u64::MAX, Some(inj.clone()));
         // Ops 0 and 1 fail with transient errors; nothing is stored.
         assert_eq!(

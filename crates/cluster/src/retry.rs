@@ -29,7 +29,7 @@ pub enum ErrorClass {
 /// can construct is classified **here**, variant by variant, with no
 /// wildcard arms — the analyzer's D3 rule cross-checks that each variant
 /// of these enums appears below, so adding a variant without deciding
-/// its retry class fails `ech lint` rather than silently defaulting.
+/// its retry class fails `ech-analyzer` rather than silently defaulting.
 pub trait Classify {
     /// This error's retry class.
     fn class(&self) -> ErrorClass;

@@ -9,10 +9,11 @@
 //! global-RNG nondeterminism to flake on.
 
 use bytes::Bytes;
-use ech_cluster::{Cluster, ClusterConfig, FaultPlan, ShardOutage};
+use ech_cluster::{Cluster, ClusterConfig, FaultPlan, ShardOutage, SystemClock};
 use ech_core::ids::ObjectId;
 use proptest::prelude::*;
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// Transient-error windows close once a node has seen this many ops, so
 /// the convergence phase runs fault-free.
@@ -104,7 +105,7 @@ proptest! {
         }
         plan.node_faults[node_a].crash_at_op = Some(c1);
         plan.node_faults[node_b].crash_at_op = Some(c2);
-        let c = Cluster::with_faults(chaos_config(), plan);
+        let c = Cluster::with_faults(chaos_config(), plan, Arc::new(SystemClock::new()));
 
         let mut acked: BTreeMap<u64, Bytes> = BTreeMap::new();
         let mut next_oid = 0u64;
@@ -194,7 +195,7 @@ fn fixed_seed_chaos_with_kv_outages_converges() {
             until_op: 100,
         },
     ];
-    let c = Cluster::with_faults(chaos_config(), plan);
+    let c = Cluster::with_faults(chaos_config(), plan, Arc::new(SystemClock::new()));
 
     let mut acked = Vec::new();
     for i in 0..80u64 {

@@ -55,7 +55,7 @@ fn partitioned_cluster(net: NetPlan) -> (Arc<Cluster>, Arc<VirtualClock>) {
         ..FaultPlan::default()
     };
     let clock = Arc::new(VirtualClock::new());
-    let c = Cluster::with_faults_and_clock(cfg, plan, clock.clone());
+    let c = Cluster::with_faults(cfg, plan, clock.clone());
     (c, clock)
 }
 
@@ -188,7 +188,7 @@ fn partitioned_primary_fails_within_deadline_budget() {
         ..FaultPlan::default()
     };
     let clock = Arc::new(VirtualClock::new());
-    let c = Cluster::with_faults_and_clock(cfg, plan, clock.clone());
+    let c = Cluster::with_faults(cfg, plan, clock.clone());
 
     let t0 = clock.now();
     let err = c.put(oid, value(7)).expect_err("primary is unreachable");

@@ -14,7 +14,7 @@
 //! - read-your-write: an acknowledged put is readable through faults.
 
 use bytes::Bytes;
-use ech_cluster::{Cluster, ClusterConfig, FaultPlan};
+use ech_cluster::{Cluster, ClusterConfig, FaultPlan, SystemClock};
 use ech_core::ids::ObjectId;
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -86,7 +86,11 @@ fn concurrent_writers_readers_and_resizes_keep_invariants() {
     }
     let mut cfg = ClusterConfig::paper();
     cfg.replicas = 3;
-    let c = Arc::new(Cluster::with_faults(cfg, plan));
+    let c = Arc::new(Cluster::with_faults(
+        cfg,
+        plan,
+        Arc::new(SystemClock::new()),
+    ));
 
     let acked: Arc<Mutex<Vec<u64>>> = Arc::new(Mutex::new(Vec::new()));
     let resize_count = Arc::new(AtomicU64::new(0));
