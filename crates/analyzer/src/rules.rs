@@ -190,7 +190,7 @@ const D2_ROOTS: &[&str] = &[
     "Cluster::get_with",
     "Cluster::hedged_get",
     "Cluster::locate",
-    "Cluster::reintegrate_step",
+    "Cluster::reintegrate_batch",
     "Cluster::reintegrate_all",
     "Cluster::heal_dirty",
     "Cluster::repair",
@@ -2075,6 +2075,13 @@ pub const D10_ROWS: &[D10Row] = &[
               lincheck` only while one cfg-gated facade names it",
         now: "the cfg-gated facade in `lincheck.rs`",
     },
+    D10Row {
+        scope: "crates/*/src/",
+        needle: "reintegrate_step",
+        except: D10Except::Nowhere,
+        why: "one re-integration entry point drains one task or a batch",
+        now: "`Cluster::reintegrate_batch(1)`",
+    },
 ];
 
 impl D10Row {
@@ -2104,8 +2111,9 @@ impl D10Row {
 ///
 /// Each [`D10_ROWS`] entry bans a literal from a path scope: the copied
 /// mutant bodies, the second retry runner, the string header key, the
-/// dirty-entry text codec, the placement cache and the locked view stay
-/// gone, and one facade names the history recorder. Like D9 it scans
+/// dirty-entry text codec, the placement cache, the locked view and the
+/// one-task drain alias stay gone, and one facade names the history
+/// recorder. Like D9 it scans
 /// raw file text, comments included, so a needle cannot hide in a doc.
 fn d10_forbidden_text(units: &[Unit], out: &mut Vec<Finding>) {
     for row in D10_ROWS {

@@ -586,12 +586,12 @@ fn reintegrate_vs_resize(env: &mut Env, _: Option<Mutation>) {
         let c = Arc::clone(&c);
         env.spawn(move || {
             for _ in 0..2 {
-                let _ = c.reintegrate_step();
+                let _ = c.reintegrate_batch(1);
             }
         });
     }
     env.after(move || {
-        while c.reintegrate_step().is_ok() {}
+        while c.reintegrate_batch(1).is_ok() {}
         assert!(c.dirty_len() == 0, "dirty table not drained at full power");
         let got = c.get(OID);
         match got {
@@ -907,7 +907,7 @@ fn worker_stop_flag(env: &mut Env, mutation: Option<Mutation>) {
             // One bounded worker-loop iteration: poll the flag, drain a
             // step when not yet stopped (idle here — nothing is dirty).
             if !c.stop_requested() {
-                let _ = c.reintegrate_step();
+                let _ = c.reintegrate_batch(1);
             }
         });
     }
@@ -934,7 +934,7 @@ fn reintegration_pool(env: &mut Env, _: Option<Mutation>) {
     for _ in 0..2 {
         let c = Arc::clone(&c);
         env.spawn(move || {
-            let _ = c.reintegrate_step();
+            let _ = c.reintegrate_batch(1);
         });
     }
     env.after(move || {
@@ -1022,7 +1022,7 @@ fn reintegration_lost_replica_bug(env: &mut Env, mutation: Option<Mutation>) {
     {
         let c = Arc::clone(&c);
         env.spawn(move || {
-            let _ = c.reintegrate_step();
+            let _ = c.reintegrate_batch(1);
         });
     }
     {
@@ -1057,7 +1057,7 @@ fn seeded_stamp_bug(env: &mut Env, mutation: Option<Mutation>) {
     {
         let c = Arc::clone(&c);
         env.spawn(move || {
-            let _ = c.reintegrate_step();
+            let _ = c.reintegrate_batch(1);
         });
     }
     env.spawn(move || {

@@ -625,9 +625,7 @@ impl Cluster {
                 // Only message-level failures are link health signals;
                 // application verdicts (NotFound, PoweredOff, DiskFull)
                 // mean the link worked fine.
-                Err(NodeError::Timeout | NodeError::Partitioned | NodeError::Io) => {
-                    b.record_failure(idx, self.clock.now());
-                }
+                Err(e) if e.is_transient() => b.record_failure(idx, self.clock.now()),
                 Err(_) => {}
             }
         }
@@ -665,13 +663,7 @@ impl Cluster {
     /// Check that every replica of `oid` required by the current
     /// placement is physically present (used by integrity tests).
     pub fn is_fully_placed(&self, oid: ObjectId) -> bool {
-        match self.locate(oid) {
-            Ok(p) => p
-                .servers()
-                .iter()
-                .all(|&s| self.node(s).is_ok_and(|n| n.holds(oid))),
-            Err(_) => false,
-        }
+        self.locate(oid).is_ok_and(|p| self.holds_all(oid, &p))
     }
 }
 

@@ -28,12 +28,6 @@ impl ReintegrationStats {
 }
 
 impl Cluster {
-    /// Execute one selective re-integration task. Returns the stats of
-    /// the task, or the idle reason.
-    pub fn reintegrate_step(&self) -> Result<ReintegrationStats, Idle> {
-        self.reintegrate_batch(1)
-    }
-
     /// Plan one migration task against the current snapshot. The engine
     /// lock serialises Algorithm 2's scan (and with it the dirty-table
     /// pops the scan performs).
@@ -89,21 +83,6 @@ impl Cluster {
             self.headers
                 .record_write(task.oid, task.target_version, true);
         }
-        // A move can fail for benign reasons (the replica already moved,
-        // the source raced off) or because the *network* got in the way
-        // after retries. The distinction matters: a fault-failed move
-        // must not let the header restamp below pretend the migration
-        // happened — that would strand the object behind a header no
-        // copy can satisfy.
-        let fault_failed = |e: &NodeError| {
-            matches!(
-                e,
-                NodeError::Io
-                    | NodeError::Timeout
-                    | NodeError::Partitioned
-                    | NodeError::BreakerOpen
-            )
-        };
         // One budget for the whole task: every per-move retry loop
         // consults the same expiry (rule D8), so a task against a dark
         // fabric gives up instead of spending a fresh budget per move.
@@ -148,11 +127,11 @@ impl Cluster {
                             stats.moves += 1;
                             stats.bytes += bytes;
                         }
-                        Err(e) if fault_failed(&e) => stats.failed_moves += 1,
+                        Err(e) if e.is_link_failure() => stats.failed_moves += 1,
                         Err(_) => {}
                     }
                 }
-                Err(e) if fault_failed(&e) => {
+                Err(e) if e.is_link_failure() => {
                     // The source may well hold the replica — the fabric
                     // just would not let us read it.
                     stats.failed_moves += 1;
@@ -187,24 +166,17 @@ impl Cluster {
         // A concurrent rewrite may have advanced the header beyond the
         // task's target; never downgrade it.
         let full_power = self.view.peek().current_membership().is_full_power();
-        let still_dirty = !full_power;
         let superseded = self
             .headers
             .header(task.oid)
             .is_some_and(|h| h.version > task.target_version);
         if !superseded {
-            if full_power {
-                self.headers.mark_clean(task.oid, task.target_version);
-            } else {
-                self.headers
-                    .record_write(task.oid, task.target_version, true);
-            }
-            for &server in task.to.servers() {
-                if let Ok(node) = self.node(server) {
-                    // ech-allow(D7): header restamps are reconciliation messages the coordinator repeats at will; they ride the reliable queue and bypass the fabric (DESIGN §8)
-                    node.restamp(task.oid, task.target_version, still_dirty);
-                }
-            }
+            self.stamp(
+                task.oid,
+                task.target_version,
+                !full_power,
+                task.to.servers(),
+            );
         }
         self.migrated_bytes
             .fetch_add(stats.bytes, Ordering::Relaxed);
@@ -280,7 +252,7 @@ impl Cluster {
     }
 
     /// Spawn a background re-integration worker that repeatedly calls
-    /// [`Cluster::reintegrate_step`], sleeping `idle_wait` when idle.
+    /// [`Cluster::reintegrate_batch`], sleeping `idle_wait` when idle.
     /// Stop it with [`Cluster::stop_background_worker`]; join the handle
     /// afterwards.
     pub fn start_background_worker(
@@ -323,10 +295,11 @@ impl Cluster {
 
     /// Heal replicas missed by degraded (quorum) writes: for every dirty
     /// object, re-create the replicas its *header-version* placement
-    /// names but no node physically holds, copying from any fresh
-    /// replica. Entries logged purely for power offloading are no-ops
-    /// here (all their replicas exist) and are left to the
-    /// re-integration engine, which owns the actual migrations.
+    /// names but no node physically holds, copying the fresh replica a
+    /// `sweep` of the nodes finds — the routine [`Cluster::repair`] runs
+    /// too. Entries logged purely for power offloading are no-ops here
+    /// (all their replicas exist, so no node is read) and are left to
+    /// the re-integration engine, which owns the actual migrations.
     ///
     /// Healing targets the header-version placement — where the write
     /// intended its replicas — rather than the current one, so it never
@@ -365,71 +338,26 @@ impl Cluster {
                 continue;
             };
             // Most dirty entries are power-dirty, not degraded: every
-            // placement target already holds the object and the copy
-            // loop below would skip them all. Checking local presence
-            // first keeps the common case off the (retry-wrapped,
-            // fault-injected) probe path — this is what keeps the
+            // placement target already holds the object. Checking local
+            // presence first keeps the common case off the (retried,
+            // fault-injected) node sweep — this is what keeps the
             // reintegration drain rate intact, since `reintegrate_all`
             // leads with a full heal scan.
-            let all_held = placement
-                .servers()
-                .iter()
-                .all(|&s| self.node(s).is_ok_and(|n| n.holds(oid)));
-            if !all_held {
-                // One budget per healed object, shared by the source
-                // probe and every target copy (rule D8): a dark fabric
-                // costs one deadline per entry, not one per replica.
+            if !self.holds_all(oid, &placement) {
+                // One budget per healed object, shared by the sweep and
+                // every target copy (rule D8): a dark fabric costs one
+                // deadline per entry, not one per replica.
                 let deadline = self.op_deadline();
-                // Find a fresh source, retrying transient probe failures
-                // so an injected fault cannot make a healthy replica
-                // invisible.
-                let mut source = None;
-                for (i, n) in self.nodes.iter().enumerate() {
-                    if !n.is_powered() {
-                        continue;
-                    }
-                    let token = oid.raw() ^ ((i as u64) << 48) ^ 0x6EA1_0001;
-                    let (got, _) =
-                        self.call(ServerId(i as u32), n, deadline, token, |node| node.get(oid));
-                    if let Ok(obj) = got {
-                        if obj.header.version >= h.version {
-                            source = Some(obj);
-                            break;
-                        }
-                    }
-                }
-                let Some(obj) = source else { continue };
-                for &target in placement.servers() {
-                    let Ok(node) = self.node(target) else {
-                        continue;
-                    };
-                    if node.holds(oid) {
-                        continue;
-                    }
-                    let token = oid.raw() ^ ((target.index() as u64) << 48) ^ 0x6EA1_0002;
-                    let (put, _) = self.call(target, node, deadline, token, |n| {
-                        n.put(oid, obj.data.clone(), obj.header.version, obj.header.dirty)
-                    });
-                    if put.is_ok() {
-                        stats.recreated += 1;
-                        stats.bytes += obj.data.len() as u64;
-                    }
+                if let (Some(obj), _) = self.sweep(oid, h.version, deadline) {
+                    self.copy_to_missing(oid, &obj, &placement, deadline, &mut stats);
                 }
             }
             let placed_now = full_power
-                && view.place_current(oid).is_ok_and(|p| {
-                    p.servers()
-                        .iter()
-                        .all(|&s| self.node(s).is_ok_and(|n| n.holds(oid)))
-                });
+                && view
+                    .place_current(oid)
+                    .is_ok_and(|p| self.holds_all(oid, &p));
             if placed_now {
-                self.headers.mark_clean(oid, h.version);
-                for &server in placement.servers() {
-                    if let Ok(node) = self.node(server) {
-                        // ech-allow(D7): header restamps are reconciliation messages the coordinator repeats at will; they ride the reliable queue and bypass the fabric (DESIGN §8)
-                        node.restamp(oid, h.version, false);
-                    }
-                }
+                self.stamp(oid, h.version, false, placement.servers());
             }
             if self.mutation.mutated(Mutation::RestampDownOnHeal) {
                 // The oldest surviving stamp is where a *superseded*

@@ -117,15 +117,15 @@ impl Cluster {
                 return Ok(data);
             }
         }
-        // Transient failures must not masquerade as authoritative misses:
+        // Link failures must not masquerade as authoritative misses:
         // track them and report `Unavailable` (retryable) instead of
         // `NotFound` when every failure could have been a fault. An open
         // breaker counts too — it is a routing verdict about the link,
         // never an authoritative statement about the object.
         let transient = |e: &NodeError| {
-            e.is_transient()
-                || (matches!(e, NodeError::BreakerOpen)
-                    && !self.mutation.mutated(Mutation::BreakerIsAuthoritative))
+            e.is_link_failure()
+                && !(*e == NodeError::BreakerOpen
+                    && self.mutation.mutated(Mutation::BreakerIsAuthoritative))
         };
         let mut saw_transient = false;
         // Placement-guided candidates first; when they fail (e.g. the

@@ -13,7 +13,10 @@ impl Cluster {
     /// configured [`RetryPolicy`](crate::retry::RetryPolicy). Secondaries
     /// still missing after retries are recorded in the dirty table —
     /// exactly like power-offloaded writes — so [`Cluster::heal_dirty`]
-    /// and repair converge the object back to full replication.
+    /// and [`Cluster::repair`] converge the object back to full
+    /// replication. Of the secondaries that cost the quorum, one that
+    /// refused the write itself (not [`NodeError::is_link_failure`]) is
+    /// the error reported.
     pub fn put(&self, oid: ObjectId, data: Bytes) -> Result<Placement, ClusterError> {
         let span = self.recorder.inv_put(oid, &data, &*self.clock);
         if self.mutation.mutated(Mutation::AckBeforeWrite) {
@@ -112,13 +115,11 @@ impl Cluster {
                     });
                 }
                 Err(e) => {
-                    // BreakerOpen is a routing verdict, not a node
-                    // verdict: the replica is skipped and healed later,
-                    // never allowed to veto the quorum as "permanent".
-                    if !matches!(e, NodeError::BreakerOpen)
-                        && !e.is_transient()
-                        && permanent.is_none()
-                    {
+                    // A link failure (an open breaker included) is not
+                    // a node verdict: the replica is skipped and healed
+                    // later, never allowed to veto the quorum as
+                    // "permanent".
+                    if !e.is_link_failure() && permanent.is_none() {
                         permanent = Some(e);
                     }
                     missed += 1;

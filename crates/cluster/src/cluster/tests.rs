@@ -408,7 +408,7 @@ fn restart_mid_reintegration_loses_no_work() {
     c.resize(10);
     // Process only part of the backlog, then "crash" the coordinator.
     for _ in 0..40 {
-        let _ = c.reintegrate_step();
+        let _ = c.reintegrate_batch(1);
     }
     let c2 = c.restart();
     c2.reintegrate_all();

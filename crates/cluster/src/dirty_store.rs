@@ -142,11 +142,6 @@ impl KvHeaderStore {
         });
     }
 
-    /// Clear the dirty bit after re-integration to a full-power version.
-    pub fn mark_clean(&self, oid: ObjectId, version: VersionId) {
-        self.record_write(oid, version, false);
-    }
-
     /// Number of tracked objects.
     pub fn len(&self) -> usize {
         footprint_read(footprint::HEADERS);
@@ -255,7 +250,7 @@ mod tests {
         assert!(hdr.dirty);
         h.record_write(ObjectId(1), VersionId(10), true);
         assert_eq!(h.header(ObjectId(1)).unwrap().version, VersionId(10));
-        h.mark_clean(ObjectId(1), VersionId(11));
+        h.record_write(ObjectId(1), VersionId(11), false);
         let hdr = h.header(ObjectId(1)).unwrap();
         assert!(!hdr.dirty);
         assert_eq!(hdr.version, VersionId(11));

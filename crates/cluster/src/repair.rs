@@ -1,4 +1,4 @@
-//! Failure handling: crash injection and re-replication repair.
+//! Failure handling and the one re-replication routine.
 //!
 //! Elasticity and fault tolerance share machinery in consistent-hashing
 //! stores — Sheepdog's "recovery feature … is mainly utilized for
@@ -8,11 +8,17 @@
 //! contents (unlike a powered-down node, whose data survives), and a
 //! repair pass re-creates the lost replicas from survivors at the current
 //! placement.
+//!
+//! Repair, [`Cluster::heal_dirty`] and the re-integration executor
+//! share this module's node sweep, copy loop and stamp.
 
 use crate::cluster::Cluster;
-use crate::node::NodeError;
-use ech_core::ids::ServerId;
+use crate::node::{StorageNode, StoredObject};
+use crate::retry::Deadline;
+use ech_core::dirty::HeaderSource;
+use ech_core::ids::{ObjectId, ServerId, VersionId};
 use ech_core::membership::PowerState;
+use ech_core::placement::Placement;
 
 /// Outcome of a repair scan.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -60,54 +66,31 @@ impl Cluster {
 
     /// Re-replication repair: for every tracked object, ensure each
     /// replica required by the *current* placement physically exists,
-    /// copying from any surviving replica when it does not. This is the
-    /// clean-up work original CH must finish before tolerating another
-    /// departure (§II-C) — and the work the primary design avoids for
-    /// *power-downs* but still needs for *crashes*.
+    /// copying from a fresh surviving replica when it does not. This is
+    /// the clean-up work original CH must finish before tolerating
+    /// another departure (§II-C) — and the work the primary design
+    /// avoids for *power-downs* but still needs for *crashes*.
+    ///
+    /// Each object costs one `sweep`, one read per powered node; the
+    /// copies a rewrite superseded are removed before the copy loop.
     pub fn repair(&self) -> RepairStats {
-        use ech_core::dirty::HeaderSource;
         let mut stats = RepairStats::default();
-        let oids = self.headers().all_objects();
-        for oid in oids {
+        for oid in self.headers().all_objects() {
             stats.scanned += 1;
-            let expected = self.headers().header(oid).map(|h| h.version);
-            let Ok(placement) = self.locate(oid) else {
+            let (Some(header), Ok(placement)) = (self.headers().header(oid), self.locate(oid))
+            else {
                 continue;
             };
-            // One budget per repaired object, threaded through every
-            // retry loop below (rule D8): a dark fabric costs one
-            // deadline per object, not one per probe.
+            // One budget per repaired object, shared by the sweep and
+            // every copy (rule D8): a dark fabric costs one deadline per
+            // object, not one per read.
             let deadline = self.op_deadline();
-            // Garbage-collect stale replicas first: copies written at an
-            // older version than the authoritative header were superseded
-            // by a rewrite and must never serve reads or act as repair
-            // sources.
-            if let Some(ver) = expected {
-                for node in self.nodes() {
-                    if node.is_powered() {
-                        if let Ok(obj) = self.rpc(node.id(), node, |n| n.get(oid)) {
-                            if obj.header.version < ver {
-                                // ech-allow(D7): stale-replica GC is a reconciliation message the coordinator repeats at will; it rides the reliable queue and bypasses the fabric (DESIGN §8)
-                                node.remove(oid);
-                            }
-                        }
-                    }
-                }
+            let (fresh, stale) = self.sweep(oid, header.version, deadline);
+            for node in stale {
+                // ech-allow(D7): stale-replica GC is a reconciliation message the coordinator repeats at will; it rides the reliable queue and bypasses the fabric (DESIGN §8)
+                node.remove(oid);
             }
-            // Find one live, version-matching replica to copy from. The
-            // probe retries transient faults: an injected I/O error must
-            // not make a healthy survivor invisible — that would turn a
-            // repairable object into a false "unrecoverable" verdict.
-            let fresh = |n: &crate::node::StorageNode| -> bool {
-                let token = oid.raw() ^ ((n.id().index() as u64) << 48);
-                n.is_powered()
-                    && self
-                        .call(n.id(), n, deadline, token, |node| node.get(oid))
-                        .0
-                        .is_ok_and(|o| expected.is_none_or(|v| o.header.version == v))
-            };
-            let source = self.nodes().iter().find(|n| fresh(n));
-            let Some(source) = source else {
+            let Some(obj) = fresh else {
                 // A fresh copy may be trapped on a powered-down (not
                 // crashed) node — readable again after power-up; only
                 // count as unrecoverable when no node holds one at all.
@@ -117,38 +100,83 @@ impl Cluster {
                 }
                 continue;
             };
-            let Ok(obj) = self
-                .call(source.id(), source, deadline, oid.raw(), |n| n.get(oid))
-                .0
-            else {
-                continue;
-            };
-            for &target in placement.servers() {
-                let Ok(node) = self.node(target) else {
-                    continue;
-                };
-                if node.holds(oid) {
-                    continue;
-                }
-                let token = oid.raw() ^ ((target.index() as u64) << 48);
-                let (put, _) = self.call(target, node, deadline, token, |n| {
-                    n.put(oid, obj.data.clone(), obj.header.version, obj.header.dirty)
-                });
-                match put {
-                    Ok(()) => {
-                        stats.recreated += 1;
-                        stats.bytes += obj.data.len() as u64;
-                    }
-                    Err(NodeError::PoweredOff) => {
-                        // Placement should never name a powered-off node;
-                        // a racing resize can cause this — the next repair
-                        // pass will fix it.
-                    }
-                    Err(_) => {}
+            self.copy_to_missing(oid, &obj, &placement, deadline, &mut stats);
+        }
+        stats
+    }
+
+    /// Read `oid` once from every powered node in index order, retried
+    /// under the caller's `deadline` so an injected fault cannot hide a
+    /// survivor. Returns the first copy stamped at or above `header`
+    /// (the rule reads use) and the nodes whose copy is older.
+    pub(crate) fn sweep(
+        &self,
+        oid: ObjectId,
+        header: VersionId,
+        deadline: Deadline,
+    ) -> (Option<StoredObject>, Vec<&StorageNode>) {
+        let (mut fresh, mut stale) = (None, Vec::new());
+        for node in self.nodes().iter().filter(|n| n.is_powered()) {
+            let token = oid.raw() ^ ((node.id().index() as u64) << 48) ^ 0x6EA1_0001;
+            if let (Ok(obj), _) = self.call(node.id(), node, deadline, token, |n| n.get(oid)) {
+                if obj.header.version < header {
+                    stale.push(&**node);
+                } else {
+                    fresh.get_or_insert(obj);
                 }
             }
         }
-        stats
+        (fresh, stale)
+    }
+
+    /// Put `obj`, at its own stamp, on every server of `placement` that
+    /// lacks `oid`, retried under the caller's `deadline`; count the
+    /// copies that land into `stats` and leave failures to the next pass.
+    pub(crate) fn copy_to_missing(
+        &self,
+        oid: ObjectId,
+        obj: &StoredObject,
+        placement: &Placement,
+        deadline: Deadline,
+        stats: &mut RepairStats,
+    ) {
+        for &target in placement.servers() {
+            let Ok(node) = self.node(target) else {
+                continue;
+            };
+            if node.holds(oid) {
+                continue;
+            }
+            let token = oid.raw() ^ ((target.index() as u64) << 48) ^ 0x6EA1_0002;
+            let (put, _) = self.call(target, node, deadline, token, |n| {
+                n.put(oid, obj.data.clone(), obj.header.version, obj.header.dirty)
+            });
+            if put.is_ok() {
+                stats.recreated += 1;
+                stats.bytes += obj.data.len() as u64;
+            }
+        }
+    }
+
+    /// Stamp `oid` at `at`, clean unless `dirty`: the header first, then
+    /// every replica on `servers`. Callers stamp only once their copies
+    /// landed, so no reader meets a header no replica satisfies.
+    pub(crate) fn stamp(&self, oid: ObjectId, at: VersionId, dirty: bool, servers: &[ServerId]) {
+        self.headers().record_write(oid, at, dirty);
+        for &server in servers {
+            if let Ok(node) = self.node(server) {
+                // ech-allow(D7): header restamps are reconciliation messages the coordinator repeats at will; they ride the reliable queue and bypass the fabric (DESIGN §8)
+                node.restamp(oid, at, dirty);
+            }
+        }
+    }
+
+    /// Does every server of `placement` physically hold `oid`?
+    pub(crate) fn holds_all(&self, oid: ObjectId, placement: &Placement) -> bool {
+        placement
+            .servers()
+            .iter()
+            .all(|&s| self.node(s).is_ok_and(|n| n.holds(oid)))
     }
 
     /// Count objects whose current placement is missing at least one
@@ -167,6 +195,7 @@ impl Cluster {
 mod tests {
     use crate::cluster::{Cluster, ClusterConfig};
     use bytes::Bytes;
+    use ech_core::dirty::HeaderSource;
     use ech_core::ids::{ObjectId, ServerId};
 
     fn payload(oid: u64) -> Bytes {
@@ -315,6 +344,60 @@ mod tests {
         assert_eq!(second.recreated, 0, "second pass must find nothing to do");
         assert_eq!(second.bytes, 0);
         assert_eq!(second.unrecoverable, 0);
+        assert_eq!(c.under_replicated(), 0);
+    }
+
+    /// Node reads served by every node, summed.
+    fn reads(c: &Cluster) -> u64 {
+        c.nodes().iter().map(|n| n.op_counts().0).sum()
+    }
+
+    #[test]
+    fn repair_reads_each_powered_node_once_per_object() {
+        // Object 7 lives on servers 0 and 7: crashing server 0 leaves
+        // the only copy late in the index-order sweep.
+        let c = Cluster::new(ClusterConfig::paper());
+        let oid = ObjectId(7);
+        c.put(oid, payload(7)).unwrap();
+        let (lost, survivor) = (ServerId(0), ServerId(7));
+        let mut holders = c.locate(oid).unwrap().servers().to_vec();
+        holders.sort();
+        assert_eq!(holders, [lost, survivor]);
+        c.crash_node(lost);
+        let survivor_before = c.nodes()[survivor.index()].op_counts().0;
+        let before = reads(&c);
+        let stats = c.repair();
+        assert_eq!(stats.recreated, 1);
+        assert_eq!(
+            c.nodes()[survivor.index()].op_counts().0 - survivor_before,
+            1,
+            "the survivor is read once: its one read is both probe and source"
+        );
+        assert_eq!(reads(&c) - before, 9, "one read per powered node");
+    }
+
+    #[test]
+    fn repair_of_fully_placed_objects_reads_each_node_once() {
+        let c = loaded_cluster(100);
+        let before = reads(&c);
+        let stats = c.repair();
+        assert_eq!(stats.recreated, 0);
+        assert_eq!(reads(&c) - before, 100 * 10);
+    }
+
+    #[test]
+    fn repair_copies_a_replica_stamped_past_the_header() {
+        let c = loaded_cluster(1);
+        let oid = ObjectId(0);
+        let header = c.headers().header(oid).unwrap().version;
+        let holders = c.locate(oid).unwrap();
+        let (ahead, lost) = (holders.servers()[1], holders.servers()[0]);
+        assert!(c.nodes()[ahead.index()].restamp(oid, header.next(), false));
+        c.crash_node(lost);
+        assert_eq!(c.get(oid).unwrap(), payload(0), "reads accept the copy");
+        let stats = c.repair();
+        assert_eq!(stats.unrecoverable, 0, "the copy reads serve is a source");
+        assert_eq!(stats.recreated, 1);
         assert_eq!(c.under_replicated(), 0);
     }
 

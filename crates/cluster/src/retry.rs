@@ -63,6 +63,20 @@ impl Classify for NodeError {
     }
 }
 
+impl NodeError {
+    /// Did the link fail rather than the object? A lost or refused
+    /// message says nothing about what the node holds: reads report it
+    /// as unavailable, writes never let it veto the quorum, and a
+    /// migration it blocks is re-planned instead of stamped.
+    pub fn is_link_failure(&self) -> bool {
+        match self {
+            NodeError::Io | NodeError::Timeout | NodeError::Partitioned => true,
+            NodeError::BreakerOpen => true,
+            NodeError::PoweredOff | NodeError::NotFound | NodeError::DiskFull { .. } => false,
+        }
+    }
+}
+
 impl Classify for KvError {
     fn class(&self) -> ErrorClass {
         match self {
