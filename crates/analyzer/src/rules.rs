@@ -211,11 +211,9 @@ const D2_ROOTS: &[&str] = &[
     "NetFabric::partition_active",
     "NetFabric::heal_partitions",
     "NetFabric::rpc_timeout",
-    "NetFabric::stats",
     "ReplicaBreakers::try_acquire",
     "ReplicaBreakers::record_success",
     "ReplicaBreakers::record_failure",
-    "ReplicaBreakers::snapshot",
 ];
 
 /// Crates whose fns participate in D2/D4 call-graph resolution.
@@ -1987,6 +1985,17 @@ const NO_VIEW_LOCK: &str = "the read path is lock-free: views are published as \
 const TYPED_DIRTY_LOG: &str = "the dirty table is `ech-kvstore`'s typed log: a put below \
                                full power formats nothing and the drain parses nothing";
 
+/// A crate-wide row banning a retired counter family's name or accessor.
+const fn counter_row(needle: &'static str) -> D10Row {
+    D10Row {
+        scope: "crates/*/src/",
+        needle,
+        except: D10Except::Nowhere,
+        why: "the live cluster counts its events in one counter set, read as one snapshot",
+        now: "`Cluster::counters()` / `CounterSnapshot`",
+    }
+}
+
 /// Retired names and patterns, each banned from the paths it lived in.
 pub const D10_ROWS: &[D10Row] = &[
     D10Row {
@@ -2082,6 +2091,21 @@ pub const D10_ROWS: &[D10Row] = &[
         why: "one re-integration entry point drains one task or a batch",
         now: "`Cluster::reintegrate_batch(1)`",
     },
+    counter_row("PathCounters"),
+    counter_row("PathSnapshot"),
+    counter_row("FaultStatsSnapshot"),
+    counter_row("NetStatsSnapshot"),
+    counter_row("BreakerSnapshot"),
+    counter_row("fault_stats"),
+    counter_row("net_stats"),
+    counter_row("breaker_stats"),
+    D10Row {
+        scope: "crates/*/src/",
+        needle: "splitmix64",
+        except: D10Except::Nowhere,
+        why: "one SplitMix64 mixer",
+        now: "`ech_core::hash::mix64`",
+    },
 ];
 
 impl D10Row {
@@ -2111,9 +2135,9 @@ impl D10Row {
 ///
 /// Each [`D10_ROWS`] entry bans a literal from a path scope: the copied
 /// mutant bodies, the second retry runner, the string header key, the
-/// dirty-entry text codec, the placement cache, the locked view and the
-/// one-task drain alias stay gone, and one facade names the history
-/// recorder. Like D9 it scans
+/// dirty-entry text codec, the placement cache, the locked view, the
+/// one-task drain alias, the per-family counter snapshots and the second
+/// SplitMix64 stay gone, and one facade names the history recorder. Like D9 it scans
 /// raw file text, comments included, so a needle cannot hide in a doc.
 fn d10_forbidden_text(units: &[Unit], out: &mut Vec<Finding>) {
     for row in D10_ROWS {

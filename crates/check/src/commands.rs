@@ -358,8 +358,9 @@ fn lincheck_wrapped(m: &'static crate::mc_models::Model) -> impl Fn(&mut ech_mod
 /// replay regression tests carry.
 fn lincheck_cmd(args: &Args) -> Result<String, ParseError> {
     use bytes::Bytes;
-    use ech_cluster::fault::{splitmix64, FaultPlan, VirtualClock};
+    use ech_cluster::fault::{FaultPlan, VirtualClock};
     use ech_cluster::{Cluster, ClusterConfig};
+    use ech_core::hash::mix64;
     use std::sync::Arc;
     args.allow_only(&["witness", "seed", "ops", "keys"])?;
     if let Some(line) = args.options.get("witness") {
@@ -390,7 +391,7 @@ fn lincheck_cmd(args: &Args) -> Result<String, ParseError> {
     // covers the concurrent side.
     let mut active = 3usize;
     for i in 0..ops {
-        let r = splitmix64(seed ^ (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
+        let r = mix64(seed ^ (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
         let oid = ObjectId(1 + r % keys);
         match (r >> 8) % 10 {
             0..=4 => {

@@ -7,11 +7,11 @@ use std::fmt::Write as _;
 
 pub fn chaos_cmd(args: &Args) -> Result<String, ParseError> {
     use bytes::Bytes;
-    use ech_cluster::fault::splitmix64;
     use ech_cluster::{
         BreakerConfig, Cluster, ClusterConfig, FaultPlan, LinkFaultSpec, NetPlan,
         PartitionDirection, PartitionWindow, VirtualClock,
     };
+    use ech_core::hash::mix64;
     use std::sync::Arc;
     use std::time::Duration;
     args.allow_only(&[
@@ -57,9 +57,9 @@ pub fn chaos_cmd(args: &Args) -> Result<String, ParseError> {
     // Transient-error windows must outlive both crash events so every
     // planned fault provably fires before the convergence phase.
     let window = 150u64.max(crash1.max(crash2) + 1);
-    let node_a = (splitmix64(seed) % servers as u64) as usize;
-    let node_b = ((node_a as u64 + 1 + splitmix64(seed ^ 1) % (servers as u64 - 1))
-        % servers as u64) as usize;
+    let node_a = (mix64(seed) % servers as u64) as usize;
+    let node_b =
+        ((node_a as u64 + 1 + mix64(seed ^ 1) % (servers as u64 - 1)) % servers as u64) as usize;
     let mut plan = FaultPlan::uniform_io_errors(servers, seed, rate);
     for spec in &mut plan.node_faults {
         spec.io_error_until_op = window;
@@ -181,42 +181,41 @@ pub fn chaos_cmd(args: &Args) -> Result<String, ParseError> {
         .filter(|&&i| c.get(ObjectId(i)).map(|v| v == value(i)).unwrap_or(false))
         .count();
     let lost = acked.len() - readable;
-    let faults = c.fault_stats().expect("chaos cluster has fault stats");
-    let path = c.counters();
+    let counts = c.counters();
     let mut out = String::new();
     writeln!(out, "metric,value").expect("write to string");
     for (name, v) in [
         ("writes_attempted", objects),
         ("writes_acked", acked.len() as u64),
-        ("io_errors_injected", faults.io_errors),
-        ("crashes_injected", faults.crashes),
-        ("delays_injected", faults.delays),
-        ("kv_unavailable_injected", faults.kv_unavailable),
-        ("retries", path.retries),
-        ("quorum_degraded_acks", path.quorum_acks),
-        ("replicas_missed", path.replicas_missed),
-        ("hedged_reads", path.hedged_reads),
-        ("unavailable_errors", path.unavailable_errors),
+        ("io_errors_injected", counts.io_errors),
+        ("crashes_injected", counts.crashes),
+        ("delays_injected", counts.delays),
+        ("kv_unavailable_injected", counts.kv_unavailable),
+        ("retries", counts.retries),
+        ("quorum_degraded_acks", counts.quorum_acks),
+        ("replicas_missed", counts.replicas_missed),
+        ("hedged_reads", counts.hedged_reads),
+        ("unavailable_errors", counts.unavailable_errors),
         ("under_replicated", c.under_replicated() as u64),
         ("dirty_entries", c.dirty_len() as u64),
         ("acked_readable", readable as u64),
     ] {
         writeln!(out, "{name},{v}").expect("write to string");
     }
-    // Message-plane metrics only exist when `--net true` installed the
-    // fabric; the base report stays byte-identical without it.
-    if let Some(ns) = c.net_stats() {
-        let bs = c.breaker_stats().expect("--net enables breakers");
+    // Message-plane metrics are reported only when `--net true`
+    // installed the fabric; the base report stays byte-identical
+    // without it.
+    if net {
         for (name, v) in [
-            ("net_sends", ns.sends),
-            ("net_dropped", ns.dropped),
-            ("net_duplicated", ns.duplicated),
-            ("net_delayed", ns.delayed),
-            ("net_reordered", ns.reordered),
-            ("net_partitioned_sends", ns.partitioned_sends),
-            ("breaker_trips", bs.trips),
-            ("breaker_fastfails", bs.fastfails),
-            ("deadline_exceeded", path.deadline_exceeded),
+            ("net_sends", counts.net_sends),
+            ("net_dropped", counts.net_dropped),
+            ("net_duplicated", counts.net_duplicated),
+            ("net_delayed", counts.net_delayed),
+            ("net_reordered", counts.net_reordered),
+            ("net_partitioned_sends", counts.net_partitioned_sends),
+            ("breaker_trips", counts.breaker_trips),
+            ("breaker_fastfails", counts.breaker_fastfails),
+            ("deadline_exceeded", counts.deadline_exceeded),
         ] {
             writeln!(out, "{name},{v}").expect("write to string");
         }

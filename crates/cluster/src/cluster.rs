@@ -19,13 +19,12 @@ mod resize;
 pub use drain::ReintegrationStats;
 pub use get::ReadPolicy;
 
+use crate::counters::{CounterSnapshot, Counters};
 use crate::dirty_store::{KvDirtyTable, KvHeaderStore};
-use crate::fault::{Clock, FaultInjector, FaultPlan, FaultStatsSnapshot, SystemClock};
+use crate::fault::{Clock, FaultInjector, FaultPlan, SystemClock};
 use crate::lincheck::Recorder;
 use crate::mutation::{Installed, Mutation};
-use crate::net::{
-    BreakerSnapshot, NetFabric, NetPlan, NetStatsSnapshot, ReplicaBreakers, SendVerdict,
-};
+use crate::net::{NetFabric, NetPlan, ReplicaBreakers, SendVerdict};
 use crate::node::{NodeError, StorageNode};
 use crate::repair::RepairStats;
 use crate::retry::{Classify, Deadline, RetryPolicy};
@@ -41,7 +40,7 @@ use ech_core::layout::Layout;
 use ech_core::placement::{Placement, PlacementError, Strategy};
 use ech_core::ratelimit::TokenBucket;
 use ech_core::reintegration::{Idle, MigrationTask, Reintegrator};
-use ech_core::stats::{CacheSnapshot, PathCounters, PathSnapshot};
+use ech_core::stats::CacheSnapshot;
 use ech_core::view::ClusterView;
 use ech_kvstore::{KvStore, ShardFaultHook};
 use std::sync::Arc;
@@ -265,7 +264,9 @@ pub struct Cluster {
     /// Per-replica circuit breakers consulted by [`Cluster::rpc`].
     breakers: Option<ReplicaBreakers>,
     clock: Arc<dyn Clock>,
-    counters: PathCounters,
+    /// The one counter set, shared with the injector, fabric and
+    /// breakers; a restart hands it to the new coordinator.
+    counters: Arc<Counters>,
     /// Lincheck recording handle (zero-sized without the `lincheck`
     /// feature): attached to the session open on the building thread.
     recorder: Recorder,
@@ -288,14 +289,17 @@ impl Cluster {
     /// makes a whole drill replayable without real-time dependence
     /// (`ech chaos` uses one); [`SystemClock`] runs on the wall clock.
     pub fn with_faults(cfg: ClusterConfig, plan: FaultPlan, clock: Arc<dyn Clock>) -> Arc<Self> {
-        let injector = Arc::new(FaultInjector::new(cfg.servers, plan, clock));
-        Self::build(cfg, Some(injector))
+        Self::build(cfg, Some((plan, clock)))
     }
 
-    fn build(cfg: ClusterConfig, fault: Option<Arc<FaultInjector>>) -> Arc<Self> {
-        let clock: Arc<dyn Clock> = match &fault {
-            Some(inj) => inj.clock().clone(),
-            None => Arc::new(SystemClock::new()),
+    fn build(cfg: ClusterConfig, faults: Option<(FaultPlan, Arc<dyn Clock>)>) -> Arc<Self> {
+        let counters = Arc::new(Counters::default());
+        let (fault, clock) = match faults {
+            Some((plan, clock)) => {
+                let inj = FaultInjector::new(cfg.servers, plan, clock.clone(), counters.clone());
+                (Some(Arc::new(inj)), clock)
+            }
+            None => (None, Arc::new(SystemClock::new()) as Arc<dyn Clock>),
         };
         let layout = match cfg.strategy {
             Strategy::Primary => Layout::equal_work(cfg.servers, cfg.layout_base),
@@ -321,15 +325,17 @@ impl Cluster {
         let net = fault
             .as_ref()
             .and_then(|inj| inj.plan().net.clone())
-            .map(|plan| Arc::new(NetFabric::new(cfg.servers, plan, clock.clone())));
+            .map(|plan| NetFabric::new(cfg.servers, plan, clock.clone(), counters.clone()))
+            .map(Arc::new);
         let recorder = Recorder::attach();
-        Self::assemble(cfg, fault, clock, nodes, Arc::new(view), kv, net, recorder)
+        let view = Arc::new(view);
+        Self::assemble(cfg, fault, clock, nodes, view, kv, net, counters, recorder)
     }
 
     /// Assemble a coordinator around the parts a fresh build and a
     /// restart obtain differently. Everything else is the coordinator's
-    /// own and starts fresh: the re-integration engine, breakers, path
-    /// counters, migration throttle and (unmutated) decision points.
+    /// own and starts fresh: the re-integration engine, breaker state,
+    /// migration throttle and (unmutated) decision points.
     /// The fault plan is installed as `kv`'s shard-fault hook.
     #[allow(clippy::too_many_arguments)] // one argument per differing part
     fn assemble(
@@ -340,6 +346,7 @@ impl Cluster {
         view: Arc<ClusterView>,
         kv: KvStore,
         net: Option<Arc<NetFabric>>,
+        counters: Arc<Counters>,
         recorder: Recorder,
     ) -> Arc<Self> {
         let kv = Arc::new(kv);
@@ -368,10 +375,12 @@ impl Cluster {
             kv,
             fault,
             net,
-            breakers: cfg.breaker.map(|b| ReplicaBreakers::new(cfg.servers, b)),
+            breakers: cfg
+                .breaker
+                .map(|b| ReplicaBreakers::new(cfg.servers, b, counters.clone())),
             cfg,
             clock,
-            counters: PathCounters::default(),
+            counters,
             recorder,
             mutation: Installed::default(),
         })
@@ -423,10 +432,11 @@ impl Cluster {
     /// 2's own rule (a new scan restarts from the table head), so resumed
     /// re-integration is correct by construction.
     ///
-    /// The fabric (and its message counters) survives the restart: the
-    /// network does not reset because the coordinator did. Breaker state
-    /// is process-local health tracking and starts fresh, like the
-    /// re-integration engine.
+    /// The fabric survives the restart: the network does not reset
+    /// because the coordinator did. Breaker *state* is process-local
+    /// health tracking and starts fresh, like the re-integration engine;
+    /// the counters carry over, so [`Cluster::counters`] reads the same
+    /// on the restarted coordinator.
     pub fn restart(&self) -> Arc<Cluster> {
         let view = self.view.load();
         let kv = KvStore::restore(self.kv.dump(), self.cfg.kv_shards)
@@ -439,6 +449,7 @@ impl Cluster {
             view,
             kv,
             self.net.clone(),
+            self.counters.clone(),
             self.recorder.clone(),
         )
     }
@@ -502,9 +513,12 @@ impl Cluster {
         self.migrated_bytes.load(Ordering::Relaxed)
     }
 
-    /// Snapshot of the degraded-path counters (retries, quorum acks,
-    /// missed replicas, hedged reads, unavailable errors).
-    pub fn counters(&self) -> PathSnapshot {
+    /// Every event counter of the cluster: the data path's retries,
+    /// degraded acks, hedges and budget failures, the injected node and
+    /// kv faults, the fabric's message verdicts and the breakers' trips
+    /// and fast-fails. Fields a cluster has no part for (no fault plan,
+    /// no fabric, no breakers) stay zero.
+    pub fn counters(&self) -> CounterSnapshot {
         self.counters.snapshot()
     }
 
@@ -513,25 +527,10 @@ impl Cluster {
         self.fault.as_ref()
     }
 
-    /// Counters of injected faults, when running under a [`FaultPlan`].
-    pub fn fault_stats(&self) -> Option<FaultStatsSnapshot> {
-        self.fault.as_ref().map(|f| f.stats())
-    }
-
     /// The message fault fabric, when the fault plan carries a
     /// [`crate::net::NetPlan`].
     pub fn net_fabric(&self) -> Option<&Arc<NetFabric>> {
         self.net.as_ref()
-    }
-
-    /// Counters of injected message faults, when a fabric is installed.
-    pub fn net_stats(&self) -> Option<NetStatsSnapshot> {
-        self.net.as_ref().map(|n| n.stats())
-    }
-
-    /// Circuit-breaker counters, when breakers are configured.
-    pub fn breaker_stats(&self) -> Option<BreakerSnapshot> {
-        self.breakers.as_ref().map(|b| b.snapshot(self.clock.now()))
     }
 
     /// A fresh [`Deadline`] for one client operation, from the

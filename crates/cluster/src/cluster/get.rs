@@ -57,9 +57,11 @@ impl Cluster {
     /// Replicas carry the version they were written at; an object
     /// rewritten at a newer membership version may leave *stale* copies
     /// at its older placements until re-integration/repair collects them.
-    /// Reads therefore accept only copies whose stored version matches
-    /// the authoritative header (§III-E2: the header lets the system
-    /// "identify the latest data version and avoid stale data").
+    /// Reads therefore accept only copies stamped at or past the version
+    /// in the authoritative header (§III-E2: the header lets the system
+    /// "identify the latest data version and avoid stale data"): stale
+    /// copies are strictly older, while a concurrent re-integration may
+    /// restamp fresh ones past the header a read took.
     pub fn get_with(&self, oid: ObjectId, policy: ReadPolicy) -> Result<Bytes, ClusterError> {
         let span = self.recorder.inv_get(oid, &*self.clock);
         let result = self.get_at(oid, policy, self.op_deadline());
@@ -136,7 +138,9 @@ impl Cluster {
         let sweep = (0..self.nodes.len() as u32).map(ServerId);
         for server in guided.take(candidates.len()).chain(sweep) {
             if deadline.expired(&*self.clock) {
-                self.counters.inc_deadline_exceeded();
+                self.counters
+                    .deadline_exceeded
+                    .fetch_add(1, Ordering::Relaxed);
                 return Err(ClusterError::DeadlineExceeded);
             }
             let node = self.node(server)?;
@@ -147,7 +151,9 @@ impl Cluster {
             }
         }
         if saw_transient {
-            self.counters.inc_unavailable();
+            self.counters
+                .unavailable_errors
+                .fetch_add(1, Ordering::Relaxed);
             Err(ClusterError::Unavailable)
         } else {
             Err(ClusterError::NotFound)
@@ -189,7 +195,7 @@ impl Cluster {
             }
         }
         // The first replica was slow, stale, or unreachable — hedge.
-        self.counters.inc_hedged_reads();
+        self.counters.hedged_reads.fetch_add(1, Ordering::Relaxed);
         for &s in candidates.iter().skip(1) {
             if deadline.expired(&*self.clock) {
                 break;

@@ -96,7 +96,11 @@ impl Cluster {
                 };
                 n.put(oid, payload, version, power_dirty)
             });
-            self.counters.add_retries(retries as u64);
+            if retries > 0 {
+                self.counters
+                    .retries
+                    .fetch_add(retries.into(), Ordering::Relaxed);
+            }
             match result {
                 Ok(()) => written += 1,
                 Err(e) if rank == 0 => {
@@ -106,7 +110,9 @@ impl Cluster {
                     if deadline.expired(&*self.clock)
                         && matches!(e, NodeError::Timeout | NodeError::Partitioned)
                     {
-                        self.counters.inc_deadline_exceeded();
+                        self.counters
+                            .deadline_exceeded
+                            .fetch_add(1, Ordering::Relaxed);
                         return Err(ClusterError::DeadlineExceeded);
                     }
                     return Err(match e {
@@ -137,7 +143,9 @@ impl Cluster {
                 // The budget, not the cluster, decided the shortfall:
                 // fail cleanly within (just past) the deadline instead
                 // of inviting a retry that would start expired.
-                self.counters.inc_deadline_exceeded();
+                self.counters
+                    .deadline_exceeded
+                    .fetch_add(1, Ordering::Relaxed);
                 return Err(ClusterError::DeadlineExceeded);
             }
             return Err(ClusterError::QuorumNotReached { written, required });
@@ -150,8 +158,10 @@ impl Cluster {
             self.log_dirty(DirtyEntry::new(oid, version));
         }
         if missed > 0 {
-            self.counters.inc_quorum_acks();
-            self.counters.add_replicas_missed(missed as u64);
+            self.counters.quorum_acks.fetch_add(1, Ordering::Relaxed);
+            self.counters
+                .replicas_missed
+                .fetch_add(missed as u64, Ordering::Relaxed);
         }
         Ok(placement)
     }

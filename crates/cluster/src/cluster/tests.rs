@@ -448,6 +448,44 @@ fn restart_keeps_headers_so_reads_still_reject_stale_copies() {
     }
 }
 
+#[test]
+fn fault_free_elastic_cycle_moves_no_counter() {
+    let c = cluster();
+    for i in 0..200u64 {
+        c.put(ObjectId(i), payload(i)).unwrap();
+    }
+    for i in 0..200u64 {
+        assert_eq!(c.get(ObjectId(i)).unwrap(), payload(i));
+    }
+    c.resize(5);
+    for i in 200..400u64 {
+        c.put(ObjectId(i), payload(i)).unwrap();
+    }
+    c.resize(10);
+    c.reintegrate_all();
+    assert!(c.migrated_bytes() > 0, "the cycle re-integrated data");
+    assert_eq!(c.dirty_len(), 0);
+    assert_eq!(c.counters(), CounterSnapshot::default());
+}
+
+#[test]
+fn counters_survive_a_restart() {
+    let plan = FaultPlan::uniform_io_errors(10, 0xC0_DE, 0.2);
+    let clock = Arc::new(crate::fault::VirtualClock::new());
+    let c = Cluster::with_faults(ClusterConfig::paper(), plan, clock);
+    for i in 0..100u64 {
+        // Some writes run out of retries; only the counts matter here.
+        let _ = c.put(ObjectId(i), payload(i));
+    }
+    assert!(
+        c.counters().retries > 0,
+        "injected errors must cost retries"
+    );
+    assert!(c.counters().io_errors > 0);
+    let c2 = c.restart();
+    assert_eq!(c2.counters(), c.counters());
+}
+
 /// Placement is deterministic per config, so an unfaulted twin
 /// cluster tells a fault-plan test which servers an object lands on.
 fn placement_of(cfg: &ClusterConfig, oid: ObjectId) -> Vec<ServerId> {
@@ -500,7 +538,7 @@ fn degraded_write_acks_at_quorum_and_heals() {
     c.reintegrate_all();
     assert!(c.is_fully_placed(oid));
     assert_eq!(c.dirty_len(), 0);
-    assert_eq!(c.fault_stats().unwrap().io_errors, 4);
+    assert_eq!(c.counters().io_errors, 4);
 }
 
 #[test]

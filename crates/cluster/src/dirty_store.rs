@@ -271,6 +271,7 @@ mod tests {
 
     #[test]
     fn browned_out_header_shard_retries_on_the_clock_and_other_shards_do_not_sleep() {
+        use crate::counters::Counters;
         use crate::fault::{FaultInjector, FaultPlan, ShardOutage, VirtualClock};
         let kv = Arc::new(KvStore::new(4));
         let down = kv.header_shard_of(ObjectId(1));
@@ -288,17 +289,18 @@ mod tests {
             ..FaultPlan::default()
         };
         let clock = Arc::new(VirtualClock::new());
-        let inj = Arc::new(FaultInjector::new(4, plan, clock.clone()));
-        kv.set_fault_hook(Some(inj.clone()));
+        let counters = Arc::new(Counters::default());
+        let inj = Arc::new(FaultInjector::new(4, plan, clock.clone(), counters.clone()));
+        kv.set_fault_hook(Some(inj));
         let h = KvHeaderStore::with_clock(kv, clock.clone());
 
         h.record_write(elsewhere, VersionId(2), true);
         assert_eq!(clock.now(), std::time::Duration::ZERO, "healthy shard");
-        assert_eq!(inj.stats().kv_unavailable, 0);
+        assert_eq!(counters.snapshot().kv_unavailable, 0);
 
         // Ops 1 and 2 are refused and slept off, op 3 lands.
         h.record_write(ObjectId(1), VersionId(2), true);
-        assert_eq!(inj.stats().kv_unavailable, 2);
+        assert_eq!(counters.snapshot().kv_unavailable, 2);
         assert_eq!(clock.now(), std::time::Duration::from_micros(40));
         assert_eq!(
             h.header(ObjectId(1)),

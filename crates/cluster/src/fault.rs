@@ -13,7 +13,9 @@
 //! hold it as an `Option<Arc<FaultInjector>>`-shaped hook, so the default
 //! fault-free path pays only a branch on a pointer.
 
+use crate::counters::Counters;
 use crate::sync::{counter_u64, footprint, footprint_read, footprint_write, AtomicU64, Ordering};
+use ech_core::hash::mix64;
 use ech_kvstore::ShardFaultHook;
 use std::sync::Arc;
 use std::time::Duration;
@@ -114,16 +116,6 @@ impl Clock for VirtualClock {
     }
 }
 
-/// SplitMix64: the one-shot mixer used for all fault decisions (and for
-/// retry jitter, see [`crate::retry`]). Passes BigCrush as a stream; as
-/// used here it is simply a high-quality hash of its input.
-pub fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
-
 /// Map a hash to a uniform sample in `[0, 1)`. Shared with the message
 /// fault plane ([`crate::net`]), which rolls its verdicts the same way.
 pub(crate) fn unit(hash: u64) -> f64 {
@@ -222,39 +214,6 @@ pub enum InjectedFault {
     Crash,
 }
 
-/// Live counters of injected faults (relaxed atomics; shared by `&`).
-#[derive(Debug)]
-pub struct FaultStats {
-    io_errors: AtomicU64,
-    crashes: AtomicU64,
-    delays: AtomicU64,
-    kv_unavailable: AtomicU64,
-}
-
-impl Default for FaultStats {
-    fn default() -> Self {
-        FaultStats {
-            io_errors: counter_u64(0),
-            crashes: counter_u64(0),
-            delays: counter_u64(0),
-            kv_unavailable: counter_u64(0),
-        }
-    }
-}
-
-/// Plain-value copy of [`FaultStats`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct FaultStatsSnapshot {
-    /// Transient I/O errors injected into node ops.
-    pub io_errors: u64,
-    /// Node crashes triggered.
-    pub crashes: u64,
-    /// Slow-replica delays applied.
-    pub delays: u64,
-    /// Key-value operations rejected as shard-unavailable.
-    pub kv_unavailable: u64,
-}
-
 /// Executes a [`FaultPlan`] deterministically.
 ///
 /// Decisions are pure functions of `(seed, node, per-node op counter)`;
@@ -265,7 +224,7 @@ pub struct FaultInjector {
     plan: FaultPlan,
     node_ops: Vec<AtomicU64>,
     kv_ops: AtomicU64,
-    stats: FaultStats,
+    counters: Arc<Counters>,
     clock: Arc<dyn Clock>,
 }
 
@@ -273,14 +232,20 @@ impl FaultInjector {
     /// An injector for `nodes` nodes running `plan`, whose time-dependent
     /// faults (slow-replica delays) and downstream consumers (retry
     /// backoff, hedging thresholds) run on `clock` — pass a
-    /// [`VirtualClock`] for wall-clock-free replays.
-    pub fn new(nodes: usize, plan: FaultPlan, clock: Arc<dyn Clock>) -> Self {
+    /// [`VirtualClock`] for wall-clock-free replays. Injected faults are
+    /// counted in `counters`.
+    pub fn new(
+        nodes: usize,
+        plan: FaultPlan,
+        clock: Arc<dyn Clock>,
+        counters: Arc<Counters>,
+    ) -> Self {
         FaultInjector {
             node_ops: (0..nodes.max(plan.node_faults.len()))
                 .map(|_| counter_u64(0))
                 .collect(),
             kv_ops: counter_u64(0),
-            stats: FaultStats::default(),
+            counters,
             plan,
             clock,
         }
@@ -294,16 +259,6 @@ impl FaultInjector {
     /// The clock the harness (and the cluster built around it) runs on.
     pub fn clock(&self) -> &Arc<dyn Clock> {
         &self.clock
-    }
-
-    /// Counters of faults injected so far.
-    pub fn stats(&self) -> FaultStatsSnapshot {
-        FaultStatsSnapshot {
-            io_errors: self.stats.io_errors.load(Ordering::Relaxed),
-            crashes: self.stats.crashes.load(Ordering::Relaxed),
-            delays: self.stats.delays.load(Ordering::Relaxed),
-            kv_unavailable: self.stats.kv_unavailable.load(Ordering::Relaxed),
-        }
     }
 
     /// Ops observed on node `index` so far.
@@ -328,7 +283,7 @@ impl FaultInjector {
         };
         let op = counter.fetch_add(1, Ordering::Relaxed);
         if spec.crash_at_op == Some(op) {
-            self.stats.crashes.fetch_add(1, Ordering::Relaxed);
+            self.counters.crashes.fetch_add(1, Ordering::Relaxed);
             return Err(InjectedFault::Crash);
         }
         if spec.io_error_prob > 0.0 && op < spec.io_error_until_op {
@@ -338,16 +293,16 @@ impl FaultInjector {
             // leaves consecutive-counter structure in the mixer input,
             // which both collapses scenario diversity across nearby seeds
             // and under-disperses the error counts.
-            let lane = splitmix64(self.plan.seed ^ ((index as u64) << 40));
+            let lane = mix64(self.plan.seed ^ ((index as u64) << 40));
             let stream = lane.wrapping_add(op.wrapping_mul(0x9E37_79B9_7F4A_7C15));
-            let roll = unit(splitmix64(stream));
+            let roll = unit(mix64(stream));
             if roll < spec.io_error_prob {
-                self.stats.io_errors.fetch_add(1, Ordering::Relaxed);
+                self.counters.io_errors.fetch_add(1, Ordering::Relaxed);
                 return Err(InjectedFault::Io);
             }
         }
         if let Some(d) = spec.delay {
-            self.stats.delays.fetch_add(1, Ordering::Relaxed);
+            self.counters.delays.fetch_add(1, Ordering::Relaxed);
             return Ok(Some(d));
         }
         Ok(None)
@@ -366,7 +321,7 @@ impl ShardFaultHook for FaultInjector {
             .iter()
             .any(|o| o.shard == shard && (o.from_op..o.until_op).contains(&op));
         if down {
-            self.stats.kv_unavailable.fetch_add(1, Ordering::Relaxed);
+            self.counters.kv_unavailable.fetch_add(1, Ordering::Relaxed);
         }
         !down
     }
@@ -376,26 +331,33 @@ impl ShardFaultHook for FaultInjector {
 mod tests {
     use super::*;
 
+    /// An injector on the wall clock, counting into its own set.
+    fn injector(nodes: usize, plan: FaultPlan) -> (FaultInjector, Arc<Counters>) {
+        let counters = Arc::new(Counters::default());
+        let clock = Arc::new(SystemClock::new());
+        (
+            FaultInjector::new(nodes, plan, clock, counters.clone()),
+            counters,
+        )
+    }
+
     #[test]
     fn decisions_are_deterministic_per_op_number() {
         let plan = FaultPlan::uniform_io_errors(4, 42, 0.3);
-        let a = FaultInjector::new(4, plan.clone(), Arc::new(SystemClock::new()));
-        let b = FaultInjector::new(4, plan, Arc::new(SystemClock::new()));
+        let (a, counters) = injector(4, plan.clone());
+        let (b, _) = injector(4, plan);
         let run = |inj: &FaultInjector| -> Vec<bool> {
             (0..200).map(|_| inj.before_node_op(2).is_err()).collect()
         };
         assert_eq!(run(&a), run(&b));
-        assert!(a.stats().io_errors > 0, "0.3 over 200 ops must fire");
-        assert!(a.stats().io_errors < 200);
+        let io_errors = counters.snapshot().io_errors;
+        assert!(io_errors > 0, "0.3 over 200 ops must fire");
+        assert!(io_errors < 200);
     }
 
     #[test]
     fn error_rate_tracks_probability() {
-        let inj = FaultInjector::new(
-            1,
-            FaultPlan::uniform_io_errors(1, 7, 0.10),
-            Arc::new(SystemClock::new()),
-        );
+        let (inj, _) = injector(1, FaultPlan::uniform_io_errors(1, 7, 0.10));
         let n = 20_000;
         let errors = (0..n).filter(|_| inj.before_node_op(0).is_err()).count();
         let rate = errors as f64 / n as f64;
@@ -412,7 +374,7 @@ mod tests {
                 ..NodeFaultSpec::default()
             },
         );
-        let inj = FaultInjector::new(3, plan, Arc::new(SystemClock::new()));
+        let (inj, counters) = injector(3, plan);
         for op in 0..20 {
             let r = inj.before_node_op(1);
             if op == 5 {
@@ -421,7 +383,7 @@ mod tests {
                 assert_eq!(r, Ok(None));
             }
         }
-        assert_eq!(inj.stats().crashes, 1);
+        assert_eq!(counters.snapshot().crashes, 1);
     }
 
     #[test]
@@ -438,7 +400,7 @@ mod tests {
                 ..NodeFaultSpec::default()
             },
         );
-        let inj = FaultInjector::new(1, plan, Arc::new(SystemClock::new()));
+        let (inj, _) = injector(1, plan);
         for _ in 0..4 {
             assert_eq!(inj.before_node_op(0), Err(InjectedFault::Io));
         }
@@ -457,12 +419,12 @@ mod tests {
                 ..NodeFaultSpec::default()
             },
         );
-        let inj = FaultInjector::new(2, plan, Arc::new(SystemClock::new()));
+        let (inj, counters) = injector(2, plan);
         assert_eq!(inj.before_node_op(0), Ok(Some(Duration::from_micros(50))));
         // Node 1 has no spec; node 7 is outside the vector entirely.
         assert_eq!(inj.before_node_op(1), Ok(None));
         assert_eq!(inj.before_node_op(7), Ok(None));
-        assert_eq!(inj.stats().delays, 1);
+        assert_eq!(counters.snapshot().delays, 1);
     }
 
     #[test]
@@ -476,7 +438,7 @@ mod tests {
             }],
             ..FaultPlan::default()
         };
-        let inj = FaultInjector::new(0, plan, Arc::new(SystemClock::new()));
+        let (inj, counters) = injector(0, plan);
         let outcomes: Vec<bool> = (0..10).map(|_| inj.shard_available(2)).collect();
         assert_eq!(
             outcomes,
@@ -485,6 +447,6 @@ mod tests {
         // Other shards are never affected (their checks advance the same
         // global counter).
         assert!(inj.shard_available(0));
-        assert_eq!(inj.stats().kv_unavailable, 3);
+        assert_eq!(counters.snapshot().kv_unavailable, 3);
     }
 }

@@ -25,6 +25,7 @@
 //! ```
 
 pub mod cluster;
+pub mod counters;
 pub mod dirty_store;
 pub mod fault;
 pub mod lincheck;
@@ -39,14 +40,15 @@ pub mod vdi;
 pub use cluster::{
     Cluster, ClusterConfig, ClusterError, ReadPolicy, ReintegrationStats, WriteQuorum,
 };
+pub use counters::{CounterSnapshot, Counters};
 pub use dirty_store::{KvDirtyTable, KvHeaderStore};
 pub use fault::{
-    Clock, FaultInjector, FaultPlan, FaultStatsSnapshot, InjectedFault, NodeFaultSpec, ShardOutage,
-    SystemClock, VirtualClock,
+    Clock, FaultInjector, FaultPlan, InjectedFault, NodeFaultSpec, ShardOutage, SystemClock,
+    VirtualClock,
 };
 pub use net::{
-    BreakerConfig, BreakerSnapshot, LinkFaultSpec, NetFabric, NetPlan, NetStatsSnapshot,
-    PartitionDirection, PartitionWindow, ReplicaBreakers, SendVerdict,
+    BreakerConfig, LinkFaultSpec, NetFabric, NetPlan, PartitionDirection, PartitionWindow,
+    ReplicaBreakers, SendVerdict,
 };
 pub use node::{NodeError, StorageNode, StoredObject};
 pub use repair::RepairStats;

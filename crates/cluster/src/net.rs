@@ -23,8 +23,10 @@
 //! messages the coordinator can repeat at will; they are modelled as a
 //! reliable queue and bypass the fabric (see DESIGN §8).
 
-use crate::fault::{splitmix64, unit, Clock};
+use crate::counters::Counters;
+use crate::fault::{unit, Clock};
 use crate::sync::{counter_u64, AtomicBool, AtomicU64, Ordering};
+use ech_core::hash::mix64;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -213,47 +215,6 @@ impl SendVerdict {
     }
 }
 
-/// Live message-fault counters (relaxed atomics; shared by `&`).
-#[derive(Debug)]
-struct NetStats {
-    sends: AtomicU64,
-    dropped: AtomicU64,
-    duplicated: AtomicU64,
-    delayed: AtomicU64,
-    reordered: AtomicU64,
-    partitioned_sends: AtomicU64,
-}
-
-impl Default for NetStats {
-    fn default() -> Self {
-        NetStats {
-            sends: counter_u64(0),
-            dropped: counter_u64(0),
-            duplicated: counter_u64(0),
-            delayed: counter_u64(0),
-            reordered: counter_u64(0),
-            partitioned_sends: counter_u64(0),
-        }
-    }
-}
-
-/// Plain-value copy of the fabric's counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct NetStatsSnapshot {
-    /// Messages routed through the fabric.
-    pub sends: u64,
-    /// Messages lost in flight (requests and responses).
-    pub dropped: u64,
-    /// Requests delivered twice.
-    pub duplicated: u64,
-    /// Messages charged a latency delay.
-    pub delayed: u64,
-    /// Messages overtaken by later traffic (delivered late).
-    pub reordered: u64,
-    /// Sends refused by an active partition window.
-    pub partitioned_sends: u64,
-}
-
 /// Executes a [`NetPlan`] deterministically.
 ///
 /// Probabilistic verdicts are pure functions of `(seed, link, per-link
@@ -268,17 +229,23 @@ pub struct NetFabric {
     /// Set by [`NetFabric::heal_partitions`]: every partition window is
     /// ignored from then on (a scripted heal ahead of its window).
     healed: AtomicBool,
-    stats: NetStats,
+    counters: Arc<Counters>,
     clock: Arc<dyn Clock>,
 }
 
 impl NetFabric {
-    /// A fabric for `nodes` links running `plan` on `clock`.
-    pub fn new(nodes: usize, plan: NetPlan, clock: Arc<dyn Clock>) -> Self {
+    /// A fabric for `nodes` links running `plan` on `clock`, counting
+    /// its verdicts in `counters`.
+    pub fn new(
+        nodes: usize,
+        plan: NetPlan,
+        clock: Arc<dyn Clock>,
+        counters: Arc<Counters>,
+    ) -> Self {
         NetFabric {
             link_ops: (0..nodes).map(|_| counter_u64(0)).collect(),
             healed: AtomicBool::new(false),
-            stats: NetStats::default(),
+            counters,
             plan,
             clock,
         }
@@ -310,23 +277,11 @@ impl NetFabric {
         self.plan.partitions.iter().any(|w| w.covers(now))
     }
 
-    /// Counters of message faults injected so far.
-    pub fn stats(&self) -> NetStatsSnapshot {
-        NetStatsSnapshot {
-            sends: self.stats.sends.load(Ordering::Relaxed),
-            dropped: self.stats.dropped.load(Ordering::Relaxed),
-            duplicated: self.stats.duplicated.load(Ordering::Relaxed),
-            delayed: self.stats.delayed.load(Ordering::Relaxed),
-            reordered: self.stats.reordered.load(Ordering::Relaxed),
-            partitioned_sends: self.stats.partitioned_sends.load(Ordering::Relaxed),
-        }
-    }
-
     /// Decide the fate of the next message to server `dst`. Advances the
     /// link's message counter (partition verdicts do not consume a
     /// counter tick: the message never entered the link).
     pub fn before_send(&self, dst: usize) -> SendVerdict {
-        self.stats.sends.fetch_add(1, Ordering::Relaxed);
+        self.counters.net_sends.fetch_add(1, Ordering::Relaxed);
         if !self.healed.load(Ordering::Acquire) {
             let now = self.clock.now();
             if let Some(w) = self
@@ -335,7 +290,9 @@ impl NetFabric {
                 .iter()
                 .find(|w| w.covers(now) && w.isolates(dst as u32))
             {
-                self.stats.partitioned_sends.fetch_add(1, Ordering::Relaxed);
+                self.counters
+                    .net_partitioned_sends
+                    .fetch_add(1, Ordering::Relaxed);
                 return SendVerdict::Partitioned {
                     request_delivered: w.direction == PartitionDirection::Outbound,
                 };
@@ -350,19 +307,19 @@ impl NetFabric {
             // hides the constructed field from the counter
             // classification.
             .map_or(0, |c| c.fetch_add(1, Ordering::Relaxed));
-        let lane = splitmix64(self.plan.seed ^ ((dst as u64) << 40) ^ 0x4E45_5446_4142_5249);
+        let lane = mix64(self.plan.seed ^ ((dst as u64) << 40) ^ 0x4E45_5446_4142_5249);
         let stream = lane.wrapping_add(op.wrapping_mul(GOLDEN_GAMMA));
-        if spec.drop_prob > 0.0 && unit(splitmix64(stream ^ SALT_DROP)) < spec.drop_prob {
-            self.stats.dropped.fetch_add(1, Ordering::Relaxed);
-            return if splitmix64(stream ^ SALT_SIDE) & 1 == 0 {
+        if spec.drop_prob > 0.0 && unit(mix64(stream ^ SALT_DROP)) < spec.drop_prob {
+            self.counters.net_dropped.fetch_add(1, Ordering::Relaxed);
+            return if mix64(stream ^ SALT_SIDE) & 1 == 0 {
                 SendVerdict::DropRequest
             } else {
                 SendVerdict::DropResponse
             };
         }
-        let duplicate = spec.dup_prob > 0.0 && unit(splitmix64(stream ^ SALT_DUP)) < spec.dup_prob;
+        let duplicate = spec.dup_prob > 0.0 && unit(mix64(stream ^ SALT_DUP)) < spec.dup_prob;
         if duplicate {
-            self.stats.duplicated.fetch_add(1, Ordering::Relaxed);
+            self.counters.net_duplicated.fetch_add(1, Ordering::Relaxed);
         }
         let mut delay = None;
         if let Some((lo, hi)) = spec.delay {
@@ -370,14 +327,14 @@ impl NetFabric {
             let hi_ns = (hi.as_nanos() as u64).max(lo_ns);
             let span = hi_ns - lo_ns;
             let jitter = if span > 0 {
-                splitmix64(stream ^ SALT_DELAY) % (span + 1)
+                mix64(stream ^ SALT_DELAY) % (span + 1)
             } else {
                 0
             };
             delay = Some(Duration::from_nanos(lo_ns + jitter));
-            self.stats.delayed.fetch_add(1, Ordering::Relaxed);
+            self.counters.net_delayed.fetch_add(1, Ordering::Relaxed);
         }
-        if spec.reorder_prob > 0.0 && unit(splitmix64(stream ^ SALT_REORDER)) < spec.reorder_prob {
+        if spec.reorder_prob > 0.0 && unit(mix64(stream ^ SALT_REORDER)) < spec.reorder_prob {
             // Late delivery: charge one extra delay span so logically
             // later messages overtake this one.
             let extra = spec
@@ -385,7 +342,7 @@ impl NetFabric {
                 .map(|(_, hi)| hi)
                 .unwrap_or_else(|| self.rpc_timeout() / 4);
             delay = Some(delay.unwrap_or(Duration::ZERO).saturating_add(extra));
-            self.stats.reordered.fetch_add(1, Ordering::Relaxed);
+            self.counters.net_reordered.fetch_add(1, Ordering::Relaxed);
         }
         SendVerdict::Deliver { delay, duplicate }
     }
@@ -435,13 +392,13 @@ struct BreakerState {
 pub struct ReplicaBreakers {
     cfg: BreakerConfig,
     states: Vec<BreakerState>,
-    trips: AtomicU64,
-    fastfails: AtomicU64,
+    counters: Arc<Counters>,
 }
 
 impl ReplicaBreakers {
-    /// A breaker table for `nodes` replicas.
-    pub fn new(nodes: usize, cfg: BreakerConfig) -> Self {
+    /// A breaker table for `nodes` replicas, counting trips and
+    /// fast-failed sends in `counters`.
+    pub fn new(nodes: usize, cfg: BreakerConfig, counters: Arc<Counters>) -> Self {
         ReplicaBreakers {
             cfg,
             states: (0..nodes)
@@ -450,8 +407,7 @@ impl ReplicaBreakers {
                     open_until_nanos: counter_u64(0),
                 })
                 .collect(),
-            trips: counter_u64(0),
-            fastfails: counter_u64(0),
+            counters,
         }
     }
 
@@ -470,7 +426,9 @@ impl ReplicaBreakers {
         // the `.get` binding hides the constructed field.
         let open = (now.as_nanos() as u64) < s.open_until_nanos.load(Ordering::Relaxed);
         if open {
-            self.fastfails.fetch_add(1, Ordering::Relaxed);
+            self.counters
+                .breaker_fastfails
+                .fetch_add(1, Ordering::Relaxed);
         }
         !open
     }
@@ -506,37 +464,10 @@ impl ReplicaBreakers {
             let prev = s.open_until_nanos.load(Ordering::Relaxed);
             s.open_until_nanos.store(until, Ordering::Relaxed);
             if prev <= now_ns {
-                self.trips.fetch_add(1, Ordering::Relaxed);
+                self.counters.breaker_trips.fetch_add(1, Ordering::Relaxed);
             }
         }
     }
-
-    /// Counters: breaker trips and fast-failed sends, plus how many
-    /// breakers are open at `now`.
-    pub fn snapshot(&self, now: Duration) -> BreakerSnapshot {
-        let now_ns = now.as_nanos() as u64;
-        BreakerSnapshot {
-            trips: self.trips.load(Ordering::Relaxed),
-            fastfails: self.fastfails.load(Ordering::Relaxed),
-            open_now: self
-                .states
-                .iter()
-                // ech-allow(D5): counter_u64-built field behind iter.
-                .filter(|s| now_ns < s.open_until_nanos.load(Ordering::Relaxed))
-                .count(),
-        }
-    }
-}
-
-/// Plain-value copy of the breaker counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct BreakerSnapshot {
-    /// Times a breaker tripped open.
-    pub trips: u64,
-    /// Sends rejected fast by an open breaker.
-    pub fastfails: u64,
-    /// Breakers open at snapshot time.
-    pub open_now: usize,
 }
 
 #[cfg(test)]
@@ -544,9 +475,12 @@ mod tests {
     use super::*;
     use crate::fault::VirtualClock;
 
-    fn fabric(plan: NetPlan) -> (NetFabric, Arc<VirtualClock>) {
+    /// A four-link fabric on a virtual clock, counting into its own set.
+    fn fabric(plan: NetPlan) -> (NetFabric, Arc<VirtualClock>, Arc<Counters>) {
         let clock = Arc::new(VirtualClock::new());
-        (NetFabric::new(4, plan, clock.clone()), clock)
+        let counters = Arc::new(Counters::default());
+        let f = NetFabric::new(4, plan, clock.clone(), counters.clone());
+        (f, clock, counters)
     }
 
     #[test]
@@ -560,15 +494,18 @@ mod tests {
                 delay: Some((Duration::from_micros(10), Duration::from_micros(90))),
             },
         );
-        let (a, _) = fabric(plan.clone());
-        let (b, _) = fabric(plan);
+        let (a, _, counters) = fabric(plan.clone());
+        let (b, _, _) = fabric(plan);
         let run =
             |f: &NetFabric| -> Vec<SendVerdict> { (0..300).map(|_| f.before_send(2)).collect() };
         assert_eq!(run(&a), run(&b));
-        let s = a.stats();
-        assert!(s.dropped > 0 && s.dropped < 300, "0.3 over 300 must bite");
-        assert!(s.duplicated > 0);
-        assert!(s.reordered > 0);
+        let s = counters.snapshot();
+        assert!(
+            s.net_dropped > 0 && s.net_dropped < 300,
+            "0.3 over 300 must bite"
+        );
+        assert!(s.net_duplicated > 0);
+        assert!(s.net_reordered > 0);
     }
 
     #[test]
@@ -580,12 +517,12 @@ mod tests {
                 ..LinkFaultSpec::default()
             },
         );
-        let (f, _) = fabric(plan);
+        let (f, _, counters) = fabric(plan);
         let n = 20_000;
         for _ in 0..n {
             f.before_send(0);
         }
-        let rate = f.stats().dropped as f64 / n as f64;
+        let rate = counters.snapshot().net_dropped as f64 / n as f64;
         assert!((rate - 0.10).abs() < 0.01, "observed drop rate {rate}");
     }
 
@@ -600,7 +537,7 @@ mod tests {
                 ..LinkFaultSpec::default()
             },
         );
-        let (f, _) = fabric(plan);
+        let (f, _, counters) = fabric(plan);
         for _ in 0..500 {
             match f.before_send(1) {
                 SendVerdict::Deliver {
@@ -613,7 +550,7 @@ mod tests {
                 other => panic!("expected a delayed delivery, got {other:?}"),
             }
         }
-        assert_eq!(f.stats().delayed, 500);
+        assert_eq!(counters.snapshot().net_delayed, 500);
     }
 
     #[test]
@@ -635,7 +572,7 @@ mod tests {
             ],
             ..NetPlan::default()
         };
-        let (f, clock) = fabric(plan);
+        let (f, clock, counters) = fabric(plan);
         // Before the window: everything delivers.
         assert!(matches!(f.before_send(2), SendVerdict::Deliver { .. }));
         assert!(!f.partition_active());
@@ -661,7 +598,7 @@ mod tests {
         clock.advance(Duration::from_millis(2));
         assert!(!f.partition_active());
         assert!(matches!(f.before_send(2), SendVerdict::Deliver { .. }));
-        assert_eq!(f.stats().partitioned_sends, 2);
+        assert_eq!(counters.snapshot().net_partitioned_sends, 2);
     }
 
     #[test]
@@ -675,7 +612,7 @@ mod tests {
             }],
             ..NetPlan::default()
         };
-        let (f, _) = fabric(plan);
+        let (f, _, _) = fabric(plan);
         assert!(f.partition_active());
         assert!(matches!(f.before_send(0), SendVerdict::Partitioned { .. }));
         f.heal_partitions();
@@ -689,7 +626,8 @@ mod tests {
             failure_threshold: 3,
             cooldown: Duration::from_millis(5),
         };
-        let b = ReplicaBreakers::new(2, cfg);
+        let counters = Arc::new(Counters::default());
+        let b = ReplicaBreakers::new(2, cfg, counters.clone());
         let t0 = Duration::ZERO;
         assert!(b.try_acquire(0, t0));
         b.record_failure(0, t0);
@@ -698,10 +636,9 @@ mod tests {
         b.record_failure(0, t0);
         assert!(!b.try_acquire(0, t0), "third consecutive failure trips it");
         assert!(b.try_acquire(1, t0), "other replicas unaffected");
-        let snap = b.snapshot(t0);
-        assert_eq!(snap.trips, 1);
-        assert_eq!(snap.fastfails, 1);
-        assert_eq!(snap.open_now, 1);
+        let snap = counters.snapshot();
+        assert_eq!(snap.breaker_trips, 1);
+        assert_eq!(snap.breaker_fastfails, 1);
         // Cooldown elapses: half-open, one probe allowed.
         let t1 = Duration::from_millis(6);
         assert!(b.try_acquire(0, t1));
@@ -709,7 +646,7 @@ mod tests {
         // threshold) and counts a fresh trip.
         b.record_failure(0, t1);
         assert!(!b.try_acquire(0, t1));
-        assert_eq!(b.snapshot(t1).trips, 2);
+        assert_eq!(counters.snapshot().breaker_trips, 2);
         // Next probe succeeds: breaker closes fully.
         let t2 = Duration::from_millis(12);
         assert!(b.try_acquire(0, t2));

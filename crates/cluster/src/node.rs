@@ -522,6 +522,7 @@ mod tests {
 
     #[test]
     fn fault_gate_injects_errors_then_crashes() {
+        use crate::counters::Counters;
         use crate::fault::{FaultInjector, FaultPlan, NodeFaultSpec, SystemClock};
         let mut plan = FaultPlan::default();
         plan.set_node(
@@ -533,8 +534,10 @@ mod tests {
                 ..NodeFaultSpec::default()
             },
         );
-        let inj = Arc::new(FaultInjector::new(4, plan, Arc::new(SystemClock::new())));
-        let n = StorageNode::with_capacity_and_faults(ServerId(3), u64::MAX, Some(inj.clone()));
+        let counters = Arc::new(Counters::default());
+        let clock = Arc::new(SystemClock::new());
+        let inj = Arc::new(FaultInjector::new(4, plan, clock, counters.clone()));
+        let n = StorageNode::with_capacity_and_faults(ServerId(3), u64::MAX, Some(inj));
         // Ops 0 and 1 fail with transient errors; nothing is stored.
         assert_eq!(
             n.put(ObjectId(1), Bytes::from("x"), VersionId(1), false),
@@ -550,8 +553,8 @@ mod tests {
         assert_eq!(n.get(ObjectId(1)), Err(NodeError::Io));
         assert!(!n.is_powered());
         assert!(!n.holds(ObjectId(1)));
-        assert_eq!(inj.stats().crashes, 1);
-        assert_eq!(inj.stats().io_errors, 2);
+        assert_eq!(counters.snapshot().crashes, 1);
+        assert_eq!(counters.snapshot().io_errors, 2);
     }
 
     #[test]

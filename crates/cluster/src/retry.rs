@@ -9,8 +9,9 @@
 //! deterministic fault schedule yields a deterministic retry schedule.
 
 use crate::cluster::ClusterError;
-use crate::fault::{splitmix64, Clock};
+use crate::fault::Clock;
 use crate::node::NodeError;
+use ech_core::hash::mix64;
 use ech_core::placement::PlacementError;
 use ech_kvstore::KvError;
 use std::time::Duration;
@@ -225,14 +226,14 @@ impl RetryPolicy {
         mut op: impl FnMut() -> Result<T, E>,
     ) -> (Result<T, E>, u32) {
         let attempts = self.max_attempts.max(1);
-        let mut rng = splitmix64(token ^ 0x5EED_0F0F_5EED_0F0F);
+        let mut rng = mix64(token ^ 0x5EED_0F0F_5EED_0F0F);
         let mut prev = self.base;
         let mut retry = 0;
         loop {
             match op() {
                 Ok(v) => return (Ok(v), retry),
                 Err(e) if retry + 1 < attempts && retryable(&e) && !deadline.expired(clock) => {
-                    rng = splitmix64(rng);
+                    rng = mix64(rng);
                     let base_ns = self.base.as_nanos() as u64;
                     let span =
                         (prev.as_nanos() as u64).saturating_mul(3).max(base_ns + 1) - base_ns;

@@ -146,8 +146,7 @@ proptest! {
         }
 
         drain_fault_windows(&c);
-        let stats = c.fault_stats().unwrap();
-        prop_assert_eq!(stats.crashes, 2, "both planned crashes fired");
+        prop_assert_eq!(c.counters().crashes, 2, "both planned crashes fired");
         converge(&c);
 
         prop_assert_eq!(c.dirty_len(), 0, "dirty table drains at full power");
@@ -226,7 +225,7 @@ fn fixed_seed_chaos_with_kv_outages_converges() {
     );
 
     drain_fault_windows(&c);
-    let stats = c.fault_stats().unwrap();
+    let stats = c.counters();
     assert_eq!(stats.crashes, 2);
     assert!(stats.io_errors > 0, "the 8% error rate must bite");
     // The dirty-table window is 30 kv ops wide and every refusal is one

@@ -6,7 +6,7 @@
 //! partition window that is still mid-flight on the scripted clock.
 
 use ech_cluster::{
-    LinkFaultSpec, NetFabric, NetPlan, PartitionDirection, PartitionWindow, SendVerdict,
+    Counters, LinkFaultSpec, NetFabric, NetPlan, PartitionDirection, PartitionWindow, SendVerdict,
     VirtualClock,
 };
 use proptest::prelude::*;
@@ -15,8 +15,14 @@ use std::time::Duration;
 
 const NODES: usize = 4;
 
-fn fabric(plan: NetPlan) -> NetFabric {
-    NetFabric::new(NODES, plan, Arc::new(VirtualClock::new()))
+/// A fabric on a virtual clock, and the counter set it counts into.
+fn fabric(plan: NetPlan) -> (NetFabric, Arc<Counters>) {
+    let counters = Arc::new(Counters::default());
+    let clock = Arc::new(VirtualClock::new());
+    (
+        NetFabric::new(NODES, plan, clock, counters.clone()),
+        counters,
+    )
 }
 
 proptest! {
@@ -41,11 +47,11 @@ proptest! {
             reorder_prob: reorder_p,
             delay: Some((Duration::from_micros(100), Duration::from_micros(500))),
         };
-        let quiet = fabric(NetPlan::uniform(seed, spec));
+        let (quiet, _) = fabric(NetPlan::uniform(seed, spec));
         let baseline: Vec<SendVerdict> =
             (0..24).map(|_| quiet.before_send(0)).collect();
 
-        let busy = fabric(NetPlan::uniform(seed, spec));
+        let (busy, _) = fabric(NetPlan::uniform(seed, spec));
         let mut noise = schedule.iter().cycle();
         let mut interleaved = Vec::with_capacity(baseline.len());
         for i in 0..baseline.len() {
@@ -81,7 +87,7 @@ proptest! {
             reorder_prob: reorder_p,
             delay: None,
         };
-        let net = fabric(NetPlan::uniform(seed, spec));
+        let (net, counters) = fabric(NetPlan::uniform(seed, spec));
         let (mut drops, mut dups, mut late) = (0u64, 0u64, 0u64);
         for &dst in &sends {
             match net.before_send(dst) {
@@ -97,13 +103,13 @@ proptest! {
                 SendVerdict::Partitioned { .. } => unreachable!("no windows scripted"),
             }
         }
-        let stats = net.stats();
-        prop_assert_eq!(stats.sends, sends.len() as u64);
-        prop_assert_eq!(stats.dropped, drops);
-        prop_assert_eq!(stats.duplicated, dups);
-        prop_assert_eq!(stats.reordered, late);
-        prop_assert_eq!(stats.delayed, 0, "reorder-only lateness is not a latency charge");
-        prop_assert_eq!(stats.partitioned_sends, 0);
+        let stats = counters.snapshot();
+        prop_assert_eq!(stats.net_sends, sends.len() as u64);
+        prop_assert_eq!(stats.net_dropped, drops);
+        prop_assert_eq!(stats.net_duplicated, dups);
+        prop_assert_eq!(stats.net_reordered, late);
+        prop_assert_eq!(stats.net_delayed, 0, "reorder-only lateness is not a latency charge");
+        prop_assert_eq!(stats.net_partitioned_sends, 0);
     }
 }
 
@@ -127,7 +133,7 @@ fn heal_overrides_an_in_flight_window() {
         isolated: vec![0],
         direction: PartitionDirection::Both,
     });
-    let cut = fabric(plan);
+    let (cut, counters) = fabric(plan);
 
     assert!(cut.partition_active(), "window covers the clock from t=0");
     for _ in 0..5 {
@@ -138,7 +144,7 @@ fn heal_overrides_an_in_flight_window() {
             }
         );
     }
-    assert_eq!(cut.stats().partitioned_sends, 5);
+    assert_eq!(counters.snapshot().net_partitioned_sends, 5);
 
     cut.heal_partitions();
     assert!(
@@ -146,7 +152,7 @@ fn heal_overrides_an_in_flight_window() {
         "an explicit heal overrides a window whose scripted end has not arrived"
     );
 
-    let control = fabric(NetPlan::uniform(7, spec));
+    let (control, _) = fabric(NetPlan::uniform(7, spec));
     let healed: Vec<SendVerdict> = (0..16).map(|_| cut.before_send(0)).collect();
     let fresh: Vec<SendVerdict> = (0..16).map(|_| control.before_send(0)).collect();
     assert_eq!(
@@ -154,7 +160,7 @@ fn heal_overrides_an_in_flight_window() {
         "partitioned sends must not have consumed counter ticks"
     );
     assert_eq!(
-        cut.stats().partitioned_sends,
+        counters.snapshot().net_partitioned_sends,
         5,
         "no new partition verdicts after heal"
     );

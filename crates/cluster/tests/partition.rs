@@ -129,8 +129,10 @@ proptest! {
         // 30% of the ring is dark: unless every placement dodged it,
         // some writes must have degraded (missed secondaries => dirty
         // entries) or failed; either way the fabric refused sends.
-        let net_stats = c.net_fabric().expect("fabric installed").stats();
-        prop_assert!(net_stats.partitioned_sends > 0, "the cut must have been hit");
+        prop_assert!(
+            c.counters().net_partitioned_sends > 0,
+            "the cut must have been hit"
+        );
 
         c.net_fabric().expect("fabric installed").heal_partitions();
         // Let the breaker cooldown elapse (on a wall clock this happens
@@ -273,13 +275,13 @@ fn seeded_partition_and_resize_stress_converges() {
         "all windows must have closed on the clock"
     );
 
-    let net_stats = c.net_fabric().expect("fabric installed").stats();
+    let counts = c.counters();
     assert!(
-        net_stats.partitioned_sends > 0,
+        counts.net_partitioned_sends > 0,
         "partitions must be exercised"
     );
-    assert!(net_stats.dropped > 0, "the 2% drop rate must bite");
-    assert!(net_stats.delayed > 0, "link latency must be charged");
+    assert!(counts.net_dropped > 0, "the 2% drop rate must bite");
+    assert!(counts.net_delayed > 0, "link latency must be charged");
 
     converge(&c);
     // A second pass mops up work the first drain re-planned (entries
@@ -296,9 +298,8 @@ fn seeded_partition_and_resize_stress_converges() {
     for &i in &acked {
         assert_eq!(c.get(ObjectId(i)).unwrap(), value(i), "object {i}");
     }
-    let breakers = c.breaker_stats().expect("breakers configured");
     assert!(
-        breakers.trips > 0,
+        c.counters().breaker_trips > 0,
         "sustained cuts must have tripped at least one breaker"
     );
 }

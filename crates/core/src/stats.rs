@@ -1,103 +1,15 @@
-//! Data-distribution analysis helpers.
+//! Data-distribution analysis helpers and the placement cache's
+//! counters.
 //!
-//! These back the equal-work layout validation (Figure 5's per-rank block
-//! counts) and the disruption analyses (how many replicas move between two
-//! membership versions).
+//! The helpers back the equal-work layout validation (Figure 5's per-rank
+//! block counts) and the disruption analyses (how many replicas move
+//! between two membership versions). [`CacheCounters`] counts the
+//! stand-alone [`crate::cache::ShardedPlacementCache`]; the live
+//! cluster's event counters are one set in `ech_cluster::counters`.
 
 use crate::ids::{ObjectId, VersionId};
 use crate::sync::{counter_observed_u64, counter_u64, AtomicU64, Ordering};
 use crate::view::ClusterView;
-
-/// Counters for the degraded data path: retries spent, writes
-/// acknowledged below full replication, replicas recorded as missed, and
-/// hedged-read probes launched. Shared by reference from the hot path, so
-/// every field is a relaxed atomic.
-#[derive(Debug)]
-pub struct PathCounters {
-    retries: AtomicU64,
-    quorum_acks: AtomicU64,
-    replicas_missed: AtomicU64,
-    hedged_reads: AtomicU64,
-    unavailable_errors: AtomicU64,
-    deadline_exceeded: AtomicU64,
-}
-
-impl Default for PathCounters {
-    fn default() -> Self {
-        PathCounters {
-            retries: counter_u64(0),
-            quorum_acks: counter_u64(0),
-            replicas_missed: counter_u64(0),
-            hedged_reads: counter_u64(0),
-            unavailable_errors: counter_u64(0),
-            deadline_exceeded: counter_u64(0),
-        }
-    }
-}
-
-impl PathCounters {
-    /// Account `n` retry attempts (beyond the first try of each op).
-    pub fn add_retries(&self, n: u64) {
-        if n > 0 {
-            self.retries.fetch_add(n, Ordering::Relaxed);
-        }
-    }
-
-    /// One write acknowledged at quorum with at least one replica missed.
-    pub fn inc_quorum_acks(&self) {
-        self.quorum_acks.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Account `n` replicas recorded as missed by degraded writes.
-    pub fn add_replicas_missed(&self, n: u64) {
-        self.replicas_missed.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// One hedged-read secondary probe launched.
-    pub fn inc_hedged_reads(&self) {
-        self.hedged_reads.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// One operation that exhausted its retry budget on transient errors.
-    pub fn inc_unavailable(&self) {
-        self.unavailable_errors.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// One operation that ran out its deadline budget before completing.
-    pub fn inc_deadline_exceeded(&self) {
-        self.deadline_exceeded.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A consistent-enough point-in-time copy of the counters.
-    pub fn snapshot(&self) -> PathSnapshot {
-        PathSnapshot {
-            retries: self.retries.load(Ordering::Relaxed),
-            quorum_acks: self.quorum_acks.load(Ordering::Relaxed),
-            replicas_missed: self.replicas_missed.load(Ordering::Relaxed),
-            hedged_reads: self.hedged_reads.load(Ordering::Relaxed),
-            unavailable_errors: self.unavailable_errors.load(Ordering::Relaxed),
-            deadline_exceeded: self.deadline_exceeded.load(Ordering::Relaxed),
-        }
-    }
-}
-
-/// Plain-value copy of [`PathCounters`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PathSnapshot {
-    /// Retry attempts spent across all operations.
-    pub retries: u64,
-    /// Writes acknowledged below full replication.
-    pub quorum_acks: u64,
-    /// Replica writes recorded as missed (healed later via the dirty
-    /// table).
-    pub replicas_missed: u64,
-    /// Hedged-read secondary probes launched.
-    pub hedged_reads: u64,
-    /// Operations that exhausted their retry budget on transient errors.
-    pub unavailable_errors: u64,
-    /// Operations that ran out their deadline budget before completing.
-    pub deadline_exceeded: u64,
-}
 
 /// Counters for the sharded placement cache: hits, misses and shard-lock
 /// contention events. Shared by reference from the lock-free read path.
@@ -338,26 +250,6 @@ mod tests {
         let counts = [250u64, 250, 250, 250];
         let exp = [0.25f64; 4];
         assert!(divergence_from_expected(&counts, &exp) < 1e-12);
-    }
-
-    #[test]
-    fn path_counters_snapshot_reflects_increments() {
-        let c = PathCounters::default();
-        assert_eq!(c.snapshot(), PathSnapshot::default());
-        c.add_retries(3);
-        c.add_retries(0); // no-op
-        c.inc_quorum_acks();
-        c.add_replicas_missed(2);
-        c.inc_hedged_reads();
-        c.inc_unavailable();
-        c.inc_deadline_exceeded();
-        let s = c.snapshot();
-        assert_eq!(s.retries, 3);
-        assert_eq!(s.quorum_acks, 1);
-        assert_eq!(s.replicas_missed, 2);
-        assert_eq!(s.hedged_reads, 1);
-        assert_eq!(s.unavailable_errors, 1);
-        assert_eq!(s.deadline_exceeded, 1);
     }
 
     #[test]
