@@ -1982,6 +1982,8 @@ const NO_PLACEMENT_CACHE: &str = "reads compute placements on the view they pin;
                                   that fronted the Algorithm-1 walk cost more than the walk";
 const NO_VIEW_LOCK: &str = "the read path is lock-free: views are published as \
                             epoch-pinned snapshots, never behind an RwLock";
+const NO_PLACEMENT_HARNESS: &str = "the placement-engine harness is retired: uniform hashed \
+                                    engines remap about twice the ring's keys on a tail cut";
 const TYPED_DIRTY_LOG: &str = "the dirty table is `ech-kvstore`'s typed log: a put below \
                                full power formats nothing and the drain parses nothing";
 
@@ -2106,6 +2108,27 @@ pub const D10_ROWS: &[D10Row] = &[
         why: "one SplitMix64 mixer",
         now: "`ech_core::hash::mix64`",
     },
+    D10Row {
+        scope: "crates/*/src/",
+        needle: "resident_bytes",
+        except: D10Except::Nowhere,
+        why: NO_PLACEMENT_HARNESS,
+        now: "the recorded numbers in EXPERIMENTS.md, \"Placement engines\"",
+    },
+    D10Row {
+        scope: "crates/*/src/",
+        needle: "xxh64",
+        except: D10Except::Nowhere,
+        why: "one ring hash: FNV-1a with a SplitMix64 finalizer",
+        now: "`ech_core::hash::object_position` / `vnode_position`",
+    },
+    D10Row {
+        scope: "crates/*/src/",
+        needle: "BENCH_placement",
+        except: D10Except::Nowhere,
+        why: NO_PLACEMENT_HARNESS,
+        now: "the recorded numbers in EXPERIMENTS.md, \"Placement engines\"",
+    },
 ];
 
 impl D10Row {
@@ -2136,8 +2159,9 @@ impl D10Row {
 /// Each [`D10_ROWS`] entry bans a literal from a path scope: the copied
 /// mutant bodies, the second retry runner, the string header key, the
 /// dirty-entry text codec, the placement cache, the locked view, the
-/// one-task drain alias, the per-family counter snapshots and the second
-/// SplitMix64 stay gone, and one facade names the history recorder. Like D9 it scans
+/// one-task drain alias, the per-family counter snapshots, the second
+/// SplitMix64, the second ring hash and the placement-engine harness stay
+/// gone, and one facade names the history recorder. Like D9 it scans
 /// raw file text, comments included, so a needle cannot hide in a doc.
 fn d10_forbidden_text(units: &[Unit], out: &mut Vec<Finding>) {
     for row in D10_ROWS {

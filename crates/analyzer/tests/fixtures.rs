@@ -1014,6 +1014,21 @@ const D10_CASES: &[(&str, &str, &str)] = &[
         "crates/check/src/commands.rs",
         "crates/cluster/tests/net_determinism.rs",
     ),
+    (
+        "resident_bytes",
+        "crates/core/src/engine.rs",
+        "crates/core/tests/engines.rs",
+    ),
+    (
+        "xxh64",
+        "crates/core/src/hash.rs",
+        "crates/core/tests/properties.rs",
+    ),
+    (
+        "BENCH_placement",
+        "crates/cli/src/commands.rs",
+        "benchmark/src/main.rs",
+    ),
 ];
 
 fn d10_lines(path: &str, text: &str) -> Vec<u32> {
@@ -1055,7 +1070,7 @@ fn d10_exempts_the_sanctioned_word_and_the_table_itself() {
     assert_eq!(d10_lines("crates/analyzer/src/rules.rs", &every_needle), []);
     assert_eq!(
         d10_lines("crates/analyzer/src/lib.rs", &every_needle).len(),
-        13,
+        16,
         "the crate-wide rows reach the analyzer's other files"
     );
 }

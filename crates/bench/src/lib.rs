@@ -23,13 +23,10 @@
 //! | `ext_dynamic_primaries` | extension: SpringFS-style dynamic primary count |
 //! | `ext_closed_loop` | extension: controller + cluster end to end |
 //!
-//! [`placement`] is the engine-scaling report behind `ech bench
-//! placement`. Performance of the live cluster is measured by the repo
-//! benchmark (`benchmark/`), not here.
+//! Performance of the live cluster is measured by the repo benchmark
+//! (`benchmark/`), not here.
 
 use std::fmt::Display;
-
-pub mod placement;
 
 /// Print a header line for an experiment harness.
 pub fn banner(id: &str, caption: &str) {
@@ -47,13 +44,6 @@ pub fn row<D: Display>(cells: &[D]) {
 /// Format bytes/s as MB/s with one decimal.
 pub fn mbps(bytes_per_sec: f64) -> String {
     format!("{:.1}", bytes_per_sec / 1e6)
-}
-
-/// Round to `digits` decimals, so a JSON report carries the precision
-/// the measurement supports rather than seventeen digits of noise.
-pub fn rounded(x: f64, digits: i32) -> f64 {
-    let scale = 10f64.powi(digits);
-    (x * scale).round() / scale
 }
 
 #[cfg(test)]

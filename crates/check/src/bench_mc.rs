@@ -22,6 +22,13 @@ use std::time::Instant;
 /// exhaustive at its declared bound even with reduction off.
 const MAX_SCHEDULES: usize = 500_000;
 
+/// Round to `digits` decimals, so a JSON report carries the precision
+/// the measurement supports rather than seventeen digits of noise.
+pub fn rounded(x: f64, digits: i32) -> f64 {
+    let scale = 10f64.powi(digits);
+    (x * scale).round() / scale
+}
+
 /// One (model, mode) measurement.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Entry {
@@ -104,8 +111,8 @@ pub fn run(_smoke: bool) -> McBenchReport {
                 full_schedules: full,
                 reduced_schedules: reduced,
                 reduced_blocked: blocked,
-                full_ms: ech_bench::rounded(full_ms, 1),
-                reduced_ms: ech_bench::rounded(reduced_ms, 1),
+                full_ms: rounded(full_ms, 1),
+                reduced_ms: rounded(reduced_ms, 1),
             });
         }
     }
@@ -118,7 +125,7 @@ pub fn run(_smoke: bool) -> McBenchReport {
         total_reduced_schedules: total_reduced,
         reduction_ratio: match total_reduced {
             0 => 0.0,
-            n => ech_bench::rounded(total_full as f64 / n as f64, 2),
+            n => rounded(total_full as f64 / n as f64, 2),
         },
     }
 }

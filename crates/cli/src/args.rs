@@ -11,8 +11,8 @@ use std::collections::HashMap;
 pub struct Args {
     /// The first positional token.
     pub command: String,
-    /// Positional tokens after the subcommand (e.g. `placement` in
-    /// `ech bench placement`). Most commands take none and reject them
+    /// Positional tokens after the subcommand (e.g. `modelcheck` in
+    /// `ech-check bench modelcheck`). Most commands take none and reject them
     /// via [`Args::no_positionals`]; a grouped command takes exactly one
     /// via [`Args::one_of`].
     pub positionals: Vec<String>,
@@ -171,13 +171,13 @@ mod tests {
 
     #[test]
     fn positionals_are_collected_and_rejectable() {
-        let a = parse(toks("bench placement --smoke true")).unwrap();
+        let a = parse(toks("bench modelcheck --smoke true")).unwrap();
         assert_eq!(a.command, "bench");
-        assert_eq!(a.positionals, vec!["placement".to_owned()]);
+        assert_eq!(a.positionals, vec!["modelcheck".to_owned()]);
         assert!(a.no_positionals().is_err());
-        assert_eq!(a.one_of("group", &["placement"]).unwrap(), "placement");
-        let err = a.one_of("group", &["modelcheck"]).unwrap_err();
-        assert!(err.0.contains("available: modelcheck"), "{}", err.0);
+        assert_eq!(a.one_of("group", &["modelcheck"]).unwrap(), "modelcheck");
+        let err = a.one_of("group", &["lincheck"]).unwrap_err();
+        assert!(err.0.contains("available: lincheck"), "{}", err.0);
         assert!(parse(toks("bench a b"))
             .unwrap()
             .one_of("group", &["a"])

@@ -23,7 +23,6 @@ pub fn chaos_cmd(args: &Args) -> Result<String, ParseError> {
         "servers",
         "replicas",
         "net",
-        "placement",
     ])?;
     let seed: u64 = args.get_or("seed", 0xEC0_5EED)?;
     let objects: u64 = args.get_or("objects", 200)?;
@@ -33,12 +32,6 @@ pub fn chaos_cmd(args: &Args) -> Result<String, ParseError> {
     let crash1: u64 = args.get_or("crash1", 12)?;
     let crash2: u64 = args.get_or("crash2", 25)?;
     let net: bool = args.get_or("net", false)?;
-    // `--placement` overrides the engine of `ClusterConfig::paper()`;
-    // absent, the ring stands.
-    let placement: Option<ech_core::engine::EngineKind> = match args.options.get("placement") {
-        Some(v) => Some(v.parse().map_err(ParseError)?),
-        None => None,
-    };
     if servers < 2 {
         return Err(ParseError("--servers must be at least 2".into()));
     }
@@ -96,9 +89,6 @@ pub fn chaos_cmd(args: &Args) -> Result<String, ParseError> {
     let mut cfg = ClusterConfig::paper();
     cfg.servers = servers;
     cfg.replicas = replicas;
-    if let Some(kind) = placement {
-        cfg.placement = kind;
-    }
     if net {
         cfg.op_deadline = Some(Duration::from_millis(100));
         cfg.breaker = Some(BreakerConfig {

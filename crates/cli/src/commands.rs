@@ -20,7 +20,6 @@ const COMMANDS: &[(&str, ech_cli::Command)] = &[
     ("trace", trace_cmd),
     ("latency", latency_cmd),
     ("chaos", crate::chaos::chaos_cmd),
-    ("bench", bench_cmd),
     ("help", help),
 ];
 
@@ -63,14 +62,6 @@ COMMANDS:
                   [--crash1 OP] [--crash2 OP] [--servers N] [--replicas R]
                   [--net true]  add the message fault plane: flaky links,
                   an asymmetric partition, breakers and deadline budgets
-                  [--placement ring|jump|dx|power]  candidate-stream
-                  engine the drill's cluster places with
-  bench           run a benchmark group, JSON to stdout
-                  (group: placement)
-                  [--smoke true] [--check-against FILE] [--tolerance T]
-                  (placement measures every engine backend — lookup
-                  rate, resident bytes, remap fraction — at the
-                  million-key × 10³/10⁴-node grid)
   help            this text
 
 The checker hosts — modelcheck, lincheck, bench modelcheck — are the
@@ -78,31 +69,6 @@ The checker hosts — modelcheck, lincheck, bench modelcheck — are the
 `ech-analyzer` binary.
 "
     .to_owned())
-}
-
-/// `ech bench <group>`: run a benchmark group and print its JSON report.
-/// With `--check-against FILE` the fresh numbers are also compared to a
-/// committed reference (the CI bench-placement-smoke gate), failing on a
-/// regression beyond `--tolerance`.
-fn bench_cmd(args: &Args) -> Result<String, ParseError> {
-    args.allow_only(&["smoke", "check-against", "tolerance"])?;
-    args.one_of("group", &["placement"])?;
-    let smoke: bool = args.get_or("smoke", false)?;
-    let tolerance: f64 = args.get_or("tolerance", 0.20)?;
-    if !(0.0..1.0).contains(&tolerance) {
-        return Err(ParseError("--tolerance must be within [0, 1)".into()));
-    }
-    // Read the reference before measuring: a bad path should fail fast,
-    // not after the benchmark ran.
-    let reference = args.read_file("check-against")?;
-    let report = ech_bench::placement::run(smoke);
-    let mut out = report.to_json();
-    if let Some(reference) = reference {
-        let verdict = ech_bench::placement::check_against(&report, &reference, tolerance);
-        out.push('\n');
-        out.push_str(&verdict.map_err(ParseError)?);
-    }
-    Ok(out)
 }
 
 fn layout(args: &Args) -> Result<String, ParseError> {
@@ -339,8 +305,7 @@ mod tests {
         run(&parse(line.split_whitespace().map(str::to_owned)).unwrap())
     }
 
-    /// The survival drill CI replays, with and without `--net true` /
-    /// `--placement jump`.
+    /// The survival drill CI replays, with and without `--net true`.
     const CI_DRILL: &str = "chaos --seed 247488237 --objects 200 --error-rate 0.08";
 
     /// `help` lists exactly the subcommands the dispatch table accepts,
@@ -480,10 +445,6 @@ mod tests {
             run_line(CI_DRILL).unwrap(),
             include_str!("../golden/chaos_plain.txt")
         );
-        assert_eq!(
-            run_line(&format!("{CI_DRILL} --placement jump")).unwrap(),
-            include_str!("../golden/chaos_jump.txt")
-        );
     }
 
     /// The message fault plane composes with the disk-fault drill: the
@@ -543,15 +504,13 @@ mod tests {
         assert!(run_line("place stray").is_err());
     }
 
+    /// `ech` has no `bench` subcommand and `chaos` no `--placement` flag:
+    /// the cluster always places on the ring.
     #[test]
-    fn bench_rejects_bad_invocations() {
-        let err = run_line("bench").unwrap_err();
-        assert!(err.0.contains("available: placement"), "{}", err.0);
-        assert!(run_line("bench warp").is_err());
-        assert!(run_line("bench modelcheck").is_err());
-        assert!(run_line("bench placement extra").is_err());
-        assert!(run_line("bench placement --bogus 1").is_err());
-        assert!(run_line("bench placement --tolerance 2").is_err());
-        assert!(run_line("bench placement --check-against /no/such/file --smoke true").is_err());
+    fn retired_placement_surface_is_rejected() {
+        let err = run_line("bench placement").unwrap_err();
+        assert!(err.0.contains("unknown subcommand `bench`"), "{}", err.0);
+        let err = run_line("chaos --placement jump").unwrap_err();
+        assert!(err.0.starts_with("unknown flag --placement"), "{}", err.0);
     }
 }

@@ -47,7 +47,6 @@ use crate::ids::{ObjectId, ServerId};
 use crate::ring::HashRing;
 use serde::{Deserialize, Serialize};
 use std::fmt;
-use std::str::FromStr;
 
 /// Which placement backend a view routes lookups through.
 ///
@@ -69,7 +68,7 @@ pub enum EngineKind {
 }
 
 impl EngineKind {
-    /// Every backend, in bench/report order.
+    /// Every backend, ring first.
     pub const ALL: [EngineKind; 4] = [
         EngineKind::Ring,
         EngineKind::Jump,
@@ -77,7 +76,7 @@ impl EngineKind {
         EngineKind::Power,
     ];
 
-    /// Stable lowercase name (CLI flag value, bench JSON field prefix).
+    /// Stable lowercase name (report and test label).
     pub fn name(self) -> &'static str {
         match self {
             EngineKind::Ring => "ring",
@@ -91,22 +90,6 @@ impl EngineKind {
 impl fmt::Display for EngineKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(self.name())
-    }
-}
-
-impl FromStr for EngineKind {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "ring" => Ok(EngineKind::Ring),
-            "jump" => Ok(EngineKind::Jump),
-            "dx" => Ok(EngineKind::Dx),
-            "power" => Ok(EngineKind::Power),
-            other => Err(format!(
-                "unknown placement engine `{other}` (available: ring, jump, dx, power)"
-            )),
-        }
     }
 }
 
@@ -167,10 +150,6 @@ pub trait PlacementEngine {
     ) -> Option<(ServerId, u64)> {
         self.search(oid, cursor, accept)
     }
-
-    /// Bytes of resident lookup state (tables, vnodes). What the
-    /// `bench placement` memory column reports.
-    fn resident_bytes(&self) -> usize;
 }
 
 // ---------------------------------------------------------------------
@@ -214,10 +193,6 @@ impl PlacementEngine for RingEngine<'_> {
             }
         }
         None
-    }
-
-    fn resident_bytes(&self) -> usize {
-        self.ring.resident_bytes()
     }
 }
 
@@ -438,10 +413,6 @@ impl PlacementEngine for JumpEngine {
             jump_bucket(rekey(h, i), band)
         })
     }
-
-    fn resident_bytes(&self) -> usize {
-        std::mem::size_of::<Self>()
-    }
 }
 
 /// DxHash-style backend: candidates are successive hits of a per-key
@@ -500,10 +471,6 @@ impl PlacementEngine for DxEngine {
         let h = object_position(oid);
         probe_then_sweep(band, h, cursor, accept, |h, i| dx_hit(h, i, band, slots))
     }
-
-    fn resident_bytes(&self) -> usize {
-        std::mem::size_of::<Self>()
-    }
 }
 
 /// Power-of-two consistent hash backend: masked draw plus rejection
@@ -558,10 +525,6 @@ impl PlacementEngine for PowerEngine {
             power_draw(rekey(h, i), band)
         })
     }
-
-    fn resident_bytes(&self) -> usize {
-        std::mem::size_of::<Self>()
-    }
 }
 
 #[cfg(test)]
@@ -589,16 +552,6 @@ mod tests {
                 None => return out,
             }
         }
-    }
-
-    #[test]
-    fn kind_parse_and_display_round_trip() {
-        for kind in EngineKind::ALL {
-            assert_eq!(kind.name().parse::<EngineKind>().unwrap(), kind);
-            assert_eq!(kind.to_string(), kind.name());
-        }
-        assert!("banana".parse::<EngineKind>().is_err());
-        assert_eq!(EngineKind::default(), EngineKind::Ring);
     }
 
     #[test]
@@ -859,20 +812,6 @@ mod tests {
                     "{kind}: server {i} owns {c} keys vs mean {mean:.0}"
                 );
             }
-        }
-    }
-
-    #[test]
-    fn resident_bytes_are_tiny_for_hashed_engines() {
-        let ring = HashRing::build(&vec![64u32; 100]);
-        let ring_bytes = RingEngine::new(&ring).resident_bytes();
-        for (kind, b) in [
-            (EngineKind::Jump, JumpEngine::new(100).resident_bytes()),
-            (EngineKind::Dx, DxEngine::new(100).resident_bytes()),
-            (EngineKind::Power, PowerEngine::new(100).resident_bytes()),
-        ] {
-            assert!(b <= 16, "{kind} should be table-free, got {b} bytes");
-            assert!(b < ring_bytes);
         }
     }
 }

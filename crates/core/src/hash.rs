@@ -86,97 +86,6 @@ impl std::hash::Hasher for IdHasher {
 /// A `HashMap` keyed by program-made ids, hashed with [`IdHasher`].
 pub type IdMap<K, V> = std::collections::HashMap<K, V, std::hash::BuildHasherDefault<IdHasher>>;
 
-// ---- XXH64 -----------------------------------------------------------
-
-const XXP1: u64 = 0x9E37_79B1_85EB_CA87;
-const XXP2: u64 = 0xC2B2_AE3D_27D4_EB4F;
-const XXP3: u64 = 0x1656_67B1_9E37_79F9;
-const XXP4: u64 = 0x85EB_CA77_C2B2_AE63;
-const XXP5: u64 = 0x27D4_EB2F_1656_67C5;
-
-#[inline]
-fn xx_round(acc: u64, input: u64) -> u64 {
-    acc.wrapping_add(input.wrapping_mul(XXP2))
-        .rotate_left(31)
-        .wrapping_mul(XXP1)
-}
-
-#[inline]
-fn xx_merge_round(acc: u64, val: u64) -> u64 {
-    (acc ^ xx_round(0, val))
-        .wrapping_mul(XXP1)
-        .wrapping_add(XXP4)
-}
-
-#[inline]
-fn read_u64_le(b: &[u8]) -> u64 {
-    u64::from_le_bytes(b[..8].try_into().expect("8 bytes"))
-}
-
-#[inline]
-fn read_u32_le(b: &[u8]) -> u32 {
-    u32::from_le_bytes(b[..4].try_into().expect("4 bytes"))
-}
-
-/// XXH64: the other widely deployed ring hash (GlusterFS-era systems and
-/// many modern CH stores use xxHash for key placement). Implemented from
-/// the specification and checked against its published test vectors, so
-/// rings can be built with either hash family.
-pub fn xxh64(data: &[u8], seed: u64) -> u64 {
-    let len = data.len() as u64;
-    let mut input = data;
-    let mut h: u64;
-
-    if input.len() >= 32 {
-        let mut v1 = seed.wrapping_add(XXP1).wrapping_add(XXP2);
-        let mut v2 = seed.wrapping_add(XXP2);
-        let mut v3 = seed;
-        let mut v4 = seed.wrapping_sub(XXP1);
-        while input.len() >= 32 {
-            v1 = xx_round(v1, read_u64_le(&input[0..]));
-            v2 = xx_round(v2, read_u64_le(&input[8..]));
-            v3 = xx_round(v3, read_u64_le(&input[16..]));
-            v4 = xx_round(v4, read_u64_le(&input[24..]));
-            input = &input[32..];
-        }
-        h = v1
-            .rotate_left(1)
-            .wrapping_add(v2.rotate_left(7))
-            .wrapping_add(v3.rotate_left(12))
-            .wrapping_add(v4.rotate_left(18));
-        h = xx_merge_round(h, v1);
-        h = xx_merge_round(h, v2);
-        h = xx_merge_round(h, v3);
-        h = xx_merge_round(h, v4);
-    } else {
-        h = seed.wrapping_add(XXP5);
-    }
-
-    h = h.wrapping_add(len);
-
-    while input.len() >= 8 {
-        h ^= xx_round(0, read_u64_le(input));
-        h = h.rotate_left(27).wrapping_mul(XXP1).wrapping_add(XXP4);
-        input = &input[8..];
-    }
-    if input.len() >= 4 {
-        h ^= (read_u32_le(input) as u64).wrapping_mul(XXP1);
-        h = h.rotate_left(23).wrapping_mul(XXP2).wrapping_add(XXP3);
-        input = &input[4..];
-    }
-    for &b in input {
-        h ^= (b as u64).wrapping_mul(XXP5);
-        h = h.rotate_left(11).wrapping_mul(XXP1);
-    }
-
-    h ^= h >> 33;
-    h = h.wrapping_mul(XXP2);
-    h ^= h >> 29;
-    h = h.wrapping_mul(XXP3);
-    h ^= h >> 32;
-    h
-}
-
 /// Position of a data object (key) on the hash ring.
 #[inline]
 pub fn object_position(oid: ObjectId) -> u64 {
@@ -209,47 +118,6 @@ mod tests {
         assert_eq!(fnv1a64(b""), 0xcbf29ce484222325);
         assert_eq!(fnv1a64(b"a"), 0xaf63dc4c8601ec8c);
         assert_eq!(fnv1a64(b"foobar"), 0x85944171f73967e8);
-    }
-
-    #[test]
-    fn xxh64_matches_reference_vectors() {
-        // Vectors from the xxHash reference implementation.
-        assert_eq!(xxh64(b"", 0), 0xEF46_DB37_51D8_E999);
-        assert_eq!(xxh64(b"a", 0), 0xD24E_C4F1_A98C_6E5B);
-        assert_eq!(xxh64(b"abc", 0), 0x44BC_2CF5_AD77_0999);
-        assert_eq!(
-            xxh64(b"Nobody inspects the spammish repetition", 0),
-            0xFBCE_A83C_8A37_8BF1
-        );
-        // Long input exercising the 32-byte stripe loop.
-        assert_eq!(
-            xxh64(b"The quick brown fox jumps over the lazy dog", 0),
-            0x0B24_2D36_1FDA_71BC
-        );
-    }
-
-    #[test]
-    fn xxh64_seed_changes_output() {
-        assert_ne!(xxh64(b"abc", 0), xxh64(b"abc", 1));
-        assert_eq!(xxh64(b"abc", 42), xxh64(b"abc", 42));
-    }
-
-    #[test]
-    fn xxh64_spreads_like_fnv() {
-        // Same crude uniformity check as FNV: 64k keys into 16 bins.
-        let n = 65_536u64;
-        let mut bins = [0u64; 16];
-        for i in 0..n {
-            let h = xxh64(&i.to_le_bytes(), 0);
-            bins[(h >> 60) as usize] += 1;
-        }
-        let mean = n / 16;
-        for (i, &b) in bins.iter().enumerate() {
-            assert!(
-                (b as f64 - mean as f64).abs() < mean as f64 * 0.15,
-                "bin {i} holds {b}"
-            );
-        }
     }
 
     #[test]

@@ -139,16 +139,6 @@ impl HashRing {
         &self.vnodes
     }
 
-    /// Bytes of resident lookup state: the vnode array, the successor
-    /// LUT, and per-server weights. This is the figure the placement
-    /// bench compares against the table-free hashed engines.
-    pub fn resident_bytes(&self) -> usize {
-        std::mem::size_of::<Self>()
-            + self.vnodes.len() * std::mem::size_of::<VirtualNode>()
-            + self.lut.len() * std::mem::size_of::<u32>()
-            + self.weights.len() * std::mem::size_of::<u32>()
-    }
-
     /// Index of the successor vnode of `position`: the first vnode at or
     /// after it, wrapping past the top of the ring (§II-A's clockwise walk
     /// starting point).

@@ -5,7 +5,7 @@
 //! both write-availability offloading and selective re-integration
 //! (Algorithm 2's `locate_ser(OID, Ver)`).
 
-use crate::engine::{DxEngine, EngineKind, JumpEngine, PlacementEngine, PowerEngine, RingEngine};
+use crate::engine::{DxEngine, EngineKind, JumpEngine, PowerEngine, RingEngine};
 use crate::ids::{ObjectId, VersionId};
 use crate::layout::Layout;
 use crate::membership::{MembershipHistory, MembershipTable};
@@ -90,18 +90,6 @@ impl ClusterView {
     #[inline]
     pub fn engine(&self) -> EngineKind {
         self.engine
-    }
-
-    /// Bytes of resident lookup state for the active backend (the ring's
-    /// vnode array + LUT for `Ring`; a few machine words otherwise).
-    pub fn placement_resident_bytes(&self) -> usize {
-        let n = self.server_count();
-        match self.engine {
-            EngineKind::Ring => self.ring.resident_bytes(),
-            EngineKind::Jump => JumpEngine::new(n).resident_bytes(),
-            EngineKind::Dx => DxEngine::new(n).resident_bytes(),
-            EngineKind::Power => PowerEngine::new(n).resident_bytes(),
-        }
     }
 
     /// Replication factor `r`.
@@ -294,7 +282,6 @@ mod tests {
                     .iter()
                     .all(|&s| v.current_membership().is_active(s)));
             }
-            assert!(v.placement_resident_bytes() < v.ring().resident_bytes());
         }
     }
 }

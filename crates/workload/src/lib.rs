@@ -15,6 +15,6 @@ pub mod objects;
 pub mod series;
 pub mod three_phase;
 
-pub use objects::{ObjectAllocator, UniformPicker, ZipfPicker, OBJECT_SIZE};
+pub use objects::{ObjectAllocator, UniformPicker, ZipfPicker};
 pub use series::{ideal_servers, LoadSeries};
 pub use three_phase::{PhaseSpec, Workload, GB, MB};

@@ -10,9 +10,6 @@ use ech_core::ids::ObjectId;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// Sheepdog's default data-object size used throughout the paper (4 MB).
-pub const OBJECT_SIZE: u64 = 4 * 1024 * 1024;
-
 /// Allocates monotonically increasing object IDs.
 #[derive(Debug, Clone)]
 pub struct ObjectAllocator {

@@ -4,7 +4,7 @@
 //! with an I/O load profile over time: "the ideal number of servers for
 //! each time period is proportional to the data size processed". A
 //! [`LoadSeries`] is that profile — bytes/second per fixed-width time bin
-//! — plus generators for the shapes we need (constant, diurnal, bursty
+//! — plus generators for the shapes we need (diurnal, bursty
 //! MapReduce-style) and simple calibration utilities.
 
 use rand::rngs::StdRng;
@@ -107,11 +107,6 @@ pub fn ideal_servers(load: f64, per_server_rate: f64, min: usize, max: usize) ->
 /// Generators for synthetic load shapes.
 pub mod generate {
     use super::*;
-
-    /// Constant load.
-    pub fn constant(bins: usize, bin_seconds: f64, load: f64) -> LoadSeries {
-        LoadSeries::new(bin_seconds, vec![load; bins])
-    }
 
     /// Diurnal sinusoid: `base + amplitude * (1 + sin) / 2` with the given
     /// period. Models the day/night cycle of enterprise clusters.
