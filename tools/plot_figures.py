@@ -1,14 +1,14 @@
 #!/usr/bin/env python3
-"""Plot the paper's figures from the harness binaries' output.
+"""Plot the paper's figures from `ech-bench` output.
 
 Usage:
-    cargo run -p ech-bench --release --bin fig7_selective_reintegration > fig7.txt
+    cargo run -p ech-bench --release -- --only fig7_selective_reintegration > fig7.txt
     python3 tools/plot_figures.py fig7 fig7.txt fig7.png
 
     cargo run -p ech-cli --release -- three-phase --mode selective > curve.csv
     python3 tools/plot_figures.py csv curve.csv curve.png
 
-Requires matplotlib. The harnesses themselves have no plotting
+Requires matplotlib. The experiments themselves have no plotting
 dependencies; this script is an optional convenience for turning their
 aligned-column / CSV output into PNGs shaped like the paper's figures.
 """
