@@ -488,6 +488,17 @@ mod tests {
         );
     }
 
+    /// Loss is reported, not asserted: at two servers and r = 2 both
+    /// nodes crash, and the report keeps saying how many acked writes
+    /// went with them.
+    #[test]
+    fn chaos_reports_loss() {
+        assert_eq!(
+            run_line("chaos --servers 2 --replicas 2").unwrap(),
+            include_str!("../golden/chaos_lost.txt")
+        );
+    }
+
     #[test]
     fn chaos_rejects_bad_shapes() {
         assert!(run_line("chaos --servers 1").is_err());

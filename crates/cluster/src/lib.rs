@@ -9,7 +9,7 @@
 //!   their data and simply stop serving;
 //! * write-availability offloading (placement skips inactive nodes) with
 //!   dirty logging into a Redis-like store (`ech-kvstore`) via
-//!   RPUSH/LINDEX/LPOP, exactly as §IV describes;
+//!   RPUSH/LRANGE/LPOP, exactly as §IV describes;
 //! * selective re-integration executing real replica copies, one task at
 //!   a time, optionally from a background worker thread.
 //!
@@ -34,6 +34,7 @@ pub mod net;
 pub mod node;
 pub mod repair;
 pub mod retry;
+pub mod scenario;
 pub mod sync;
 pub mod vdi;
 

@@ -4,16 +4,14 @@
 //! cluster must converge back to full replication — under-replication
 //! zero, dirty table drained — once the faults clear.
 //!
-//! Every fault decision is a pure hash of `(seed, node, op-counter)`, so
-//! each generated case replays identically; there is no wall-clock or
-//! global-RNG nondeterminism to flake on.
+//! Both drills are scenarios of `ech_cluster::scenario`: every fault
+//! decision is a pure hash of `(seed, node, op-counter)` on a virtual
+//! clock, so each generated case replays identically.
 
-use bytes::Bytes;
-use ech_cluster::{Cluster, ClusterConfig, FaultPlan, ShardOutage, SystemClock};
+use ech_cluster::scenario::{self, Scenario, Step};
+use ech_cluster::ShardOutage;
 use ech_core::ids::ObjectId;
 use proptest::prelude::*;
-use std::collections::BTreeMap;
-use std::sync::Arc;
 
 /// Transient-error windows close once a node has seen this many ops, so
 /// the convergence phase runs fault-free.
@@ -34,57 +32,6 @@ fn op_strategy() -> impl Strategy<Value = Op> {
     ]
 }
 
-fn chaos_config() -> ClusterConfig {
-    let mut cfg = ClusterConfig::paper();
-    cfg.replicas = 3;
-    cfg
-}
-
-fn value(oid: u64) -> Bytes {
-    Bytes::from(format!("chaos-object-{oid}"))
-}
-
-/// Write with maintenance-assisted retries: a put that trips over a
-/// silent crash gets the membership corrected (detect + repair) and
-/// another chance, mirroring how a real coordinator reacts to a failed
-/// write. Returns whether the write was acknowledged.
-fn put_with_maintenance(c: &Cluster, oid: ObjectId) -> bool {
-    for attempt in 0..3 {
-        match c.put(oid, value(oid.raw())) {
-            Ok(_) => return true,
-            Err(_) if attempt < 2 => {
-                c.detect_and_mark_crashed();
-                c.repair();
-            }
-            Err(_) => return false,
-        }
-    }
-    false
-}
-
-/// Exhaust every node's transient-error window (op counters are the
-/// fault clock, so idle nodes must be ticked forward), firing any
-/// still-pending crash events along the way.
-fn drain_fault_windows(c: &Cluster) {
-    let inj = c.fault_injector().expect("chaos clusters run a plan");
-    for (i, node) in c.nodes().iter().enumerate() {
-        while inj.node_ops(i) < IO_WINDOW {
-            let _ = node.get(ObjectId(u64::MAX));
-        }
-    }
-}
-
-/// Clear faults' aftermath: fix membership, re-replicate, return to full
-/// power, heal degraded writes and drain the dirty table.
-fn converge(c: &Cluster) {
-    c.detect_and_mark_crashed();
-    c.repair();
-    c.resize(10);
-    c.repair();
-    c.reintegrate_all();
-    c.repair();
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
@@ -99,65 +46,21 @@ proptest! {
         let node_a = crash_a as usize;
         let node_b = ((crash_a + 1 + crash_b_off) % 10) as usize;
         let rate = rate_pct as f64 / 100.0;
-        let mut plan = FaultPlan::uniform_io_errors(10, seed, rate);
-        for spec in &mut plan.node_faults {
-            spec.io_error_until_op = IO_WINDOW;
-        }
-        plan.node_faults[node_a].crash_at_op = Some(c1);
-        plan.node_faults[node_b].crash_at_op = Some(c2);
-        let c = Cluster::with_faults(chaos_config(), plan, Arc::new(SystemClock::new()));
-
-        let mut acked: BTreeMap<u64, Bytes> = BTreeMap::new();
-        let mut next_oid = 0u64;
+        // Each resize runs before the put that follows it.
+        let mut objects = 0u64;
+        let mut schedule = Vec::new();
         for op in ops {
             match op {
-                Op::Put => {
-                    let oid = ObjectId(next_oid);
-                    next_oid += 1;
-                    if put_with_maintenance(&c, oid) {
-                        acked.insert(oid.raw(), value(oid.raw()));
-                        // Read-your-write: an acked put is immediately
-                        // readable, faults notwithstanding.
-                        let mut got = c.get(oid);
-                        if got.is_err() {
-                            c.detect_and_mark_crashed();
-                            c.repair();
-                            got = c.get(oid);
-                        }
-                        match got {
-                            Ok(v) => prop_assert_eq!(v, value(oid.raw())),
-                            Err(e) => prop_assert!(
-                                false,
-                                "read-back of acked object {} failed: {}",
-                                oid.raw(),
-                                e
-                            ),
-                        }
-                    }
-                    // Degraded-mode upkeep, as a coordinator would do.
-                    if !c.detect_and_mark_crashed().is_empty() {
-                        c.repair();
-                    }
-                }
-                Op::Resize(k) => {
-                    c.resize(3 + (k as usize) % 8);
-                }
+                Op::Put => objects += 1,
+                Op::Resize(k) => schedule.push((objects, Step::Resize(3 + (k as usize) % 8))),
             }
         }
-
-        drain_fault_windows(&c);
-        prop_assert_eq!(c.counters().crashes, 2, "both planned crashes fired");
-        converge(&c);
-
-        prop_assert_eq!(c.dirty_len(), 0, "dirty table drains at full power");
-        prop_assert_eq!(c.under_replicated(), 0, "replication fully restored");
-        for (oid, val) in &acked {
-            let got = c.get(ObjectId(*oid));
-            match got {
-                Ok(v) => prop_assert_eq!(&v, val),
-                Err(e) => prop_assert!(false, "acked object {} lost: {}", oid, e),
-            }
-        }
+        let plan = scenario::disk_faults(10, seed, rate, IO_WINDOW, &[(node_a, c1), (node_b, c2)]);
+        let mut sc = Scenario::r3(plan, objects);
+        (sc.schedule, sc.maintain, sc.read_back) = (schedule, true, true);
+        let (_, out) = sc.run();
+        prop_assert_eq!(out.faulted.crashes, 2, "both planned crashes fired");
+        out.assert_survived();
     }
 }
 
@@ -166,12 +69,7 @@ proptest! {
 /// resizes — with exact expectations on the injected-fault counters.
 #[test]
 fn fixed_seed_chaos_with_kv_outages_converges() {
-    let mut plan = FaultPlan::uniform_io_errors(10, 0xEC0_5EED, 0.08);
-    for spec in &mut plan.node_faults {
-        spec.io_error_until_op = IO_WINDOW;
-    }
-    plan.node_faults[3].crash_at_op = Some(12);
-    plan.node_faults[7].crash_at_op = Some(25);
+    let mut plan = scenario::disk_faults(10, 0xEC0_5EED, 0.08, IO_WINDOW, &[(3, 12), (7, 25)]);
     // Outage windows on the shard actually holding the dirty table and
     // on the shard serving more of this run's object headers (oids
     // 0..80) than any other, so the metadata path must retry through
@@ -194,57 +92,28 @@ fn fixed_seed_chaos_with_kv_outages_converges() {
             until_op: 100,
         },
     ];
-    let c = Cluster::with_faults(chaos_config(), plan, Arc::new(SystemClock::new()));
-
-    let mut acked = Vec::new();
-    for i in 0..80u64 {
-        match i {
-            20 => {
-                c.resize(6);
-            }
-            45 => {
-                c.resize(9);
-            }
-            65 => {
-                c.resize(10);
-            }
-            _ => {}
-        }
-        let oid = ObjectId(i);
-        if put_with_maintenance(&c, oid) {
-            acked.push(i);
-        }
-        if !c.detect_and_mark_crashed().is_empty() {
-            c.repair();
-        }
-    }
-    assert!(
-        acked.len() >= 70,
-        "most writes must ack, got {}",
-        acked.len()
-    );
-
-    drain_fault_windows(&c);
-    let stats = c.counters();
-    assert_eq!(stats.crashes, 2);
-    assert!(stats.io_errors > 0, "the 8% error rate must bite");
+    let mut sc = Scenario::r3(plan, 80);
+    sc.schedule = vec![
+        (20, Step::Resize(6)),
+        (45, Step::Resize(9)),
+        (65, Step::Resize(10)),
+    ];
+    sc.maintain = true;
+    let (_, out) = sc.run();
+    let acked = out.acked.len();
+    assert!(acked >= 70, "most writes must ack, got {acked}");
+    assert_eq!(out.faulted.crashes, 2);
+    assert!(out.faulted.io_errors > 0, "the 8% error rate must bite");
     // The dirty-table window is 30 kv ops wide and every refusal is one
     // op, so anything past 30 was refused by the header window.
     assert!(
-        stats.kv_unavailable > 30,
+        out.faulted.kv_unavailable > 30,
         "both shard outages must be exercised, got {}",
-        stats.kv_unavailable
+        out.faulted.kv_unavailable
     );
-
-    converge(&c);
-    assert_eq!(c.dirty_len(), 0);
-    assert_eq!(c.under_replicated(), 0);
-    for &i in &acked {
-        assert_eq!(c.get(ObjectId(i)).unwrap(), value(i), "object {i}");
-    }
-    let path = c.counters();
+    out.assert_survived();
     assert!(
-        path.retries > 0,
+        out.counters.retries > 0,
         "transient faults must have caused data-path retries"
     );
 }

@@ -13,8 +13,8 @@
 //!   the §III-B special case never relaxes it);
 //! - read-your-write: an acknowledged put is readable through faults.
 
-use bytes::Bytes;
-use ech_cluster::{Cluster, ClusterConfig, FaultPlan, SystemClock};
+use ech_cluster::scenario::{self, value, Outcome, Scenario};
+use ech_cluster::Cluster;
 use ech_core::ids::ObjectId;
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -28,10 +28,6 @@ const PUTS_PER_WRITER: u64 = 150;
 /// `replicas - 1` secondaries active, so placements always carry
 /// exactly one primary replica.
 const SIZES: &[usize] = &[6, 4, 8, 10];
-
-fn value(oid: u64) -> Bytes {
-    Bytes::from(format!("stress-object-{oid}"))
-}
 
 /// Placement invariants under one pinned snapshot.
 fn check_snapshot_invariants(c: &Cluster, oid: u64) {
@@ -67,30 +63,14 @@ fn check_snapshot_invariants(c: &Cluster, oid: u64) {
     );
 }
 
-/// Exhaust every node's transient-error window so convergence runs
-/// fault-free (op counters are the fault clock).
-fn drain_fault_windows(c: &Cluster) {
-    let inj = c.fault_injector().expect("stress cluster runs a plan");
-    for (i, node) in c.nodes().iter().enumerate() {
-        while inj.node_ops(i) < IO_WINDOW {
-            let _ = node.get(ObjectId(u64::MAX));
-        }
-    }
-}
-
 #[test]
 fn concurrent_writers_readers_and_resizes_keep_invariants() {
-    let mut plan = FaultPlan::uniform_io_errors(10, 0x57E5_5EED, 0.05);
-    for spec in &mut plan.node_faults {
-        spec.io_error_until_op = IO_WINDOW;
-    }
-    let mut cfg = ClusterConfig::paper();
-    cfg.replicas = 3;
-    let c = Arc::new(Cluster::with_faults(
-        cfg,
-        plan,
-        Arc::new(SystemClock::new()),
-    ));
+    let drill = Scenario::r3(
+        scenario::disk_faults(10, 0x57E5_5EED, 0.05, IO_WINDOW, &[]),
+        0,
+    )
+    .build();
+    let c = Arc::clone(&drill.cluster);
 
     let acked: Arc<Mutex<Vec<u64>>> = Arc::new(Mutex::new(Vec::new()));
     let resize_count = Arc::new(AtomicU64::new(0));
@@ -188,23 +168,18 @@ fn concurrent_writers_readers_and_resizes_keep_invariants() {
         "every in-load epoch transition must have run"
     );
 
-    // Converge: full power, drain, re-replicate; then every acked write
-    // is present and fully placed.
-    drain_fault_windows(&c);
-    c.resize(10);
-    c.reintegrate_all();
-    c.repair();
-    assert_eq!(c.dirty_len(), 0, "dirty table drains at full power");
-    assert_eq!(c.under_replicated(), 0, "replication fully restored");
-    let acked = acked.lock().unwrap();
-    assert_eq!(acked.len() as u64, WRITERS * PUTS_PER_WRITER);
-    for &oid in acked.iter() {
-        assert_eq!(c.get(ObjectId(oid)).unwrap(), value(oid), "object {oid}");
-    }
+    // Converge; then every acked write is present and fully placed.
+    let mut out = Outcome::default();
+    drill.end_faults(&mut out);
+    drill.converge();
+    out.acked = std::mem::take(&mut *acked.lock().unwrap());
+    assert_eq!(out.acked.len() as u64, WRITERS * PUTS_PER_WRITER);
+    drill.survival(&mut out);
+    out.assert_survived();
     // What the read path resolves is exactly Algorithm 1 on the
     // published view, for every object, after all those epochs.
     let view = c.view_snapshot();
-    for &oid in acked.iter() {
+    for &oid in &out.acked {
         assert_eq!(
             c.locate(ObjectId(oid)).unwrap(),
             view.place_current(ObjectId(oid)).unwrap(),
@@ -224,14 +199,14 @@ fn concurrent_writers_readers_and_resizes_keep_invariants() {
 #[cfg(feature = "lincheck")]
 #[test]
 fn recorded_stress_history_is_linearizable() {
+    use bytes::Bytes;
+    use ech_cluster::FaultPlan;
     use ech_lincheck::{check_kv, Outcome, DEFAULT_BUDGET};
 
     // The cluster attaches to the session open on the thread that
     // builds it; sibling tests' clusters record nothing into it.
     let session = ech_lincheck::recorder::Session::begin();
-    let mut cfg = ClusterConfig::paper();
-    cfg.replicas = 3;
-    let c = Arc::new(Cluster::new(cfg));
+    let c = Scenario::r3(FaultPlan::default(), 0).build().cluster;
 
     // Few keys on purpose: contention is what gives the checker real
     // reordering work; per-key op counts stay far under the budget.
