@@ -70,13 +70,14 @@ impl Cluster {
         deadline: Deadline,
     ) -> Result<Placement, ClusterError> {
         let servers = placement.servers();
+        let primary = placement.primary_slot();
         let required = self.cfg.write_quorum.required(servers.len());
         let mut written = 0usize;
         let mut missed = 0usize;
         let mut permanent: Option<NodeError> = None;
         for (rank, &server) in servers.iter().enumerate() {
             let node = self.node(server)?;
-            if rank > 0 && deadline.expired(&*self.clock) {
+            if rank != primary && deadline.expired(&*self.clock) {
                 // Budget gone: don't even send to the remaining
                 // secondaries — count them missed and let the quorum
                 // accounting below decide whether the write can still
@@ -103,7 +104,7 @@ impl Cluster {
             }
             match result {
                 Ok(()) => written += 1,
-                Err(e) if rank == 0 => {
+                Err(e) if rank == primary => {
                     // The primary anchors the header-version placement
                     // that degraded reads and healing rely on; a write
                     // that misses it is not acknowledged.

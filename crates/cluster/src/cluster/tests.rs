@@ -493,6 +493,15 @@ fn placement_of(cfg: &ClusterConfig, oid: ObjectId) -> Vec<ServerId> {
     c.locate(oid).unwrap().servers().to_vec()
 }
 
+/// `oid`'s primary replica under `cfg` at full power, and its
+/// secondaries in placement order.
+fn primary_and_secondaries(cfg: &ClusterConfig, oid: ObjectId) -> (ServerId, Vec<ServerId>) {
+    let placed = Cluster::new(cfg.clone()).locate(oid).unwrap();
+    let mut secondaries = placed.servers().to_vec();
+    let primary = secondaries.remove(placed.primary_slot());
+    (primary, secondaries)
+}
+
 #[test]
 fn write_quorum_required_counts() {
     assert_eq!(WriteQuorum::All.required(3), 3);
@@ -510,13 +519,13 @@ fn degraded_write_acks_at_quorum_and_heals() {
     let mut cfg = ClusterConfig::paper();
     cfg.replicas = 3;
     let oid = ObjectId(77);
-    let servers = placement_of(&cfg, oid);
+    let (_, secondaries) = primary_and_secondaries(&cfg, oid);
     // One secondary fails every attempt of the put (the retry budget
     // is 4 attempts; the error window covers exactly its first 4
     // ops), then recovers — deterministic by construction.
     let mut plan = FaultPlan::default();
     plan.set_node(
-        servers[1].index(),
+        secondaries[0].index(),
         NodeFaultSpec {
             io_error_prob: 1.0,
             io_error_until_op: cfg.retry.max_attempts as u64,
@@ -547,9 +556,9 @@ fn quorum_failure_rejects_the_write() {
     let mut cfg = ClusterConfig::paper();
     cfg.replicas = 3;
     let oid = ObjectId(321);
-    let servers = placement_of(&cfg, oid);
+    let (_, secondaries) = primary_and_secondaries(&cfg, oid);
     let mut plan = FaultPlan::default();
-    for &s in &servers[1..] {
+    for &s in &secondaries {
         plan.set_node(
             s.index(),
             NodeFaultSpec {
@@ -589,10 +598,10 @@ fn transient_failures_surface_as_unavailable_not_notfound() {
     cfg.kv_shards = 2;
     cfg.write_quorum = WriteQuorum::AtLeast(1);
     let oid = ObjectId(5);
-    let servers = placement_of(&cfg, oid);
+    let (primary, secondaries) = primary_and_secondaries(&cfg, oid);
     let mut plan = FaultPlan::default();
     plan.set_node(
-        servers[1].index(),
+        secondaries[0].index(),
         NodeFaultSpec {
             io_error_prob: 1.0,
             ..NodeFaultSpec::default()
@@ -601,7 +610,7 @@ fn transient_failures_surface_as_unavailable_not_notfound() {
     let c = Cluster::with_faults(cfg, plan, Arc::new(SystemClock::new()));
     c.put(oid, payload(5)).unwrap();
     assert_eq!(c.counters().replicas_missed, 1);
-    c.nodes()[servers[0].index()].set_powered(false);
+    c.nodes()[primary.index()].set_powered(false);
     assert_eq!(
         c.get_with(oid, ReadPolicy::FirstReplica),
         Err(ClusterError::Unavailable)

@@ -48,14 +48,20 @@ const INLINE_REPLICAS: usize = 6;
 
 /// Backing storage of a [`Placement`]: a fixed array up to
 /// [`INLINE_REPLICAS`], a `Vec` only above it. Unused inline slots stay
-/// `ServerId(0)` and are never read.
+/// `ServerId(0)` and are never read. Each variant also carries
+/// [`Placement::primary_slot`]: beside `len` it fits in padding, so a
+/// placement stays 32 bytes.
 #[derive(Clone)]
 enum Servers {
     Inline {
         len: u8,
+        primary: u8,
         slots: [ServerId; INLINE_REPLICAS],
     },
-    Heap(Vec<ServerId>),
+    Heap {
+        primary: u8,
+        servers: Vec<ServerId>,
+    },
 }
 
 /// Ordered replica locations for one object (index 0 = first replica).
@@ -75,6 +81,7 @@ impl Placement {
         Placement {
             servers: Servers::Inline {
                 len: 0,
+                primary: 0,
                 slots: [ServerId(0); INLINE_REPLICAS],
             },
         }
@@ -83,7 +90,11 @@ impl Placement {
     /// Append the next replica location.
     fn push(&mut self, server: ServerId) {
         match &mut self.servers {
-            Servers::Inline { len, slots } => match slots.get_mut(usize::from(*len)) {
+            Servers::Inline {
+                len,
+                primary,
+                slots,
+            } => match slots.get_mut(usize::from(*len)) {
                 Some(slot) => {
                     *slot = server;
                     *len += 1;
@@ -92,11 +103,23 @@ impl Placement {
                     let mut spilled = Vec::with_capacity(2 * INLINE_REPLICAS);
                     spilled.extend_from_slice(slots);
                     spilled.push(server);
-                    self.servers = Servers::Heap(spilled);
+                    self.servers = Servers::Heap {
+                        primary: *primary,
+                        servers: spilled,
+                    };
                 }
             },
-            Servers::Heap(v) => v.push(server),
+            Servers::Heap { servers, .. } => servers.push(server),
         }
+    }
+
+    /// Append the replica Algorithm 1 placed on a primary server.
+    fn push_primary(&mut self, server: ServerId) {
+        let slot = u8::try_from(self.len()).unwrap_or(u8::MAX);
+        match &mut self.servers {
+            Servers::Inline { primary, .. } | Servers::Heap { primary, .. } => *primary = slot,
+        }
+        self.push(server);
     }
 
     /// Replica locations in placement order.
@@ -105,8 +128,19 @@ impl Placement {
         match &self.servers {
             // ech-allow(D2): `len` only ever advances in `push`, one step
             // per slot filled, so it is at most `INLINE_REPLICAS`.
-            Servers::Inline { len, slots } => &slots[..usize::from(*len)],
-            Servers::Heap(v) => v,
+            Servers::Inline { len, slots, .. } => &slots[..usize::from(*len)],
+            Servers::Heap { servers, .. } => servers,
+        }
+    }
+
+    /// The index in [`servers`](Self::servers) of the replica a write
+    /// may not miss: the slot Algorithm 1 filled with the primary, or
+    /// slot 0 when it placed none (original consistent hashing, no
+    /// active primary, or a placement read back from its JSON form).
+    #[inline]
+    pub fn primary_slot(&self) -> usize {
+        match self.servers {
+            Servers::Inline { primary, .. } | Servers::Heap { primary, .. } => usize::from(primary),
         }
     }
 
@@ -434,10 +468,12 @@ pub fn place_primary_with<E: PlacementEngine>(
                 "relaxed candidate walk found no active unchosen server",
             ));
         };
-        if layout.is_primary(server) {
+        if layout.is_primary(server) && !has_primary {
             has_primary = true;
+            chosen.push_primary(server);
+        } else {
+            chosen.push(server);
         }
-        chosen.push(server);
         cursor = next;
     }
 
@@ -534,6 +570,11 @@ mod tests {
                 let p = place_primary(&ring, &layout, &m, ObjectId(k), r).unwrap();
                 assert_eq!(p.len(), r);
                 assert_eq!(p.primary_replicas(&layout).count(), 1, "r={r} oid {k}: {p}");
+                let primary = p.servers()[p.primary_slot()];
+                assert!(
+                    layout.is_primary(primary),
+                    "r={r} oid {k}: slot names {primary}"
+                );
             }
         }
     }
