@@ -187,8 +187,6 @@ const D2_ROOTS: &[&str] = &[
     "Cluster::put",
     "Cluster::put_at",
     "Cluster::get",
-    "Cluster::get_with",
-    "Cluster::hedged_get",
     "Cluster::locate",
     "Cluster::reintegrate_batch",
     "Cluster::reintegrate_all",
@@ -1984,6 +1982,9 @@ const NO_VIEW_LOCK: &str = "the read path is lock-free: views are published as \
                             epoch-pinned snapshots, never behind an RwLock";
 const NO_PLACEMENT_HARNESS: &str = "the placement-engine harness is retired: uniform hashed \
                                     engines remap about twice the ring's keys on a tail cut";
+const ONE_READ_ONE_QUORUM: &str = "one read, `Cluster::get`, probes the current placement, \
+                                   then the header version's, and never hedges; one quorum \
+                                   acks a put at the primary plus a secondary majority";
 const TYPED_DIRTY_LOG: &str = "the dirty table is `ech-kvstore`'s typed log: a put below \
                                full power formats nothing and the drain parses nothing";
 
@@ -2124,6 +2125,35 @@ pub const D10_ROWS: &[D10Row] = &[
     },
     D10Row {
         scope: "crates/*/src/",
+        needle: "ReadPolicy",
+        except: D10Except::Nowhere,
+        why: ONE_READ_ONE_QUORUM,
+        now: "`Cluster::get`",
+    },
+    D10Row {
+        scope: "crates/*/src/",
+        needle: "get_with",
+        except: D10Except::Nowhere,
+        why: ONE_READ_ONE_QUORUM,
+        now: "`Cluster::get`",
+    },
+    D10Row {
+        scope: "crates/*/src/",
+        needle: "hedged_get",
+        except: D10Except::Nowhere,
+        why: ONE_READ_ONE_QUORUM,
+        now: "`Cluster::get`",
+    },
+    D10Row {
+        scope: "crates/*/src/",
+        needle: "WriteQuorum",
+        except: D10Except::Nowhere,
+        why: ONE_READ_ONE_QUORUM,
+        now: "the private `required_acks` in `cluster.rs`",
+    },
+    counter_row("hedged_reads"),
+    D10Row {
+        scope: "crates/*/src/",
         needle: "BENCH_placement",
         except: D10Except::Nowhere,
         why: NO_PLACEMENT_HARNESS,
@@ -2160,8 +2190,9 @@ impl D10Row {
 /// mutant bodies, the second retry runner, the string header key, the
 /// dirty-entry text codec, the placement cache, the locked view, the
 /// one-task drain alias, the per-family counter snapshots, the second
-/// SplitMix64, the second ring hash and the placement-engine harness stay
-/// gone, and one facade names the history recorder. Like D9 it scans
+/// SplitMix64, the second ring hash, the placement-engine harness, the
+/// read policies and the write-quorum option stay gone, and one facade
+/// names the history recorder. Like D9 it scans
 /// raw file text, comments included, so a needle cannot hide in a doc.
 fn d10_forbidden_text(units: &[Unit], out: &mut Vec<Finding>) {
     for row in D10_ROWS {

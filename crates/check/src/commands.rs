@@ -614,7 +614,7 @@ mod tests {
     fn modelcheck_coverage_models_pass_exhaustively_in_both_modes() {
         for model in [
             "quorum-write-faults",
-            "hedged-read-crash",
+            "read-crash",
             "worker-stop-flag",
             "reintegration-pool",
         ] {
@@ -704,7 +704,7 @@ mod tests {
         for model in [
             "quorum-dirty-bug",
             "partition-quorum-bug",
-            "hedged-stale-bug",
+            "stale-read-bug",
             "reintegration-lost-replica-bug",
         ] {
             assert_caught_and_replayable(model, false);

@@ -35,7 +35,7 @@
 
 use arc_swap::ArcSwap;
 use bytes::Bytes;
-use ech_cluster::cluster::{Cluster, ClusterConfig, ClusterError, ReadPolicy, WriteQuorum};
+use ech_cluster::cluster::{Cluster, ClusterConfig, ClusterError};
 use ech_cluster::fault::{FaultPlan, NodeFaultSpec, VirtualClock};
 use ech_cluster::mutation::Mutation;
 use ech_cluster::net::BreakerConfig;
@@ -232,10 +232,10 @@ pub const MODELS: &[Model] = &[
         ..SAFE
     },
     Model {
-        name: "hedged-read-crash",
-        about: "hedged read racing a crash of the primary replica",
-        pair: "hedged-stale-bug",
-        setup: hedged_read_crash,
+        name: "read-crash",
+        about: "read racing a crash of the primary replica it probes first",
+        pair: "stale-read-bug",
+        setup: read_crash,
         ..SAFE
     },
     Model {
@@ -290,13 +290,13 @@ pub const MODELS: &[Model] = &[
         ..SAFE
     },
     Model {
-        name: "hedged-stale-bug",
+        name: "stale-read-bug",
         about: "seeded version-check bypass leaks a stale replica (must be caught)",
         expect_failure: true,
         expect_failure_weak: true,
-        pair: "hedged-read-crash",
+        pair: "read-crash",
         mutation: Some(Mutation::AcceptStale),
-        setup: hedged_stale_bug,
+        setup: stale_read_bug,
         ..SAFE
     },
     Model {
@@ -408,7 +408,7 @@ pub const MODELS: &[Model] = &[
         name: "lin-stale-read-bug",
         about: "seeded acceptance bypass serves a superseded replica (caught only under --lincheck)",
         expect_failure_lincheck: true,
-        pair: "hedged-read-crash",
+        pair: "read-crash",
         mutation: Some(Mutation::AcceptStale),
         setup: lin_stale_read_bug,
         ..SAFE
@@ -434,13 +434,7 @@ pub fn find(name: &str) -> Option<&'static Model> {
 /// time. The empty fault plan injects nothing; it exists only to carry
 /// the clock.
 fn tiny_cluster() -> Arc<Cluster> {
-    tiny_cluster_with(
-        3,
-        2,
-        Strategy::Primary,
-        WriteQuorum::All,
-        FaultPlan::default(),
-    )
+    tiny_cluster_with(3, 2, Strategy::Primary, FaultPlan::default())
 }
 
 /// [`tiny_cluster`] with the knobs the fault-aware models vary. The
@@ -451,20 +445,14 @@ fn tiny_cluster_with(
     servers: usize,
     replicas: usize,
     strategy: Strategy,
-    write_quorum: WriteQuorum,
     plan: FaultPlan,
 ) -> Arc<Cluster> {
-    let cfg = tiny_config(servers, replicas, strategy, write_quorum);
+    let cfg = tiny_config(servers, replicas, strategy);
     Cluster::with_faults(cfg, plan, Arc::new(VirtualClock::new()))
 }
 
 /// The configuration every model cluster starts from.
-fn tiny_config(
-    servers: usize,
-    replicas: usize,
-    strategy: Strategy,
-    write_quorum: WriteQuorum,
-) -> ClusterConfig {
+fn tiny_config(servers: usize, replicas: usize, strategy: Strategy) -> ClusterConfig {
     ClusterConfig {
         servers,
         replicas,
@@ -475,7 +463,6 @@ fn tiny_config(
         placement: EngineKind::Ring,
         kv_shards: 2,
         capacity_plan: None,
-        write_quorum,
         retry: RetryPolicy::default(),
         cache_capacity: 64,
         cache_shards: 2,
@@ -655,13 +642,7 @@ fn faulty_quorum_cluster() -> Arc<Cluster> {
             ..NodeFaultSpec::default()
         },
     );
-    tiny_cluster_with(
-        3,
-        3,
-        Strategy::Primary,
-        WriteQuorum::PrimaryPlusMajority,
-        plan,
-    )
+    tiny_cluster_with(3, 3, Strategy::Primary, plan)
 }
 
 /// The racing pair of the degraded-quorum scenarios: a writer whose put
@@ -731,13 +712,7 @@ fn partitioned_quorum_cluster() -> Arc<Cluster> {
         net: Some(net),
         ..FaultPlan::default()
     };
-    tiny_cluster_with(
-        3,
-        3,
-        Strategy::Primary,
-        WriteQuorum::PrimaryPlusMajority,
-        plan,
-    )
+    tiny_cluster_with(3, 3, Strategy::Primary, plan)
 }
 
 /// A quorum write under an active partition racing a reader: the ack
@@ -780,47 +755,47 @@ fn partition_quorum(env: &mut Env, mutation: Option<Mutation>) {
     });
 }
 
-/// A hedged read racing a crash of the primary replica: whichever side
-/// of the crash the probe lands on, the surviving secondary must serve
-/// the committed bytes (under the checker the hedge probes inline, so
-/// the race is over interleavings, not wall-clock timing).
-fn hedged_read_crash(env: &mut Env, _: Option<Mutation>) {
+/// A read racing a crash of the primary replica: whichever side of the
+/// crash the read's first probe lands on, the surviving secondary must
+/// serve the committed bytes.
+fn read_crash(env: &mut Env, _: Option<Mutation>) {
     let c = tiny_cluster();
-    c.put(OID, Bytes::copy_from_slice(PAYLOAD))
+    // An object whose primary sits in slot 0, the replica `get` probes
+    // first, so the crash can land under the read's first probe.
+    let view = mirror_view(3, 2, Strategy::Primary);
+    let (oid, placement) = (0..64)
+        .map(ObjectId)
+        .find_map(|o| {
+            let p = view.place_current(o).ok()?;
+            (p.primary_slot() == 0).then_some((o, p))
+        })
+        .expect("some object places its primary in slot 0");
+    let primary = placement.servers()[0];
+    assert_eq!(placement.primary_slot(), 0, "the primary is in slot 0");
+    assert_eq!(
+        placement
+            .primary_replicas(view.layout())
+            .collect::<Vec<_>>(),
+        [primary],
+        "the crashed server is the object's one primary replica"
+    );
+    c.put(oid, Bytes::copy_from_slice(PAYLOAD))
         .expect("setup write at full power");
-    let primary = mirror_view(3, 2, Strategy::Primary)
-        .place_current(OID)
-        .expect("placement at full power")
-        .servers()[0];
     {
         let c = Arc::clone(&c);
         env.spawn(move || {
             c.nodes()[primary.index()].crash();
         });
     }
-    env.spawn(move || {
-        let got = c.get_with(
-            OID,
-            ReadPolicy::Hedged {
-                threshold: Duration::from_millis(1),
-            },
-        );
-        match got {
-            Ok(data) => assert_eq!(&data[..], PAYLOAD, "hedged read returned wrong bytes"),
-            Err(e) => panic!("hedged read lost the object to a single crash: {e}"),
-        }
+    env.spawn(move || match c.get(oid) {
+        Ok(data) => assert_eq!(&data[..], PAYLOAD, "read returned wrong bytes"),
+        Err(e) => panic!("read lost the object to a single crash: {e}"),
     });
 }
 
 /// The single-replica cluster [`stale_copy_setup`] runs on.
 fn stale_copy_cluster() -> Arc<Cluster> {
-    tiny_cluster_with(
-        3,
-        1,
-        Strategy::Original,
-        WriteQuorum::All,
-        FaultPlan::default(),
-    )
+    tiny_cluster_with(3, 1, Strategy::Original, FaultPlan::default())
 }
 
 /// Single-replica geometry whose stale copy survives a rewrite: the
@@ -852,12 +827,12 @@ fn stale_copy_setup(c: &Arc<Cluster>) -> (ObjectId, usize) {
     (oid, fresh)
 }
 
-/// Seeded mutant of the hedged read: the version-acceptance check is
-/// bypassed ([`Mutation::AcceptStale`]), so the superseded replica the
-/// rewrite left behind escapes to the reader — racing the crash of the
-/// fresh copy only widens the window. The checker must catch the stale
+/// Seeded mutant of the read: the version-acceptance check is bypassed
+/// ([`Mutation::AcceptStale`]), so the superseded replica the rewrite
+/// left behind escapes to the reader — racing the crash of the fresh
+/// copy only widens the window. The checker must catch the stale
 /// payload.
-fn hedged_stale_bug(env: &mut Env, mutation: Option<Mutation>) {
+fn stale_read_bug(env: &mut Env, mutation: Option<Mutation>) {
     let c = mutant(stale_copy_cluster(), mutation);
     let (oid, fresh) = stale_copy_setup(&c);
     {
@@ -867,15 +842,10 @@ fn hedged_stale_bug(env: &mut Env, mutation: Option<Mutation>) {
         });
     }
     env.spawn(move || {
-        if let Ok(data) = c.get_with(
-            oid,
-            ReadPolicy::Hedged {
-                threshold: Duration::from_millis(1),
-            },
-        ) {
+        if let Ok(data) = c.get(oid) {
             assert!(
                 &data[..] == PAYLOAD2,
-                "stale replica escaped to a hedged reader: got {:?}",
+                "stale replica escaped to a reader: got {:?}",
                 String::from_utf8_lossy(&data)
             );
         }
@@ -996,13 +966,7 @@ fn batched_drain_vs_put(env: &mut Env, _: Option<Mutation>) {
 /// gone. The checker must find that interleaving.
 fn reintegration_lost_replica_bug(env: &mut Env, mutation: Option<Mutation>) {
     let c = mutant(
-        tiny_cluster_with(
-            2,
-            1,
-            Strategy::Original,
-            WriteQuorum::All,
-            FaultPlan::default(),
-        ),
+        tiny_cluster_with(2, 1, Strategy::Original, FaultPlan::default()),
         mutation,
     );
     // An object whose placement at two active servers is node 1: written
@@ -1115,16 +1079,11 @@ fn weak_view_publish_relaxed(env: &mut Env, mutation: Option<Mutation>) {
 /// silently heal every enumerated fault — the whole mode would prove
 /// nothing. `RetryPolicy::none()` keeps each send's fate decisive and
 /// the schedule space small.
-fn msg_cluster(
-    servers: usize,
-    replicas: usize,
-    write_quorum: WriteQuorum,
-    breaker: Option<BreakerConfig>,
-) -> Arc<Cluster> {
+fn msg_cluster(servers: usize, replicas: usize, breaker: Option<BreakerConfig>) -> Arc<Cluster> {
     let cfg = ClusterConfig {
         retry: RetryPolicy::none(),
         breaker,
-        ..tiny_config(servers, replicas, Strategy::Primary, write_quorum)
+        ..tiny_config(servers, replicas, Strategy::Primary)
     };
     Cluster::with_faults(cfg, FaultPlan::default(), Arc::new(VirtualClock::new()))
 }
@@ -1163,10 +1122,7 @@ const NOTFOUND_BREAKER: BreakerConfig = BreakerConfig {
 /// placement completes) passes exhaustively, and only `--msg` produces
 /// the lost-update schedule.
 fn msg_quorum_ack_loss(env: &mut Env, mutation: Option<Mutation>) {
-    let c = mutant(
-        msg_cluster(3, 3, WriteQuorum::PrimaryPlusMajority, None),
-        mutation,
-    );
+    let c = mutant(msg_cluster(3, 3, None), mutation);
     env.spawn(move || {
         if c.put(OID, Bytes::copy_from_slice(PAYLOAD)).is_ok() {
             assert!(
@@ -1188,7 +1144,7 @@ fn msg_quorum_ack_loss(env: &mut Env, mutation: Option<Mutation>) {
 /// succeed (a breaker that stays open after its fault's read would eat
 /// the fault-free tail and land below the floor).
 fn msg_breaker_probe(env: &mut Env, _: Option<Mutation>) {
-    let c = msg_cluster(1, 1, WriteQuorum::All, Some(PROBE_BREAKER));
+    let c = msg_cluster(1, 1, Some(PROBE_BREAKER));
     c.put(OID, Bytes::copy_from_slice(PAYLOAD))
         .expect("setup write on a fault-free fabric");
     env.spawn(move || {
@@ -1222,10 +1178,7 @@ fn msg_breaker_probe(env: &mut Env, _: Option<Mutation>) {
 /// Thread-only exploration has no fault to trip the breaker with and
 /// passes exhaustively; `--msg` needs a single fault to catch it.
 fn msg_breaker_notfound_bug(env: &mut Env, mutation: Option<Mutation>) {
-    let c = mutant(
-        msg_cluster(1, 1, WriteQuorum::All, Some(NOTFOUND_BREAKER)),
-        mutation,
-    );
+    let c = mutant(msg_cluster(1, 1, Some(NOTFOUND_BREAKER)), mutation);
     c.put(OID, Bytes::copy_from_slice(PAYLOAD))
         .expect("setup write on a fault-free fabric");
     env.spawn(move || {
@@ -1255,10 +1208,7 @@ fn msg_breaker_notfound_bug(env: &mut Env, mutation: Option<Mutation>) {
 /// `Duplicate` fate the retransmission appends twice and the reader
 /// observes the doubled payload. Only `--msg` catches it.
 fn msg_dup_idempotence(env: &mut Env, mutation: Option<Mutation>) {
-    let c = mutant(
-        msg_cluster(3, 3, WriteQuorum::PrimaryPlusMajority, None),
-        mutation,
-    );
+    let c = mutant(msg_cluster(3, 3, None), mutation);
     env.spawn(move || {
         if c.put(OID, Bytes::copy_from_slice(PAYLOAD)).is_ok() {
             let got = c.get(OID).expect("acked object must stay readable");
@@ -1298,7 +1248,7 @@ fn lin_ack_before_log_bug(env: &mut Env, mutation: Option<Mutation>) {
 /// Seeded history mutant: the version-acceptance check is bypassed
 /// ([`Mutation::AcceptStale`]) in the
 /// [`stale_copy_setup`] geometry, where the *current* placement holds a
-/// copy a past resize superseded. Unlike `hedged-stale-bug` — the same
+/// copy a past resize superseded. Unlike `stale-read-bug` — the same
 /// seeded read path convicted by an in-model byte assertion — this
 /// model asserts nothing: the stale read is only wrong *relative to the
 /// earlier acknowledged rewrite*, which is exactly the caller-visible
@@ -1315,7 +1265,7 @@ fn lin_stale_read_bug(env: &mut Env, mutation: Option<Mutation>) {
         });
     }
     env.spawn(move || {
-        let _ = c.get_with(oid, ReadPolicy::FirstReplica);
+        let _ = c.get(oid);
     });
 }
 

@@ -84,12 +84,10 @@ pub fn chaos_cmd(args: &Args) -> Result<String, ParseError> {
         ("writes_acked", outcome.acked.len() as u64),
         ("io_errors_injected", counts.io_errors),
         ("crashes_injected", counts.crashes),
-        ("delays_injected", counts.delays),
         ("kv_unavailable_injected", counts.kv_unavailable),
         ("retries", counts.retries),
         ("quorum_degraded_acks", counts.quorum_acks),
         ("replicas_missed", counts.replicas_missed),
-        ("hedged_reads", counts.hedged_reads),
         ("unavailable_errors", counts.unavailable_errors),
         ("under_replicated", outcome.under_replicated as u64),
         ("dirty_entries", outcome.dirty_entries as u64),

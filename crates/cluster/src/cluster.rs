@@ -17,7 +17,6 @@ mod put;
 mod resize;
 
 pub use drain::ReintegrationStats;
-pub use get::ReadPolicy;
 
 use crate::counters::{CounterSnapshot, Counters};
 use crate::dirty_store::{KvDirtyTable, KvHeaderStore};
@@ -65,8 +64,6 @@ pub struct ClusterConfig {
     /// Optional per-node disk capacities (§III-D tiered provisioning);
     /// `None` = unlimited disks.
     pub capacity_plan: Option<ech_core::layout::CapacityPlan>,
-    /// Replica acknowledgements a write needs before it is acked.
-    pub write_quorum: WriteQuorum,
     /// Retry budget applied to transiently-failing node operations.
     pub retry: RetryPolicy,
     /// Inert: nothing under `crates/` reads it. The data path computes
@@ -107,7 +104,6 @@ impl ClusterConfig {
             placement: EngineKind::default(),
             kv_shards: 10,
             capacity_plan: None,
-            write_quorum: WriteQuorum::default(),
             retry: RetryPolicy::default(),
             cache_capacity: 65_536,
             cache_shards: 16,
@@ -119,35 +115,17 @@ impl ClusterConfig {
     }
 }
 
-/// How many replica writes must succeed before a put is acknowledged.
+/// Replica acknowledgements a put needs at replication factor
+/// `replicas`: the primary plus a majority of the `r - 1` secondaries,
+/// `1 + ceil((r - 1) / 2)`.
 ///
 /// The primary replica is always mandatory — it anchors the header-version
 /// placement that degraded reads and healing rely on. Secondaries that
 /// fail below the quorum are recorded as dirty-table entries and healed by
 /// [`Cluster::heal_dirty`] / repair, so an acked write converges back to
 /// full replication.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum WriteQuorum {
-    /// Every replica must succeed (strictest, least available).
-    All,
-    /// The primary plus a majority of the `r - 1` secondaries:
-    /// `1 + ceil((r - 1) / 2)` acks. At `r = 2` this equals [`WriteQuorum::All`].
-    #[default]
-    PrimaryPlusMajority,
-    /// A fixed ack count, clamped to `1..=r`. The primary still counts
-    /// toward — and is required by — the quorum.
-    AtLeast(usize),
-}
-
-impl WriteQuorum {
-    /// Acks required at replication factor `replicas`.
-    pub fn required(&self, replicas: usize) -> usize {
-        match *self {
-            WriteQuorum::All => replicas,
-            WriteQuorum::PrimaryPlusMajority => 1 + replicas.saturating_sub(1).div_ceil(2),
-            WriteQuorum::AtLeast(n) => n.clamp(1, replicas.max(1)),
-        }
-    }
+fn required_acks(replicas: usize) -> usize {
+    1 + replicas.saturating_sub(1).div_ceil(2)
 }
 
 /// Cluster-level operation errors.
@@ -256,7 +234,6 @@ pub struct Cluster {
     migration_limiter: Option<Mutex<MigrationThrottle>>,
     stop_worker: AtomicBool,
     migrated_bytes: AtomicU64,
-    read_rr: AtomicU64,
     fault: Option<Arc<FaultInjector>>,
     /// Message fault plane: every data-path send to a node crosses this
     /// fabric (when installed) via [`Cluster::rpc`].
@@ -284,8 +261,8 @@ impl Cluster {
     /// Build a cluster running a deterministic [`FaultPlan`] on `clock`:
     /// the injector is threaded through every node's data path and
     /// installed as the key-value store's shard-fault hook, and retry
-    /// backoff, kv brown-out waits, slow-replica delays and hedged-read
-    /// thresholds all consume `clock`. A [`crate::fault::VirtualClock`]
+    /// backoff, kv brown-out waits, message delays, rpc timeouts and
+    /// operation deadlines all consume `clock`. A [`crate::fault::VirtualClock`]
     /// makes a whole drill replayable without real-time dependence
     /// (`ech chaos` uses one); [`SystemClock`] runs on the wall clock.
     pub fn with_faults(cfg: ClusterConfig, plan: FaultPlan, clock: Arc<dyn Clock>) -> Arc<Self> {
@@ -296,7 +273,7 @@ impl Cluster {
         let counters = Arc::new(Counters::default());
         let (fault, clock) = match faults {
             Some((plan, clock)) => {
-                let inj = FaultInjector::new(cfg.servers, plan, clock.clone(), counters.clone());
+                let inj = FaultInjector::new(cfg.servers, plan, counters.clone());
                 (Some(Arc::new(inj)), clock)
             }
             None => (None, Arc::new(SystemClock::new()) as Arc<dyn Clock>),
@@ -371,7 +348,6 @@ impl Cluster {
             migration_limiter,
             stop_worker: AtomicBool::new(false),
             migrated_bytes: counter_u64(0),
-            read_rr: counter_u64(0),
             kv,
             fault,
             net,
@@ -514,9 +490,9 @@ impl Cluster {
     }
 
     /// Every event counter of the cluster: the data path's retries,
-    /// degraded acks, hedges and budget failures, the injected node and
-    /// kv faults, the fabric's message verdicts and the breakers' trips
-    /// and fast-fails. Fields a cluster has no part for (no fault plan,
+    /// degraded acks, unavailable reads and budget failures, the injected
+    /// node and kv faults, the fabric's message verdicts and the breakers'
+    /// trips and fast-fails. Fields a cluster has no part for (no fault plan,
     /// no fabric, no breakers) stay zero.
     pub fn counters(&self) -> CounterSnapshot {
         self.counters.snapshot()

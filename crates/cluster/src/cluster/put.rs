@@ -7,8 +7,8 @@ impl Cluster {
     /// replica nodes, record the header, and log a dirty entry when the
     /// cluster is not at full power.
     ///
-    /// The write is acknowledged once the configured
-    /// [`WriteQuorum`](super::WriteQuorum) is met. The primary replica is
+    /// The write is acknowledged once the primary and a majority of the
+    /// secondaries hold it (`required_acks`). The primary replica is
     /// mandatory; transiently-failing nodes are retried under the
     /// configured [`RetryPolicy`](crate::retry::RetryPolicy). Secondaries
     /// still missing after retries are recorded in the dirty table —
@@ -71,7 +71,7 @@ impl Cluster {
     ) -> Result<Placement, ClusterError> {
         let servers = placement.servers();
         let primary = placement.primary_slot();
-        let required = self.cfg.write_quorum.required(servers.len());
+        let required = required_acks(servers.len());
         let mut written = 0usize;
         let mut missed = 0usize;
         let mut permanent: Option<NodeError> = None;

@@ -300,79 +300,6 @@ fn concurrent_writers_and_reintegration() {
 }
 
 #[test]
-fn balanced_reads_track_the_equal_work_layout() {
-    // With reads spread round-robin over replicas, each server's read
-    // count is proportional to the data it stores — the layout's read
-    // performance proportionality claim (§III-C).
-    let c = cluster();
-    let objects = 4_000u64;
-    for i in 0..objects {
-        c.put(ObjectId(i), payload(i)).unwrap();
-    }
-    let writes_baseline: Vec<u64> = c.nodes().iter().map(|n| n.op_counts().0).collect();
-    for round in 0..4u64 {
-        for i in 0..objects {
-            let _ = c
-                .get_with(ObjectId((i + round * 7) % objects), ReadPolicy::Balanced)
-                .unwrap();
-        }
-    }
-    let stored: Vec<f64> = c.nodes().iter().map(|n| n.object_count() as f64).collect();
-    let reads: Vec<f64> = c
-        .nodes()
-        .iter()
-        .zip(&writes_baseline)
-        .map(|(n, &base)| (n.op_counts().0 - base) as f64)
-        .collect();
-    let total_stored: f64 = stored.iter().sum();
-    let total_reads: f64 = reads.iter().sum();
-    for i in 0..10 {
-        let stored_frac = stored[i] / total_stored;
-        let read_frac = reads[i] / total_reads;
-        assert!(
-            (stored_frac - read_frac).abs() < 0.05,
-            "server {}: stores {:.3} of data but serves {:.3} of reads",
-            i + 1,
-            stored_frac,
-            read_frac
-        );
-    }
-}
-
-#[test]
-fn first_replica_policy_is_more_skewed_than_balanced() {
-    let skew = |policy: ReadPolicy| -> f64 {
-        let c = cluster();
-        for i in 0..2_000u64 {
-            c.put(ObjectId(i), payload(i)).unwrap();
-        }
-        let base: Vec<u64> = c.nodes().iter().map(|n| n.op_counts().0).collect();
-        for i in 0..2_000u64 {
-            let _ = c.get_with(ObjectId(i), policy).unwrap();
-        }
-        let reads: Vec<f64> = c
-            .nodes()
-            .iter()
-            .zip(&base)
-            .map(|(n, &b)| (n.op_counts().0 - b) as f64)
-            .collect();
-        let stored: Vec<f64> = c.nodes().iter().map(|n| n.object_count() as f64).collect();
-        // Sum of absolute deviation between read share and data share.
-        let tr: f64 = reads.iter().sum();
-        let ts: f64 = stored.iter().sum();
-        reads
-            .iter()
-            .zip(&stored)
-            .map(|(r, s)| (r / tr - s / ts).abs())
-            .sum()
-    };
-    assert!(
-        skew(ReadPolicy::Balanced) < skew(ReadPolicy::FirstReplica),
-        "balanced reads should track the data distribution more closely"
-    );
-}
-
-#[test]
 fn coordinator_restart_resumes_reintegration() {
     let c = cluster();
     c.resize(5);
@@ -503,14 +430,10 @@ fn primary_and_secondaries(cfg: &ClusterConfig, oid: ObjectId) -> (ServerId, Vec
 }
 
 #[test]
-fn write_quorum_required_counts() {
-    assert_eq!(WriteQuorum::All.required(3), 3);
-    assert_eq!(WriteQuorum::PrimaryPlusMajority.required(2), 2);
-    assert_eq!(WriteQuorum::PrimaryPlusMajority.required(3), 2);
-    assert_eq!(WriteQuorum::PrimaryPlusMajority.required(5), 3);
-    assert_eq!(WriteQuorum::PrimaryPlusMajority.required(1), 1);
-    assert_eq!(WriteQuorum::AtLeast(0).required(3), 1);
-    assert_eq!(WriteQuorum::AtLeast(9).required(3), 3);
+fn required_acks_are_primary_plus_majority() {
+    for (replicas, acks) in [(1, 1), (2, 2), (3, 2), (5, 3)] {
+        assert_eq!(required_acks(replicas), acks, "r = {replicas}");
+    }
 }
 
 #[test]
@@ -584,37 +507,42 @@ fn quorum_failure_rejects_the_write() {
 
 #[test]
 fn transient_failures_surface_as_unavailable_not_notfound() {
-    use crate::fault::{FaultPlan, NodeFaultSpec};
+    use crate::fault::{FaultPlan, VirtualClock};
+    use crate::net::{LinkFaultSpec, PartitionDirection, PartitionWindow};
     // Unfaulted: a missing object is an authoritative NotFound.
     let c = cluster();
     assert_eq!(c.get(ObjectId(404)), Err(ClusterError::NotFound));
 
-    // Faulted: the secondary errors on every op and the primary goes
-    // dark — every probe failure could be transient, so the read
-    // must report a retryable Unavailable, not NotFound.
+    // Faulted: after a full write the secondary is partitioned off and
+    // the primary goes dark — every probe failure could be transient,
+    // so the read must report a retryable Unavailable, not NotFound.
     let mut cfg = ClusterConfig::paper();
     cfg.servers = 2;
     cfg.replicas = 2;
     cfg.kv_shards = 2;
-    cfg.write_quorum = WriteQuorum::AtLeast(1);
     let oid = ObjectId(5);
     let (primary, secondaries) = primary_and_secondaries(&cfg, oid);
-    let mut plan = FaultPlan::default();
-    plan.set_node(
-        secondaries[0].index(),
-        NodeFaultSpec {
-            io_error_prob: 1.0,
-            ..NodeFaultSpec::default()
-        },
-    );
-    let c = Cluster::with_faults(cfg, plan, Arc::new(SystemClock::new()));
+    let cut_at = Duration::from_secs(1);
+    let net = NetPlan {
+        partitions: vec![PartitionWindow {
+            from: cut_at,
+            until: Duration::MAX,
+            isolated: vec![secondaries[0].index() as u32],
+            direction: PartitionDirection::Both,
+        }],
+        ..NetPlan::uniform(5, LinkFaultSpec::default())
+    };
+    let plan = FaultPlan {
+        net: Some(net),
+        ..FaultPlan::default()
+    };
+    let clock = Arc::new(VirtualClock::new());
+    let c = Cluster::with_faults(cfg, plan, clock.clone());
     c.put(oid, payload(5)).unwrap();
-    assert_eq!(c.counters().replicas_missed, 1);
+    assert!(c.is_fully_placed(oid));
+    clock.advance(cut_at);
     c.nodes()[primary.index()].set_powered(false);
-    assert_eq!(
-        c.get_with(oid, ReadPolicy::FirstReplica),
-        Err(ClusterError::Unavailable)
-    );
+    assert_eq!(c.get(oid), Err(ClusterError::Unavailable));
     assert!(ClusterError::Unavailable.is_retryable());
     assert!(c.counters().unavailable_errors >= 1);
 }
@@ -646,66 +574,6 @@ fn silent_crashes_are_detected_and_excluded() {
     }
     // Idempotent: nothing newly dark on a second scan.
     assert!(c.detect_and_mark_crashed().is_empty());
-}
-
-#[test]
-fn hedged_reads_dodge_a_slow_replica() {
-    use crate::fault::{FaultPlan, NodeFaultSpec, VirtualClock};
-    use std::time::Duration;
-    let cfg = ClusterConfig::paper();
-    let oid = ObjectId(9000);
-    let servers = placement_of(&cfg, oid);
-    let mut plan = FaultPlan::default();
-    plan.set_node(
-        servers[0].index(),
-        NodeFaultSpec {
-            delay: Some(Duration::from_millis(150)),
-            ..NodeFaultSpec::default()
-        },
-    );
-    // The probe's latency budget runs on the injected clock: the
-    // slow replica's 150 ms delay is pure virtual time, and
-    // overrunning the 2 ms threshold fires the hedge
-    // deterministically.
-    let clock = Arc::new(VirtualClock::new());
-    let c = Cluster::with_faults(cfg, plan, clock.clone());
-    c.put(oid, payload(9000)).unwrap();
-    let hedged_before = c.counters().hedged_reads;
-    let t0 = clock.now();
-    let data = c
-        .get_with(
-            oid,
-            ReadPolicy::Hedged {
-                threshold: Duration::from_millis(2),
-            },
-        )
-        .unwrap();
-    assert_eq!(data, payload(9000));
-    assert!(
-        c.counters().hedged_reads > hedged_before,
-        "overrunning the threshold must fire the hedge"
-    );
-    assert!(
-        clock.now().saturating_sub(t0) >= Duration::from_millis(2),
-        "the slow probe must have consumed the latency budget"
-    );
-    // A read that stays under the budget must NOT hedge: the fast
-    // secondary answers within threshold once it is probed first.
-    let hedged_mid = c.counters().hedged_reads;
-    let fast = c
-        .get_with(
-            oid,
-            ReadPolicy::Hedged {
-                threshold: Duration::from_secs(1),
-            },
-        )
-        .unwrap();
-    assert_eq!(fast, payload(9000));
-    assert_eq!(
-        c.counters().hedged_reads,
-        hedged_mid,
-        "a probe inside its budget must not hedge"
-    );
 }
 
 #[test]

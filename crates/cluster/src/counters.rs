@@ -16,12 +16,10 @@ pub struct Counters {
     pub(crate) retries: AtomicU64,
     pub(crate) quorum_acks: AtomicU64,
     pub(crate) replicas_missed: AtomicU64,
-    pub(crate) hedged_reads: AtomicU64,
     pub(crate) unavailable_errors: AtomicU64,
     pub(crate) deadline_exceeded: AtomicU64,
     pub(crate) io_errors: AtomicU64,
     pub(crate) crashes: AtomicU64,
-    pub(crate) delays: AtomicU64,
     pub(crate) kv_unavailable: AtomicU64,
     pub(crate) net_sends: AtomicU64,
     pub(crate) net_dropped: AtomicU64,
@@ -39,12 +37,10 @@ impl Default for Counters {
             retries: counter_u64(0),
             quorum_acks: counter_u64(0),
             replicas_missed: counter_u64(0),
-            hedged_reads: counter_u64(0),
             unavailable_errors: counter_u64(0),
             deadline_exceeded: counter_u64(0),
             io_errors: counter_u64(0),
             crashes: counter_u64(0),
-            delays: counter_u64(0),
             kv_unavailable: counter_u64(0),
             net_sends: counter_u64(0),
             net_dropped: counter_u64(0),
@@ -65,12 +61,10 @@ impl Counters {
             retries: self.retries.load(Ordering::Relaxed),
             quorum_acks: self.quorum_acks.load(Ordering::Relaxed),
             replicas_missed: self.replicas_missed.load(Ordering::Relaxed),
-            hedged_reads: self.hedged_reads.load(Ordering::Relaxed),
             unavailable_errors: self.unavailable_errors.load(Ordering::Relaxed),
             deadline_exceeded: self.deadline_exceeded.load(Ordering::Relaxed),
             io_errors: self.io_errors.load(Ordering::Relaxed),
             crashes: self.crashes.load(Ordering::Relaxed),
-            delays: self.delays.load(Ordering::Relaxed),
             kv_unavailable: self.kv_unavailable.load(Ordering::Relaxed),
             net_sends: self.net_sends.load(Ordering::Relaxed),
             net_dropped: self.net_dropped.load(Ordering::Relaxed),
@@ -95,8 +89,6 @@ pub struct CounterSnapshot {
     /// Replica writes recorded as missed (healed later via the dirty
     /// table).
     pub replicas_missed: u64,
-    /// Hedged-read secondary probes launched.
-    pub hedged_reads: u64,
     /// Reads that found only transiently failing replicas.
     pub unavailable_errors: u64,
     /// Operations that ran out their deadline budget before completing.
@@ -105,8 +97,6 @@ pub struct CounterSnapshot {
     pub io_errors: u64,
     /// Node crashes triggered.
     pub crashes: u64,
-    /// Slow-replica delays applied.
-    pub delays: u64,
     /// Key-value operations rejected as shard-unavailable.
     pub kv_unavailable: u64,
     /// Messages routed through the fabric.
@@ -141,12 +131,10 @@ mod tests {
             &c.retries,
             &c.quorum_acks,
             &c.replicas_missed,
-            &c.hedged_reads,
             &c.unavailable_errors,
             &c.deadline_exceeded,
             &c.io_errors,
             &c.crashes,
-            &c.delays,
             &c.kv_unavailable,
             &c.net_sends,
             &c.net_dropped,
@@ -166,12 +154,10 @@ mod tests {
                 s.retries,
                 s.quorum_acks,
                 s.replicas_missed,
-                s.hedged_reads,
                 s.unavailable_errors,
                 s.deadline_exceeded,
                 s.io_errors,
                 s.crashes,
-                s.delays,
                 s.kv_unavailable,
                 s.net_sends,
                 s.net_dropped,

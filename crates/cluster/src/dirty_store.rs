@@ -290,7 +290,7 @@ mod tests {
         };
         let clock = Arc::new(VirtualClock::new());
         let counters = Arc::new(Counters::default());
-        let inj = Arc::new(FaultInjector::new(4, plan, clock.clone(), counters.clone()));
+        let inj = Arc::new(FaultInjector::new(4, plan, counters.clone()));
         kv.set_fault_hook(Some(inj));
         let h = KvHeaderStore::with_clock(kv, clock.clone());
 

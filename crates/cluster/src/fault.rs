@@ -1,9 +1,8 @@
 //! Deterministic fault injection for the live cluster.
 //!
 //! A [`FaultPlan`] declares, per node, a transient I/O error probability
-//! (optionally limited to an op-count window), a crash-at-op-N event and a
-//! slow-replica latency class, plus shard-unavailability windows for the
-//! backing key-value store. A [`FaultInjector`] executes the plan with no
+//! (optionally limited to an op-count window) and a crash-at-op-N event,
+//! plus shard-unavailability windows for the backing key-value store. A [`FaultInjector`] executes the plan with no
 //! wall-clock or global RNG state: every decision is a pure hash of
 //! `(seed, node, op-counter)`, so a run with the same plan and the same
 //! operation order injects exactly the same faults.
@@ -21,8 +20,8 @@ use std::sync::Arc;
 use std::time::Duration;
 
 /// An injectable time source for everything the data path does with
-/// time: hedged-read thresholds, retry backoff sleeps, slow-replica
-/// delays, kv brown-out waits. Production uses [`SystemClock`]; replay
+/// time: retry backoff sleeps, message delays and rpc timeouts, operation
+/// deadlines, kv brown-out waits. Production uses [`SystemClock`]; replay
 /// harnesses (`ech chaos`, the chaos test suite) substitute a
 /// [`VirtualClock`] so a drill is wall-clock-free end to end — the same
 /// discipline that makes the fault decisions themselves replayable.
@@ -134,8 +133,6 @@ pub struct NodeFaultSpec {
     /// Crash the node (disk loss + power-off) when its op counter reaches
     /// this value.
     pub crash_at_op: Option<u64>,
-    /// Slow-replica latency class: added to every op on this node.
-    pub delay: Option<Duration>,
 }
 
 impl Default for NodeFaultSpec {
@@ -144,7 +141,6 @@ impl Default for NodeFaultSpec {
             io_error_prob: 0.0,
             io_error_until_op: u64::MAX,
             crash_at_op: None,
-            delay: None,
         }
     }
 }
@@ -225,21 +221,12 @@ pub struct FaultInjector {
     node_ops: Vec<AtomicU64>,
     kv_ops: AtomicU64,
     counters: Arc<Counters>,
-    clock: Arc<dyn Clock>,
 }
 
 impl FaultInjector {
-    /// An injector for `nodes` nodes running `plan`, whose time-dependent
-    /// faults (slow-replica delays) and downstream consumers (retry
-    /// backoff, hedging thresholds) run on `clock` — pass a
-    /// [`VirtualClock`] for wall-clock-free replays. Injected faults are
+    /// An injector for `nodes` nodes running `plan`. Injected faults are
     /// counted in `counters`.
-    pub fn new(
-        nodes: usize,
-        plan: FaultPlan,
-        clock: Arc<dyn Clock>,
-        counters: Arc<Counters>,
-    ) -> Self {
+    pub fn new(nodes: usize, plan: FaultPlan, counters: Arc<Counters>) -> Self {
         FaultInjector {
             node_ops: (0..nodes.max(plan.node_faults.len()))
                 .map(|_| counter_u64(0))
@@ -247,18 +234,12 @@ impl FaultInjector {
             kv_ops: counter_u64(0),
             counters,
             plan,
-            clock,
         }
     }
 
     /// The plan being executed.
     pub fn plan(&self) -> &FaultPlan {
         &self.plan
-    }
-
-    /// The clock the harness (and the cluster built around it) runs on.
-    pub fn clock(&self) -> &Arc<dyn Clock> {
-        &self.clock
     }
 
     /// Ops observed on node `index` so far.
@@ -271,15 +252,14 @@ impl FaultInjector {
             .map_or(0, |c| c.load(Ordering::Relaxed))
     }
 
-    /// Decide the fate of the next op on node `index`: an optional
-    /// slow-replica delay to apply, or an injected fault. Advances the
-    /// node's op counter.
-    pub fn before_node_op(&self, index: usize) -> Result<Option<Duration>, InjectedFault> {
+    /// Decide the fate of the next op on node `index`: served, or an
+    /// injected fault. Advances the node's op counter.
+    pub fn before_node_op(&self, index: usize) -> Result<(), InjectedFault> {
         let Some(spec) = self.plan.node_faults.get(index) else {
-            return Ok(None);
+            return Ok(());
         };
         let Some(counter) = self.node_ops.get(index) else {
-            return Ok(None);
+            return Ok(());
         };
         let op = counter.fetch_add(1, Ordering::Relaxed);
         if spec.crash_at_op == Some(op) {
@@ -301,11 +281,7 @@ impl FaultInjector {
                 return Err(InjectedFault::Io);
             }
         }
-        if let Some(d) = spec.delay {
-            self.counters.delays.fetch_add(1, Ordering::Relaxed);
-            return Ok(Some(d));
-        }
-        Ok(None)
+        Ok(())
     }
 }
 
@@ -331,14 +307,10 @@ impl ShardFaultHook for FaultInjector {
 mod tests {
     use super::*;
 
-    /// An injector on the wall clock, counting into its own set.
+    /// An injector counting into its own set.
     fn injector(nodes: usize, plan: FaultPlan) -> (FaultInjector, Arc<Counters>) {
         let counters = Arc::new(Counters::default());
-        let clock = Arc::new(SystemClock::new());
-        (
-            FaultInjector::new(nodes, plan, clock, counters.clone()),
-            counters,
-        )
+        (FaultInjector::new(nodes, plan, counters.clone()), counters)
     }
 
     #[test]
@@ -380,7 +352,7 @@ mod tests {
             if op == 5 {
                 assert_eq!(r, Err(InjectedFault::Crash));
             } else {
-                assert_eq!(r, Ok(None));
+                assert_eq!(r, Ok(()));
             }
         }
         assert_eq!(counters.snapshot().crashes, 1);
@@ -405,7 +377,7 @@ mod tests {
             assert_eq!(inj.before_node_op(0), Err(InjectedFault::Io));
         }
         for _ in 0..10 {
-            assert_eq!(inj.before_node_op(0), Ok(None));
+            assert_eq!(inj.before_node_op(0), Ok(()));
         }
     }
 
@@ -415,16 +387,16 @@ mod tests {
         plan.set_node(
             0,
             NodeFaultSpec {
-                delay: Some(Duration::from_micros(50)),
+                io_error_prob: 1.0,
                 ..NodeFaultSpec::default()
             },
         );
         let (inj, counters) = injector(2, plan);
-        assert_eq!(inj.before_node_op(0), Ok(Some(Duration::from_micros(50))));
+        assert_eq!(inj.before_node_op(0), Err(InjectedFault::Io));
         // Node 1 has no spec; node 7 is outside the vector entirely.
-        assert_eq!(inj.before_node_op(1), Ok(None));
-        assert_eq!(inj.before_node_op(7), Ok(None));
-        assert_eq!(counters.snapshot().delays, 1);
+        assert_eq!(inj.before_node_op(1), Ok(()));
+        assert_eq!(inj.before_node_op(7), Ok(()));
+        assert_eq!(counters.snapshot().io_errors, 1);
     }
 
     #[test]

@@ -38,9 +38,7 @@ pub mod scenario;
 pub mod sync;
 pub mod vdi;
 
-pub use cluster::{
-    Cluster, ClusterConfig, ClusterError, ReadPolicy, ReintegrationStats, WriteQuorum,
-};
+pub use cluster::{Cluster, ClusterConfig, ClusterError, ReintegrationStats};
 pub use counters::{CounterSnapshot, Counters};
 pub use dirty_store::{KvDirtyTable, KvHeaderStore};
 pub use fault::{

@@ -38,7 +38,7 @@ pub enum Mutation {
     AckBeforeWrite,
     /// The read path's `acceptable` check admits copies older than the
     /// header version, so superseded replicas awaiting collection
-    /// become observable (`hedged-stale-bug` by byte assertion,
+    /// become observable (`stale-read-bug` by byte assertion,
     /// `lin-stale-read-bug` by history).
     AcceptStale,
     /// The read path stops counting an open breaker toward "could this

@@ -177,16 +177,13 @@ impl StorageNode {
         }
     }
 
-    /// Consult the fault plan before serving an op: sleep through a
-    /// slow-replica delay, fail with [`NodeError::Io`] on an injected
-    /// error, or crash (losing the disk) on a crash-at-op event.
+    /// Consult the fault plan before serving an op: fail with
+    /// [`NodeError::Io`] on an injected error, or crash (losing the disk)
+    /// on a crash-at-op event.
     fn fault_gate(&self) -> Result<(), NodeError> {
         if let Some(inj) = &self.fault {
             match inj.before_node_op(self.id.index()) {
-                Ok(None) => {}
-                // Slow-replica delays run on the injector's clock, so a
-                // virtual clock turns them into pure time accounting.
-                Ok(Some(delay)) => inj.clock().sleep(delay),
+                Ok(()) => {}
                 Err(InjectedFault::Io) => return Err(NodeError::Io),
                 Err(InjectedFault::Crash) => {
                     self.crash();
@@ -523,7 +520,7 @@ mod tests {
     #[test]
     fn fault_gate_injects_errors_then_crashes() {
         use crate::counters::Counters;
-        use crate::fault::{FaultInjector, FaultPlan, NodeFaultSpec, SystemClock};
+        use crate::fault::{FaultInjector, FaultPlan, NodeFaultSpec};
         let mut plan = FaultPlan::default();
         plan.set_node(
             3,
@@ -531,12 +528,10 @@ mod tests {
                 io_error_prob: 1.0,
                 io_error_until_op: 2,
                 crash_at_op: Some(4),
-                ..NodeFaultSpec::default()
             },
         );
         let counters = Arc::new(Counters::default());
-        let clock = Arc::new(SystemClock::new());
-        let inj = Arc::new(FaultInjector::new(4, plan, clock, counters.clone()));
+        let inj = Arc::new(FaultInjector::new(4, plan, counters.clone()));
         let n = StorageNode::with_capacity_and_faults(ServerId(3), u64::MAX, Some(inj));
         // Ops 0 and 1 fail with transient errors; nothing is stored.
         assert_eq!(

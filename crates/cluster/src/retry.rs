@@ -123,8 +123,8 @@ impl Classify for ClusterError {
 /// A per-operation deadline budget on an injected [`Clock`].
 ///
 /// A deadline is an absolute clock reading, fixed once when the
-/// operation starts and threaded by value through retries, hedged reads
-/// and per-replica sends — every layer asks the same question
+/// operation starts and threaded by value through retries, replica
+/// probes and per-replica sends — every layer asks the same question
 /// ("expired yet?") against the same instant, so nested retry loops
 /// cannot each spend a full budget of their own. On a
 /// [`crate::fault::VirtualClock`] the budget is consumed purely by

@@ -29,25 +29,14 @@
 
 #[cfg(feature = "modelcheck")]
 pub use ech_modelcheck::sync::{
-    footprint_read, footprint_write, msg_fate, on_model_thread, AtomicBool, AtomicU64, MsgFate,
-    Mutex, MutexGuard, Ordering,
+    footprint_read, footprint_write, msg_fate, AtomicBool, AtomicU64, MsgFate, Mutex, MutexGuard,
+    Ordering,
 };
 
 #[cfg(not(feature = "modelcheck"))]
 pub use parking_lot::{Mutex, MutexGuard};
 #[cfg(not(feature = "modelcheck"))]
 pub use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-
-/// Is the caller running on a model-checker virtual thread? Always
-/// false in production builds; under the `modelcheck` feature this is
-/// the checker's own query. Data-path code uses it to avoid spawning
-/// helper OS threads the virtual scheduler cannot see (e.g. the hedged
-/// read probes inline instead).
-#[cfg(not(feature = "modelcheck"))]
-#[inline]
-pub fn on_model_thread() -> bool {
-    false
-}
 
 /// Declare a *read* of coarse shared state the model checker's
 /// instrumentation cannot see (raw-locked maps, kv-store backed tables)

@@ -61,16 +61,6 @@ fn vthread() -> Option<(Arc<sched::Session>, usize)> {
     }
 }
 
-/// Is the calling thread a scheduled virtual thread of a model-check
-/// session? Production code may branch on this to substitute a
-/// scheduler-visible synchronous path for machinery the explorer cannot
-/// observe (e.g. a helper OS thread plus a real-time wait). The
-/// non-modelcheck facades ship a constant-`false` shim, so such
-/// branches compile away in release builds.
-pub fn on_model_thread() -> bool {
-    vthread().is_some()
-}
-
 /// Declare a *read* of coarse shared state the instrumentation cannot
 /// see (raw-locked maps, pass-through counters feeding control flow)
 /// under the caller-chosen footprint key. Not a yield point; no-op off
