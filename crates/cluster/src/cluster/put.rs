@@ -9,7 +9,8 @@ impl Cluster {
     ///
     /// The write is acknowledged once the primary and a majority of the
     /// secondaries hold it (`required_acks`). The primary replica is
-    /// mandatory; transiently-failing nodes are retried under the
+    /// mandatory and written first, so a put it refuses leaves no copy
+    /// behind; transiently-failing nodes are retried under the
     /// configured [`RetryPolicy`](crate::retry::RetryPolicy). Secondaries
     /// still missing after retries are recorded in the dirty table —
     /// exactly like power-offloaded writes — so [`Cluster::heal_dirty`]
@@ -75,13 +76,17 @@ impl Cluster {
         let mut written = 0usize;
         let mut missed = 0usize;
         let mut permanent: Option<NodeError> = None;
-        for (rank, &server) in servers.iter().enumerate() {
+        // The primary goes first: a put it refuses then fails before any
+        // secondary holds a copy that no header names.
+        let slots = servers.iter().enumerate();
+        let secondaries = slots.clone().filter(|&(rank, _)| rank != primary);
+        for (rank, &server) in slots.skip(primary).take(1).chain(secondaries) {
             let node = self.node(server)?;
             if rank != primary && deadline.expired(&*self.clock) {
-                // Budget gone: don't even send to the remaining
-                // secondaries — count them missed and let the quorum
-                // accounting below decide whether the write can still
-                // degrade into an ack.
+                // Budget gone after the primary: don't even send to the
+                // remaining secondaries — count them missed and let the
+                // quorum accounting below decide whether the write can
+                // still degrade into an ack.
                 missed += 1;
                 continue;
             }

@@ -7,9 +7,10 @@ use bytes::Bytes;
 use ech_cluster::{Cluster, ClusterConfig};
 use ech_core::ids::ObjectId;
 
-/// r = 3 under the default primary-plus-majority quorum, with server 0
-/// (a primary) powered off but still placed: every put whose primary is
-/// server 0 is refused, and every acked put holds its primary replica.
+/// r = 3 under the primary-plus-majority quorum, with server 0 (a
+/// primary) powered off but still placed: every put whose primary is
+/// server 0 is refused and leaves no copy on any node, and every acked
+/// put holds its primary replica.
 #[test]
 fn acked_write_holds_its_primary_when_the_primary_is_unreachable() {
     let mut cfg = ClusterConfig::paper();
@@ -30,7 +31,13 @@ fn acked_write_holds_its_primary_when_the_primary_is_unreachable() {
                 "object {i} acked without its primary {}",
                 primaries[0]
             ),
-            Err(_) => refused += 1,
+            Err(_) => {
+                refused += 1;
+                assert!(
+                    c.nodes().iter().all(|n| !n.holds(oid)),
+                    "refused object {i} left a copy no header names"
+                );
+            }
         }
     }
     assert!(on_server_0 > 0, "server 0 is the primary of some objects");
