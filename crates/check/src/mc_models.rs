@@ -765,13 +765,15 @@ fn read_crash(env: &mut Env, _: Option<Mutation>) {
     let view = mirror_view(3, 2, Strategy::Primary);
     let (oid, placement) = (0..64)
         .map(ObjectId)
-        .find_map(|o| {
-            let p = view.place_current(o).ok()?;
-            (p.primary_slot() == 0).then_some((o, p))
-        })
-        .expect("some object places its primary in slot 0");
+        .filter_map(|o| Some((o, view.place_current(o).ok()?)))
+        .find(|(_, p)| view.layout().is_primary(p.servers()[0]))
+        .expect("some object places a primary server in slot 0");
     let primary = placement.servers()[0];
-    assert_eq!(placement.primary_slot(), 0, "the primary is in slot 0");
+    assert_eq!(
+        placement.primary_slot(),
+        0,
+        "Algorithm 1 filled slot 0 with the primary"
+    );
     assert_eq!(
         placement
             .primary_replicas(view.layout())

@@ -262,9 +262,10 @@ impl Cluster {
     /// the injector is threaded through every node's data path and
     /// installed as the key-value store's shard-fault hook, and retry
     /// backoff, kv brown-out waits, message delays, rpc timeouts and
-    /// operation deadlines all consume `clock`. A [`crate::fault::VirtualClock`]
-    /// makes a whole drill replayable without real-time dependence
-    /// (`ech chaos` uses one); [`SystemClock`] runs on the wall clock.
+    /// operation deadlines all consume `clock`. A
+    /// [`crate::fault::VirtualClock`] makes a whole drill replayable
+    /// without real-time dependence (`ech chaos` uses one);
+    /// [`SystemClock`] runs on the wall clock.
     pub fn with_faults(cfg: ClusterConfig, plan: FaultPlan, clock: Arc<dyn Clock>) -> Arc<Self> {
         Self::build(cfg, Some((plan, clock)))
     }
@@ -492,8 +493,8 @@ impl Cluster {
     /// Every event counter of the cluster: the data path's retries,
     /// degraded acks, unavailable reads and budget failures, the injected
     /// node and kv faults, the fabric's message verdicts and the breakers'
-    /// trips and fast-fails. Fields a cluster has no part for (no fault plan,
-    /// no fabric, no breakers) stay zero.
+    /// trips and fast-fails. Fields a cluster has no part for (no fault
+    /// plan, no fabric, no breakers) stay zero.
     pub fn counters(&self) -> CounterSnapshot {
         self.counters.snapshot()
     }

@@ -2,10 +2,11 @@
 //!
 //! A [`FaultPlan`] declares, per node, a transient I/O error probability
 //! (optionally limited to an op-count window) and a crash-at-op-N event,
-//! plus shard-unavailability windows for the backing key-value store. A [`FaultInjector`] executes the plan with no
-//! wall-clock or global RNG state: every decision is a pure hash of
-//! `(seed, node, op-counter)`, so a run with the same plan and the same
-//! operation order injects exactly the same faults.
+//! plus shard-unavailability windows for the backing key-value store. A
+//! [`FaultInjector`] executes the plan with no wall-clock or global RNG
+//! state: every decision is a pure hash of `(seed, node, op-counter)`,
+//! so a run with the same plan and the same operation order injects
+//! exactly the same faults.
 //!
 //! The injector is threaded through [`crate::node::StorageNode`] and
 //! (via [`ech_kvstore::ShardFaultHook`]) through the key-value store. Both
