@@ -41,8 +41,9 @@
 //! - **D10 forbidden text by path** — a table of retired names and
 //!   patterns (copied mutant bodies, a second retry runner, the string
 //!   header key, the dirty-entry text codec, the placement cache, a
-//!   locked view, a second recorder naming site), each banned from the
-//!   paths it once lived in, matched in raw text like D9.
+//!   locked view, a second recorder naming site, retired extensions and
+//!   uncalled helpers), each banned from the paths it once lived in,
+//!   matched in raw text like D9.
 //!
 //! Any finding fails the run. Findings carry stable line-number-free
 //! keys; an inline `// ech-allow(<rule>): reason` comment is the only

@@ -2,16 +2,12 @@
 //! work, and the rest of the five-trace family.
 
 use crate::row;
-use ech_core::writebalance::{relayout_fraction, WriteBalancer};
-use ech_sim::closed_loop::run_closed_loop;
 use ech_sim::controller::{
     evaluate, MovingAverageController, ReactiveController, ResizeController, SizerConfig,
     TrendController,
 };
 use ech_sim::des::{read_latency_under_reintegration, DesConfig, MigrationLoad};
-use ech_sim::{ElasticityMode, SimConfig};
 use ech_traces::{analyze, simulate, synth, PolicyKind, PolicyParams};
-use ech_workload::series::generate;
 
 /// Resize-policy controllers (the paper's future work: "a resizing
 /// policy based on workload profiling and prediction"): reactive,
@@ -127,116 +123,6 @@ pub(crate) fn des_tail_latency(out: &mut String) {
                 format!("{:.1}", s.p90 * 1e3),
                 format!("{:.1}", s.p99 * 1e3),
                 format!("{:.1}", s.max * 1e3),
-            ],
-        );
-    }
-}
-
-/// Dynamic primary count (SpringFS-style write balancing; §I notes that
-/// "the small number of primary servers limits the write performance"):
-/// the static trade of write ceiling vs power floor vs re-layout cost
-/// per `p`, then the [`WriteBalancer`] over a bursty write profile.
-pub(crate) fn dynamic_primaries(out: &mut String) {
-    let n = 10usize;
-    let base = 10_000u32;
-
-    outln!(
-        out,
-        "static trade (n = {n}, r = 2, 30 MB/s primary write rate):"
-    );
-    row(out, &["p", "write-ceil", "floor", "relayout%"]);
-    for p in [2usize, 3, 4, 5] {
-        // Ceiling: primary tier absorbs 1/r of client writes.
-        let ceiling_mbps = p as f64 * 30.0 * 2.0;
-        row(
-            out,
-            &[
-                p.to_string(),
-                format!("{ceiling_mbps:.0} MB/s"),
-                format!("{p} srv"),
-                format!("{:.1}", 100.0 * relayout_fraction(n, base, 2, p)),
-            ],
-        );
-    }
-
-    outln!(out);
-    outln!(out, "dynamic run over a bursty write profile (60 s bins):");
-    let writes = generate::bursty(240, 60.0, 60.0e6, 0.05, 5.0, 0.6, 0.05, 21);
-    let mut balancer = WriteBalancer::new(n, 2, 30.0e6, 15);
-    let mut changes = 0usize;
-    let mut relayout_total = 0.0f64;
-    let mut p_hours = 0.0f64;
-    let mut prev_p = balancer.current();
-    for &w in &writes.load {
-        if let Some(new_p) = balancer.observe(w) {
-            changes += 1;
-            relayout_total += relayout_fraction(n, base, prev_p, new_p);
-            prev_p = new_p;
-        }
-        p_hours += balancer.current() as f64 / 60.0;
-    }
-    outln!(out, "  p changes: {changes}");
-    outln!(
-        out,
-        "  cumulative re-layout bill: {:.1}% of the keyspace",
-        100.0 * relayout_total
-    );
-    outln!(
-        out,
-        "  mean power floor: {:.2} servers (static p=5 would pin 5.00)",
-        p_hours / (writes.load.len() as f64 / 60.0)
-    );
-}
-
-/// The closed loop: controller + elastic mechanisms + fluid cluster end
-/// to end. A bursty offered-load series drives the paper-testbed cluster
-/// in Primary+selective mode under four controllers: power saved,
-/// demand delivered, and the data selective re-integration moved.
-pub(crate) fn closed_loop(out: &mut String) {
-    // 40 minutes of bursty load at 10 s bins against the 10-node testbed.
-    let series = generate::bursty(240, 10.0, 60.0e6, 0.04, 4.0, 0.75, 0.05, 33);
-    let sizer = SizerConfig {
-        per_server_rate: 40.0e6,
-        min: 2,
-        max: 10,
-        headroom: 0.25,
-    };
-
-    let mut controllers: Vec<Box<dyn ResizeController>> = vec![
-        Box::new(ReactiveController::new(sizer, 1, 1)),
-        Box::new(ReactiveController::new(sizer, 4, 2)),
-        Box::new(MovingAverageController::new(sizer, 6, 4, 2)),
-        Box::new(TrendController::new(sizer, 6, 4)),
-    ];
-
-    let full_power_ms = 10.0 * series.duration_seconds();
-    row(
-        out,
-        &[
-            "controller",
-            "mach-sec",
-            "saved%",
-            "delivery%",
-            "migrated MB",
-            "peak dirty",
-        ],
-    );
-    for ctl in controllers.iter_mut() {
-        let run = run_closed_loop(
-            SimConfig::paper_testbed(ElasticityMode::PrimarySelective),
-            &series,
-            0.3,
-            ctl.as_mut(),
-        );
-        row(
-            out,
-            &[
-                run.controller.clone(),
-                format!("{:.0}", run.machine_seconds),
-                format!("{:.1}", 100.0 * (1.0 - run.machine_seconds / full_power_ms)),
-                format!("{:.1}", 100.0 * run.delivery_ratio()),
-                format!("{:.1}", run.migrated_bytes / 1e6),
-                run.peak_dirty.to_string(),
             ],
         );
     }

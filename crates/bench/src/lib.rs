@@ -116,16 +116,6 @@ pub const EXPERIMENTS: &[Experiment] = &[
         run: extension::des_tail_latency,
     },
     Experiment {
-        id: "ext_dynamic_primaries",
-        caption: "Extension: dynamic primary count: write ceiling vs power floor vs re-layout cost",
-        run: extension::dynamic_primaries,
-    },
-    Experiment {
-        id: "ext_closed_loop",
-        caption: "Extension: closed loop: controller + elastic cluster on a bursty profile",
-        run: extension::closed_loop,
-    },
-    Experiment {
         id: "ext_all_traces",
         caption: "Extension: Table II over the full five-trace family (CC-a..CC-e)",
         run: extension::all_traces,

@@ -3,7 +3,7 @@
 
 use ech_cli::args::{Args, ParseError};
 use ech_core::ids::ObjectId;
-use ech_core::layout::{CapacityPlan, Layout};
+use ech_core::layout::{primary_count, CapacityPlan, Layout};
 use ech_core::membership::MembershipTable;
 use ech_core::placement::{place, Strategy};
 use ech_sim::experiments::{fig2_schedule, resize_agility, three_phase};
@@ -71,20 +71,32 @@ The checker hosts — modelcheck, lincheck, bench modelcheck — are the
     .to_owned())
 }
 
-fn layout(args: &Args) -> Result<String, ParseError> {
-    args.allow_only(&["servers", "base", "primaries", "data-gb"])?;
+/// `--servers` and `--base`, as the commands that build a layout take
+/// them.
+fn servers_and_base(args: &Args) -> Result<(usize, u32), ParseError> {
     let n: usize = args.get_or("servers", 10)?;
     if n == 0 {
         return Err(ParseError("--servers must be at least 1".into()));
     }
-    let base: u32 = args.get_or("base", 10_000)?;
-    let p: usize = args.get_or("primaries", ech_core::layout::primary_count(n))?;
-    let data_gb: u64 = args.get_or("data-gb", 1_000)?;
+    Ok((n, args.get_or("base", 10_000)?))
+}
+
+/// Reject the shapes `Layout::equal_work_with_primaries` asserts against.
+fn check_layout(n: usize, base: u32, p: usize) -> Result<(), ParseError> {
     if p == 0 || p > n || (base as usize) < n {
         return Err(ParseError(format!(
             "invalid layout: servers {n}, primaries {p}, base {base}"
         )));
     }
+    Ok(())
+}
+
+fn layout(args: &Args) -> Result<String, ParseError> {
+    args.allow_only(&["servers", "base", "primaries", "data-gb"])?;
+    let (n, base) = servers_and_base(args)?;
+    let p: usize = args.get_or("primaries", primary_count(n))?;
+    let data_gb: u64 = args.get_or("data-gb", 1_000)?;
+    check_layout(n, base, p)?;
     let layout = Layout::equal_work_with_primaries(n, base, p);
     const GB: u64 = 1 << 30;
     let tiers = [
@@ -125,11 +137,10 @@ fn layout(args: &Args) -> Result<String, ParseError> {
 
 fn place_cmd(args: &Args) -> Result<String, ParseError> {
     args.allow_only(&["servers", "oid", "replicas", "active", "strategy", "base"])?;
-    let n: usize = args.get_or("servers", 10)?;
+    let (n, base) = servers_and_base(args)?;
     let oid: u64 = args.get_or("oid", 0)?;
     let r: usize = args.get_or("replicas", 2)?;
     let active: usize = args.get_or("active", n)?;
-    let base: u32 = args.get_or("base", 10_000)?;
     let strategy = match args.str_or("strategy", "primary") {
         "primary" => Strategy::Primary,
         "original" => Strategy::Original,
@@ -138,6 +149,7 @@ fn place_cmd(args: &Args) -> Result<String, ParseError> {
     if active == 0 || active > n {
         return Err(ParseError(format!("--active {active} out of 1..={n}")));
     }
+    check_layout(n, base, primary_count(n))?;
     let layout = match strategy {
         Strategy::Primary => Layout::equal_work(n, base),
         Strategy::Original => Layout::uniform(n, base),
@@ -261,8 +273,8 @@ fn latency_cmd(args: &Args) -> Result<String, ParseError> {
     use ech_sim::des::{read_latency_under_reintegration, DesConfig, MigrationLoad};
     args.allow_only(&["migration", "rate"])?;
     let rate: f64 = args.get_or("rate", 40.0)?;
-    if rate <= 0.0 {
-        return Err(ParseError("--rate must be positive".into()));
+    if !(rate.is_finite() && rate > 0.0) {
+        return Err(ParseError("--rate must be finite and positive".into()));
     }
     let migration = match args.str_or("migration", "selective") {
         "none" => MigrationLoad::None,
@@ -365,6 +377,27 @@ mod tests {
         assert!(run_line("place --servers 10 --active 0").is_err());
     }
 
+    /// A base below the server count is rejected as `ech layout` rejects
+    /// it, not left to the layout's assert.
+    #[test]
+    fn place_rejects_bad_shapes() {
+        for line in ["place --base 5", "place --base 0", "layout --base 5"] {
+            assert_eq!(
+                run_line(line).unwrap_err().0,
+                "invalid layout: servers 10, primaries 2, base ".to_owned()
+                    + line.rsplit(' ').next().unwrap(),
+                "`{line}`"
+            );
+        }
+        for line in ["place --servers 0", "layout --servers 0"] {
+            assert_eq!(
+                run_line(line).unwrap_err().0,
+                "--servers must be at least 1",
+                "`{line}`"
+            );
+        }
+    }
+
     #[test]
     fn place_original_strategy_works() {
         let out = run_line("place --strategy original --oid 5").unwrap();
@@ -410,6 +443,18 @@ mod tests {
         assert_eq!(out.lines().count(), 7);
         assert!(run_line("latency --migration warp").is_err());
         assert!(run_line("latency --rate 0").is_err());
+    }
+
+    /// A non-finite rate is rejected before it reaches the queue model.
+    #[test]
+    fn latency_rejects_non_finite_rates() {
+        for rate in ["NaN", "inf", "-inf"] {
+            assert_eq!(
+                run_line(&format!("latency --rate {rate}")).unwrap_err().0,
+                "--rate must be finite and positive",
+                "--rate {rate}"
+            );
+        }
     }
 
     #[test]

@@ -68,8 +68,8 @@ impl Layout {
     /// exactly one primary replica, so per-primary write load scales as
     /// `1/(r·p)`) at the cost of a higher minimum power state (`p`
     /// servers can never turn off). The paper's fixed choice is
-    /// [`primary_count`]; this constructor enables the dynamic variant —
-    /// see [`crate::writebalance`] for the policy that picks `p`.
+    /// [`primary_count`]; this constructor lets the primary-count ablation
+    /// and `ech layout --primaries` sweep other values.
     ///
     /// # Panics
     /// Panics if `p == 0`, `p > n`, or `base < n`.

@@ -146,9 +146,6 @@ pub struct ClusterSim {
     allocator: ObjectAllocator,
     write_accum: f64,
     workload: Option<WorkloadRun>,
-    /// Open-ended offered load (bytes/s read, bytes/s write) used when no
-    /// phase workload is attached — the closed-loop controller mode.
-    offered: Option<(f64, f64)>,
 
     // Telemetry.
     last_client_throughput: f64,
@@ -197,7 +194,6 @@ impl ClusterSim {
             allocator: ObjectAllocator::new(0),
             write_accum: 0.0,
             workload: None,
-            offered: None,
             last_client_throughput: 0.0,
             last_background_rate: 0.0,
             machine_seconds: 0.0,
@@ -253,16 +249,6 @@ impl ClusterSim {
     /// Attach a workload; it starts consuming from the next step.
     pub fn start_workload(&mut self, w: &Workload) {
         self.workload = Some(WorkloadRun::new(w));
-        self.offered = None;
-    }
-
-    /// Drive the cluster with an open-ended offered load instead of a
-    /// phase workload: `read_rate` + `write_rate` bytes/s of demand every
-    /// tick until changed. Used by closed-loop controller experiments.
-    pub fn set_offered_load(&mut self, read_rate: f64, write_rate: f64) {
-        assert!(read_rate >= 0.0 && write_rate >= 0.0);
-        self.workload = None;
-        self.offered = Some((read_rate, write_rate));
     }
 
     /// Desired powered-server count. Clamped to the mode's minimum and the
@@ -616,16 +602,7 @@ impl ClusterSim {
         let background_bw = 2.0 * background_payload / dt;
         let client_bw = (total_bw - background_bw).max(0.0);
         let mut client_tp = 0.0;
-        if let Some((read_rate, write_rate)) = self.offered {
-            let offered = read_rate + write_rate;
-            if offered > 0.0 {
-                let wf = write_rate / offered;
-                let cost = wf * self.cfg.replicas as f64 + (1.0 - wf);
-                let capacity = if cost > 0.0 { client_bw / cost } else { 0.0 };
-                client_tp = offered.min(self.cfg.client_cap).min(capacity);
-                self.write_accum += client_tp * wf * dt;
-            }
-        } else if let Some(run) = self.workload.as_mut() {
+        if let Some(run) = self.workload.as_mut() {
             if !run.done() {
                 let wf = run.write_fraction();
                 // Each client write byte lands on r servers; each read

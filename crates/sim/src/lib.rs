@@ -27,12 +27,9 @@
 //!   FIFO disk queues shared by client reads and re-integration
 //!   transfers, quantifying the latency tail the throughput figures only
 //!   hint at.
-//! * [`closed_loop`] — controller + elastic mechanisms + simulator wired
-//!   end to end: the complete power-proportional storage system.
 //! * [`energy`] — per-state power model and energy meter, turning
 //!   machine-hours into kWh.
 
-pub mod closed_loop;
 pub mod cluster_sim;
 pub mod config;
 pub mod controller;

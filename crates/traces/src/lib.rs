@@ -12,7 +12,6 @@
 //! * reports relative machine-hour usage (Table II) and per-bin server
 //!   counts (the Figure 8/9 series).
 
-pub mod io;
 pub mod policy;
 pub mod spec;
 pub mod synth;
