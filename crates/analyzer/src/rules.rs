@@ -2028,6 +2028,18 @@ const fn retired_row(needle: &'static str, (why, now): (&'static str, &'static s
     }
 }
 
+/// A row banning `serde` from one library crate's `src/`.
+const fn no_serde_row(scope: &'static str) -> D10Row {
+    D10Row {
+        scope,
+        needle: "serde",
+        except: D10Except::Nowhere,
+        why: "nothing serializes a library type: a restarted coordinator takes the in-memory \
+              view, and recovery reads the dirty table and object headers (§III-E)",
+        now: "in-memory values only; `ech-check` and the benchmark write the JSON reports",
+    }
+}
+
 /// Retired names and patterns, each banned from the paths it lived in.
 pub const D10_ROWS: &[D10Row] = &[
     D10Row {
@@ -2203,6 +2215,11 @@ pub const D10_ROWS: &[D10Row] = &[
               wrote a trace file",
         now: "`synth::cc_a()` .. `synth::all_traces()`",
     },
+    no_serde_row("crates/core/src/"),
+    no_serde_row("crates/kvstore/src/"),
+    no_serde_row("crates/sim/src/"),
+    no_serde_row("crates/traces/src/"),
+    no_serde_row("crates/workload/src/"),
 ];
 
 impl D10Row {
@@ -2236,9 +2253,10 @@ impl D10Row {
 /// one-task drain alias, the per-family counter snapshots, the second
 /// SplitMix64, the second ring hash, the placement-engine harness, the
 /// read policies, the write-quorum option, the dynamic primary count,
-/// the closed loop, the object pickers and trace file I/O stay gone, and
-/// one facade names the history recorder. Like D9 it scans
-/// raw file text, comments included, so a needle cannot hide in a doc.
+/// the closed loop, the object pickers and trace file I/O stay gone,
+/// `serde` stays out of the library crates, and one facade names the
+/// history recorder. Like D9 it scans raw file text, comments included,
+/// so a needle cannot hide in a doc.
 fn d10_forbidden_text(units: &[Unit], out: &mut Vec<Finding>) {
     for row in D10_ROWS {
         for u in units.iter().filter(|u| row.covers(&u.path)) {

@@ -1089,6 +1089,27 @@ const D10_CASES: &[(&str, &str, &str)] = &[
         "crates/traces/src/lib.rs",
         "crates/cli/src/lib.rs",
     ),
+    (
+        "serde",
+        "crates/core/src/view.rs",
+        "crates/check/src/bench_mc.rs",
+    ),
+    (
+        "serde",
+        "crates/kvstore/src/store.rs",
+        "benchmark/src/metrics.rs",
+    ),
+    ("serde", "crates/sim/src/config.rs", "benchmark/src/main.rs"),
+    (
+        "serde",
+        "crates/traces/src/spec.rs",
+        "crates/cli/src/main.rs",
+    ),
+    (
+        "serde",
+        "crates/workload/src/series.rs",
+        "crates/core/tests/engines.rs",
+    ),
 ];
 
 fn d10_lines(path: &str, text: &str) -> Vec<u32> {

@@ -51,7 +51,7 @@ COMMANDS:
   three-phase     run the §V-A 3-phase simulation, CSV to stdout
                   [--mode no-resizing|original|full|selective] [--valley S]
   resize-agility  run the Figure 2 schedule, CSV to stdout
-                  [--mode original|selective] [--objects N]
+                  [--mode no-resizing|original|full|selective] [--objects N]
   trace           trace-driven policy analysis (Table II style)
                   [--name cc-a|cc-b|cc-c|cc-d|cc-e]
   latency         read-latency tail during re-integration (queue model)
@@ -223,10 +223,18 @@ fn three_phase_cmd(args: &Args) -> Result<String, ParseError> {
     Ok(out)
 }
 
+/// Largest `resize-agility --objects`: the preload is held in memory,
+/// and 10⁶ objects already take most of a second to run.
+const MAX_AGILITY_OBJECTS: usize = 1_000_000;
+
 fn resize_agility_cmd(args: &Args) -> Result<String, ParseError> {
     args.allow_only(&["mode", "objects"])?;
     let mode = parse_mode(args.str_or("mode", "original"))?;
     let objects: usize = args.get_or("objects", 3_500)?;
+    if objects > MAX_AGILITY_OBJECTS {
+        let msg = format!("--objects must be at most {MAX_AGILITY_OBJECTS}");
+        return Err(ParseError(msg));
+    }
     let run = resize_agility(mode, &fig2_schedule(), 330.0, objects);
     let mut out = String::new();
     writeln!(out, "time_s,ideal,actual").expect("write to string");
@@ -429,11 +437,26 @@ mod tests {
         assert!(run_line("three-phase --mode warp").is_err());
     }
 
+    /// Every mode the help lists runs.
     #[test]
     fn resize_agility_csv() {
-        let out = run_line("resize-agility --mode selective --objects 500").unwrap();
-        assert!(out.starts_with("time_s,ideal,actual"));
-        assert!(out.contains("# mean_gap="));
+        let help = run_line("help").unwrap();
+        assert!(help.contains("[--mode no-resizing|original|full|selective] [--objects N]"));
+        for mode in ["no-resizing", "original", "full", "selective"] {
+            let out = run_line(&format!("resize-agility --mode {mode} --objects 500")).unwrap();
+            assert!(out.starts_with("time_s,ideal,actual"), "{mode}");
+            assert!(out.contains("# mean_gap="), "{mode}");
+        }
+    }
+
+    /// The preload is capped before it is allocated: an oversized
+    /// `--objects` is a parse error, not an allocator abort.
+    #[test]
+    fn resize_agility_caps_objects() {
+        for n in ["1000001", "99999999999999"] {
+            let err = run_line(&format!("resize-agility --objects {n}")).unwrap_err();
+            assert_eq!(err.0, "--objects must be at most 1000000", "--objects {n}");
+        }
     }
 
     #[test]

@@ -14,11 +14,10 @@
 //! of §IV on `DirtyEntry` records).
 
 use crate::ids::{ObjectId, VersionId};
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
 /// One dirty-table record: an object and the version it was last written.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct DirtyEntry {
     /// The written object.
     pub oid: ObjectId,
@@ -87,7 +86,7 @@ pub trait DirtyTable {
 }
 
 /// Reference in-memory dirty table.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct InMemoryDirtyTable {
     entries: VecDeque<DirtyEntry>,
 }
@@ -144,7 +143,7 @@ impl DirtyTable for InMemoryDirtyTable {
 /// adds the dirty bit. The re-integration engine consults headers to skip
 /// *stale* dirty entries — an entry `(oid, v)` whose object has since been
 /// rewritten at `v' > v` is superseded by the newer entry.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ObjectHeader {
     /// Last version this object was written in.
     pub version: VersionId,

@@ -40,12 +40,11 @@
 //!
 //! Engines are pure functions of `(n, oid, cursor)` — no interior state,
 //! no clocks, no ambient randomness (analyzer rule D1) — so placements
-//! are deterministic across runs, platforms and serde round-trips.
+//! are deterministic across runs and platforms.
 
 use crate::hash::{mix64, object_position};
 use crate::ids::{ObjectId, ServerId};
 use crate::ring::HashRing;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Which placement backend a view routes lookups through.
@@ -54,7 +53,7 @@ use std::fmt;
 /// hashed engines place uniformly; the equal-work capacity shaping of
 /// §III-C is a ring-layout property). All backends uphold the same
 /// `Cluster` invariants through the shared adapter.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum EngineKind {
     /// Weighted hash ring with successor LUT (the paper's structure).
     #[default]

@@ -6,11 +6,10 @@
 //! and additionally carry a *rank* in the expansion chain (§III-B): rank 1
 //! is powered off last, rank `n` first.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Universal identifier of a data object (the paper's *OID*).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ObjectId(pub u64);
 
 impl ObjectId {
@@ -40,7 +39,7 @@ impl From<u64> for ObjectId {
 /// (see [`Rank`]). In this crate the server at index `i` always has rank
 /// `i + 1`, which keeps examples aligned with the paper's figures where
 /// "server 1" is the highest-ranked primary.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ServerId(pub u32);
 
 impl ServerId {
@@ -69,7 +68,7 @@ impl fmt::Display for ServerId {
 /// Servers are powered **off** from the highest rank down and powered **on**
 /// from the lowest inactive rank up, so the set of active servers is always
 /// a prefix `1..=k` of the chain.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Rank(pub u32);
 
 impl Rank {
@@ -98,7 +97,7 @@ impl fmt::Display for Rank {
 /// Every resize event (any server changing power state) produces a new
 /// version; the [`crate::membership::MembershipHistory`] maps versions to
 /// membership tables so historical placements stay resolvable (§III-E1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct VersionId(pub u64);
 
 impl VersionId {

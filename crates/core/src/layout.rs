@@ -16,7 +16,6 @@
 
 use crate::ids::ServerId;
 use crate::ring::HashRing;
-use serde::{Deserialize, Serialize};
 
 /// Number of primary servers for an `n`-server cluster: `ceil(n / e²)`,
 /// clamped to at least 1 (§III-C).
@@ -29,7 +28,7 @@ pub fn primary_count(n: usize) -> usize {
 }
 
 /// How a cluster's virtual-node weights are assigned.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LayoutKind {
     /// Original consistent hashing: every server gets the same weight.
     Uniform,
@@ -38,7 +37,7 @@ pub enum LayoutKind {
 }
 
 /// A concrete weight assignment for an `n`-server cluster.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Layout {
     kind: LayoutKind,
     /// Fairness base `B`.
@@ -178,7 +177,7 @@ impl Layout {
 /// paper's remedy is a *small set* of capacity tiers (their example:
 /// 2 TB, 1.5 TB, 1 TB, 750 GB, 500 GB, 320 GB) with each tier assigned to a
 /// group of neighbouring ranks.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CapacityPlan {
     /// Capacity per server in bytes, index = server index.
     capacities: Vec<u64>,

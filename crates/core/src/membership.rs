@@ -7,14 +7,13 @@
 //! "no matter how many versions have passed".
 
 use crate::ids::{ServerId, VersionId};
-use serde::{Deserialize, Serialize};
 
 /// Power state of one server in one membership version.
 ///
 /// The elastic design keeps powered-down servers *in* the cluster (they
 /// "never leave the cluster when they are turned down", §IV); `Off` is a
 /// placement-visible state, not a departure.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PowerState {
     /// Active: serves I/O and receives placements.
     On,
@@ -30,29 +29,6 @@ pub struct MembershipTable {
     /// on every lookup, so it must not cost an O(n) scan — at 10⁴
     /// servers that scan, not the hash, dominates lookup latency.
     active: usize,
-}
-
-/// Only `states` travels on the wire: the active count is a derived
-/// cache — serializing it would break snapshots written before the
-/// cache existed, and a stale or hand-edited count would desync from
-/// `states` and corrupt every placement decision downstream. Hand-rolled
-/// impls keep the pre-cache `{"states": [...]}` shape and recompute the
-/// count on deserialize, ignoring any stored `active` field.
-impl Serialize for MembershipTable {
-    fn serialize_content(&self) -> serde::Content {
-        serde::Content::Map(vec![(
-            "states".to_string(),
-            serde::to_content(&self.states),
-        )])
-    }
-}
-
-impl<'de> Deserialize<'de> for MembershipTable {
-    fn deserialize_content(content: &serde::Content) -> Result<Self, serde::Error> {
-        let states: Vec<PowerState> = serde::from_content(content.get_field("states")?)?;
-        let active = states.iter().filter(|&&s| s == PowerState::On).count();
-        Ok(MembershipTable { states, active })
-    }
 }
 
 impl MembershipTable {
@@ -156,7 +132,7 @@ impl MembershipTable {
 ///
 /// Versions start at [`VersionId::FIRST`] and increase by one per recorded
 /// table, mirroring Sheepdog's epoch counter.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct MembershipHistory {
     tables: Vec<MembershipTable>,
     /// `classes[i]` is the *epoch class* of version `i + 1`: the first
@@ -313,26 +289,6 @@ mod tests {
         assert!(t.is_full_power());
         assert!(!t2.is_full_power());
         assert_eq!(t2.active_count(), 3);
-    }
-
-    #[test]
-    fn serde_carries_states_only_and_recomputes_active() {
-        // Wire compatibility: the serialized form is just the states
-        // (what pre-cache snapshots contain), and the cached active
-        // count is recomputed — never trusted — on deserialize.
-        let t = MembershipTable::active_prefix(5, 3);
-        let json = serde_json::to_string(&t).unwrap();
-        assert!(!json.contains("active"), "derived cache leaked: {json}");
-        let back: MembershipTable = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, t);
-        assert_eq!(back.active_count(), 3);
-
-        // A snapshot carrying a stale count (hand-edited or written by
-        // an older build) deserializes with the count recomputed from
-        // the states.
-        let stale = r#"{"states":["On","Off","On"],"active":99}"#;
-        let back: MembershipTable = serde_json::from_str(stale).unwrap();
-        assert_eq!(back.active_count(), 2);
     }
 
     #[test]

@@ -29,11 +29,10 @@ use crate::ids::{ObjectId, ServerId};
 use crate::layout::Layout;
 use crate::membership::MembershipTable;
 use crate::ring::HashRing;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Which placement algorithm to run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Strategy {
     /// Original consistent hashing: first `r` distinct active servers.
     Original,
@@ -68,8 +67,8 @@ enum Servers {
 ///
 /// Every put and get builds one, so the servers live inline: placing an
 /// object allocates nothing at the replication factors in use. Equality,
-/// hashing, `Debug` and the JSON form (`{"servers":[…]}`) are those of the
-/// server list, whichever storage holds it.
+/// hashing and `Debug` are those of the server list, whichever storage
+/// holds it.
 #[derive(Clone)]
 pub struct Placement {
     servers: Servers,
@@ -113,6 +112,16 @@ impl Placement {
         }
     }
 
+    /// Hand-built placement: `servers` in order, the primary in slot 0.
+    #[cfg(test)]
+    pub(crate) fn test_only(servers: Vec<ServerId>) -> Self {
+        let mut placement = Placement::empty();
+        for server in servers {
+            placement.push(server);
+        }
+        placement
+    }
+
     /// Append the replica Algorithm 1 placed on a primary server.
     fn push_primary(&mut self, server: ServerId) {
         let slot = u8::try_from(self.len()).unwrap_or(u8::MAX);
@@ -135,8 +144,8 @@ impl Placement {
 
     /// The index in [`servers`](Self::servers) of the replica a write
     /// may not miss: the slot Algorithm 1 filled with the primary, or
-    /// slot 0 when it placed none (original consistent hashing, no
-    /// active primary, or a placement read back from its JSON form).
+    /// slot 0 when it placed none (original consistent hashing or no
+    /// active primary).
     #[inline]
     pub fn primary_slot(&self) -> usize {
         match self.servers {
@@ -206,27 +215,6 @@ impl fmt::Debug for Placement {
         f.debug_struct("Placement")
             .field("servers", &self.servers())
             .finish()
-    }
-}
-
-// Hand-written so the wire form stays the derived one of the former
-// `servers: Vec<ServerId>` field: `{"servers":[…]}`.
-impl Serialize for Placement {
-    fn serialize_content(&self) -> serde::Content {
-        serde::Content::Map(vec![(
-            "servers".to_owned(),
-            self.servers().serialize_content(),
-        )])
-    }
-}
-
-impl<'de> Deserialize<'de> for Placement {
-    fn deserialize_content(content: &serde::Content) -> Result<Self, serde::Error> {
-        let mut placement = Placement::empty();
-        for server in content.get_field("servers")?.as_seq()? {
-            placement.push(serde::from_content(server)?);
-        }
-        Ok(placement)
     }
 }
 
@@ -519,6 +507,38 @@ mod tests {
         let layout = Layout::equal_work(n, 10_000);
         let ring = layout.build_ring();
         (ring, layout)
+    }
+
+    /// The `Debug` form recorded from the `servers: Vec<ServerId>`
+    /// representation, and a read's candidate list, hold for inline
+    /// storage (r = 1, 2, 3) and the heap spill above it (r = 7, 10).
+    #[test]
+    fn placement_debug_form_does_not_depend_on_its_storage() {
+        let recorded: [(usize, &[u32]); 5] = [
+            (1, &[0]),
+            (2, &[0, 8]),
+            (3, &[0, 8, 2]),
+            (7, &[0, 8, 2, 5, 3, 4, 9]),
+            (10, &[0, 1, 8, 2, 5, 3, 4, 9, 6, 7]),
+        ];
+        let (ring, layout) = setup(10);
+        let m = MembershipTable::full_power(10);
+        for (replicas, servers) in recorded {
+            let p = place_primary(&ring, &layout, &m, ObjectId(10010), replicas).unwrap();
+            let want: Vec<ServerId> = servers.iter().map(|&s| ServerId(s)).collect();
+            assert_eq!(p.servers(), want, "r = {replicas}");
+            assert_eq!(
+                format!("{p:?}"),
+                format!("Placement {{ servers: {want:?} }}")
+            );
+            // A read's candidate list: the current servers, then the unseen
+            // ones of another placement, spilling to the heap when it must.
+            let other = place_primary(&ring, &layout, &m, ObjectId(7), replicas).unwrap();
+            let merged = p.then_unseen(&other);
+            let mut want = p.servers().to_vec();
+            want.extend(other.servers().iter().filter(|s| !p.contains(**s)));
+            assert_eq!(merged.servers(), want, "r = {replicas}");
+        }
     }
 
     #[test]

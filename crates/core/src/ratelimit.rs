@@ -7,10 +7,8 @@
 //! the simulator: the caller advances time explicitly, so behaviour is
 //! reproducible.
 
-use serde::{Deserialize, Serialize};
-
 /// Deterministic token bucket (bytes, bytes/second).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TokenBucket {
     /// Refill rate in bytes per second.
     rate: f64,

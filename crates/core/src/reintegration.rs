@@ -28,11 +28,10 @@ use crate::dirty::{DirtyTable, HeaderSource};
 use crate::ids::{ObjectId, ServerId, VersionId};
 use crate::placement::Placement;
 use crate::view::ClusterView;
-use serde::{Deserialize, Serialize};
 
 /// One replica movement: copy the object from `from` to `to` (after which
 /// the `from` copy is dropped).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MigrationMove {
     /// Server currently holding the (offloaded) replica.
     pub from: ServerId,
@@ -45,8 +44,6 @@ pub struct MigrationMove {
 pub struct MigrationTask {
     /// The object to migrate.
     pub oid: ObjectId,
-    /// Version the dirty entry was written at (`Ver` in Algorithm 2).
-    pub entry_version: VersionId,
     /// Version whose placement describes where the replicas physically
     /// are: the object header's version when one is known (it advances on
     /// every re-integration, as in Figure 6), otherwise the entry's write
@@ -109,7 +106,7 @@ pub enum Idle {
 }
 
 /// The selective re-integration engine (Algorithm 2).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Reintegrator {
     /// `Last_Ver`: last version a migration was planned for.
     last_version: VersionId,
@@ -241,7 +238,6 @@ impl Reintegrator {
 
             return Ok(MigrationTask {
                 oid: entry.oid,
-                entry_version: entry.version,
                 from_version,
                 target_version: curr,
                 from,
@@ -265,30 +261,6 @@ impl Reintegrator {
         }
         tasks
     }
-}
-
-#[cfg(test)]
-impl Placement {
-    /// Test-only constructor for hand-built placements.
-    pub(crate) fn test_only(servers: Vec<ServerId>) -> Self {
-        // SAFETY of invariants: tests construct distinct server lists.
-        serde_json_compatible(servers)
-    }
-}
-
-#[cfg(test)]
-fn serde_json_compatible(servers: Vec<ServerId>) -> Placement {
-    // Round-trip through serde to use the public Deserialize path rather
-    // than private fields (keeps Placement's fields private).
-    let json = format!(
-        "{{\"servers\":[{}]}}",
-        servers
-            .iter()
-            .map(|s| s.0.to_string())
-            .collect::<Vec<_>>()
-            .join(",")
-    );
-    serde_json::from_str(&json).expect("valid placement json")
 }
 
 #[cfg(test)]

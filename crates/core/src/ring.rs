@@ -16,35 +16,29 @@
 
 use crate::hash::vnode_position;
 use crate::ids::ServerId;
-use serde::{Deserialize, Serialize};
 
 /// One virtual node: a position on the ring owned by a physical server.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct VirtualNode {
     /// Position on the 64-bit ring.
     pub position: u64,
     /// Owning physical server.
     pub server: ServerId,
-    /// Index of this vnode among its server's vnodes.
-    pub index: u32,
 }
 
 /// An immutable consistent-hashing ring over weighted servers.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct HashRing {
     /// Virtual nodes sorted by `position` (strictly increasing).
     vnodes: Vec<VirtualNode>,
-    /// Number of physical servers (dense ids `0..n`).
-    n_servers: usize,
-    /// vnode count per server, indexable by `ServerId::index`.
+    /// vnode count per server (dense ids `0..n`), by `ServerId::index`.
     weights: Vec<u32>,
     /// Successor acceleration table: the keyspace is cut into
     /// `lut.len()` equal buckets (one per vnode on average) and
     /// `lut[b]` is the index of the first vnode at or after bucket
     /// `b`'s start (`vnodes.len()` means "wraps"). A lookup becomes an
     /// O(1) table read plus an expected-O(1) forward scan instead of an
-    /// O(log V) binary search. A ring whose table is empty (e.g. one
-    /// hand-built through serde) falls back to binary search.
+    /// O(log V) binary search. [`HashRing::build`] always fills it.
     lut: Vec<u32>,
     /// `position >> lut_shift` maps a ring position to its LUT bucket.
     lut_shift: u32,
@@ -68,7 +62,6 @@ impl HashRing {
                 vnodes.push(VirtualNode {
                     position: vnode_position(server, v),
                     server,
-                    index: v,
                 });
             }
         }
@@ -84,7 +77,6 @@ impl HashRing {
         let (lut, lut_shift) = Self::build_lut(&vnodes);
         HashRing {
             vnodes,
-            n_servers: weights.len(),
             weights: weights.to_vec(),
             lut,
             lut_shift,
@@ -124,7 +116,7 @@ impl HashRing {
     /// Number of physical servers this ring was built over.
     #[inline]
     pub fn server_count(&self) -> usize {
-        self.n_servers
+        self.weights.len()
     }
 
     /// vnode count for `server`.
@@ -143,15 +135,10 @@ impl HashRing {
     /// after it, wrapping past the top of the ring (§II-A's clockwise walk
     /// starting point).
     ///
-    /// Served from the precomputed acceleration table (O(1) expected);
-    /// rings deserialized without one fall back to binary search.
+    /// Served from the precomputed acceleration table (O(1) expected).
     #[inline]
     fn successor_index(&self, position: u64) -> usize {
-        let bucket = (position >> self.lut_shift) as usize;
-        let Some(&start) = self.lut.get(bucket) else {
-            return self.successor_index_binary(position);
-        };
-        let mut i = start as usize;
+        let mut i = self.lut[(position >> self.lut_shift) as usize] as usize;
         while let Some(v) = self.vnodes.get(i) {
             if v.position >= position {
                 return i;
@@ -161,8 +148,9 @@ impl HashRing {
         0
     }
 
-    /// Binary-search successor lookup (the pre-acceleration-path — kept
-    /// as the fallback for rings that crossed serde, whose LUT is empty).
+    /// Binary-search successor lookup: the reference the acceleration
+    /// table is checked against.
+    #[cfg(test)]
     fn successor_index_binary(&self, position: u64) -> usize {
         match self.vnodes.binary_search_by(|v| v.position.cmp(&position)) {
             Ok(i) => i,
@@ -197,7 +185,7 @@ impl HashRing {
     pub fn distinct_servers_from(&self, position: u64) -> DistinctServerWalk<'_> {
         DistinctServerWalk {
             walk: self.walk_from(position),
-            seen: vec![false; self.n_servers],
+            seen: vec![false; self.weights.len()],
         }
     }
 
@@ -209,7 +197,7 @@ impl HashRing {
     /// share of single-copy data, so it is the analytic check for the
     /// equal-work layout (§III-C).
     pub fn ownership_fractions(&self) -> Vec<f64> {
-        let mut arc = vec![0.0f64; self.n_servers];
+        let mut arc = vec![0.0f64; self.weights.len()];
         if self.vnodes.is_empty() {
             return arc;
         }

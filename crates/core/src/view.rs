@@ -11,7 +11,6 @@ use crate::layout::Layout;
 use crate::membership::{MembershipHistory, MembershipTable};
 use crate::placement::{place_with, Placement, PlacementError, Strategy};
 use crate::ring::HashRing;
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// Immutable topology plus evolving membership, with versioned placement.
@@ -19,7 +18,7 @@ use std::sync::Arc;
 /// The topology (`ring`, `layout`) never changes after construction, so
 /// it is shared: cloning a view — what every epoch publish does — copies
 /// two pointers and the membership history, not the vnode table.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ClusterView {
     ring: Arc<HashRing>,
     layout: Arc<Layout>,

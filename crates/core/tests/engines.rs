@@ -81,22 +81,19 @@ proptest! {
     }
 
     #[test]
-    fn every_backend_is_deterministic_and_serde_stable(
+    fn every_backend_is_deterministic(
         (n, b, r) in cluster_shape(),
         oid_base in 0u64..1_000_000,
     ) {
-        for view in views(n, b, r) {
-            let json = serde_json::to_string(&view).expect("serialize view");
-            let back: ClusterView = serde_json::from_str(&json).expect("deserialize view");
-            prop_assert_eq!(back.engine(), view.engine(), "engine survives the round-trip");
+        for (view, rebuilt) in views(n, b, r).into_iter().zip(views(n, b, r)) {
             for k in 0..32u64 {
                 let oid = ObjectId(oid_base + k);
                 let a = view.place_current(oid).unwrap();
                 // Pure: repeated lookups agree.
                 prop_assert_eq!(&a, &view.place_current(oid).unwrap(), "{:?}", view.engine());
-                // Behaviour-preserving: the deserialised view places
+                // A view built again from the same parameters places
                 // identically (a coordinator restart must not remap).
-                prop_assert_eq!(&a, &back.place_current(oid).unwrap(), "{:?}", view.engine());
+                prop_assert_eq!(&a, &rebuilt.place_current(oid).unwrap(), "{:?}", view.engine());
             }
         }
     }

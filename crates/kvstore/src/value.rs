@@ -5,11 +5,10 @@
 //! store's typed dirty log and header table.
 
 use bytes::Bytes;
-use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, VecDeque};
 
 /// A value held at one key.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Value {
     /// Double-ended list (Redis LIST).
     List(VecDeque<Bytes>),

@@ -1,13 +1,13 @@
 //! Model-based property test: the sharded store must behave exactly like
 //! a single flat map of Redis values, plus one ordered map of object
 //! headers and one FIFO of dirty entries, under any operation sequence —
-//! including a dump → JSON → restore into a different shard count in the
+//! including a dump → restore into a different shard count in the
 //! middle of it.
 
 use bytes::Bytes;
 use ech_core::dirty::{DirtyEntry, ObjectHeader};
 use ech_core::ids::{ObjectId, VersionId};
-use ech_kvstore::{KvError, KvStore, Snapshot};
+use ech_kvstore::{KvError, KvStore};
 use proptest::prelude::*;
 use std::collections::{BTreeMap, HashMap, VecDeque};
 
@@ -25,7 +25,7 @@ enum Op {
     DirtyRange(usize, usize),
     DirtyPopN(usize),
     DirtyLen,
-    /// Dump, round-trip through JSON, restore over this many shards.
+    /// Dump, restore over this many shards.
     Reshard(usize),
 }
 
@@ -163,10 +163,7 @@ proptest! {
                 Op::DirtyLen => prop_assert_eq!(kv.dirty_len().unwrap(), dirty.len()),
                 Op::Reshard(n) => {
                     let snap = kv.dump();
-                    let json = serde_json::to_string(&snap).unwrap();
-                    let back: Snapshot = serde_json::from_str(&json).unwrap();
-                    prop_assert_eq!(&back, &snap);
-                    kv = KvStore::restore(back, n).unwrap();
+                    kv = KvStore::restore(snap.clone(), n).unwrap();
                     prop_assert_eq!(kv.shard_count(), n);
                     prop_assert_eq!(kv.dump(), snap);
                 }

@@ -96,7 +96,7 @@ pub struct StepEvents {
 }
 
 /// An instantaneous sample of the simulated cluster.
-#[derive(Debug, Clone, Copy, serde::Serialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct Sample {
     /// Simulation time, seconds.
     pub time: f64,
@@ -106,13 +106,6 @@ pub struct Sample {
     pub powered: usize,
     /// Servers serving I/O.
     pub active: usize,
-    /// Background migration + recovery payload rate over the last tick,
-    /// bytes/s.
-    pub background_rate: f64,
-    /// Replica moves still queued (full migration + recovery).
-    pub queued_moves: usize,
-    /// Dirty-table length.
-    pub dirty_len: usize,
     /// Current workload phase (1-based; 0 = no workload / finished).
     pub phase: usize,
 }
@@ -149,7 +142,6 @@ pub struct ClusterSim {
 
     // Telemetry.
     last_client_throughput: f64,
-    last_background_rate: f64,
     machine_seconds: f64,
     migrated_bytes: f64,
     power_model: PowerModel,
@@ -195,7 +187,6 @@ impl ClusterSim {
             write_accum: 0.0,
             workload: None,
             last_client_throughput: 0.0,
-            last_background_rate: 0.0,
             machine_seconds: 0.0,
             migrated_bytes: 0.0,
             power_model: PowerModel::typical_storage_server(),
@@ -289,11 +280,6 @@ impl ClusterSim {
             client_throughput: self.last_client_throughput,
             powered: self.powered_count(),
             active: self.active_count(),
-            background_rate: self.last_background_rate,
-            queued_moves: self.full_queue.len()
-                + self.recovery_queue.len()
-                + usize::from(self.selective_current.is_some()),
-            dirty_len: self.dirty.len(),
             phase: self
                 .workload
                 .as_ref()
@@ -596,7 +582,6 @@ impl ClusterSim {
         let selective = self.drain_selective(dt);
         let background_payload = recovered + migrated + selective;
         self.migrated_bytes += background_payload;
-        self.last_background_rate = background_payload / dt;
 
         // 4. Client I/O.
         let background_bw = 2.0 * background_payload / dt;

@@ -5,14 +5,12 @@
 //! KVM client whose virtual-disk path tops out around the ~300 MB/s peak
 //! visible in Figures 3 and 7.
 
-use serde::{Deserialize, Serialize};
-
 /// Which elasticity design the simulated cluster runs.
 ///
 /// These are exactly the evaluation cases of §V: the no-resizing control,
 /// the original consistent hashing baseline, and the elastic design with
 /// full or selective re-integration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ElasticityMode {
     /// All servers stay on; nothing migrates ("no resizing").
     NoResizing,
@@ -43,7 +41,7 @@ impl ElasticityMode {
 }
 
 /// Full simulator parameter set.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SimConfig {
     /// Cluster size `n`.
     pub servers: usize,
@@ -97,7 +95,8 @@ impl SimConfig {
         }
     }
 
-    /// Validate internal consistency (call before building a sim).
+    /// Validate internal consistency (call before building a sim): every
+    /// `f64` field must be finite and obey its sign or `0..=1` rule.
     pub fn validate(&self) -> Result<(), String> {
         if self.servers == 0 {
             return Err("servers must be >= 1".into());
@@ -108,7 +107,19 @@ impl SimConfig {
                 self.replicas, self.servers
             ));
         }
-        if self.dt <= 0.0 || self.dt.is_nan() {
+        for (name, v) in [
+            ("disk_bw", self.disk_bw),
+            ("client_cap", self.client_cap),
+            ("boot_delay", self.boot_delay),
+            ("shutdown_delay", self.shutdown_delay),
+            ("dt", self.dt),
+            ("selective_rate", self.selective_rate),
+        ] {
+            if !v.is_finite() {
+                return Err(format!("{name} must be finite, got {v}"));
+            }
+        }
+        if self.dt <= 0.0 {
             return Err("dt must be positive".into());
         }
         if self.disk_bw <= 0.0 || self.client_cap <= 0.0 {
@@ -176,6 +187,29 @@ mod tests {
         let mut c = SimConfig::paper_testbed(ElasticityMode::OriginalCh);
         c.migration_share = 1.5;
         assert!(c.validate().is_err());
+    }
+
+    #[test]
+    fn non_finite_values_are_rejected() {
+        type Set = fn(&mut SimConfig, f64);
+        let fields: [(&str, Set); 8] = [
+            ("disk_bw", |c, v| c.disk_bw = v),
+            ("client_cap", |c, v| c.client_cap = v),
+            ("boot_delay", |c, v| c.boot_delay = v),
+            ("shutdown_delay", |c, v| c.shutdown_delay = v),
+            ("dt", |c, v| c.dt = v),
+            ("migration_share", |c, v| c.migration_share = v),
+            ("selective_rate", |c, v| c.selective_rate = v),
+            ("recovery_share", |c, v| c.recovery_share = v),
+        ];
+        for (name, set) in fields {
+            for v in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+                let mut c = SimConfig::paper_testbed(ElasticityMode::PrimarySelective);
+                set(&mut c, v);
+                let err = c.validate().expect_err(name);
+                assert!(err.starts_with(name), "{name} = {v}: {err}");
+            }
+        }
     }
 
     #[test]

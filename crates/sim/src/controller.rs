@@ -19,7 +19,6 @@
 //! below offered load), the classic power/SLO trade.
 
 use ech_workload::series::LoadSeries;
-use serde::Serialize;
 use std::collections::VecDeque;
 
 /// A sizing policy: sees the most recent offered load, returns the target
@@ -213,7 +212,7 @@ impl ResizeController for TrendController {
 }
 
 /// Outcome of evaluating a controller on a load series.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct ControllerEval {
     /// Controller name.
     pub name: String,

@@ -22,7 +22,6 @@ use ech_core::reintegration::Reintegrator;
 use ech_core::view::ClusterView;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::Serialize;
 
 /// Configuration of a latency run.
 #[derive(Debug, Clone, Copy)]
@@ -56,7 +55,7 @@ impl DesConfig {
 }
 
 /// Latency distribution summary (seconds).
-#[derive(Debug, Clone, Copy, Serialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct LatencyStats {
     /// Number of completed requests.
     pub count: usize,

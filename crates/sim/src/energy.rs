@@ -8,10 +8,9 @@
 //! report kWh alongside machine-hours.
 
 use crate::power::PowerSimState;
-use serde::{Deserialize, Serialize};
 
 /// Per-state electrical draw in watts.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PowerModel {
     /// Serving I/O at load.
     pub active_w: f64,
@@ -52,7 +51,7 @@ impl PowerModel {
 }
 
 /// Integrates energy over time.
-#[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct EnergyMeter {
     joules: f64,
 }

@@ -11,7 +11,6 @@
 use crate::cluster_sim::{ClusterSim, Sample};
 use crate::config::{ElasticityMode, SimConfig};
 use ech_workload::three_phase::Workload;
-use serde::Serialize;
 
 /// A step schedule: at each `(time, target)` the controller retargets.
 pub type Schedule = Vec<(f64, usize)>;
@@ -33,7 +32,7 @@ pub fn fig2_schedule() -> Schedule {
 }
 
 /// Result of a resize-agility run.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct ResizeAgility {
     /// Mode under test.
     pub mode_label: String,
@@ -123,7 +122,7 @@ pub fn resize_agility(
 }
 
 /// Result of a 3-phase throughput run.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct ThreePhaseRun {
     /// Mode under test (figure legend label).
     pub mode_label: String,

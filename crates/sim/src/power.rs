@@ -7,10 +7,8 @@
 //! contributing proportional throughput, which is exactly the elasticity
 //! tax the paper measures.
 
-use serde::{Deserialize, Serialize};
-
 /// Power state with transition timers.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum PowerSimState {
     /// Serving I/O and placement-eligible.
     Active,

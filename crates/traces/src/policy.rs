@@ -19,10 +19,9 @@
 
 use crate::spec::Trace;
 use ech_core::layout::primary_count;
-use serde::Serialize;
 
 /// The four evaluation cases of Figures 8 and 9.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PolicyKind {
     /// Perfect, costless power proportionality.
     Ideal,
@@ -66,7 +65,7 @@ impl PolicyKind {
 }
 
 /// Parameters of the analytic model.
-#[derive(Debug, Clone, Copy, Serialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct PolicyParams {
     /// Bytes/s of client load one active server serves.
     pub per_server_rate: f64,
@@ -143,7 +142,7 @@ impl PolicyParams {
 }
 
 /// Per-policy outcome.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct PolicyResult {
     /// Which policy.
     pub kind: PolicyKind,
@@ -156,7 +155,7 @@ pub struct PolicyResult {
 }
 
 /// Whole-trace analysis: all four policies over one trace.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct TraceAnalysis {
     /// Trace name.
     pub trace_name: String,

@@ -8,10 +8,9 @@
 //! observation that CC-a resizes far more frequently.
 
 use ech_workload::series::LoadSeries;
-use serde::{Deserialize, Serialize};
 
 /// Envelope of one trace, as reported in Table I.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TraceSpec {
     /// Trace name ("CC-a", "CC-b").
     pub name: String,
@@ -91,7 +90,7 @@ impl TraceSpec {
 }
 
 /// A trace: its envelope plus the offered-load series realising it.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Trace {
     /// The envelope.
     pub spec: TraceSpec,

@@ -7,8 +7,6 @@
 //! burst, a long light-load valley (during which the elastic cluster sizes
 //! down), and a second burst that exposes re-integration interference.
 
-use serde::{Deserialize, Serialize};
-
 /// One megabyte in bytes (decimal, matching the paper's MB/s axes).
 pub const MB: u64 = 1_000_000;
 /// One gigabyte in bytes.
@@ -18,7 +16,7 @@ pub const GB: u64 = 1_000 * MB;
 /// throttled to an offered rate. A phase finishes when its byte pools are
 /// drained; the consumer (simulator or live cluster driver) decides how
 /// fast that happens given cluster capacity.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PhaseSpec {
     /// Bytes to read in this phase.
     pub read_bytes: u64,
@@ -37,7 +35,7 @@ impl PhaseSpec {
 }
 
 /// A multi-phase workload specification.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Workload {
     /// Phases executed in order.
     pub phases: Vec<PhaseSpec>,
