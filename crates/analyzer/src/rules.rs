@@ -1997,6 +1997,16 @@ const ONE_SIM_DRIVER: (&str, &str) = (
      sim-only extension no open item read",
     "`ClusterSim::start_workload`",
 );
+const NO_RESIZE_CONTROLLERS: (&str, &str) = (
+    "the paper leaves resizing decisions out of scope; the resize controllers were a \
+     sim-only extension no open item read",
+    "the servers a trace needs, `simulate(.., PolicyKind::PrimarySelective).servers`",
+);
+const PAPER_TRACES_ONLY: (&str, &str) = (
+    "the paper evaluates on CC-a and CC-b (Table I); CC-c/d/e were invented siblings no \
+     open item read",
+    "`synth::cc_a()` / `synth::cc_b()`",
+);
 const FRESH_IDS_ONLY: (&str, &str) = (
     "the simulator writes fresh object ids; no code picked existing objects to rewrite \
      or read",
@@ -2207,13 +2217,29 @@ pub const D10_ROWS: &[D10Row] = &[
     retired_row("set_offered_load", ONE_SIM_DRIVER),
     retired_row("UniformPicker", FRESH_IDS_ONLY),
     retired_row("ZipfPicker", FRESH_IDS_ONLY),
+    retired_row("ResizeController", NO_RESIZE_CONTROLLERS),
+    retired_row("ReactiveController", NO_RESIZE_CONTROLLERS),
+    retired_row("MovingAverageController", NO_RESIZE_CONTROLLERS),
+    retired_row("TrendController", NO_RESIZE_CONTROLLERS),
+    retired_row("SizerConfig", NO_RESIZE_CONTROLLERS),
+    retired_row("ControllerEval", NO_RESIZE_CONTROLLERS),
+    D10Row {
+        scope: "crates/sim/src/",
+        needle: "pub mod controller",
+        except: D10Except::Nowhere,
+        why: NO_RESIZE_CONTROLLERS.0,
+        now: NO_RESIZE_CONTROLLERS.1,
+    },
+    retired_row("cc_c", PAPER_TRACES_ONLY),
+    retired_row("cc_d", PAPER_TRACES_ONLY),
+    retired_row("cc_e", PAPER_TRACES_ONLY),
     D10Row {
         scope: "crates/traces/src/",
         needle: "pub mod io",
         except: D10Except::Nowhere,
         why: "traces are synthesised in-process from their Table I specs; nothing read or \
               wrote a trace file",
-        now: "`synth::cc_a()` .. `synth::all_traces()`",
+        now: "`synth::cc_a()` / `synth::cc_b()`",
     },
     no_serde_row("crates/core/src/"),
     no_serde_row("crates/kvstore/src/"),
@@ -2253,7 +2279,8 @@ impl D10Row {
 /// one-task drain alias, the per-family counter snapshots, the second
 /// SplitMix64, the second ring hash, the placement-engine harness, the
 /// read policies, the write-quorum option, the dynamic primary count,
-/// the closed loop, the object pickers and trace file I/O stay gone,
+/// the closed loop, the object pickers, trace file I/O, the resize
+/// controllers and the invented CC-c/d/e traces stay gone,
 /// `serde` stays out of the library crates, and one facade names the
 /// history recorder. Like D9 it scans raw file text, comments included,
 /// so a needle cannot hide in a doc.

@@ -1,55 +1,9 @@
-//! Extensions beyond the paper: its stated future work, its related
-//! work, and the rest of the five-trace family.
+//! Extensions beyond the paper: its related work (GreenCHT) and the
+//! latency side of its throughput figures.
 
 use crate::row;
-use ech_sim::controller::{
-    evaluate, MovingAverageController, ReactiveController, ResizeController, SizerConfig,
-    TrendController,
-};
 use ech_sim::des::{read_latency_under_reintegration, DesConfig, MigrationLoad};
-use ech_traces::{analyze, simulate, synth, PolicyKind, PolicyParams};
-
-/// Resize-policy controllers (the paper's future work: "a resizing
-/// policy based on workload profiling and prediction"): reactive,
-/// moving-average and trend-predictive sizing on the CC-a load profile
-/// under a 3-bin boot delay, scored on machine-hours vs the fraction of
-/// bins where serving capacity fell below the offered load.
-pub(crate) fn resize_controllers(out: &mut String) {
-    let trace = synth::cc_a();
-    let params = PolicyParams::for_trace(&trace);
-    let cfg = SizerConfig {
-        per_server_rate: params.per_server_rate,
-        min: params.primary_floor(),
-        max: params.max_servers,
-        headroom: 0.15,
-    };
-    let boot_bins = 3;
-
-    let mut controllers: Vec<Box<dyn ResizeController>> = vec![
-        Box::new(ReactiveController::new(cfg, 1, 1)),
-        Box::new(ReactiveController::new(cfg, 5, 3)),
-        Box::new(MovingAverageController::new(cfg, 10, 5, 3)),
-        Box::new(TrendController::new(cfg, 10, boot_bins + 2)),
-    ];
-
-    row(
-        out,
-        &["controller", "mach-hours", "vs ideal", "viol%", "resizes"],
-    );
-    for c in controllers.iter_mut() {
-        let e = evaluate(c.as_mut(), &trace.load, cfg, boot_bins);
-        row(
-            out,
-            &[
-                e.name.clone(),
-                format!("{:.0}", e.machine_hours),
-                format!("{:.2}x", e.relative_machine_hours()),
-                format!("{:.2}", 100.0 * e.violation_fraction),
-                e.resizes.to_string(),
-            ],
-        );
-    }
-}
+use ech_traces::{simulate, synth, PolicyKind, PolicyParams};
 
 /// GreenCHT tier granularity (§VI related work: "our elastic consistent
 /// hashing is able to achieve finer granularity of resizing with one
@@ -123,44 +77,6 @@ pub(crate) fn des_tail_latency(out: &mut String) {
                 format!("{:.1}", s.p90 * 1e3),
                 format!("{:.1}", s.p99 * 1e3),
                 format!("{:.1}", s.max * 1e3),
-            ],
-        );
-    }
-}
-
-/// The full five-trace family (§V-B: "there are totally 5 of these
-/// traces but we do not have enough page space to show all of them"):
-/// the Table II analysis over CC-a/b (calibrated to the paper) and
-/// CC-c/d/e (siblings spanning spiky to steady).
-pub(crate) fn all_traces(out: &mut String) {
-    row(
-        out,
-        &[
-            "trace",
-            "machines",
-            "origCH",
-            "prim+full",
-            "prim+sel",
-            "sel-save%",
-        ],
-    );
-    for trace in synth::all_traces() {
-        let a = analyze(&trace, &PolicyParams::for_trace(&trace));
-        row(
-            out,
-            &[
-                trace.spec.name.clone(),
-                trace.spec.machines.to_string(),
-                format!("{:.2}", a.relative_machine_hours(PolicyKind::OriginalCh)),
-                format!("{:.2}", a.relative_machine_hours(PolicyKind::PrimaryFull)),
-                format!(
-                    "{:.2}",
-                    a.relative_machine_hours(PolicyKind::PrimarySelective)
-                ),
-                format!(
-                    "{:.1}",
-                    100.0 * a.savings_vs_original(PolicyKind::PrimarySelective)
-                ),
             ],
         );
     }

@@ -101,11 +101,6 @@ pub const EXPERIMENTS: &[Experiment] = &[
         run: ablation::header_tracking,
     },
     Experiment {
-        id: "ext_resize_controllers",
-        caption: "Extension: resize controllers on the CC-a profile (boot delay: 3 bins)",
-        run: extension::resize_controllers,
-    },
-    Experiment {
         id: "ext_greencht_comparison",
         caption: "Extension: GreenCHT tier granularity vs one-server elastic resizing (CC-a)",
         run: extension::greencht_comparison,
@@ -114,11 +109,6 @@ pub const EXPERIMENTS: &[Experiment] = &[
         id: "ext_des_tail_latency",
         caption: "Extension: read-latency tail under re-integration (4 MB reads @160 MB/s offered)",
         run: extension::des_tail_latency,
-    },
-    Experiment {
-        id: "ext_all_traces",
-        caption: "Extension: Table II over the full five-trace family (CC-a..CC-e)",
-        run: extension::all_traces,
     },
 ];
 

@@ -1,12 +1,18 @@
 //! `ech chaos`: the deterministic fault-injection survival drill on a
 //! live cluster, run as a scenario of `ech_cluster::scenario`.
 
+use crate::commands::check_layout;
 use ech_cli::args::{Args, ParseError};
+use ech_core::layout::primary_count;
 use std::fmt::Write as _;
+
+/// Largest `--crash1` / `--crash2`: the fault windows run to the later
+/// crash, and ending them ticks every node once per op up to there.
+const MAX_CRASH_OP: u64 = 1_000_000;
 
 pub fn chaos_cmd(args: &Args) -> Result<String, ParseError> {
     use ech_cluster::scenario::{self, Scenario, Step, FLAKY_LINK};
-    use ech_cluster::{NetPlan, PartitionDirection};
+    use ech_cluster::{ClusterConfig, NetPlan, PartitionDirection};
     use ech_core::hash::mix64;
     args.allow_only(&[
         "seed",
@@ -40,6 +46,20 @@ pub fn chaos_cmd(args: &Args) -> Result<String, ParseError> {
     if objects == 0 {
         return Err(ParseError("--objects must be at least 1".into()));
     }
+    for (flag, op) in [("crash1", crash1), ("crash2", crash2)] {
+        if op > MAX_CRASH_OP {
+            return Err(ParseError(format!(
+                "--{flag} must be at most {MAX_CRASH_OP}"
+            )));
+        }
+    }
+    // The drill runs `Scenario::r3`'s paper configuration: its
+    // equal-work layout needs a base of at least one vnode per server.
+    check_layout(
+        servers,
+        ClusterConfig::paper().layout_base,
+        primary_count(servers),
+    )?;
 
     // Transient-error windows must outlive both crash events so every
     // planned fault provably fires before the convergence phase.

@@ -53,7 +53,7 @@ COMMANDS:
   resize-agility  run the Figure 2 schedule, CSV to stdout
                   [--mode no-resizing|original|full|selective] [--objects N]
   trace           trace-driven policy analysis (Table II style)
-                  [--name cc-a|cc-b|cc-c|cc-d|cc-e]
+                  [--name cc-a|cc-b]
   latency         read-latency tail during re-integration (queue model)
                   [--migration none|selective|unthrottled] [--rate MBps]
   chaos           run a deterministic fault-injection survival drill on a
@@ -82,7 +82,7 @@ fn servers_and_base(args: &Args) -> Result<(usize, u32), ParseError> {
 }
 
 /// Reject the shapes `Layout::equal_work_with_primaries` asserts against.
-fn check_layout(n: usize, base: u32, p: usize) -> Result<(), ParseError> {
+pub(crate) fn check_layout(n: usize, base: u32, p: usize) -> Result<(), ParseError> {
     if p == 0 || p > n || (base as usize) < n {
         return Err(ParseError(format!(
             "invalid layout: servers {n}, primaries {p}, base {base}"
@@ -97,8 +97,11 @@ fn layout(args: &Args) -> Result<String, ParseError> {
     let p: usize = args.get_or("primaries", primary_count(n))?;
     let data_gb: u64 = args.get_or("data-gb", 1_000)?;
     check_layout(n, base, p)?;
-    let layout = Layout::equal_work_with_primaries(n, base, p);
     const GB: u64 = 1 << 30;
+    let data = data_gb
+        .checked_mul(GB)
+        .ok_or_else(|| ParseError(format!("--data-gb must be at most {}", u64::MAX / GB)))?;
+    let layout = Layout::equal_work_with_primaries(n, base, p);
     let tiers = [
         2000 * GB,
         1500 * GB,
@@ -107,7 +110,7 @@ fn layout(args: &Args) -> Result<String, ParseError> {
         500 * GB,
         320 * GB,
     ];
-    let plan = CapacityPlan::fit(&layout, &tiers, data_gb * GB, 0.2);
+    let plan = CapacityPlan::fit(&layout, &tiers, data, 0.2);
     let mut out = String::new();
     writeln!(out, "rank,role,vnodes,share,capacity_gb").expect("write to string");
     for (i, (&w, f)) in layout
@@ -255,9 +258,6 @@ fn trace_cmd(args: &Args) -> Result<String, ParseError> {
     let trace = match args.str_or("name", "cc-a") {
         "cc-a" => synth::cc_a(),
         "cc-b" => synth::cc_b(),
-        "cc-c" => synth::cc_c(),
-        "cc-d" => synth::cc_d(),
-        "cc-e" => synth::cc_e(),
         other => return Err(ParseError(format!("unknown trace {other}"))),
     };
     let params = PolicyParams::for_trace(&trace);
@@ -364,6 +364,12 @@ mod tests {
         assert!(run_line("layout --servers 0").is_err());
         assert!(run_line("layout --servers 10 --primaries 11").is_err());
         assert!(run_line("layout --servers 10 --base 5").is_err());
+        // 2^34 GB is 2^64 bytes: the largest size that fits is accepted.
+        assert!(run_line("layout --data-gb 17179869183").is_ok());
+        assert_eq!(
+            run_line("layout --data-gb 17179869184").unwrap_err().0,
+            "--data-gb must be at most 17179869183"
+        );
     }
 
     #[test]
@@ -481,12 +487,15 @@ mod tests {
     }
 
     #[test]
-    fn trace_knows_the_whole_family() {
-        // Parsing-level check: unknown names rejected, known ones parse
-        // (cc-d is the cheapest full run).
-        assert!(run_line("trace --name cc-f").is_err());
-        let out = run_line("trace --name cc-d").unwrap();
-        assert_eq!(out.lines().count(), 5);
+    fn trace_knows_the_paper_traces() {
+        for name in ["cc-a", "cc-b"] {
+            let out = run_line(&format!("trace --name {name}")).unwrap();
+            assert_eq!(out.lines().count(), 5, "{name}:\n{out}");
+        }
+        assert_eq!(
+            run_line("trace --name cc-c").unwrap_err().0,
+            "unknown trace cc-c"
+        );
     }
 
     #[test]
@@ -574,6 +583,30 @@ mod tests {
         assert!(run_line("chaos --servers 4 --replicas 5").is_err());
         assert!(run_line("chaos --error-rate 1.5").is_err());
         assert!(run_line("chaos --objects 0").is_err());
+        // The paper layout's base of 10,000 vnodes covers at most 10,000
+        // servers; one more is rejected before any cluster is built.
+        assert_eq!(
+            run_line("chaos --servers 10001 --objects 10")
+                .unwrap_err()
+                .0,
+            "invalid layout: servers 10001, primaries 1354, base 10000"
+        );
+    }
+
+    /// The fault windows run to the later crash op: an unbounded one
+    /// ticks every node once per op up to it, or overflows the window.
+    #[test]
+    fn chaos_rejects_unbounded_crash_ops() {
+        for (line, err) in [
+            (
+                "chaos --crash1 18446744073709551615",
+                "--crash1 must be at most 1000000",
+            ),
+            ("chaos --crash1 1000001", "--crash1 must be at most 1000000"),
+            ("chaos --crash2 1000001", "--crash2 must be at most 1000000"),
+        ] {
+            assert_eq!(run_line(line).unwrap_err().0, err, "{line}");
+        }
     }
 
     #[test]

@@ -36,7 +36,7 @@ impl From<u64> for ObjectId {
 ///
 /// `ServerId` values are dense indices `0..n` into the cluster topology;
 /// they are distinct from the 1-based *rank* used by the expansion chain
-/// (see [`Rank`]). In this crate the server at index `i` always has rank
+/// (§III-B). In this crate the server at index `i` always has rank
 /// `i + 1`, which keeps examples aligned with the paper's figures where
 /// "server 1" is the highest-ranked primary.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -48,47 +48,12 @@ impl ServerId {
     pub fn index(self) -> usize {
         self.0 as usize
     }
-
-    /// The 1-based expansion-chain rank of this server.
-    #[inline]
-    pub fn rank(self) -> Rank {
-        Rank(self.0 + 1)
-    }
 }
 
 impl fmt::Display for ServerId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         // Display 1-based to match the paper's figures.
         write!(f, "server {}", self.0 + 1)
-    }
-}
-
-/// 1-based position in the expansion chain (§III-B).
-///
-/// Servers are powered **off** from the highest rank down and powered **on**
-/// from the lowest inactive rank up, so the set of active servers is always
-/// a prefix `1..=k` of the chain.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct Rank(pub u32);
-
-impl Rank {
-    /// Server holding this rank under the identity chain used by this crate.
-    #[inline]
-    pub fn server(self) -> ServerId {
-        debug_assert!(self.0 >= 1, "ranks are 1-based");
-        ServerId(self.0 - 1)
-    }
-
-    /// 1-based numeric value.
-    #[inline]
-    pub fn get(self) -> u32 {
-        self.0
-    }
-}
-
-impl fmt::Display for Rank {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "rank {}", self.0)
     }
 }
 
@@ -128,19 +93,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn server_rank_round_trip() {
-        for raw in 0..100u32 {
-            let s = ServerId(raw);
-            assert_eq!(s.rank().server(), s);
-            assert_eq!(s.rank().get(), raw + 1);
-        }
-    }
-
-    #[test]
     fn display_is_one_based_like_the_paper() {
         assert_eq!(ServerId(0).to_string(), "server 1");
         assert_eq!(ServerId(9).to_string(), "server 10");
-        assert_eq!(Rank(3).to_string(), "rank 3");
     }
 
     #[test]

@@ -76,7 +76,7 @@ pub mod prelude {
         DxEngine, EngineKind, JumpEngine, PlacementEngine, PowerEngine, RingEngine,
     };
     pub use crate::hash::{fnv1a64, mix64, object_position, vnode_position};
-    pub use crate::ids::{ObjectId, Rank, ServerId, VersionId};
+    pub use crate::ids::{ObjectId, ServerId, VersionId};
     pub use crate::layout::{primary_count, CapacityPlan, Layout, LayoutKind};
     pub use crate::membership::{MembershipHistory, MembershipTable, PowerState};
     pub use crate::placement::{

@@ -34,29 +34,10 @@ impl TokenBucket {
         }
     }
 
-    /// An effectively unlimited bucket (used for the "no limit" baselines).
-    pub fn unlimited() -> Self {
-        TokenBucket {
-            rate: f64::MAX / 4.0,
-            burst: f64::MAX / 4.0,
-            tokens: f64::MAX / 4.0,
-        }
-    }
-
     /// Advance time by `dt` seconds, accruing tokens up to the burst cap.
     pub fn refill(&mut self, dt: f64) {
         assert!(dt >= 0.0, "time cannot go backwards");
         self.tokens = (self.tokens + self.rate * dt).min(self.burst);
-    }
-
-    /// Try to spend `bytes`; returns true and deducts on success.
-    pub fn try_consume(&mut self, bytes: f64) -> bool {
-        if bytes <= self.tokens {
-            self.tokens -= bytes;
-            true
-        } else {
-            false
-        }
     }
 
     /// Spend up to `bytes`, returning how much was actually granted.
@@ -87,14 +68,14 @@ mod tests {
     #[test]
     fn starts_full_and_consumes() {
         let mut b = TokenBucket::new(100.0, 50.0);
-        assert!(b.try_consume(50.0));
-        assert!(!b.try_consume(1.0));
+        assert_eq!(b.consume_up_to(50.0), 50.0);
+        assert_eq!(b.consume_up_to(1.0), 0.0);
     }
 
     #[test]
     fn refill_is_capped_at_burst() {
         let mut b = TokenBucket::new(100.0, 50.0);
-        assert!(b.try_consume(50.0));
+        assert_eq!(b.consume_up_to(50.0), 50.0);
         b.refill(10.0); // would be 1000 tokens uncapped
         assert!((b.available() - 50.0).abs() < 1e-9);
     }
@@ -120,14 +101,6 @@ mod tests {
         let got = b.consume_up_to(250.0);
         assert!((got - 100.0).abs() < 1e-9);
         assert!(b.available() < 1e-9);
-    }
-
-    #[test]
-    fn unlimited_never_blocks() {
-        let mut b = TokenBucket::unlimited();
-        for _ in 0..1000 {
-            assert!(b.try_consume(1e15));
-        }
     }
 
     #[test]

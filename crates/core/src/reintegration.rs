@@ -44,14 +44,12 @@ pub struct MigrationMove {
 pub struct MigrationTask {
     /// The object to migrate.
     pub oid: ObjectId,
-    /// Version whose placement describes where the replicas physically
-    /// are: the object header's version when one is known (it advances on
-    /// every re-integration, as in Figure 6), otherwise the entry's write
-    /// version.
-    pub from_version: VersionId,
     /// Version the object is being re-integrated to (`Curr_Ver`).
     pub target_version: VersionId,
-    /// Replica locations at `from_version` (`from_ser[1..r]`).
+    /// Replica locations where the replicas physically are
+    /// (`from_ser[1..r]`): the placement at the object header's version
+    /// when one is known (it advances on every re-integration, as in
+    /// Figure 6), otherwise at the entry's write version.
     pub from: Placement,
     /// Replica locations at the current version (`to_ser[1..r]`).
     pub to: Placement,
@@ -238,7 +236,6 @@ impl Reintegrator {
 
             return Ok(MigrationTask {
                 oid: entry.oid,
-                from_version,
                 target_version: curr,
                 from,
                 to,
@@ -386,7 +383,6 @@ mod tests {
         // v2 placement.
         assert!(tasks.len() <= 1);
         for t in &tasks {
-            assert_eq!(t.from_version, VersionId(3));
             assert_eq!(t.from, v.place_at(ObjectId(42), VersionId(3)).unwrap());
         }
         assert!(dirty.is_empty());
@@ -423,7 +419,7 @@ mod tests {
         v.resize(7); // v3
         let mut engine = Reintegrator::new();
         let t3 = engine.next_task(&v, &mut dirty, &headers).unwrap();
-        assert_eq!(t3.from_version, VersionId(2));
+        assert_eq!(t3.from, v.place_at(oid, VersionId(2)).unwrap());
         // Executor completes the task and advances the header (still
         // dirty: not full power).
         headers.record_write(oid, t3.target_version, true);
@@ -431,8 +427,11 @@ mod tests {
 
         v.resize(10); // v4: full power
         let t4 = engine.next_task(&v, &mut dirty, &headers).unwrap();
-        assert_eq!(t4.from_version, VersionId(3), "second hop starts at v3");
-        assert_eq!(t4.from, v.place_at(oid, VersionId(3)).unwrap());
+        assert_eq!(
+            t4.from,
+            v.place_at(oid, VersionId(3)).unwrap(),
+            "second hop starts at v3"
+        );
         headers.mark_clean(oid, t4.target_version);
         assert!(dirty.is_empty());
     }

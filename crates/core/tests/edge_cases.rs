@@ -138,7 +138,7 @@ fn capacity_plan_single_tier() {
 #[test]
 fn token_bucket_zero_rate_never_refills() {
     let mut b = TokenBucket::new(0.0, 10.0);
-    assert!(b.try_consume(10.0));
+    assert_eq!(b.consume_up_to(10.0), 10.0);
     b.refill(1e6);
-    assert!(!b.try_consume(0.1));
+    assert_eq!(b.consume_up_to(0.1), 0.0);
 }

@@ -20,9 +20,6 @@
 //!   client throughput.
 //! * [`experiments`] — figure drivers: resize agility (Fig. 2) and the
 //!   3-phase workload (Figs. 3 and 7).
-//! * [`controller`] — resize-policy controllers (reactive / smoothed /
-//!   trend-predictive), the paper's stated future work, with an
-//!   offered-load evaluation harness.
 //! * [`des`] — a request-level discrete-event latency model: per-server
 //!   FIFO disk queues shared by client reads and re-integration
 //!   transfers, quantifying the latency tail the throughput figures only
@@ -32,7 +29,6 @@
 
 pub mod cluster_sim;
 pub mod config;
-pub mod controller;
 pub mod des;
 pub mod energy;
 pub mod experiments;

@@ -157,10 +157,6 @@ pub struct PolicyResult {
 /// Whole-trace analysis: all four policies over one trace.
 #[derive(Debug, Clone)]
 pub struct TraceAnalysis {
-    /// Trace name.
-    pub trace_name: String,
-    /// Bin width of the underlying series, seconds.
-    pub bin_seconds: f64,
     /// One result per policy, in [`PolicyKind::all`] order.
     pub results: Vec<PolicyResult>,
 }
@@ -345,11 +341,7 @@ pub fn analyze(trace: &Trace, params: &PolicyParams) -> TraceAnalysis {
         .into_iter()
         .map(|k| simulate(trace, params, k))
         .collect();
-    TraceAnalysis {
-        trace_name: trace.spec.name.clone(),
-        bin_seconds: trace.load.bin_seconds,
-        results,
-    }
+    TraceAnalysis { results }
 }
 
 #[cfg(test)]

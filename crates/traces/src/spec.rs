@@ -47,42 +47,6 @@ impl TraceSpec {
         }
     }
 
-    /// CC-c: a mid-sized deployment with weekday/weekend seasonality.
-    /// §V-B notes "there are totally 5 of these traces but we do not have
-    /// enough page space to show all of them" — c, d and e are plausible
-    /// members of that family, used by the extended analysis.
-    pub fn cc_c() -> Self {
-        TraceSpec {
-            name: "CC-c".into(),
-            machines: 100,
-            duration_seconds: 14.0 * 24.0 * 3600.0,
-            bytes_processed: 180e12,
-            length_label: "2 weeks".into(),
-        }
-    }
-
-    /// CC-d: a small, extremely spiky ad-hoc analytics cluster.
-    pub fn cc_d() -> Self {
-        TraceSpec {
-            name: "CC-d".into(),
-            machines: 30,
-            duration_seconds: 21.0 * 24.0 * 3600.0,
-            bytes_processed: 25e12,
-            length_label: "3 weeks".into(),
-        }
-    }
-
-    /// CC-e: a large, steadily loaded production ETL cluster.
-    pub fn cc_e() -> Self {
-        TraceSpec {
-            name: "CC-e".into(),
-            machines: 250,
-            duration_seconds: 7.0 * 24.0 * 3600.0,
-            bytes_processed: 610e12,
-            length_label: "1 week".into(),
-        }
-    }
-
     /// Mean offered load over the whole trace, bytes/second.
     pub fn mean_load(&self) -> f64 {
         self.bytes_processed / self.duration_seconds

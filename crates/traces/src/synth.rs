@@ -111,59 +111,6 @@ pub fn cc_b() -> Trace {
     synthesize(TraceSpec::cc_b(), SynthParams::cc_b())
 }
 
-/// The calibrated CC-c trace (moderate burstiness, strong diurnals).
-pub fn cc_c() -> Trace {
-    synthesize(
-        TraceSpec::cc_c(),
-        SynthParams {
-            bin_seconds: 60.0,
-            burst_prob: 0.03,
-            burst_scale: 10.0,
-            decay: 0.80,
-            walk_step: 0.05,
-            night_level: 0.10,
-            seed: 0xCCC,
-        },
-    )
-}
-
-/// The calibrated CC-d trace (small and extremely spiky).
-pub fn cc_d() -> Trace {
-    synthesize(
-        TraceSpec::cc_d(),
-        SynthParams {
-            bin_seconds: 60.0,
-            burst_prob: 0.10,
-            burst_scale: 20.0,
-            decay: 0.45,
-            walk_step: 0.10,
-            night_level: 0.20,
-            seed: 0xCCD,
-        },
-    )
-}
-
-/// The calibrated CC-e trace (large, comparatively steady ETL).
-pub fn cc_e() -> Trace {
-    synthesize(
-        TraceSpec::cc_e(),
-        SynthParams {
-            bin_seconds: 60.0,
-            burst_prob: 0.008,
-            burst_scale: 3.0,
-            decay: 0.97,
-            walk_step: 0.02,
-            night_level: 0.45,
-            seed: 0xCCE,
-        },
-    )
-}
-
-/// All five traces of the family §V-B mentions.
-pub fn all_traces() -> Vec<Trace> {
-    vec![cc_a(), cc_b(), cc_c(), cc_d(), cc_e()]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -209,24 +156,6 @@ mod tests {
             ra > rb * 1.3,
             "CC-a rate {ra:.4} should clearly exceed CC-b {rb:.4}"
         );
-    }
-
-    #[test]
-    fn the_full_family_is_calibrated() {
-        for t in all_traces() {
-            t.validate()
-                .unwrap_or_else(|e| panic!("{}: {e}", t.spec.name));
-        }
-        assert_eq!(all_traces().len(), 5);
-    }
-
-    #[test]
-    fn family_burstiness_ordering() {
-        // CC-d is the spikiest, CC-e the steadiest.
-        let peak_over_mean = |t: &Trace| t.load.peak() / t.load.mean();
-        let d = peak_over_mean(&cc_d());
-        let e = peak_over_mean(&cc_e());
-        assert!(d > 1.5 * e, "CC-d {d:.1} should clearly exceed CC-e {e:.1}");
     }
 
     #[test]

@@ -27,7 +27,7 @@ fn check(trace: ech_traces::Trace, expect: [f64; 3]) {
         assert!(
             (g - e).abs() < TOL,
             "{}: {label} ratio {g:.3} deviates from paper {e:.2} by more than {TOL}",
-            a.trace_name
+            trace.spec.name
         );
     }
     // Ordering must hold strictly regardless of tolerance.

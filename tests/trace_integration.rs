@@ -120,7 +120,7 @@ fn extra_io_ordering_selective_smallest() {
         assert!(
             sel < full,
             "{}: selective {sel:.2e} !< full {full:.2e}",
-            a.trace_name
+            trace.spec.name
         );
     }
 }
