@@ -1787,7 +1787,7 @@ const D9_MODELS: &str = "crates/check/src/mc_models.rs";
 struct D9Model {
     name: String,
     pair: Option<String>,
-    /// Any `expect_failure*` flag set — the entry is a seeded mutant.
+    /// A `mutant: Some(..)` field — the entry is a seeded mutant.
     mutant: bool,
     /// 1-based line of the literal's `name:` field.
     line: u32,
@@ -1824,9 +1824,7 @@ fn d9_parse_models(text: &str) -> Vec<D9Model> {
         let Some((name, name_off)) = d9_field(block, "name") else {
             continue;
         };
-        let mutant = ["", "_weak", "_msg", "_lincheck"]
-            .iter()
-            .any(|sfx| block.contains(&format!("expect_failure{sfx}: true")));
+        let mutant = block.contains("mutant: Some(");
         let line = 1 + text[..s + name_off].matches('\n').count() as u32;
         models.push(D9Model {
             name: name.to_string(),
@@ -2050,6 +2048,22 @@ const fn no_serde_row(scope: &'static str) -> D10Row {
     }
 }
 
+/// What replaced the checker's own cluster builders.
+const SCENARIO_BUILT: &str = "models build through `Scenario`: `Scenario::model` plus \
+                              field updates, then `build().cluster`";
+
+/// A row banning a retired name from the checker host's sources.
+const fn checker_row(needle: &'static str, now: &'static str) -> D10Row {
+    D10Row {
+        scope: "crates/check/src/",
+        needle,
+        except: D10Except::Nowhere,
+        why: "models are scenarios: every checker cluster is built the way the drills \
+              build theirs, and a mutant names the one mode that must catch it",
+        now,
+    }
+}
+
 /// Retired names and patterns, each banned from the paths it lived in.
 pub const D10_ROWS: &[D10Row] = &[
     D10Row {
@@ -2241,6 +2255,22 @@ pub const D10_ROWS: &[D10Row] = &[
               wrote a trace file",
         now: "`synth::cc_a()` / `synth::cc_b()`",
     },
+    // Also bans `tiny_cluster_with`: a row of its own would report it twice.
+    checker_row("tiny_cluster", SCENARIO_BUILT),
+    checker_row("tiny_config", SCENARIO_BUILT),
+    checker_row("faulty_quorum_cluster", SCENARIO_BUILT),
+    checker_row("partitioned_quorum_cluster", SCENARIO_BUILT),
+    checker_row("stale_copy_cluster", SCENARIO_BUILT),
+    checker_row("msg_cluster", SCENARIO_BUILT),
+    checker_row(
+        "mirror_view",
+        "`ClusterConfig::view` on the scenario's config",
+    ),
+    checker_row(
+        "expect_failure",
+        "`Model::mutant`: one `Mutation` and its `CaughtIn`",
+    ),
+    checker_row("with_faults", SCENARIO_BUILT),
     no_serde_row("crates/core/src/"),
     no_serde_row("crates/kvstore/src/"),
     no_serde_row("crates/sim/src/"),
@@ -2280,7 +2310,8 @@ impl D10Row {
 /// SplitMix64, the second ring hash, the placement-engine harness, the
 /// read policies, the write-quorum option, the dynamic primary count,
 /// the closed loop, the object pickers, trace file I/O, the resize
-/// controllers and the invented CC-c/d/e traces stay gone,
+/// controllers, the invented CC-c/d/e traces, and the checker's own
+/// cluster builders and per-mode expectation flags stay gone,
 /// `serde` stays out of the library crates, and one facade names the
 /// history recorder. Like D9 it scans raw file text, comments included,
 /// so a needle cannot hide in a doc.

@@ -842,10 +842,10 @@ fn d9_flags_missing_unknown_self_and_same_role_pairs_and_orphan_mutants() {
         file(
             "crates/check/src/mc_models.rs",
             "pub static MODELS: &[Model] = &[\n\
-             Model {\n name: \"good-protocol\",\n expect_failure: false,\n },\n\
-             Model {\n name: \"orphan-bug\",\n expect_failure: true,\n pair: \"no-such-model\",\n },\n\
-             Model {\n name: \"navel-bug\",\n expect_failure: true,\n pair: \"navel-bug\",\n },\n\
-             Model {\n name: \"buddy-bug\",\n expect_failure_lincheck: true,\n pair: \"orphan-bug\",\n },\n\
+             Model {\n name: \"good-protocol\",\n mutant: None,\n },\n\
+             Model {\n name: \"orphan-bug\",\n mutant: Some((Mutation::A, CaughtIn::Every)),\n pair: \"no-such-model\",\n },\n\
+             Model {\n name: \"navel-bug\",\n mutant: Some((Mutation::A, CaughtIn::Weak)),\n pair: \"navel-bug\",\n },\n\
+             Model {\n name: \"buddy-bug\",\n mutant: Some((Mutation::B, CaughtIn::Lincheck)),\n pair: \"orphan-bug\",\n },\n\
              ];\n",
         ),
         // Only two of the three mutants have replay-test evidence.
@@ -886,9 +886,9 @@ fn d9_accepts_resolved_cross_role_pairs_with_replay_evidence() {
             "crates/check/src/mc_models.rs",
             "pub struct Model {\n pub name: &'static str,\n pub pair: &'static str,\n }\n\
              pub static MODELS: &[Model] = &[\n\
-             Model {\n name: \"good-protocol\",\n expect_failure: false,\n pair: \"good-bug\",\n },\n\
-             Model {\n name: \"other-protocol\",\n expect_failure: false,\n pair: \"good-bug\",\n },\n\
-             Model {\n name: \"good-bug\",\n expect_failure_msg: true,\n pair: \"good-protocol\",\n },\n\
+             Model {\n name: \"good-protocol\",\n pair: \"good-bug\",\n },\n\
+             Model {\n name: \"other-protocol\",\n mutant: None,\n pair: \"good-bug\",\n },\n\
+             Model {\n name: \"good-bug\",\n mutant: Some((Mutation::A, CaughtIn::Msg)),\n pair: \"good-protocol\",\n },\n\
              ];\n",
         ),
         file(
@@ -1138,6 +1138,51 @@ const D10_CASES: &[(&str, &str, &str)] = &[
         "pub mod io",
         "crates/traces/src/lib.rs",
         "crates/cli/src/lib.rs",
+    ),
+    (
+        "tiny_cluster",
+        "crates/check/src/mc_models.rs",
+        "crates/cluster/src/scenario.rs",
+    ),
+    (
+        "tiny_config",
+        "crates/check/src/mc_models.rs",
+        "crates/cluster/src/cluster.rs",
+    ),
+    (
+        "faulty_quorum_cluster",
+        "crates/check/src/mc_models.rs",
+        "crates/cluster/tests/chaos.rs",
+    ),
+    (
+        "partitioned_quorum_cluster",
+        "crates/check/src/mc_models.rs",
+        "crates/cluster/tests/partition.rs",
+    ),
+    (
+        "stale_copy_cluster",
+        "crates/check/src/mc_models.rs",
+        "crates/cluster/src/cluster/tests.rs",
+    ),
+    (
+        "msg_cluster",
+        "crates/check/src/mc_models.rs",
+        "crates/cluster/src/net.rs",
+    ),
+    (
+        "mirror_view",
+        "crates/check/src/reduction_soundness.rs",
+        "crates/cli/src/commands.rs",
+    ),
+    (
+        "expect_failure",
+        "crates/check/src/commands.rs",
+        "crates/modelcheck/src/lib.rs",
+    ),
+    (
+        "with_faults",
+        "crates/check/src/commands.rs",
+        "crates/cluster/src/scenario.rs",
     ),
     (
         "serde",

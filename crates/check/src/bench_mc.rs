@@ -137,7 +137,7 @@ fn exhaustive(e: &Entry) -> bool {
     crate::mc_models::MODELS
         .iter()
         .find(|m| m.name == e.model)
-        .is_some_and(|m| !m.expects_failure_with(e.mode == "weak", e.mode == "msg", false))
+        .is_some_and(|m| !m.expects_failure(e.mode == "weak", e.mode == "msg", false))
 }
 
 /// Compare fresh numbers against the committed reference. Schedule

@@ -1,6 +1,7 @@
 //! Subcommand implementations. Each returns its output as a `String` so
 //! tests can assert on it without capturing stdout.
 
+use crate::mc_models::CaughtIn;
 use ech_cli::args::{Args, ParseError};
 use ech_core::ids::ObjectId;
 use std::fmt::Write as _;
@@ -205,7 +206,7 @@ fn modelcheck_cmd(args: &Args) -> Result<String, ParseError> {
             msg_budget,
             reduce: !no_reduce,
         };
-        let expect = m.expects_failure_with(weak, msg_budget > 0, lincheck);
+        let expect = m.expects_failure(weak, msg_budget > 0, lincheck);
         let report = if lincheck {
             ech_modelcheck::explore(m.name, &cfg, lincheck_wrapped(m))
         } else {
@@ -222,17 +223,16 @@ fn modelcheck_cmd(args: &Args) -> Result<String, ParseError> {
                     ));
                     "TRUNCATED"
                 };
-                // A weak-only mutant passing the sequentially consistent
-                // mode is the expected asymmetry, not a clean bill: say
-                // so, so the report is not mistaken for full coverage.
-                let note = if m.weak_only() && !weak {
-                    " [weak-only mutant: stale publication needs --weak]"
-                } else if m.msg_only() && msg_budget == 0 {
-                    " [message-only mutant: fault enumeration needs --msg]"
-                } else if m.lincheck_only() && !lincheck {
-                    " [history mutant: order violation needs --lincheck]"
-                } else {
-                    ""
+                // A mutant passing outside the one mode that catches it
+                // is the expected asymmetry, not a clean bill: say so, so
+                // the report is not mistaken for full coverage.
+                let note = match m.mutant.map(|(_, caught)| caught) {
+                    Some(CaughtIn::Weak) => " [weak-only mutant: stale publication needs --weak]",
+                    Some(CaughtIn::Msg) => " [message-only mutant: fault enumeration needs --msg]",
+                    Some(CaughtIn::Lincheck) => {
+                        " [history mutant: order violation needs --lincheck]"
+                    }
+                    _ => "",
                 };
                 writeln!(
                     out,
@@ -349,6 +349,11 @@ fn lincheck_wrapped(m: &'static crate::mc_models::Model) -> impl Fn(&mut ech_mod
     }
 }
 
+/// Most operations `ech-check lincheck --ops` scripts: the recorded
+/// history and the checker's search grow with every one, so an
+/// unbounded count exhausts memory instead of finishing.
+const MAX_LINCHECK_OPS: usize = 1_000_000;
+
 /// `ech-check lincheck`: record a seeded, deterministic stress history against
 /// a live cluster on a virtual clock and check it with the Wing–Gong
 /// linearizability checker — the offline smoke for the recording +
@@ -358,10 +363,9 @@ fn lincheck_wrapped(m: &'static crate::mc_models::Model) -> impl Fn(&mut ech_mod
 /// replay regression tests carry.
 fn lincheck_cmd(args: &Args) -> Result<String, ParseError> {
     use bytes::Bytes;
-    use ech_cluster::fault::{FaultPlan, VirtualClock};
-    use ech_cluster::{Cluster, ClusterConfig};
+    use ech_cluster::fault::FaultPlan;
+    use ech_cluster::scenario::Scenario;
     use ech_core::hash::mix64;
-    use std::sync::Arc;
     args.allow_only(&["witness", "seed", "ops", "keys"])?;
     if let Some(line) = args.options.get("witness") {
         return match ech_lincheck::verify_witness(line) {
@@ -372,17 +376,19 @@ fn lincheck_cmd(args: &Args) -> Result<String, ParseError> {
     let seed: u64 = args.get_or("seed", 0x11C)?;
     let ops: usize = args.get_or("ops", 120)?;
     let keys: u64 = args.get_or("keys", 4)?;
-    if ops == 0 {
-        return Err(ParseError("--ops must be at least 1".into()));
+    if !(1..=MAX_LINCHECK_OPS).contains(&ops) {
+        return Err(ParseError(format!(
+            "--ops must be within 1..={MAX_LINCHECK_OPS}"
+        )));
     }
     if keys == 0 {
         return Err(ParseError("--keys must be at least 1".into()));
     }
-    let mut cfg = ClusterConfig::paper();
-    cfg.servers = 3;
-    cfg.replicas = 2;
+    let mut sc = Scenario::r3(FaultPlan::default(), 0);
+    (sc.cfg.servers, sc.cfg.replicas) = (3, 2);
+    // Built after the session begins: the build attaches the recorder.
     let session = ech_lincheck::recorder::Session::begin();
-    let c = Cluster::with_faults(cfg, FaultPlan::default(), Arc::new(VirtualClock::new()));
+    let c = sc.build().cluster;
     // A seeded op mix over a handful of keys: overwrites (so the
     // last-write-wins register has history to get wrong), reads, power
     // resizes (degraded-write windows), and heal/drain passes. Scripted
@@ -977,6 +983,16 @@ mod tests {
         assert!(wide.contains("linearizable"), "not linearizable:\n{wide}");
         assert!(run_line("lincheck --ops 0").is_err());
         assert!(run_line("lincheck --keys 0").is_err());
+    }
+
+    /// `--ops` is capped before anything is scripted: past the cap the
+    /// recorded history alone exhausts memory.
+    #[test]
+    fn lincheck_rejects_ops_past_the_cap() {
+        for ops in ["1000001", "100000000000"] {
+            let err = run_line(&format!("lincheck --ops {ops}")).unwrap_err();
+            assert!(err.0.contains("1..=1000000"), "{ops}: {}", err.0);
+        }
     }
 
     /// Witness verification is a real gate: corrupted or padded

@@ -1,22 +1,25 @@
 //! Model-checker scenarios for the cluster's concurrency protocols.
 //!
-//! Each model is a small concurrent scenario built from the *real*
-//! data-path code — `Cluster`, `ShardedPlacementCache`, `ArcSwap` — with
-//! the `modelcheck` feature routing their internals through the
-//! instrumented sync facade. The explorer (`ech-modelcheck`) then
-//! enumerates thread interleavings up to a preemption bound and checks
-//! both the models' own assertions and the built-in discipline rules
-//! (data races, relaxed orderings on sync atomics, stale publication
-//! reads, deadlocks).
+//! Each model is a small concurrent scenario on the *real* `Cluster`,
+//! built by [`Scenario::model`] — the drill runner's builder — with the
+//! `modelcheck` feature routing its internals through the instrumented
+//! sync facade. The two cache models (`cache-coherence`,
+//! `cache-counters`) check `ShardedPlacementCache` and `ArcSwap` on
+//! their own: no data-path code uses the cache, which stays only for
+//! the repo benchmark's `core.cache.*` probes. The explorer
+//! (`ech-modelcheck`) then enumerates thread interleavings up to a
+//! preemption bound and checks both the models' own assertions and the
+//! built-in discipline rules (data races, relaxed orderings on sync
+//! atomics, stale publication reads, deadlocks).
 //!
-//! Models carry *per-mode* expectations: the deliberately seeded
-//! mutants must be caught, and two of them (`weak-stop-flag-relaxed`,
-//! `weak-view-publish-relaxed`) are invisible to sequentially
-//! consistent exploration by construction — a `Relaxed` publication
-//! only misbehaves when a store buffer can delay it, so they are
-//! expected to be caught under `--weak` and to pass without it. That
-//! asymmetry is the point: it proves the weak mode finds real bugs the
-//! default mode provably cannot.
+//! A seeded mutant names the one decision it flips and the one mode
+//! that must catch it ([`CaughtIn`]). Two of them
+//! (`weak-stop-flag-relaxed`, `weak-view-publish-relaxed`) are
+//! invisible to sequentially consistent exploration by construction — a
+//! `Relaxed` publication only misbehaves when a store buffer can delay
+//! it, so they are expected to be caught under `--weak` and to pass
+//! without it. That asymmetry is the point: it proves the weak mode
+//! finds real bugs the default mode provably cannot.
 //!
 //! The message-scheduler mode (`--msg`) has the same structure one
 //! layer down: the `msg-*` models route every `Cluster::rpc` send
@@ -29,26 +32,44 @@
 //! the preemption bound and fault budget it wants explored, so the CI
 //! sweep pays for depth only where a scenario needs it.
 //!
-//! The models live in the CLI (not in `ech-modelcheck`) because they
-//! sit at the top of the dependency graph: the checker crate must stay
-//! dependency-free so every layer below can link against it.
+//! The models live in the checker host (not in `ech-modelcheck`)
+//! because they sit at the top of the dependency graph: the checker
+//! crate must stay dependency-free so every layer below can link
+//! against it.
 
 use arc_swap::ArcSwap;
 use bytes::Bytes;
-use ech_cluster::cluster::{Cluster, ClusterConfig, ClusterError};
-use ech_cluster::fault::{FaultPlan, NodeFaultSpec, VirtualClock};
+use ech_cluster::cluster::{Cluster, ClusterError};
+use ech_cluster::fault::NodeFaultSpec;
 use ech_cluster::mutation::Mutation;
-use ech_cluster::net::BreakerConfig;
+use ech_cluster::net::{BreakerConfig, NetPlan, PartitionDirection};
 use ech_cluster::retry::RetryPolicy;
+use ech_cluster::scenario::{self, Scenario};
 use ech_core::cache::ShardedPlacementCache;
-use ech_core::engine::EngineKind;
 use ech_core::ids::ObjectId;
-use ech_core::layout::Layout;
 use ech_core::placement::Strategy;
 use ech_core::view::ClusterView;
 use ech_modelcheck::Env;
 use std::sync::Arc;
 use std::time::Duration;
+
+/// The one exploration mode that must catch a seeded mutant.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum CaughtIn {
+    /// Every mode: sequentially consistent exploration finds it, and so
+    /// does every mode that adds schedules or checks.
+    Every,
+    /// Only `--weak`: the bug is a `Relaxed` publication only a store
+    /// buffer can delay.
+    Weak,
+    /// Only `--msg`: the bug needs a retransmission or a lost message
+    /// that thread-only exploration cannot produce.
+    Msg,
+    /// Only `--lincheck`: the bug corrupts no state an in-model
+    /// assertion could observe — only the caller-visible *order* of
+    /// operations — so only the recorded history convicts it.
+    Lincheck,
+}
 
 /// One registered model-checking scenario.
 pub struct Model {
@@ -56,26 +77,6 @@ pub struct Model {
     pub name: &'static str,
     /// One-line description for the report.
     pub about: &'static str,
-    /// True when sequentially consistent exploration is *expected* to
-    /// find a failing schedule (a deliberately seeded bug), and not
-    /// finding one is the error.
-    pub expect_failure: bool,
-    /// Same expectation under the weak-memory (`--weak`) mode. Weak-only
-    /// mutants set this without `expect_failure`: their bug is a
-    /// `Relaxed` publication only a store buffer can delay.
-    pub expect_failure_weak: bool,
-    /// Additional expectation under the message-scheduler (`--msg`)
-    /// mode. Message-only mutants set this alone: their bug needs a
-    /// retransmission or a lost message that thread-only exploration
-    /// cannot produce, so they pass exhaustively without `--msg`.
-    pub expect_failure_msg: bool,
-    /// Additional expectation under the linearizability-history mode
-    /// (`--lincheck`). Lincheck-only mutants set this alone: their bug
-    /// corrupts no state an in-model assertion could observe — only the
-    /// caller-visible *order* of operations — so every other mode
-    /// passes them exhaustively and only the recorded history convicts
-    /// them.
-    pub expect_failure_lincheck: bool,
     /// Rule D9 pairing: every correct protocol names the seeded mutant
     /// that proves its failure mode is detectable, and every mutant
     /// names the correct twin it was derived from. Pairs are
@@ -94,63 +95,35 @@ pub struct Model {
     /// memory-protocol models, whose schedule spaces would otherwise
     /// multiply by seven fates per rpc for no new coverage.
     pub msg_budget: usize,
-    /// The one production decision this scenario flips
-    /// ([`Cluster::install_mutation`]): `Some` on exactly the seeded
-    /// mutants, so rule D9's model ↔ mutant pairing extends to model ↔
-    /// decision point.
-    pub mutation: Option<Mutation>,
-    /// Scenario builder, handed [`Model::mutation`]. A mutant whose
-    /// scenario is its safe twin's shares the twin's builder.
+    /// `Some` on exactly the seeded mutants: the one production decision
+    /// the scenario flips ([`Cluster::install_mutation`]), so rule D9's
+    /// model ↔ mutant pairing extends to model ↔ decision point, and
+    /// the mode that must catch it.
+    pub mutant: Option<(Mutation, CaughtIn)>,
+    /// Scenario builder, handed the mutant's [`Mutation`]. A mutant
+    /// whose scenario is its safe twin's shares the twin's builder.
     pub setup: fn(&mut Env, Option<Mutation>),
 }
 
 impl Model {
     /// Build the scenario for one schedule (what the explorer runs).
     pub fn build(&self, env: &mut Env) {
-        (self.setup)(env, self.mutation);
+        (self.setup)(env, self.mutant.map(|(m, _)| m));
     }
 
-    /// The expectation that applies under the given memory mode.
-    fn expects_failure(&self, weak: bool) -> bool {
-        if weak {
-            self.expect_failure_weak
-        } else {
-            self.expect_failure
-        }
-    }
-
-    /// The expectation that applies under the given memory mode *and*
-    /// message mode. Message faults only add schedules — the fault-free
-    /// branch is always explored — so a mutant caught without `--msg`
-    /// stays caught with it.
-    pub fn expects_failure_in(&self, weak: bool, msg: bool) -> bool {
-        self.expects_failure(weak) || (msg && self.expect_failure_msg)
-    }
-
-    /// A mutant only the weak-memory mode can catch.
-    pub fn weak_only(&self) -> bool {
-        self.expect_failure_weak && !self.expect_failure
-    }
-
-    /// The expectation that applies under the given memory, message and
-    /// lincheck modes. A lincheck violation is an operation-order bug,
-    /// not a memory-model bug, so its expectation is mode-independent:
-    /// a history mutant stays caught under `--weak` and `--msg` too.
-    pub fn expects_failure_with(&self, weak: bool, msg: bool, lincheck: bool) -> bool {
-        self.expects_failure_in(weak, msg) || (lincheck && self.expect_failure_lincheck)
-    }
-
-    /// A mutant only the message-scheduler mode can catch.
-    pub fn msg_only(&self) -> bool {
-        self.expect_failure_msg && !self.expect_failure && !self.expect_failure_weak
-    }
-
-    /// A mutant only the lincheck history checker can catch.
-    pub fn lincheck_only(&self) -> bool {
-        self.expect_failure_lincheck
-            && !self.expect_failure
-            && !self.expect_failure_weak
-            && !self.expect_failure_msg
+    /// Must a run under these memory, message and lincheck modes find a
+    /// failing schedule? Never for a safe model; for a mutant, when its
+    /// [`CaughtIn`] mode is on. The other modes only add schedules or
+    /// checks — the fault-free, strongly ordered branch is always
+    /// explored — so a mutant caught without them stays caught with
+    /// them.
+    pub fn expects_failure(&self, weak: bool, msg: bool, lincheck: bool) -> bool {
+        self.mutant.is_some_and(|(_, caught)| match caught {
+            CaughtIn::Every => true,
+            CaughtIn::Weak => weak,
+            CaughtIn::Msg => msg,
+            CaughtIn::Lincheck => lincheck,
+        })
     }
 }
 
@@ -163,19 +136,15 @@ const UNSET: &str = "";
 
 /// What a table row leaves unsaid: a safe, thread-only scenario explored
 /// at preemption bound 2. A row states its identity and whatever makes
-/// it differ — for a mutant, the modes that must catch it and the
-/// decision it flips.
+/// it differ — for a mutant, the decision it flips and the mode that
+/// must catch it.
 const SAFE: Model = Model {
     name: UNSET,
     about: UNSET,
-    expect_failure: false,
-    expect_failure_weak: false,
-    expect_failure_msg: false,
-    expect_failure_lincheck: false,
     pair: UNSET,
     bound: 2,
     msg_budget: 0,
-    mutation: None,
+    mutant: None,
     setup: no_scenario,
 };
 
@@ -262,68 +231,56 @@ pub const MODELS: &[Model] = &[
     Model {
         name: "seeded-stamp-bug",
         about: "seeded stamp-before-copy re-integration (must be caught)",
-        expect_failure: true,
-        expect_failure_weak: true,
         pair: "publish-vs-read",
-        mutation: Some(Mutation::StampBeforeCopy),
+        mutant: Some((Mutation::StampBeforeCopy, CaughtIn::Every)),
         setup: seeded_stamp_bug,
         ..SAFE
     },
     Model {
         name: "quorum-dirty-bug",
         about: "seeded quorum ack without a dirty entry (must be caught)",
-        expect_failure: true,
-        expect_failure_weak: true,
         pair: "quorum-write-faults",
-        mutation: Some(Mutation::SkipDirtyLog),
+        mutant: Some((Mutation::SkipDirtyLog, CaughtIn::Every)),
         setup: quorum_write_faults,
         ..SAFE
     },
     Model {
         name: "partition-quorum-bug",
         about: "seeded partitioned-quorum ack without a dirty entry (must be caught)",
-        expect_failure: true,
-        expect_failure_weak: true,
         pair: "partition-quorum",
-        mutation: Some(Mutation::SkipDirtyLog),
+        mutant: Some((Mutation::SkipDirtyLog, CaughtIn::Every)),
         setup: partition_quorum,
         ..SAFE
     },
     Model {
         name: "stale-read-bug",
         about: "seeded version-check bypass leaks a stale replica (must be caught)",
-        expect_failure: true,
-        expect_failure_weak: true,
         pair: "read-crash",
-        mutation: Some(Mutation::AcceptStale),
+        mutant: Some((Mutation::AcceptStale, CaughtIn::Every)),
         setup: stale_read_bug,
         ..SAFE
     },
     Model {
         name: "reintegration-lost-replica-bug",
         about: "seeded remove-before-copy move loses the replica (must be caught)",
-        expect_failure: true,
-        expect_failure_weak: true,
         pair: "reintegrate-vs-resize",
-        mutation: Some(Mutation::RemoveBeforeCopy),
+        mutant: Some((Mutation::RemoveBeforeCopy, CaughtIn::Every)),
         setup: reintegration_lost_replica_bug,
         ..SAFE
     },
     Model {
         name: "weak-stop-flag-relaxed",
         about: "seeded Relaxed stop-flag store (caught only under --weak)",
-        expect_failure_weak: true,
         pair: "worker-stop-flag",
-        mutation: Some(Mutation::RelaxedStopFlag),
+        mutant: Some((Mutation::RelaxedStopFlag, CaughtIn::Weak)),
         setup: worker_stop_flag,
         ..SAFE
     },
     Model {
         name: "weak-view-publish-relaxed",
         about: "seeded Relaxed view publication (caught only under --weak)",
-        expect_failure_weak: true,
         pair: "cache-coherence",
-        mutation: Some(Mutation::RelaxedPublish),
+        mutant: Some((Mutation::RelaxedPublish, CaughtIn::Weak)),
         setup: weak_view_publish_relaxed,
         ..SAFE
     },
@@ -365,60 +322,51 @@ pub const MODELS: &[Model] = &[
     Model {
         name: "msg-quorum-ack-loss-bug",
         about: "seeded unlogged degraded ack under message loss (caught only under --msg)",
-        expect_failure_msg: true,
         pair: "msg-quorum-ack-loss",
         bound: 1,
         msg_budget: 1,
-        mutation: Some(Mutation::SkipDirtyLog),
+        mutant: Some((Mutation::SkipDirtyLog, CaughtIn::Msg)),
         setup: msg_quorum_ack_loss,
-        ..SAFE
     },
     Model {
         name: "msg-breaker-notfound-bug",
         about: "seeded breaker-as-NotFound read misclassification (caught only under --msg)",
-        expect_failure_msg: true,
         pair: "msg-breaker-probe",
         bound: 1,
         msg_budget: 1,
-        mutation: Some(Mutation::BreakerIsAuthoritative),
+        mutant: Some((Mutation::BreakerIsAuthoritative, CaughtIn::Msg)),
         setup: msg_breaker_notfound_bug,
-        ..SAFE
     },
     Model {
         name: "msg-dup-append-bug",
         about: "seeded non-idempotent append doubled by a retransmission (caught only under --msg)",
-        expect_failure_msg: true,
         pair: "msg-dup-idempotence",
         bound: 1,
         msg_budget: 1,
-        mutation: Some(Mutation::AppendOnStore),
+        mutant: Some((Mutation::AppendOnStore, CaughtIn::Msg)),
         setup: msg_dup_idempotence,
-        ..SAFE
     },
     Model {
         name: "lin-ack-before-log-bug",
         about: "seeded ack-before-durable-write (caught only under --lincheck)",
-        expect_failure_lincheck: true,
         pair: "quorum-write-faults",
-        mutation: Some(Mutation::AckBeforeWrite),
+        mutant: Some((Mutation::AckBeforeWrite, CaughtIn::Lincheck)),
         setup: lin_ack_before_log_bug,
         ..SAFE
     },
     Model {
         name: "lin-stale-read-bug",
         about: "seeded acceptance bypass serves a superseded replica (caught only under --lincheck)",
-        expect_failure_lincheck: true,
         pair: "read-crash",
-        mutation: Some(Mutation::AcceptStale),
+        mutant: Some((Mutation::AcceptStale, CaughtIn::Lincheck)),
         setup: lin_stale_read_bug,
         ..SAFE
     },
     Model {
         name: "lin-heal-restamp-bug",
         about: "seeded heal-pass header downgrade re-admits a stale copy (caught only under --lincheck)",
-        expect_failure_lincheck: true,
         pair: "partition-quorum",
-        mutation: Some(Mutation::RestampDownOnHeal),
+        mutant: Some((Mutation::RestampDownOnHeal, CaughtIn::Lincheck)),
         setup: lin_heal_restamp_bug,
         ..SAFE
     },
@@ -429,69 +377,17 @@ pub fn find(name: &str) -> Option<&'static Model> {
     MODELS.iter().find(|m| m.name == name)
 }
 
-/// A three-node, two-replica cluster small enough to explore
-/// exhaustively, on a virtual clock so retry backoff costs no wall
-/// time. The empty fault plan injects nothing; it exists only to carry
-/// the clock.
-fn tiny_cluster() -> Arc<Cluster> {
-    tiny_cluster_with(3, 2, Strategy::Primary, FaultPlan::default())
-}
-
-/// [`tiny_cluster`] with the knobs the fault-aware models vary. The
-/// single-replica mutants use [`Strategy::Original`]: under the primary
-/// strategy the first replica is pinned to the (single) primary server,
-/// so a one-replica placement could never migrate.
-fn tiny_cluster_with(
-    servers: usize,
-    replicas: usize,
-    strategy: Strategy,
-    plan: FaultPlan,
-) -> Arc<Cluster> {
-    let cfg = tiny_config(servers, replicas, strategy);
-    Cluster::with_faults(cfg, plan, Arc::new(VirtualClock::new()))
-}
-
-/// The configuration every model cluster starts from.
-fn tiny_config(servers: usize, replicas: usize, strategy: Strategy) -> ClusterConfig {
-    ClusterConfig {
-        servers,
-        replicas,
-        layout_base: 64,
-        strategy,
-        // Models replay pinned schedules on the ring engine, so traces
-        // are byte-identical.
-        placement: EngineKind::Ring,
-        kv_shards: 2,
-        capacity_plan: None,
-        retry: RetryPolicy::default(),
-        cache_capacity: 64,
-        cache_shards: 2,
-        reintegration_batch: 1,
-        migration_rate: None,
-        op_deadline: None,
-        breaker: None,
-    }
-}
-
-/// Turn `c` into the seeded mutant the model declares (the safe twin
-/// passes `None` and runs the shipped code untouched).
-fn mutant(c: Arc<Cluster>, mutation: Option<Mutation>) -> Arc<Cluster> {
+/// `sc`'s cluster on a fresh virtual clock, turned into the seeded
+/// mutant `mutation` when there is one (a safe twin passes `None` and
+/// runs the shipped code untouched). Setup placements come from the
+/// standalone `sc.cfg.view()`: reads of the built cluster during setup
+/// would go through the instrumented sync facade.
+fn model_cluster(sc: &Scenario, mutation: Option<Mutation>) -> Arc<Cluster> {
+    let c = sc.build().cluster;
     if let Some(m) = mutation {
         c.install_mutation(m);
     }
     c
-}
-
-/// A standalone view mirroring [`tiny_cluster_with`]'s geometry, for
-/// computing placements during setup (the checker gives models no
-/// cluster-internal access). Matches the cluster's layout choice:
-/// equal-work for the primary strategy, uniform for original hashing.
-fn mirror_view(servers: usize, replicas: usize, strategy: Strategy) -> ClusterView {
-    let layout = match strategy {
-        Strategy::Primary => Layout::equal_work(servers, 64),
-        Strategy::Original => Layout::uniform(servers, 64),
-    };
-    ClusterView::new(layout, strategy, replicas)
 }
 
 const OID: ObjectId = ObjectId(7);
@@ -505,8 +401,8 @@ const PAYLOAD2: &[u8] = b"model-payload-v2";
 /// header → view → placement chain must resolve to a live replica
 /// (`PlacementError::UnknownVersion` stays internal, absorbed by the
 /// header-version fallback).
-fn publish_vs_read(env: &mut Env, _: Option<Mutation>) {
-    let c = tiny_cluster();
+fn publish_vs_read(env: &mut Env, mutation: Option<Mutation>) {
+    let c = model_cluster(&Scenario::model(3, 2, Strategy::Primary), mutation);
     c.put(OID, Bytes::copy_from_slice(PAYLOAD))
         .expect("setup write at full power");
     {
@@ -530,7 +426,7 @@ fn publish_vs_read(env: &mut Env, _: Option<Mutation>) {
 /// current version) must route the reader to different cache keys, not
 /// to stale values.
 fn cache_coherence(env: &mut Env, _: Option<Mutation>) {
-    let view0 = ClusterView::new(Layout::equal_work(3, 64), Strategy::Primary, 2);
+    let view0 = Scenario::model(3, 2, Strategy::Primary).cfg.view();
     let swap = Arc::new(ArcSwap::from_pointee(view0));
     let cache = Arc::new(ShardedPlacementCache::new(64, 2));
     {
@@ -558,8 +454,8 @@ fn cache_coherence(env: &mut Env, _: Option<Mutation>) {
 /// Selective re-integration racing the power-up it reacts to: no
 /// interleaving may lose the dirty object or leave the table dirty
 /// after a full drain at full power.
-fn reintegrate_vs_resize(env: &mut Env, _: Option<Mutation>) {
-    let c = tiny_cluster();
+fn reintegrate_vs_resize(env: &mut Env, mutation: Option<Mutation>) {
+    let c = model_cluster(&Scenario::model(3, 2, Strategy::Primary), mutation);
     c.resize(2);
     c.put(OID, Bytes::copy_from_slice(PAYLOAD))
         .expect("setup write at reduced power");
@@ -594,11 +490,7 @@ fn reintegrate_vs_resize(env: &mut Env, _: Option<Mutation>) {
 /// reachable pairs are (0,1) → (1,1) → (1,2). Split counters read with
 /// two loads could surface the impossible (0,2).
 fn cache_counters(env: &mut Env, _: Option<Mutation>) {
-    let view = Arc::new(ClusterView::new(
-        Layout::equal_work(3, 64),
-        Strategy::Primary,
-        2,
-    ));
+    let view = Arc::new(Scenario::model(3, 2, Strategy::Primary).cfg.view());
     let cache = Arc::new(ShardedPlacementCache::new(64, 2));
     cache
         .place_current(&view, ObjectId(1))
@@ -624,25 +516,15 @@ fn cache_counters(env: &mut Env, _: Option<Mutation>) {
     });
 }
 
-/// A cluster whose last-ranked secondary for [`OID`] always fails with
-/// injected I/O errors, plus that secondary's index. The quorum
-/// (primary + majority) tolerates exactly that one miss.
-fn faulty_quorum_cluster() -> Arc<Cluster> {
-    let view = mirror_view(3, 3, Strategy::Primary);
+/// The three-replica scenario of the degraded-quorum models, and the
+/// index of [`OID`]'s last-ranked secondary, the replica they fault.
+/// The quorum (primary + majority) tolerates exactly that one miss.
+fn quorum_scenario() -> (Scenario, usize) {
+    let mut sc = Scenario::model(3, 3, Strategy::Primary);
+    let view = sc.cfg.view();
     let placement = view.place_current(OID).expect("placement at full power");
-    let faulty = placement.servers()[2].index();
-    let mut plan = FaultPlan {
-        seed: 7,
-        ..FaultPlan::default()
-    };
-    plan.set_node(
-        faulty,
-        NodeFaultSpec {
-            io_error_prob: 1.0,
-            ..NodeFaultSpec::default()
-        },
-    );
-    tiny_cluster_with(3, 3, Strategy::Primary, plan)
+    sc.plan.seed = 7;
+    (sc, placement.servers()[2].index())
 }
 
 /// The racing pair of the degraded-quorum scenarios: a writer whose put
@@ -673,7 +555,15 @@ fn spawn_write_and_reader(env: &mut Env, c: &Arc<Cluster>, must_ack: &'static st
 /// dirty-table entry, so every schedule violates the dirty-entry
 /// assertion — the checker must catch it.
 fn quorum_write_faults(env: &mut Env, mutation: Option<Mutation>) {
-    let c = mutant(faulty_quorum_cluster(), mutation);
+    let (mut sc, faulty) = quorum_scenario();
+    sc.plan.set_node(
+        faulty,
+        NodeFaultSpec {
+            io_error_prob: 1.0,
+            ..NodeFaultSpec::default()
+        },
+    );
+    let c = model_cluster(&sc, mutation);
     spawn_write_and_reader(env, &c, "quorum write must ack with one secondary erroring");
     env.after(move || {
         assert!(
@@ -683,36 +573,6 @@ fn quorum_write_faults(env: &mut Env, mutation: Option<Mutation>) {
         let got = c.get(OID).expect("committed object must be readable");
         assert_eq!(&got[..], PAYLOAD, "read returned wrong bytes");
     });
-}
-
-/// A cluster whose last-ranked secondary for [`OID`] sits behind a
-/// scripted asymmetric partition (requests into it are lost), plus that
-/// secondary's index. The message-fault twin of
-/// [`faulty_quorum_cluster`]: the miss comes from the network plane, not
-/// the disk, so the write path must classify `Partitioned` exactly like
-/// any other transient secondary failure.
-fn partitioned_quorum_cluster() -> Arc<Cluster> {
-    use ech_cluster::net::{NetPlan, PartitionDirection, PartitionWindow};
-    let view = mirror_view(3, 3, Strategy::Primary);
-    let placement = view.place_current(OID).expect("placement at full power");
-    let cut = placement.servers()[2].index();
-    let net = NetPlan {
-        seed: 7,
-        partitions: vec![PartitionWindow {
-            from: Duration::ZERO,
-            until: Duration::MAX, // holds until heal_partitions()
-            isolated: vec![cut as u32],
-            direction: PartitionDirection::Inbound,
-        }],
-        rpc_timeout: Duration::from_millis(2),
-        ..NetPlan::default()
-    };
-    let plan = FaultPlan {
-        seed: 7,
-        net: Some(net),
-        ..FaultPlan::default()
-    };
-    tiny_cluster_with(3, 3, Strategy::Primary, plan)
 }
 
 /// A quorum write under an active partition racing a reader: the ack
@@ -727,7 +587,18 @@ fn partitioned_quorum_cluster() -> Arc<Cluster> {
 /// schedule violates the dirty-entry assertion, under both memory modes
 /// (the bug is schedule-independent).
 fn partition_quorum(env: &mut Env, mutation: Option<Mutation>) {
-    let c = mutant(partitioned_quorum_cluster(), mutation);
+    // The message-fault twin of `quorum-write-faults`: requests into the
+    // secondary are lost until `heal_partitions`, so the write path must
+    // classify `Partitioned` exactly like any other transient secondary
+    // failure.
+    let (mut sc, cut) = quorum_scenario();
+    sc.plan.net = Some(NetPlan {
+        seed: 7,
+        partitions: vec![scenario::cut(vec![cut as u32], PartitionDirection::Inbound)],
+        rpc_timeout: Duration::from_millis(2),
+        ..NetPlan::default()
+    });
+    let c = model_cluster(&sc, mutation);
     spawn_write_and_reader(
         env,
         &c,
@@ -758,11 +629,12 @@ fn partition_quorum(env: &mut Env, mutation: Option<Mutation>) {
 /// A read racing a crash of the primary replica: whichever side of the
 /// crash the read's first probe lands on, the surviving secondary must
 /// serve the committed bytes.
-fn read_crash(env: &mut Env, _: Option<Mutation>) {
-    let c = tiny_cluster();
+fn read_crash(env: &mut Env, mutation: Option<Mutation>) {
+    let sc = Scenario::model(3, 2, Strategy::Primary);
+    let c = model_cluster(&sc, mutation);
     // An object whose primary sits in slot 0, the replica `get` probes
     // first, so the crash can land under the read's first probe.
-    let view = mirror_view(3, 2, Strategy::Primary);
+    let view = sc.cfg.view();
     let (oid, placement) = (0..64)
         .map(ObjectId)
         .filter_map(|o| Some((o, view.place_current(o).ok()?)))
@@ -795,18 +667,18 @@ fn read_crash(env: &mut Env, _: Option<Mutation>) {
     });
 }
 
-/// The single-replica cluster [`stale_copy_setup`] runs on.
-fn stale_copy_cluster() -> Arc<Cluster> {
-    tiny_cluster_with(3, 1, Strategy::Original, FaultPlan::default())
-}
-
 /// Single-replica geometry whose stale copy survives a rewrite: the
 /// object's placement at full power is node 2, at two active servers it
-/// moves elsewhere. Returns the object and the index holding the fresh
-/// copy after the rewrite.
-fn stale_copy_setup(c: &Arc<Cluster>) -> (ObjectId, usize) {
-    let full = mirror_view(3, 1, Strategy::Original);
-    let mut reduced = mirror_view(3, 1, Strategy::Original);
+/// moves elsewhere. Single-replica models use [`Strategy::Original`]:
+/// under the primary strategy the one replica is pinned to the primary
+/// server, so it could never migrate. Returns the cluster (the seeded
+/// mutant `mutation`), the object and the index holding the fresh copy
+/// after the rewrite.
+fn stale_copy_setup(mutation: Option<Mutation>) -> (Arc<Cluster>, ObjectId, usize) {
+    let sc = Scenario::model(3, 1, Strategy::Original);
+    let c = model_cluster(&sc, mutation);
+    let full = sc.cfg.view();
+    let mut reduced = sc.cfg.view();
     reduced.resize(2);
     let oid = (0..64)
         .map(ObjectId)
@@ -826,7 +698,7 @@ fn stale_copy_setup(c: &Arc<Cluster>) -> (ObjectId, usize) {
     c.put(oid, Bytes::copy_from_slice(PAYLOAD2))
         .expect("rewrite at reduced power");
     c.resize(3);
-    (oid, fresh)
+    (c, oid, fresh)
 }
 
 /// Seeded mutant of the read: the version-acceptance check is bypassed
@@ -835,8 +707,7 @@ fn stale_copy_setup(c: &Arc<Cluster>) -> (ObjectId, usize) {
 /// copy only widens the window. The checker must catch the stale
 /// payload.
 fn stale_read_bug(env: &mut Env, mutation: Option<Mutation>) {
-    let c = mutant(stale_copy_cluster(), mutation);
-    let (oid, fresh) = stale_copy_setup(&c);
+    let (c, oid, fresh) = stale_copy_setup(mutation);
     {
         let c = Arc::clone(&c);
         env.spawn(move || {
@@ -866,7 +737,7 @@ fn stale_read_bug(env: &mut Env, mutation: Option<Mutation>) {
 /// worker (and the post-join observer) a stale `false` — the
 /// stale-publication counterexample.
 fn worker_stop_flag(env: &mut Env, mutation: Option<Mutation>) {
-    let c = mutant(tiny_cluster(), mutation);
+    let c = model_cluster(&Scenario::model(3, 2, Strategy::Primary), mutation);
     {
         let c = Arc::clone(&c);
         env.spawn(move || {
@@ -895,8 +766,8 @@ fn worker_stop_flag(env: &mut Env, mutation: Option<Mutation>) {
 /// power-up: planning is serialized by the engine lock, execution
 /// races, and no interleaving may lose an object, double-move it into
 /// inconsistency, or leave the table dirty after a full drain.
-fn reintegration_pool(env: &mut Env, _: Option<Mutation>) {
-    let c = tiny_cluster();
+fn reintegration_pool(env: &mut Env, mutation: Option<Mutation>) {
+    let c = model_cluster(&Scenario::model(3, 2, Strategy::Primary), mutation);
     c.resize(2);
     c.put(OID, Bytes::copy_from_slice(PAYLOAD))
         .expect("setup write at reduced power");
@@ -926,8 +797,8 @@ fn reintegration_pool(env: &mut Env, _: Option<Mutation>) {
 /// independent client write to a *third* object. No interleaving may
 /// lose a dirty entry, cross-contaminate payloads, or leave the table
 /// dirty after a full drain at full power.
-fn batched_drain_vs_put(env: &mut Env, _: Option<Mutation>) {
-    let c = tiny_cluster();
+fn batched_drain_vs_put(env: &mut Env, mutation: Option<Mutation>) {
+    let c = model_cluster(&Scenario::model(3, 2, Strategy::Primary), mutation);
     c.resize(2);
     c.put(OID, Bytes::copy_from_slice(PAYLOAD))
         .expect("setup write at reduced power");
@@ -967,17 +838,15 @@ fn batched_drain_vs_put(env: &mut Env, _: Option<Mutation>) {
 /// destination powers off, the copy fails, and the only replica is
 /// gone. The checker must find that interleaving.
 fn reintegration_lost_replica_bug(env: &mut Env, mutation: Option<Mutation>) {
-    let c = mutant(
-        tiny_cluster_with(2, 1, Strategy::Original, FaultPlan::default()),
-        mutation,
-    );
+    let sc = Scenario::model(2, 1, Strategy::Original);
+    let c = model_cluster(&sc, mutation);
     // An object whose placement at two active servers is node 1: written
     // while only node 0 is up, it must migrate 0 → 1 at full power.
+    let view = sc.cfg.view();
     let oid = (0..64)
         .map(ObjectId)
         .find(|&o| {
-            mirror_view(2, 1, Strategy::Original)
-                .place_current(o)
+            view.place_current(o)
                 .is_ok_and(|p| p.servers()[0].index() == 1)
         })
         .expect("some object maps to server 1 at full power");
@@ -1013,7 +882,7 @@ fn reintegration_lost_replica_bug(env: &mut Env, mutation: Option<Mutation>) {
 /// counterexample replay test then reproduces it byte-identically from
 /// the reported trace.
 fn seeded_stamp_bug(env: &mut Env, mutation: Option<Mutation>) {
-    let c = mutant(tiny_cluster(), mutation);
+    let c = model_cluster(&Scenario::model(3, 2, Strategy::Primary), mutation);
     // OID2's replicas move when the third server returns (OID's do
     // not): only a task with a move has a stamp to misorder.
     c.resize(2);
@@ -1050,7 +919,7 @@ fn seeded_stamp_bug(env: &mut Env, mutation: Option<Mutation>) {
 /// hardware. Powering up happens before the publication, which leaves
 /// the swap the resizing thread's last store.
 fn weak_view_publish_relaxed(env: &mut Env, mutation: Option<Mutation>) {
-    let c = mutant(tiny_cluster(), mutation);
+    let c = model_cluster(&Scenario::model(3, 2, Strategy::Primary), mutation);
     c.resize(2);
     let v0 = c.current_version();
     {
@@ -1074,20 +943,18 @@ fn weak_view_publish_relaxed(env: &mut Env, mutation: Option<Mutation>) {
     });
 }
 
-/// A cluster shaped for message-mode exploration: no seed-hashed fault
-/// fabric (the explorer *is* the network) and no retries. Retries
+/// A scenario shaped for message-mode exploration: no seed-hashed
+/// fault fabric (the explorer *is* the network) and no retries. Retries
 /// matter doubly here: with a budget of one fault, a retry would
 /// re-send the rpc, meet the exhausted budget's forced delivery, and
 /// silently heal every enumerated fault — the whole mode would prove
 /// nothing. `RetryPolicy::none()` keeps each send's fate decisive and
 /// the schedule space small.
-fn msg_cluster(servers: usize, replicas: usize, breaker: Option<BreakerConfig>) -> Arc<Cluster> {
-    let cfg = ClusterConfig {
-        retry: RetryPolicy::none(),
-        breaker,
-        ..tiny_config(servers, replicas, Strategy::Primary)
-    };
-    Cluster::with_faults(cfg, FaultPlan::default(), Arc::new(VirtualClock::new()))
+fn msg_scenario(servers: usize, replicas: usize, breaker: Option<BreakerConfig>) -> Scenario {
+    let mut sc = Scenario::model(servers, replicas, Strategy::Primary);
+    sc.cfg.retry = RetryPolicy::none();
+    sc.cfg.breaker = breaker;
+    sc
 }
 
 /// Breaker for the recovery model: a single failure trips it, and the
@@ -1124,7 +991,7 @@ const NOTFOUND_BREAKER: BreakerConfig = BreakerConfig {
 /// placement completes) passes exhaustively, and only `--msg` produces
 /// the lost-update schedule.
 fn msg_quorum_ack_loss(env: &mut Env, mutation: Option<Mutation>) {
-    let c = mutant(msg_cluster(3, 3, None), mutation);
+    let c = model_cluster(&msg_scenario(3, 3, None), mutation);
     env.spawn(move || {
         if c.put(OID, Bytes::copy_from_slice(PAYLOAD)).is_ok() {
             assert!(
@@ -1145,8 +1012,8 @@ fn msg_quorum_ack_loss(env: &mut Env, mutation: Option<Mutation>) {
 /// declared fault budget, at least `reads - budget` of the reads must
 /// succeed (a breaker that stays open after its fault's read would eat
 /// the fault-free tail and land below the floor).
-fn msg_breaker_probe(env: &mut Env, _: Option<Mutation>) {
-    let c = msg_cluster(1, 1, Some(PROBE_BREAKER));
+fn msg_breaker_probe(env: &mut Env, mutation: Option<Mutation>) {
+    let c = model_cluster(&msg_scenario(1, 1, Some(PROBE_BREAKER)), mutation);
     c.put(OID, Bytes::copy_from_slice(PAYLOAD))
         .expect("setup write on a fault-free fabric");
     env.spawn(move || {
@@ -1180,7 +1047,7 @@ fn msg_breaker_probe(env: &mut Env, _: Option<Mutation>) {
 /// Thread-only exploration has no fault to trip the breaker with and
 /// passes exhaustively; `--msg` needs a single fault to catch it.
 fn msg_breaker_notfound_bug(env: &mut Env, mutation: Option<Mutation>) {
-    let c = mutant(msg_cluster(1, 1, Some(NOTFOUND_BREAKER)), mutation);
+    let c = model_cluster(&msg_scenario(1, 1, Some(NOTFOUND_BREAKER)), mutation);
     c.put(OID, Bytes::copy_from_slice(PAYLOAD))
         .expect("setup write on a fault-free fabric");
     env.spawn(move || {
@@ -1210,7 +1077,7 @@ fn msg_breaker_notfound_bug(env: &mut Env, mutation: Option<Mutation>) {
 /// `Duplicate` fate the retransmission appends twice and the reader
 /// observes the doubled payload. Only `--msg` catches it.
 fn msg_dup_idempotence(env: &mut Env, mutation: Option<Mutation>) {
-    let c = mutant(msg_cluster(3, 3, None), mutation);
+    let c = model_cluster(&msg_scenario(3, 3, None), mutation);
     env.spawn(move || {
         if c.put(OID, Bytes::copy_from_slice(PAYLOAD)).is_ok() {
             let got = c.get(OID).expect("acked object must stay readable");
@@ -1233,7 +1100,7 @@ fn msg_dup_idempotence(env: &mut Env, mutation: Option<Mutation>) {
 /// write's acknowledgement observing the superseded value. Only the
 /// recorded history shows it, so only `--lincheck` catches this model.
 fn lin_ack_before_log_bug(env: &mut Env, mutation: Option<Mutation>) {
-    let c = mutant(tiny_cluster(), mutation);
+    let c = model_cluster(&Scenario::model(3, 2, Strategy::Primary), mutation);
     c.put(OID, Bytes::copy_from_slice(PAYLOAD))
         .expect("setup write at full power");
     {
@@ -1258,8 +1125,7 @@ fn lin_ack_before_log_bug(env: &mut Env, mutation: Option<Mutation>) {
 /// replica makes no schedule correct: every interleaving serves the
 /// superseded payload from the current placement.
 fn lin_stale_read_bug(env: &mut Env, mutation: Option<Mutation>) {
-    let c = mutant(stale_copy_cluster(), mutation);
-    let (oid, fresh) = stale_copy_setup(&c);
+    let (c, oid, fresh) = stale_copy_setup(mutation);
     {
         let c = Arc::clone(&c);
         env.spawn(move || {
@@ -1282,8 +1148,7 @@ fn lin_stale_read_bug(env: &mut Env, mutation: Option<Mutation>) {
 /// long before. Schedules that read first pass; only the recorded
 /// history of the heal-then-read interleavings convicts the bug.
 fn lin_heal_restamp_bug(env: &mut Env, mutation: Option<Mutation>) {
-    let c = mutant(stale_copy_cluster(), mutation);
-    let (oid, _fresh) = stale_copy_setup(&c);
+    let (c, oid, _fresh) = stale_copy_setup(mutation);
     {
         let c = Arc::clone(&c);
         env.spawn(move || {
@@ -1300,27 +1165,16 @@ mod tests {
     use super::*;
 
     /// Rule D9 pairs every model with a mutant; this extends the pairing
-    /// to decision points. `mutation` is an `Option`, so a model flips at
-    /// most one decision: every mutant (and only a mutant) flips exactly
-    /// one, and every decision the production code consults is flipped
-    /// by at least one model the sweep must catch.
+    /// to decision points. A row's `mutant` selects one decision or none,
+    /// and every decision the production code consults is flipped by at
+    /// least one model the sweep must catch.
     #[test]
     fn mutants_and_decision_points_cover_each_other() {
-        for m in MODELS {
-            let mutant = m.expect_failure
-                || m.expect_failure_weak
-                || m.expect_failure_msg
-                || m.expect_failure_lincheck;
-            assert_eq!(
-                m.mutation.is_some(),
-                mutant,
-                "{}: a mutant selects exactly one Mutation, a safe model none",
-                m.name
-            );
-        }
         for decision in Mutation::ALL {
             assert!(
-                MODELS.iter().any(|m| m.mutation == Some(decision)),
+                MODELS
+                    .iter()
+                    .any(|m| m.mutant.is_some_and(|(d, _)| d == decision)),
                 "no model catches {decision:?}"
             );
         }

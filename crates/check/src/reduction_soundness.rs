@@ -92,7 +92,7 @@ fn reduced_and_full_exploration_agree_everywhere() {
                 "{label}: full exploration is not deterministic"
             );
 
-            let expect = m.expects_failure_in(weak, msg);
+            let expect = m.expects_failure(weak, msg, false);
             assert_eq!(
                 reduced.failure.is_some(),
                 expect,

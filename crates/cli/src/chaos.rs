@@ -10,6 +10,9 @@ use std::fmt::Write as _;
 /// crash, and ending them ticks every node once per op up to there.
 const MAX_CRASH_OP: u64 = 1_000_000;
 
+/// Largest `--objects`: the write phase makes one put per object.
+const MAX_OBJECTS: u64 = 1_000_000;
+
 pub fn chaos_cmd(args: &Args) -> Result<String, ParseError> {
     use ech_cluster::scenario::{self, Scenario, Step, FLAKY_LINK};
     use ech_cluster::{ClusterConfig, NetPlan, PartitionDirection};
@@ -43,8 +46,10 @@ pub fn chaos_cmd(args: &Args) -> Result<String, ParseError> {
     if !(0.0..1.0).contains(&rate) {
         return Err(ParseError("--error-rate must be within [0, 1)".into()));
     }
-    if objects == 0 {
-        return Err(ParseError("--objects must be at least 1".into()));
+    if !(1..=MAX_OBJECTS).contains(&objects) {
+        return Err(ParseError(format!(
+            "--objects must be within 1..={MAX_OBJECTS}"
+        )));
     }
     for (flag, op) in [("crash1", crash1), ("crash2", crash2)] {
         if op > MAX_CRASH_OP {

@@ -153,10 +153,7 @@ fn place_cmd(args: &Args) -> Result<String, ParseError> {
         return Err(ParseError(format!("--active {active} out of 1..={n}")));
     }
     check_layout(n, base, primary_count(n))?;
-    let layout = match strategy {
-        Strategy::Primary => Layout::equal_work(n, base),
-        Strategy::Original => Layout::uniform(n, base),
-    };
+    let layout = Layout::for_strategy(strategy, n, base);
     let ring = layout.build_ring();
     let membership = MembershipTable::active_prefix(n, active);
     let placement = place(strategy, &ring, &layout, &membership, ObjectId(oid), r)
@@ -606,6 +603,19 @@ mod tests {
             ("chaos --crash2 1000001", "--crash2 must be at most 1000000"),
         ] {
             assert_eq!(run_line(line).unwrap_err().0, err, "{line}");
+        }
+    }
+
+    /// The write phase makes one put per object: an oversized
+    /// `--objects` is a parse error, not a drill that never ends.
+    #[test]
+    fn chaos_caps_objects() {
+        for n in ["1000001", "100000000000"] {
+            let err = run_line(&format!("chaos --objects {n}")).unwrap_err();
+            assert_eq!(
+                err.0, "--objects must be within 1..=1000000",
+                "--objects {n}"
+            );
         }
     }
 

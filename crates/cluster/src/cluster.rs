@@ -113,6 +113,12 @@ impl ClusterConfig {
             breaker: None,
         }
     }
+
+    /// The full-power view a cluster built from this config starts on.
+    pub fn view(&self) -> ClusterView {
+        let layout = Layout::for_strategy(self.strategy, self.servers, self.layout_base);
+        ClusterView::with_engine(layout, self.strategy, self.replicas, self.placement)
+    }
 }
 
 /// Replica acknowledgements a put needs at replication factor
@@ -279,11 +285,7 @@ impl Cluster {
             }
             None => (None, Arc::new(SystemClock::new()) as Arc<dyn Clock>),
         };
-        let layout = match cfg.strategy {
-            Strategy::Primary => Layout::equal_work(cfg.servers, cfg.layout_base),
-            Strategy::Original => Layout::uniform(cfg.servers, cfg.layout_base),
-        };
-        let view = ClusterView::with_engine(layout, cfg.strategy, cfg.replicas, cfg.placement);
+        let view = cfg.view();
         let kv = KvStore::new(cfg.kv_shards);
         let nodes = (0..cfg.servers)
             .map(|i| {

@@ -1,5 +1,6 @@
 //! One seeded drill runner: the chaos, partition and stress drills and
-//! `ech chaos` are [`Scenario`]s of it.
+//! `ech chaos` are [`Scenario`]s of it, and the model checker's
+//! scenarios build their clusters with it too ([`Scenario::model`]).
 //!
 //! Test support, never called from `put`/`get`. A scenario builds a
 //! cluster from a config and a [`FaultPlan`] on a [`VirtualClock`],
@@ -15,7 +16,7 @@ use crate::{
 };
 use bytes::Bytes;
 use ech_core::ids::ObjectId;
-use ech_core::placement::Placement;
+use ech_core::placement::{Placement, Strategy};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -162,6 +163,26 @@ impl Scenario {
             schedule: Vec::new(),
             maintain: false,
             read_back: false,
+        }
+    }
+
+    /// A fault-free cluster small enough to explore exhaustively, the
+    /// one the model checker's scenarios start from: `servers` nodes at
+    /// `replicas` under `strategy`, layout base 64, two kv shards and
+    /// one-task drain batches. Nothing is written.
+    pub fn model(servers: usize, replicas: usize, strategy: Strategy) -> Self {
+        let cfg = ClusterConfig {
+            servers,
+            replicas,
+            layout_base: 64,
+            strategy,
+            kv_shards: 2,
+            reintegration_batch: 1,
+            ..ClusterConfig::paper()
+        };
+        Scenario {
+            cfg,
+            ..Scenario::r3(FaultPlan::default(), 0)
         }
     }
 

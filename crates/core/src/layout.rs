@@ -15,6 +15,7 @@
 //! member doing the same amount of work.
 
 use crate::ids::ServerId;
+use crate::placement::Strategy;
 use crate::ring::HashRing;
 
 /// Number of primary servers for an `n`-server cluster: `ceil(n / e²)`,
@@ -96,6 +97,15 @@ impl Layout {
             base,
             primaries: p,
             weights,
+        }
+    }
+
+    /// The layout `strategy` runs on: equal-work for the primary
+    /// strategy, uniform for original consistent hashing.
+    pub fn for_strategy(strategy: Strategy, n: usize, base: u32) -> Self {
+        match strategy {
+            Strategy::Primary => Self::equal_work(n, base),
+            Strategy::Original => Self::uniform(n, base),
         }
     }
 

@@ -157,16 +157,11 @@ impl ClusterSim {
         if let Err(e) = cfg.validate() {
             panic!("invalid sim config: {e}");
         }
-        let (layout, strategy) = match cfg.mode {
-            ElasticityMode::NoResizing | ElasticityMode::OriginalCh => (
-                Layout::uniform(cfg.servers, cfg.layout_base),
-                Strategy::Original,
-            ),
-            ElasticityMode::PrimaryFull | ElasticityMode::PrimarySelective => (
-                Layout::equal_work(cfg.servers, cfg.layout_base),
-                Strategy::Primary,
-            ),
+        let strategy = match cfg.mode {
+            ElasticityMode::NoResizing | ElasticityMode::OriginalCh => Strategy::Original,
+            ElasticityMode::PrimaryFull | ElasticityMode::PrimarySelective => Strategy::Primary,
         };
+        let layout = Layout::for_strategy(strategy, cfg.servers, cfg.layout_base);
         let view = ClusterView::new(layout, strategy, cfg.replicas);
         let bucket = TokenBucket::new(cfg.selective_rate, cfg.selective_rate.max(1.0));
         ClusterSim {
