@@ -50,7 +50,7 @@ pub struct StructInfo {
     /// `(field name, base type)` pairs in declaration order.
     pub fields: Vec<(String, String)>,
     /// `(field name, wrapper chain outermost-first)` for fields whose
-    /// declared type descended through [`TYPE_WRAPPERS`] generics —
+    /// declared type descended through `TYPE_WRAPPERS` generics —
     /// `view: ArcSwap<ClusterView>` records `("view", ["ArcSwap"])`.
     /// Unwrapped fields have no entry.
     pub wrapped: Vec<(String, Vec<String>)>,

@@ -66,10 +66,10 @@ pub struct ClusterConfig {
     pub capacity_plan: Option<ech_core::layout::CapacityPlan>,
     /// Retry budget applied to transiently-failing node operations.
     pub retry: RetryPolicy,
-    /// Inert: nothing under `crates/` reads it. The data path computes
-    /// placements from its pinned view; the field stays only because
-    /// `benchmark/` sizes its `core.cache.*` probes with it (ROADMAP
-    /// item 2 deletes it).
+    /// Inert: nothing under `crates/` reads it. The data path reads its
+    /// placements from the per-arc memo of the view it pins, which has
+    /// no capacity; the field stays only because `benchmark/` sizes its
+    /// `core.cache.*` probes with it (ROADMAP item 2 deletes it).
     pub cache_capacity: usize,
     /// Inert, like [`ClusterConfig::cache_capacity`].
     pub cache_shards: usize,
@@ -474,9 +474,11 @@ impl Cluster {
         self.dirty.len()
     }
 
-    /// Always all-zero: the data path has no placement cache to count
-    /// (reads walk Algorithm 1 on their pinned view). Kept only because
-    /// `benchmark/` calls it; ROADMAP item 2 deletes it.
+    /// Always all-zero: the data path has no placement cache to count.
+    /// A placement is one row of the pinned view's per-arc memo, which
+    /// holds every arc of a membership class from the moment the class
+    /// is recorded, so it has no hits, misses or evictions. Kept only
+    /// because `benchmark/` calls it; ROADMAP item 2 deletes it.
     pub fn cache_stats(&self) -> CacheSnapshot {
         CacheSnapshot::default()
     }

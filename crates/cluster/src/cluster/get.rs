@@ -5,11 +5,12 @@ use super::*;
 impl Cluster {
     /// Read an object from any live replica.
     ///
-    /// First tries the current placement; if the object has not been
-    /// re-integrated yet, falls back to the placement at its header's
-    /// write version — "as long as the last version it is written is
-    /// known, it is able to accurately find the servers that contain the
-    /// latest replicas" (§III-E1).
+    /// First tries the current placement; if none of its servers holds
+    /// an acceptable copy (the object has not been re-integrated yet),
+    /// falls back to the placement at its header's write version — "as
+    /// long as the last version it is written is known, it is able to
+    /// accurately find the servers that contain the latest replicas"
+    /// (§III-E1).
     ///
     /// Replicas carry the version they were written at; an object
     /// rewritten at a newer membership version may leave *stale* copies
@@ -43,27 +44,6 @@ impl Cluster {
         let expected = self.headers.header(oid).map(|h| h.version);
         let view = self.view.peek();
         let current = view.place_current(oid).ok();
-        // `locate_ser(OID, Ver)` at the header version adds a candidate
-        // only when that membership differs in content from the current
-        // one: after a down/up cycle most headers name an older version
-        // of the *same* membership, and the second walk is skipped. (An
-        // unrecorded version has no class and no placement either way.)
-        let history = view.history();
-        let written = expected
-            .filter(|&ver| history.epoch_class(ver) != history.epoch_class(view.current_version()))
-            .and_then(|ver| view.place_at(oid, ver).ok());
-        // Current placement first, then the header-version servers it
-        // does not already name. The common case is one placement, whose
-        // server list is borrowed as is.
-        let merged: Placement;
-        let candidates: &[ServerId] = match (&current, &written) {
-            (Some(c), Some(w)) => {
-                merged = c.then_unseen(w);
-                merged.servers()
-            }
-            (Some(p), None) | (None, Some(p)) => p.servers(),
-            (None, None) => return Err(ClusterError::NotFound),
-        };
         // A copy is acceptable when its stamp is at least the header
         // version we read: stale (superseded) copies are always strictly
         // older than the header, while a concurrent re-integration may
@@ -82,23 +62,60 @@ impl Cluster {
                     && self.mutation.mutated(Mutation::BreakerIsAuthoritative))
         };
         let mut saw_transient = false;
-        // Placement-guided candidates first; when they fail (e.g. the
-        // fresh copy sits on a server an intermediate re-integration
-        // chose), sweep all nodes for a version-matching copy before
-        // giving up.
-        let sweep = (0..self.nodes.len() as u32).map(ServerId);
-        for server in candidates.iter().copied().chain(sweep) {
+        // One candidate: `Some` ends the read with a served copy or a
+        // spent budget, `None` moves on to the next candidate.
+        let mut try_server = |server: ServerId| {
             if deadline.expired(&*self.clock) {
                 self.counters
                     .deadline_exceeded
                     .fetch_add(1, Ordering::Relaxed);
-                return Err(ClusterError::DeadlineExceeded);
+                return Some(Err(ClusterError::DeadlineExceeded));
             }
-            let node = self.node(server)?;
+            let node = match self.node(server) {
+                Ok(node) => node,
+                Err(e) => return Some(Err(e)),
+            };
             match self.rpc(server, node, |n| n.get(oid)) {
-                Ok(obj) if acceptable(obj.header.version) => return Ok(obj.data),
-                Ok(_) => {}
-                Err(e) => saw_transient |= transient(&e),
+                Ok(obj) if acceptable(obj.header.version) => Some(Ok(obj.data)),
+                Ok(_) => None,
+                Err(e) => {
+                    saw_transient |= transient(&e);
+                    None
+                }
+            }
+        };
+        // The current placement first.
+        let current_servers = current.as_ref().map(Placement::servers).unwrap_or_default();
+        for &server in current_servers {
+            if let Some(done) = try_server(server) {
+                return done;
+            }
+        }
+        // None of them served: `locate_ser(OID, Ver)` at the header
+        // version, for the servers the current placement does not name.
+        // It is skipped when that membership equals the current one in
+        // content: after a down/up cycle most headers name an older
+        // version of the *same* membership. (An unrecorded version has no
+        // class and no placement either way.)
+        let history = view.history();
+        let written = expected
+            .filter(|&ver| history.epoch_class(ver) != history.epoch_class(view.current_version()))
+            .and_then(|ver| view.place_at(oid, ver).ok());
+        if current.is_none() && written.is_none() {
+            return Err(ClusterError::NotFound);
+        }
+        let unseen = written
+            .iter()
+            .flat_map(Placement::servers)
+            .copied()
+            .filter(|s| !current_servers.contains(s));
+        // When the placements fail too (e.g. the fresh copy sits on a
+        // server an intermediate re-integration chose), sweep all nodes
+        // for a version-matching copy before giving up.
+        let sweep = (0..self.nodes.len() as u32).map(ServerId);
+        for server in unseen.chain(sweep) {
+            if let Some(done) = try_server(server) {
+                return done;
             }
         }
         if saw_transient {

@@ -11,7 +11,7 @@ impl Cluster {
     /// secondaries hold it (`required_acks`). The primary replica is
     /// mandatory and written first, so a put it refuses leaves no copy
     /// behind; transiently-failing nodes are retried under the
-    /// configured [`RetryPolicy`](crate::retry::RetryPolicy). Secondaries
+    /// configured [`RetryPolicy`]. Secondaries
     /// still missing after retries are recorded in the dirty table —
     /// exactly like power-offloaded writes — so [`Cluster::heal_dirty`]
     /// and [`Cluster::repair`] converge the object back to full

@@ -2,7 +2,7 @@
 //!
 //! Each [`Mutation`] names one ordering or acceptance decision the
 //! paper's guarantees rest on. The production bodies in
-//! [`crate::cluster`] consult [`Installed::mutated`] at exactly that
+//! [`crate::cluster`] consult `Installed::mutated` at exactly that
 //! decision and nowhere else, so a mutant model is the shipped code
 //! with one decision flipped — "the checker catches mutant X" proves
 //! "the checker guards decision X". Without the `modelcheck` feature

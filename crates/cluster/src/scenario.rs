@@ -306,7 +306,7 @@ impl Drill {
 
     /// Fix membership, re-replicate, return to full power, drain the
     /// dirty table and re-replicate again; repeated while dirty entries
-    /// or under-replicated objects remain, at most [`MAX_PASSES`] times.
+    /// or under-replicated objects remain, at most `MAX_PASSES` times.
     /// Returns the passes made.
     pub fn converge(&self) -> usize {
         let c = &self.cluster;

@@ -1,7 +1,8 @@
 //! The data path's allocation budget, counted rather than timed: after
-//! warm-up a full-power put or a get allocates nothing — the placement is
-//! inline, the header is a typed record, nothing is formatted — and a put
-//! below full power adds only the dirty log's amortised growth.
+//! warm-up a full-power put or a get, at full power or below it,
+//! allocates nothing — the placement is inline, the header is a typed
+//! record, nothing is formatted — and a put below full power adds only
+//! the dirty log's amortised growth.
 
 // The counting allocator is the one `unsafe impl` the test needs; the
 // vendor shims carry the same allowance.
@@ -64,16 +65,23 @@ fn allocations() -> u64 {
 
 const OBJECTS: u64 = 1_000;
 
+/// Objects written only at full power, read again below it.
+const FULL_POWER_ONLY: std::ops::Range<u64> = OBJECTS..2 * OBJECTS;
+
 fn put_all(c: &Cluster, payload: &Bytes) {
     for k in 0..OBJECTS {
         c.put(ObjectId(k), payload.clone()).unwrap();
     }
 }
 
-fn get_all(c: &Cluster, payload: &Bytes) {
-    for k in 0..OBJECTS {
+fn get_range(c: &Cluster, payload: &Bytes, ids: std::ops::Range<u64>) {
+    for k in ids {
         assert_eq!(c.get(ObjectId(k)).unwrap(), *payload);
     }
+}
+
+fn get_all(c: &Cluster, payload: &Bytes) {
+    get_range(c, payload, 0..OBJECTS);
 }
 
 #[test]
@@ -89,6 +97,10 @@ fn warm_puts_and_gets_allocate_nothing_and_degraded_puts_only_grow_the_log() {
     put_all(&c, &payload);
     get_all(&c, &payload);
     assert_eq!(allocations() - before, 0, "full-power overwrites and reads");
+
+    for k in FULL_POWER_ONLY {
+        c.put(ObjectId(k), payload.clone()).unwrap();
+    }
 
     // Below full power every put is offloaded and logged. One round lands
     // the replicas on their offload nodes; the round counted after it
@@ -106,8 +118,18 @@ fn warm_puts_and_gets_allocate_nothing_and_degraded_puts_only_grow_the_log() {
         "{grown} allocations in 1,000 degraded puts: more than the log's amortised growth"
     );
 
-    // Reads of offloaded objects resolve two placements and merge them.
+    // Reads of offloaded objects: their header names the current class.
     let before = allocations();
     get_all(&c, &payload);
     assert_eq!(allocations() - before, 0, "degraded reads");
+
+    // Reads of objects written at full power: a current placement that
+    // misses falls back to the one at the header's version.
+    let before = allocations();
+    get_range(&c, &payload, FULL_POWER_ONLY);
+    assert_eq!(
+        allocations() - before,
+        0,
+        "degraded reads of full-power writes"
+    );
 }

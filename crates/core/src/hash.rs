@@ -62,7 +62,7 @@ fn fmix64(mut k: u64) -> u64 {
 /// share the selecting hash's top bits, and the standard map takes its
 /// 7-bit control tag from the top bits of the map hash: reuse the
 /// selecting hash and every key in a table draws from a sliver of the
-/// 128 tags, so probes stop filtering. Hence [`fmix64`], not [`mix64`].
+/// 128 tags, so probes stop filtering. Hence `fmix64`, not [`mix64`].
 #[derive(Debug, Default, Clone, Copy)]
 pub struct IdHasher(u64);
 

@@ -139,7 +139,7 @@ pub struct MembershipHistory {
     /// version whose table is content-equal. Placement is a pure function
     /// of (table content, object), so any two versions in the same class
     /// place identically — a read whose header names a version of the
-    /// current class skips the second placement walk (down to `k` and
+    /// current class skips the second placement lookup (down to `k` and
     /// back to full power repeats the full-power class).
     classes: Vec<VersionId>,
 }

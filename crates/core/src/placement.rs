@@ -41,8 +41,8 @@ pub enum Strategy {
 }
 
 /// Replicas a [`Placement`] holds without touching the heap. Covers
-/// every replication factor the paper evaluates (r = 2, 3) and the
-/// current-plus-written candidate list of a read at r ≤ 3.
+/// every replication factor the paper evaluates (r = 2, 3) with room to
+/// spare: a view's memo rows read back allocation-free up to r = 6.
 const INLINE_REPLICAS: usize = 6;
 
 /// Backing storage of a [`Placement`]: a fixed array up to
@@ -112,6 +112,31 @@ impl Placement {
         }
     }
 
+    /// A placement read back from a memo row: `servers` in order, the
+    /// primary in slot `primary`. Inline, so allocation-free, up to
+    /// [`INLINE_REPLICAS`] servers.
+    #[inline]
+    pub(crate) fn from_row(servers: &[ServerId], primary: u8) -> Self {
+        let servers = match u8::try_from(servers.len()) {
+            Ok(len) if usize::from(len) <= INLINE_REPLICAS => {
+                let mut slots = [ServerId(0); INLINE_REPLICAS];
+                for (slot, &server) in slots.iter_mut().zip(servers) {
+                    *slot = server;
+                }
+                Servers::Inline {
+                    len,
+                    primary,
+                    slots,
+                }
+            }
+            _ => Servers::Heap {
+                primary,
+                servers: servers.to_vec(),
+            },
+        };
+        Placement { servers }
+    }
+
     /// Hand-built placement: `servers` in order, the primary in slot 0.
     #[cfg(test)]
     pub(crate) fn test_only(servers: Vec<ServerId>) -> Self {
@@ -169,19 +194,6 @@ impl Placement {
     #[inline]
     pub fn contains(&self, server: ServerId) -> bool {
         self.servers().contains(&server)
-    }
-
-    /// This placement's servers followed by those of `other` it does not
-    /// already name: the order a read tries the current placement and
-    /// then the placement of the version the object was written at.
-    pub fn then_unseen(&self, other: &Placement) -> Placement {
-        let mut merged = self.clone();
-        for &s in other.servers() {
-            if !self.contains(s) {
-                merged.push(s);
-            }
-        }
-        merged
     }
 
     /// The replicas that sit on primary servers under `layout`.
@@ -298,6 +310,17 @@ pub fn place_original_with<E: PlacementEngine>(
     oid: ObjectId,
     replicas: usize,
 ) -> Result<Placement, PlacementError> {
+    original_from(engine, membership, oid, engine.start(oid), replicas)
+}
+
+/// [`place_original_with`] from the cursor `start`.
+fn original_from<E: PlacementEngine>(
+    engine: &E,
+    membership: &MembershipTable,
+    oid: ObjectId,
+    start: u64,
+    replicas: usize,
+) -> Result<Placement, PlacementError> {
     if replicas == 0 {
         return Err(PlacementError::ZeroReplicas);
     }
@@ -309,7 +332,7 @@ pub fn place_original_with<E: PlacementEngine>(
         });
     }
     let mut chosen = Placement::empty();
-    let mut cursor = engine.start(oid);
+    let mut cursor = start;
     while chosen.len() < replicas {
         let found = engine.search(oid, cursor, |s| {
             membership.is_active(s) && !chosen.contains(s)
@@ -370,6 +393,18 @@ pub fn place_primary_with<E: PlacementEngine>(
     oid: ObjectId,
     replicas: usize,
 ) -> Result<Placement, PlacementError> {
+    primary_from(engine, layout, membership, oid, engine.start(oid), replicas)
+}
+
+/// [`place_primary_with`] from the cursor `start`.
+fn primary_from<E: PlacementEngine>(
+    engine: &E,
+    layout: &Layout,
+    membership: &MembershipTable,
+    oid: ObjectId,
+    start: u64,
+    replicas: usize,
+) -> Result<Placement, PlacementError> {
     if replicas == 0 {
         return Err(PlacementError::ZeroReplicas);
     }
@@ -399,7 +434,7 @@ pub fn place_primary_with<E: PlacementEngine>(
 
     let mut chosen = Placement::empty();
     let mut has_primary = false;
-    let mut cursor = engine.start(oid);
+    let mut cursor = start;
 
     for i in 1..=replicas {
         let need = if i == replicas {
@@ -424,7 +459,9 @@ pub fn place_primary_with<E: PlacementEngine>(
         // uniform hashed streams a needle-in-haystack filter over all n
         // servers degrades to an O(n) sweep, while a draw over the
         // `0..p` prefix is O(1); the ring's default just delegates to
-        // its weighted walk, unchanged.
+        // its weighted walk, unchanged. With every primary off, the
+        // primary-only pass could only offer the whole stream and fail, so
+        // it is skipped: on the ring that failure is a full lap.
         let mut found = None;
         for pass in 0..2 {
             let pass_need = if pass == 0 { need } else { Need::Any };
@@ -440,6 +477,9 @@ pub fn place_primary_with<E: PlacementEngine>(
             };
             found = if pass_need == Need::Primary {
                 let p = layout.primary_count().min(u32::MAX as usize) as u32;
+                if !(0..p).any(|i| membership.is_active(ServerId(i))) {
+                    continue;
+                }
                 engine.search_primaries(oid, cursor, p, accept)
             } else {
                 engine.search(oid, cursor, accept)
@@ -492,9 +532,35 @@ pub fn place_with<E: PlacementEngine>(
     oid: ObjectId,
     replicas: usize,
 ) -> Result<Placement, PlacementError> {
+    place_from(
+        engine,
+        strategy,
+        layout,
+        membership,
+        oid,
+        engine.start(oid),
+        replicas,
+    )
+}
+
+/// [`place_with`] from the cursor `start` instead of `engine.start(oid)`.
+///
+/// On the ring the cursor is a ring position and the search never reads
+/// `oid`: the walk from a vnode's own position is the placement of every
+/// object whose position falls in that vnode's arc, which is how
+/// [`crate::view::ClusterView`] fills its per-arc rows.
+pub fn place_from<E: PlacementEngine>(
+    engine: &E,
+    strategy: Strategy,
+    layout: &Layout,
+    membership: &MembershipTable,
+    oid: ObjectId,
+    start: u64,
+    replicas: usize,
+) -> Result<Placement, PlacementError> {
     match strategy {
-        Strategy::Original => place_original_with(engine, membership, oid, replicas),
-        Strategy::Primary => place_primary_with(engine, layout, membership, oid, replicas),
+        Strategy::Original => original_from(engine, membership, oid, start, replicas),
+        Strategy::Primary => primary_from(engine, layout, membership, oid, start, replicas),
     }
 }
 
@@ -510,8 +576,8 @@ mod tests {
     }
 
     /// The `Debug` form recorded from the `servers: Vec<ServerId>`
-    /// representation, and a read's candidate list, hold for inline
-    /// storage (r = 1, 2, 3) and the heap spill above it (r = 7, 10).
+    /// representation holds for inline storage (r = 1, 2, 3) and the
+    /// heap spill above it (r = 7, 10).
     #[test]
     fn placement_debug_form_does_not_depend_on_its_storage() {
         let recorded: [(usize, &[u32]); 5] = [
@@ -531,13 +597,6 @@ mod tests {
                 format!("{p:?}"),
                 format!("Placement {{ servers: {want:?} }}")
             );
-            // A read's candidate list: the current servers, then the unseen
-            // ones of another placement, spilling to the heap when it must.
-            let other = place_primary(&ring, &layout, &m, ObjectId(7), replicas).unwrap();
-            let merged = p.then_unseen(&other);
-            let mut want = p.servers().to_vec();
-            want.extend(other.servers().iter().filter(|s| !p.contains(**s)));
-            assert_eq!(merged.servers(), want, "r = {replicas}");
         }
     }
 

@@ -137,8 +137,11 @@ impl HashRing {
     ///
     /// Served from the precomputed acceleration table (O(1) expected).
     #[inline]
-    fn successor_index(&self, position: u64) -> usize {
-        let mut i = self.lut[(position >> self.lut_shift) as usize] as usize;
+    pub fn successor_index(&self, position: u64) -> usize {
+        // The bucket is always in the table; a scan from 0 would still
+        // find the successor, only slower.
+        let bucket = (position >> self.lut_shift) as usize;
+        let mut i = self.lut.get(bucket).map_or(0, |&i| i as usize);
         while let Some(v) = self.vnodes.get(i) {
             if v.position >= position {
                 return i;

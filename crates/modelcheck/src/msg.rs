@@ -21,7 +21,7 @@
 //!
 //! Encoding: scheduler choice values `>= MSG_BASE` denote "the message
 //! gets fate `choice - MSG_BASE`", rendered `m<code>` in `v3:` traces.
-//! The band sits above [`crate::weak::FLUSH_BASE`], so
+//! The band sits above `crate::weak::FLUSH_BASE`, so
 //! [`crate::preempt_delta`] already treats fate decisions as
 //! non-preemptions — a lost message is the network's doing, not an
 //! involuntary context switch.

@@ -43,7 +43,7 @@
 //! stale value.
 //!
 //! Global memory for weak-touched atomics lives in session-owned
-//! [`Cell`]s rather than in the real `std` atomic: flush points are
+//! `Cell`s rather than in the real `std` atomic: flush points are
 //! executed by the scheduler, which has no reference to the atomic
 //! instance, and the controller's post-join assertions must be able to
 //! observe (the absence of) unflushed stores. Values are transported as
