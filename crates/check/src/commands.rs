@@ -3,7 +3,6 @@
 
 use crate::mc_models::CaughtIn;
 use ech_cli::args::{Args, ParseError};
-use ech_core::ids::ObjectId;
 use std::fmt::Write as _;
 
 /// The dispatch table, in `help` order.
@@ -362,10 +361,7 @@ const MAX_LINCHECK_OPS: usize = 1_000_000;
 /// `l1:` witness line, the artifact `--lincheck` model runs and the
 /// replay regression tests carry.
 fn lincheck_cmd(args: &Args) -> Result<String, ParseError> {
-    use bytes::Bytes;
-    use ech_cluster::fault::FaultPlan;
     use ech_cluster::scenario::Scenario;
-    use ech_core::hash::mix64;
     args.allow_only(&["witness", "seed", "ops", "keys"])?;
     if let Some(line) = args.options.get("witness") {
         return match ech_lincheck::verify_witness(line) {
@@ -384,40 +380,14 @@ fn lincheck_cmd(args: &Args) -> Result<String, ParseError> {
     if keys == 0 {
         return Err(ParseError("--keys must be at least 1".into()));
     }
-    let mut sc = Scenario::r3(FaultPlan::default(), 0);
-    (sc.cfg.servers, sc.cfg.replicas) = (3, 2);
     // Built after the session begins: the build attaches the recorder.
     let session = ech_lincheck::recorder::Session::begin();
-    let c = sc.build().cluster;
-    // A seeded op mix over a handful of keys: overwrites (so the
-    // last-write-wins register has history to get wrong), reads, power
-    // resizes (degraded-write windows), and heal/drain passes. Scripted
-    // single-threaded: the point is the recording and checking
+    let drill = Scenario::scripted().build();
+    // Scripted single-threaded: the point is the recording and checking
     // pipeline, not schedule exploration — `modelcheck --lincheck`
     // covers the concurrent side.
-    let mut active = 3usize;
     for i in 0..ops {
-        let r = mix64(seed ^ (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-        let oid = ObjectId(1 + r % keys);
-        match (r >> 8) % 10 {
-            0..=4 => {
-                let _ = c.put(oid, Bytes::from(format!("lincheck-{i}")));
-            }
-            5..=7 => {
-                let _ = c.get(oid);
-            }
-            8 => {
-                active = if active == 3 { 2 } else { 3 };
-                c.resize(active);
-            }
-            _ => {
-                if r & 1 == 0 {
-                    c.heal_dirty();
-                } else {
-                    c.reintegrate_all();
-                }
-            }
-        }
+        drill.script_op(seed, i, keys);
     }
     let rec = session.finish();
     let recorded_ops = rec
@@ -703,6 +673,41 @@ mod tests {
         );
     }
 
+    /// The two pairs that guard clean reads, in every memory and history
+    /// mode: the drain races pass exhaustively, and the retire-at-pop
+    /// and overwrite-newer mutants are caught.
+    #[test]
+    fn modelcheck_clean_read_pairs_hold_in_every_mode() {
+        for (models, safe, mutant) in [
+            ("clean-read-*", "clean-read-vs-drain", "clean-read-bug"),
+            (
+                "superseded-drain-*",
+                "superseded-drain-vs-rewrite",
+                "superseded-drain-bug",
+            ),
+        ] {
+            for mode in [
+                "",
+                " --weak true",
+                " --lincheck true",
+                " --lincheck true --weak true",
+            ] {
+                let out = run_line(&format!("modelcheck --model {models}{mode}")).unwrap();
+                let row = |name: &str| {
+                    out.lines()
+                        .find(|l| l.split_whitespace().next() == Some(name))
+                        .unwrap_or_else(|| panic!("no {name} row{mode}:\n{out}"))
+                };
+                let safe = row(safe);
+                assert!(
+                    safe.contains("pass") && safe.contains("(exhaustive)"),
+                    "{mode}: {safe}"
+                );
+                assert!(row(mutant).contains("caught"), "{mode}:\n{out}");
+            }
+        }
+    }
+
     /// Every seeded mutant that sequentially consistent exploration can
     /// catch is caught, and its counterexample replays byte-identically.
     #[test]
@@ -712,6 +717,8 @@ mod tests {
             "partition-quorum-bug",
             "stale-read-bug",
             "reintegration-lost-replica-bug",
+            "clean-read-bug",
+            "superseded-drain-bug",
         ] {
             assert_caught_and_replayable(model, false);
             // The same bugs are still bugs under weak memory.
@@ -983,6 +990,21 @@ mod tests {
         assert!(wide.contains("linearizable"), "not linearizable:\n{wide}");
         assert!(run_line("lincheck --ops 0").is_err());
         assert!(run_line("lincheck --keys 0").is_err());
+    }
+
+    /// The smoke's 120 ops over 4 keys pass read-path gates that are not
+    /// linearizable (a gate on the header's dirty bit did); 16 longer
+    /// histories over 6 keys catch them. CI sweeps 64 seeds.
+    #[test]
+    fn lincheck_sweep_is_linearizable() {
+        for seed in 0..16 {
+            let out = run_line(&format!("lincheck --seed {seed} --ops 2000 --keys 6"))
+                .unwrap_or_else(|e| panic!("seed {seed}: {}", e.0));
+            assert!(
+                out.contains("lincheck: linearizable"),
+                "seed {seed}:\n{out}"
+            );
+        }
     }
 
     /// `--ops` is capped before anything is scripted: past the cap the

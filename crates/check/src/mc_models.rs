@@ -229,6 +229,20 @@ pub const MODELS: &[Model] = &[
         ..SAFE
     },
     Model {
+        name: "clean-read-vs-drain",
+        about: "header-free full-power read racing the drain of an offloaded rewrite",
+        pair: "clean-read-bug",
+        setup: clean_read_vs_drain,
+        ..SAFE
+    },
+    Model {
+        name: "superseded-drain-vs-rewrite",
+        about: "drain copy racing a resize cycle and a full-power rewrite of its object",
+        pair: "superseded-drain-bug",
+        setup: superseded_drain_vs_rewrite,
+        ..SAFE
+    },
+    Model {
         name: "seeded-stamp-bug",
         about: "seeded stamp-before-copy re-integration (must be caught)",
         pair: "publish-vs-read",
@@ -266,6 +280,22 @@ pub const MODELS: &[Model] = &[
         pair: "reintegrate-vs-resize",
         mutant: Some((Mutation::RemoveBeforeCopy, CaughtIn::Every)),
         setup: reintegration_lost_replica_bug,
+        ..SAFE
+    },
+    Model {
+        name: "clean-read-bug",
+        about: "seeded dirty-entry retire at pop opens a clean read on a superseded copy (must be caught)",
+        pair: "clean-read-vs-drain",
+        mutant: Some((Mutation::RetireAtPop, CaughtIn::Every)),
+        setup: clean_read_vs_drain,
+        ..SAFE
+    },
+    Model {
+        name: "superseded-drain-bug",
+        about: "seeded drain copy overwrites a newer rewrite on its destination (must be caught)",
+        pair: "superseded-drain-vs-rewrite",
+        mutant: Some((Mutation::MoveOverwritesNewer, CaughtIn::Every)),
+        setup: superseded_drain_vs_rewrite,
         ..SAFE
     },
     Model {
@@ -395,6 +425,7 @@ const OID2: ObjectId = ObjectId(11);
 const OID3: ObjectId = ObjectId(13);
 const PAYLOAD: &[u8] = b"model-payload";
 const PAYLOAD2: &[u8] = b"model-payload-v2";
+const PAYLOAD3: &[u8] = b"model-payload-v3";
 
 /// A resize must never make a committed object unreadable: the reader
 /// may pin the old or the new epoch mid-publication, and either way the
@@ -901,6 +932,103 @@ fn seeded_stamp_bug(env: &mut Env, mutation: Option<Mutation>) {
             got.is_ok(),
             "read during seeded re-integration failed: {got:?}"
         );
+    });
+}
+
+/// A clean read racing the re-integration of an offloaded rewrite: the
+/// object's first full-power replica sits on the server the size-down
+/// turns off, so the rewrite lands elsewhere and that server keeps the
+/// superseded copy until the one-task drain copies over it. The read
+/// must return the rewrite in every interleaving: the rewrite's dirty
+/// entry stays unretired until the task has copied and stamped, so the
+/// read keeps the header path throughout.
+///
+/// `clean-read-bug` runs this scenario under [`Mutation::RetireAtPop`]:
+/// the planner retires the entry at its pop, a read scheduled before
+/// the copy sees nothing unretired at full power, skips the header and
+/// serves the superseded copy from slot 0.
+fn clean_read_vs_drain(env: &mut Env, mutation: Option<Mutation>) {
+    let sc = Scenario::model(3, 2, Strategy::Primary);
+    let c = model_cluster(&sc, mutation);
+    let oid = slot0_on_server2(&sc);
+    c.put(oid, Bytes::copy_from_slice(PAYLOAD))
+        .expect("setup write at full power");
+    c.resize(2);
+    c.put(oid, Bytes::copy_from_slice(PAYLOAD2))
+        .expect("rewrite at reduced power");
+    c.resize(3);
+    {
+        let c = Arc::clone(&c);
+        env.spawn(move || {
+            let _ = c.reintegrate_batch(1);
+        });
+    }
+    env.spawn(move || match c.get(oid) {
+        Ok(data) => assert!(
+            &data[..] == PAYLOAD2,
+            "read during the drain served a superseded copy: {:?}",
+            String::from_utf8_lossy(&data)
+        ),
+        Err(e) => panic!("read during the drain failed: {e}"),
+    });
+}
+
+/// The first object whose full-power placement puts server 2 — the one
+/// a size-down to 2 of 3 turns off — in slot 0, where a clean read
+/// tries first.
+fn slot0_on_server2(sc: &Scenario) -> ObjectId {
+    let view = sc.cfg.view();
+    (0..64)
+        .map(ObjectId)
+        .find(|&o| {
+            view.place_current(o)
+                .is_ok_and(|p| p.servers()[0].index() == 2)
+        })
+        .expect("some object places server 2 in slot 0 at full power")
+}
+
+/// A drain task's copy racing a resize cycle and a full-power rewrite:
+/// the object was rewritten while server 2 was off, and the one-task
+/// drain copies that rewrite back to server 2. Meanwhile a client sizes
+/// down and up again and rewrites the object at full power, to both
+/// replicas and with no dirty entry, then reads it. The read must return
+/// the last rewrite in every interleaving: a copy that lands after it
+/// keeps the newer copy (`put_moved`), and one that server 2 refused
+/// while off leaves the entry logged again.
+///
+/// `superseded-drain-bug` runs this scenario under
+/// [`Mutation::MoveOverwritesNewer`]: the late copy replaces the rewrite
+/// on server 2, the task retires its entry, and the read, now clean,
+/// serves the older copy from slot 0.
+fn superseded_drain_vs_rewrite(env: &mut Env, mutation: Option<Mutation>) {
+    let sc = Scenario::model(3, 2, Strategy::Primary);
+    let c = model_cluster(&sc, mutation);
+    let oid = slot0_on_server2(&sc);
+    c.put(oid, Bytes::copy_from_slice(PAYLOAD))
+        .expect("setup write at full power");
+    c.resize(2);
+    c.put(oid, Bytes::copy_from_slice(PAYLOAD2))
+        .expect("rewrite at reduced power");
+    c.resize(3);
+    {
+        let c = Arc::clone(&c);
+        env.spawn(move || {
+            let _ = c.reintegrate_batch(1);
+        });
+    }
+    env.spawn(move || {
+        c.resize(2);
+        c.resize(3);
+        c.put(oid, Bytes::copy_from_slice(PAYLOAD3))
+            .expect("rewrite at full power");
+        match c.get(oid) {
+            Ok(data) => assert!(
+                &data[..] == PAYLOAD3,
+                "read after a full-power rewrite served an older copy: {:?}",
+                String::from_utf8_lossy(&data)
+            ),
+            Err(e) => panic!("read after a full-power rewrite failed: {e}"),
+        }
     });
 }
 

@@ -134,6 +134,13 @@ fn required_acks(replicas: usize) -> usize {
     1 + replicas.saturating_sub(1).div_ceil(2)
 }
 
+/// The count of dirty-log entries Algorithm 2 has not retired, alone on
+/// its cache line: a clean read loads it, and no full-power operation
+/// writes it, so concurrent readers keep the line shared.
+#[derive(Debug)]
+#[repr(align(64))]
+struct Unreconciled(AtomicU64);
+
 /// Cluster-level operation errors.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ClusterError {
@@ -235,6 +242,13 @@ pub struct Cluster {
     /// planner's `&mut` scans run on clones sharing the backing store);
     /// Algorithm 2's serial scan order is enforced by `engine`'s lock.
     dirty: KvDirtyTable,
+    /// Entries logged to `dirty` and not yet retired: +1 before each
+    /// push, −1 once Algorithm 2 pops an entry without a task, or once
+    /// the task planned from it has copied and stamped or re-logged.
+    /// While it reads 0 at full power, every acked write sits on every
+    /// server of its placement and a get may skip the header
+    /// ([`Cluster::get`]).
+    unreconciled: Unreconciled,
     headers: KvHeaderStore,
     engine: Mutex<Reintegrator>,
     migration_limiter: Option<Mutex<MigrationThrottle>>,
@@ -308,6 +322,9 @@ impl Cluster {
             .map(|plan| NetFabric::new(cfg.servers, plan, clock.clone(), counters.clone()))
             .map(Arc::new);
         let recorder = Recorder::attach();
+        // Every publish fills its class's memo first: no get or put
+        // waits on a build.
+        view.fill_memo();
         let view = Arc::new(view);
         Self::assemble(cfg, fault, clock, nodes, view, kv, net, counters, recorder)
     }
@@ -330,6 +347,9 @@ impl Cluster {
         recorder: Recorder,
     ) -> Arc<Self> {
         let kv = Arc::new(kv);
+        // A restored log's entries are all unretired; a fresh one is
+        // empty. Read before the fault hook goes in, so it cannot fail.
+        let logged = kv.dirty_len().map_or(0, |n| n as u64);
         if let Some(inj) = &fault {
             kv.set_fault_hook(Some(inj.clone() as Arc<dyn ShardFaultHook>));
         }
@@ -346,6 +366,7 @@ impl Cluster {
             view: ArcSwap::new(view),
             view_write: Mutex::new(()),
             dirty: KvDirtyTable::with_clock(kv.clone(), clock.clone()),
+            unreconciled: Unreconciled(AtomicU64::new(logged)),
             headers: KvHeaderStore::with_clock(kv.clone(), clock.clone()),
             engine: Mutex::new(Reintegrator::new()),
             migration_limiter,
@@ -411,6 +432,12 @@ impl Cluster {
     /// 2's own rule (a new scan restarts from the table head), so resumed
     /// re-integration is correct by construction.
     ///
+    /// Every restored dirty entry counts as unretired. An entry Algorithm
+    /// 2 had popped for a task that had not yet copied and stamped is in
+    /// no log, but its header still carries the dirty bit: each dirty
+    /// header without an entry is logged again, so its task is re-planned
+    /// and no get skips the header while the object awaits it.
+    ///
     /// The fabric survives the restart: the network does not reset
     /// because the coordinator did. Breaker *state* is process-local
     /// health tracking and starts fresh, like the re-integration engine;
@@ -418,9 +445,18 @@ impl Cluster {
     /// on the restarted coordinator.
     pub fn restart(&self) -> Arc<Cluster> {
         let view = self.view.load();
-        let kv = KvStore::restore(self.kv.dump(), self.cfg.kv_shards)
+        let snapshot = self.kv.dump();
+        let logged: std::collections::HashSet<ObjectId> =
+            snapshot.dirty().iter().map(|e| e.oid).collect();
+        let unlogged: Vec<DirtyEntry> = snapshot
+            .headers()
+            .iter()
+            .filter(|(oid, h)| h.dirty && !logged.contains(oid))
+            .map(|&(oid, h)| DirtyEntry::new(oid, h.version))
+            .collect();
+        let kv = KvStore::restore(snapshot, self.cfg.kv_shards)
             .expect("a live store's own dump holds only headers it packed");
-        Self::assemble(
+        let restarted = Self::assemble(
             self.cfg.clone(),
             self.fault.clone(),
             self.clock.clone(),
@@ -430,7 +466,11 @@ impl Cluster {
             self.net.clone(),
             self.counters.clone(),
             self.recorder.clone(),
-        )
+        );
+        for entry in unlogged {
+            restarted.log_dirty(entry);
+        }
+        restarted
     }
 
     /// Clone-mutate-publish a new cluster view. `f` runs on a private
@@ -442,6 +482,7 @@ impl Cluster {
         let _writer = self.view_write.lock();
         let mut next = ClusterView::clone(self.view.peek());
         let out = f(&mut next);
+        next.fill_memo();
         self.view.store(Arc::new(next));
         out
     }
@@ -484,9 +525,35 @@ impl Cluster {
     }
 
     /// Append a dirty entry: no coordinator lock, the kv log push is
-    /// atomic in the store.
+    /// atomic in the store. The entry counts as unretired before it is
+    /// pushed, so before the put that logs it acks.
     fn log_dirty(&self, entry: DirtyEntry) {
+        self.unreconciled.0.fetch_add(1, Ordering::SeqCst);
         self.dirty.push_entry(entry);
+    }
+
+    /// Retire `n` dirty entries: Algorithm 2 popped them, and each one's
+    /// data sits where its full-power placement reads it.
+    fn retire(&self, n: usize) {
+        if n > 0 {
+            self.unreconciled.0.fetch_sub(n as u64, Ordering::SeqCst);
+        }
+    }
+
+    /// The pinned view a get may read without the header, or `None`
+    /// when it must read it first. Three things must hold: every
+    /// replica acks a write (`required_acks(r) == r`, so no degraded
+    /// quorum ack leaves a missed replica behind), no dirty entry is
+    /// unretired, and the view is full power. Then every acked write
+    /// sits on every server of its current placement, stamped at or
+    /// above its header (DESIGN.md, "Clean reads").
+    pub(crate) fn clean_view(&self) -> Option<&ClusterView> {
+        let replicas = self.cfg.replicas;
+        if required_acks(replicas) != replicas || self.unreconciled.0.load(Ordering::Acquire) != 0 {
+            return None;
+        }
+        let view = self.view.peek();
+        view.current_membership().is_full_power().then_some(view)
     }
 
     /// Total payload bytes moved by re-integration so far.

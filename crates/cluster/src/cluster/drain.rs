@@ -12,8 +12,9 @@ pub struct ReintegrationStats {
     pub moves: usize,
     /// Payload bytes copied.
     pub bytes: u64,
-    /// Replica moves that failed on message-level faults after retries
-    /// (the task's entry is re-logged so a post-heal drain re-plans it).
+    /// Replica moves whose copy did not land: a message-level fault after
+    /// retries, or a destination a racing resize turned off or that is
+    /// full (the task's entry is re-logged so a later drain re-plans it).
     pub failed_moves: usize,
 }
 
@@ -27,15 +28,59 @@ impl ReintegrationStats {
     }
 }
 
+/// The dirty table as one Algorithm 2 scan sees it, counting the entries
+/// the scan pops.
+struct CountingScan {
+    table: KvDirtyTable,
+    popped: usize,
+}
+
+impl DirtyTable for CountingScan {
+    fn push_back(&mut self, entry: DirtyEntry) {
+        self.table.push_back(entry);
+    }
+
+    fn get(&self, index: usize) -> Option<DirtyEntry> {
+        self.table.get(index)
+    }
+
+    fn pop_front(&mut self) -> Option<DirtyEntry> {
+        let entry = self.table.pop_front();
+        self.popped += usize::from(entry.is_some());
+        entry
+    }
+
+    fn len(&self) -> usize {
+        self.table.len()
+    }
+}
+
 impl Cluster {
     /// Plan one migration task against the current snapshot. The engine
     /// lock serialises Algorithm 2's scan (and with it the dirty-table
     /// pops the scan performs).
-    fn plan_task(&self) -> Result<MigrationTask, Idle> {
+    ///
+    /// With a task comes the number of entries its scan popped, the
+    /// task's own among them: the caller retires them only once
+    /// [`Cluster::execute_task`] has copied and stamped or re-logged, so
+    /// no clean read skips the header while the task's copies are in
+    /// flight. A scan that plans nothing retires its pops here.
+    pub(crate) fn plan_task(&self) -> Result<(MigrationTask, usize), Idle> {
         let view = self.view.peek();
         let mut engine = self.engine.lock();
-        let mut dirty = self.dirty.clone();
-        engine.next_task(view, &mut dirty, &self.headers)
+        let mut scan = CountingScan {
+            table: self.dirty.clone(),
+            popped: 0,
+        };
+        match engine.next_task(view, &mut scan, &self.headers) {
+            Ok(task) if !self.mutation.mutated(Mutation::RetireAtPop) => Ok((task, scan.popped)),
+            planned => {
+                // Retiring a task's entry at its pop opens a clean read
+                // on the copy the offloaded write superseded.
+                self.retire(scan.popped);
+                planned.map(|task| (task, 0))
+            }
+        }
     }
 
     /// Drain up to `max_tasks` (at least one) re-integration tasks on
@@ -58,7 +103,10 @@ impl Cluster {
         let mut total = ReintegrationStats::default();
         for planned in 0..max_tasks.max(1) {
             match self.plan_task() {
-                Ok(task) => total.absorb(self.execute_task(&task)),
+                Ok((task, popped)) => {
+                    total.absorb(self.execute_task(&task));
+                    self.retire(popped);
+                }
                 Err(idle) if planned == 0 => return Err(idle),
                 Err(_) => break,
             }
@@ -71,7 +119,7 @@ impl Cluster {
     /// before it removes (a racing failure loses only the *copy*, never
     /// the source replica), and the header is stamped only after every
     /// copy landed (a reader never meets a header no replica satisfies).
-    fn execute_task(&self, task: &MigrationTask) -> ReintegrationStats {
+    pub(crate) fn execute_task(&self, task: &MigrationTask) -> ReintegrationStats {
         let remove_before_copy = self.mutation.mutated(Mutation::RemoveBeforeCopy);
         let mut stats = ReintegrationStats {
             tasks: 1,
@@ -107,16 +155,21 @@ impl Cluster {
                     }
                     // The destination is active at the target version by
                     // construction; a put failure here (after transient
-                    // retries) means a racing resize — or a message-level
-                    // fault — in which case the entry is re-planned.
+                    // retries) means a racing resize, a full disk or a
+                    // message-level fault, and the entry is re-planned.
+                    // The copy never replaces one stamped at or past the
+                    // target: a full-power rewrite racing the move put it
+                    // there, and it is newer than the moved data.
+                    let overwrite = self.mutation.mutated(Mutation::MoveOverwritesNewer);
                     let dst_token = task.oid.raw() ^ ((m.to.index() as u64) << 48);
                     let (put, _) = self.call(m.to, dst, deadline, dst_token, |n| {
-                        n.put(
-                            task.oid,
-                            obj.data.clone(),
-                            task.target_version,
-                            obj.header.dirty,
-                        )
+                        let data = obj.data.clone();
+                        let (at, dirty) = (task.target_version, obj.header.dirty);
+                        if overwrite {
+                            n.put(task.oid, data, at, dirty)
+                        } else {
+                            n.put_moved(task.oid, data, at, dirty)
+                        }
                     });
                     match put {
                         Ok(()) => {
@@ -127,8 +180,7 @@ impl Cluster {
                             stats.moves += 1;
                             stats.bytes += bytes;
                         }
-                        Err(e) if e.is_link_failure() => stats.failed_moves += 1,
-                        Err(_) => {}
+                        Err(_) => stats.failed_moves += 1,
                     }
                 }
                 Err(e) if e.is_link_failure() => {
@@ -143,11 +195,12 @@ impl Cluster {
         }
         if stats.failed_moves > 0 {
             // The migration is incomplete through no fault of the plan:
-            // message-level faults blocked at least one move. Advancing
-            // the header now could strand the object (no copy would
-            // satisfy the new stamp), so leave the header alone and put
-            // the entry back — a drain after the faults clear re-plans
-            // exactly this work.
+            // a fault or a racing resize kept at least one copy from
+            // landing. Advancing the header now could strand the object
+            // (no copy would satisfy the new stamp), and the stamp would
+            // pass the destination's old copy off as current, so leave
+            // the header alone and put the entry back — a drain after
+            // the faults clear re-plans exactly this work.
             let version = self
                 .headers
                 .header(task.oid)
@@ -238,8 +291,8 @@ impl Cluster {
                     let stalled = s.moves == 0 && s.failed_moves > 0;
                     total.absorb(s);
                     if stalled {
-                        // Every move in the batch died on message-level
-                        // faults (e.g. an unhealed partition): the
+                        // Every move in the batch failed (e.g. on an
+                        // unhealed partition): the
                         // entries are re-logged, but draining harder now
                         // would just loop against the same dead links.
                         // Come back after the network heals.

@@ -1,4 +1,4 @@
-//! `Cluster::get`: current and header-version placements.
+//! `Cluster::get`: clean reads, current and header-version placements.
 
 use super::*;
 
@@ -20,6 +20,15 @@ impl Cluster {
     /// "identify the latest data version and avoid stale data"): stale
     /// copies are strictly older, while a concurrent re-integration may
     /// restamp fresh ones past the header a read took.
+    ///
+    /// A clean read skips the header: at full power, with a write
+    /// quorum of every replica and no dirty entry awaiting
+    /// re-integration, every copy on the current placement is acceptable,
+    /// so the first one found is served without the kv lookup. Only when
+    /// none of those servers holds a copy is the header read, and the
+    /// read goes on to the header-version placement and the sweep. Either
+    /// way the same servers are read in the same order (DESIGN.md,
+    /// "Clean reads").
     pub fn get(&self, oid: ObjectId) -> Result<Bytes, ClusterError> {
         let span = self.recorder.inv_get(oid, &*self.clock);
         // One budget spans the whole read, retries included.
@@ -32,7 +41,7 @@ impl Cluster {
                 deadline,
                 oid.raw(),
                 ClusterError::is_retryable,
-                || self.get_at(oid, deadline),
+                || self.get_at(oid, deadline, self.clean_view()),
             )
             .0;
         self.recorder.ret_get(span, &result, &*self.clock);
@@ -40,15 +49,25 @@ impl Cluster {
     }
 
     /// One read attempt under `deadline`: what [`Cluster::get`] retries.
-    fn get_at(&self, oid: ObjectId, deadline: Deadline) -> Result<Bytes, ClusterError> {
-        let expected = self.headers.header(oid).map(|h| h.version);
-        let view = self.view.peek();
+    /// `clean` is [`Cluster::clean_view`]'s verdict: a clean read defers
+    /// the header until the current placement missed, any other read
+    /// takes it before pinning the view.
+    pub(crate) fn get_at(
+        &self,
+        oid: ObjectId,
+        deadline: Deadline,
+        clean: Option<&ClusterView>,
+    ) -> Result<Bytes, ClusterError> {
+        let header = || self.headers.header(oid).map(|h| h.version);
+        let mut expected = if clean.is_some() { None } else { header() };
+        let view = clean.unwrap_or_else(|| self.view.peek());
         let current = view.place_current(oid).ok();
         // A copy is acceptable when its stamp is at least the header
         // version we read: stale (superseded) copies are always strictly
         // older than the header, while a concurrent re-integration may
-        // restamp fresh copies *past* the header snapshot we took.
-        let acceptable = |stamp: ech_core::ids::VersionId| {
+        // restamp fresh copies *past* the header snapshot we took. With
+        // no header read yet (a clean read), every copy is acceptable.
+        let acceptable = |stamp: VersionId, expected: Option<VersionId>| {
             self.mutation.mutated(Mutation::AcceptStale) || expected.is_none_or(|v| stamp >= v)
         };
         // Link failures must not masquerade as authoritative misses:
@@ -64,7 +83,7 @@ impl Cluster {
         let mut saw_transient = false;
         // One candidate: `Some` ends the read with a served copy or a
         // spent budget, `None` moves on to the next candidate.
-        let mut try_server = |server: ServerId| {
+        let mut try_server = |server: ServerId, expected: Option<VersionId>| {
             if deadline.expired(&*self.clock) {
                 self.counters
                     .deadline_exceeded
@@ -76,7 +95,7 @@ impl Cluster {
                 Err(e) => return Some(Err(e)),
             };
             match self.rpc(server, node, |n| n.get(oid)) {
-                Ok(obj) if acceptable(obj.header.version) => Some(Ok(obj.data)),
+                Ok(obj) if acceptable(obj.header.version, expected) => Some(Ok(obj.data)),
                 Ok(_) => None,
                 Err(e) => {
                     saw_transient |= transient(&e);
@@ -87,9 +106,12 @@ impl Cluster {
         // The current placement first.
         let current_servers = current.as_ref().map(Placement::servers).unwrap_or_default();
         for &server in current_servers {
-            if let Some(done) = try_server(server) {
+            if let Some(done) = try_server(server, expected) {
                 return done;
             }
+        }
+        if clean.is_some() {
+            expected = header();
         }
         // None of them served: `locate_ser(OID, Ver)` at the header
         // version, for the servers the current placement does not name.
@@ -114,7 +136,7 @@ impl Cluster {
         // for a version-matching copy before giving up.
         let sweep = (0..self.nodes.len() as u32).map(ServerId);
         for server in unseen.chain(sweep) {
-            if let Some(done) = try_server(server) {
+            if let Some(done) = try_server(server, expected) {
                 return done;
             }
         }

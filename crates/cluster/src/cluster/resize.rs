@@ -20,6 +20,7 @@ impl Cluster {
         let _writer = self.view_write.lock();
         let mut next = ClusterView::clone(self.view.peek());
         let version = next.resize(active);
+        next.fill_memo();
         // Power ordering around the snapshot swap: servers joining the
         // membership power on *before* the new view is published (a
         // reader of the new epoch must find them accepting I/O), and
@@ -71,6 +72,7 @@ impl Cluster {
                 table = table.with_state(s, ech_core::membership::PowerState::Off);
             }
             next.record_membership(table);
+            next.fill_memo();
             self.view.store(Arc::new(next));
         }
         dark

@@ -693,3 +693,203 @@ fn resize_validates_bounds() {
     assert!(!c.nodes()[9].is_powered());
     assert!(c.nodes()[5].is_powered());
 }
+
+/// Kv header reads and per-node reads across `f`.
+fn reads_across(c: &Cluster, f: impl FnOnce()) -> (u64, Vec<u64>) {
+    let nodes = || {
+        c.nodes()
+            .iter()
+            .map(|n| n.op_counts().0)
+            .collect::<Vec<_>>()
+    };
+    let (headers, before) = (c.kv().header_op_counts().0, nodes());
+    f();
+    let after = nodes().into_iter().zip(before).map(|(a, b)| a - b);
+    (c.kv().header_op_counts().0 - headers, after.collect())
+}
+
+#[test]
+fn clean_reads_skip_the_header_only_while_nothing_awaits_reintegration() {
+    const N: u64 = 200;
+    let read_all = |c: &Cluster| {
+        for i in 0..N {
+            assert_eq!(c.get(ObjectId(i)).unwrap(), payload(i), "oid {i}");
+        }
+    };
+    let c = cluster();
+    for i in 0..N {
+        c.put(ObjectId(i), payload(i)).unwrap();
+    }
+    let (headers, clean) = reads_across(&c, || read_all(&c));
+    assert_eq!(headers, 0, "full power, nothing dirty");
+    // One offloaded write elsewhere keeps every get on the header path
+    // until it is drained; the reads hit the same nodes either way.
+    c.resize(5);
+    c.put(ObjectId(N), payload(N)).unwrap();
+    c.resize(10);
+    let (headers, header_path) = reads_across(&c, || read_all(&c));
+    assert_eq!(headers, N, "an undrained entry keeps the header");
+    assert_eq!(header_path, clean, "both paths read the same nodes");
+    c.reintegrate_all();
+    assert_eq!(c.dirty_len(), 0);
+    assert_eq!(reads_across(&c, || read_all(&c)), (0, clean));
+    c.resize(5);
+    assert_eq!(reads_across(&c, || read_all(&c)).0, N, "below full power");
+
+    // At r = 3 a quorum ack may leave a secondary behind.
+    let c = Cluster::new(ClusterConfig {
+        replicas: 3,
+        ..ClusterConfig::paper()
+    });
+    for i in 0..N {
+        c.put(ObjectId(i), payload(i)).unwrap();
+    }
+    assert_eq!(reads_across(&c, || read_all(&c)).0, N, "r = 3");
+}
+
+/// Read every oid of `keys` by both paths where the clean-read gate
+/// holds, and require the same result from each; false when it does
+/// not hold.
+fn read_paths_agree(c: &Cluster, keys: impl IntoIterator<Item = ObjectId>) -> bool {
+    let Some(view) = c.clean_view() else {
+        return false;
+    };
+    for oid in keys {
+        let deadline = c.op_deadline();
+        let header = c.get_at(oid, deadline, None);
+        assert_eq!(c.get_at(oid, deadline, Some(view)), header, "{oid:?}");
+    }
+    true
+}
+
+#[test]
+fn clean_and_header_reads_agree_wherever_the_gate_holds() {
+    use crate::scenario::{self, Scenario, Step};
+    // The seeded history script: after every op the gate admits, and at
+    // its converged end.
+    let keys = || (1..=6).map(ObjectId);
+    for seed in 0..8 {
+        let drill = Scenario::scripted().build();
+        let mut clean_points = 0;
+        for i in 0..400 {
+            drill.script_op(seed, i, 6);
+            clean_points += usize::from(read_paths_agree(&drill.cluster, keys()));
+        }
+        assert!(clean_points > 0, "seed {seed}: the gate never held");
+        drill.converge();
+        assert!(read_paths_agree(&drill.cluster, keys()), "seed {seed}");
+    }
+    // Drills at r = 2, at their quiescent end: a fault-free size-down
+    // cycle, disk faults with a silent crash, and a partition.
+    let r2 = |plan, objects| {
+        let mut sc = Scenario::r3(plan, objects);
+        (sc.cfg.replicas, sc.read_back) = (2, true);
+        sc.schedule = vec![
+            (objects / 3, Step::Resize(5)),
+            (2 * objects / 3, Step::Resize(10)),
+        ];
+        sc
+    };
+    let mut faulted = r2(scenario::disk_faults(10, 7, 0.05, 400, &[(3, 150)]), 120);
+    faulted.maintain = true;
+    let mut partitioned = r2(
+        FaultPlan {
+            net: Some(NetPlan {
+                partitions: vec![scenario::cut(vec![4], crate::PartitionDirection::Inbound)],
+                ..NetPlan::uniform(7, scenario::FLAKY_LINK)
+            }),
+            ..FaultPlan::default()
+        },
+        120,
+    );
+    partitioned.read_back = false;
+    partitioned.cfg = scenario::with_budget(partitioned.cfg);
+    for sc in [r2(FaultPlan::default(), 120), faulted, partitioned] {
+        let (drill, out) = sc.run();
+        out.assert_survived();
+        let acked = out.acked.iter().map(|&i| ObjectId(i));
+        assert!(read_paths_agree(&drill.cluster, acked));
+    }
+}
+
+/// An object whose full-power placement names a server the size-down to
+/// 5 turns off (in slot 0 where one exists, so a clean read tries it
+/// first): written at full power, rewritten at 5 of 10, and back at full
+/// power with its drain task planned — its entry popped — but not run.
+fn planned_offload(c: &Cluster) -> (ObjectId, MigrationTask, usize) {
+    let off = |o: &ObjectId, slots: usize| {
+        c.locate(*o).unwrap().servers()[..slots]
+            .iter()
+            .any(|s| s.index() >= 5)
+    };
+    let oid = (0..4096)
+        .map(ObjectId)
+        .find(|o| off(o, 1))
+        .or_else(|| (0..).map(ObjectId).find(|o| off(o, 2)))
+        .unwrap();
+    c.put(oid, payload(1)).unwrap();
+    c.resize(5);
+    c.put(oid, payload(2)).unwrap();
+    c.resize(10);
+    let (task, popped) = c.plan_task().unwrap();
+    assert_eq!((task.oid, popped, c.dirty_len()), (oid, 1, 0));
+    (oid, task, popped)
+}
+
+/// Every server of `oid`'s current placement holds `want`.
+fn placed_everywhere(c: &Cluster, oid: ObjectId, want: &Bytes) {
+    for &s in c.locate(oid).unwrap().servers() {
+        assert_eq!(&c.nodes()[s.index()].get(oid).unwrap().data, want, "{s}");
+    }
+}
+
+#[test]
+fn a_drain_copy_overtaken_by_a_full_power_rewrite_keeps_the_rewrite() {
+    let c = cluster();
+    let (oid, task, popped) = planned_offload(&c);
+    // While the task's copies are in flight, a resize cycle passes and
+    // the object is rewritten at full power, to every replica, unlogged.
+    c.resize(5);
+    c.resize(10);
+    c.put(oid, payload(3)).unwrap();
+    c.execute_task(&task);
+    c.retire(popped);
+    assert!(c.clean_view().is_some(), "nothing awaits re-integration");
+    placed_everywhere(&c, oid, &payload(3));
+    assert_eq!(c.get(oid).unwrap(), payload(3));
+}
+
+#[test]
+fn a_drain_task_whose_destination_went_dark_is_logged_again() {
+    let c = cluster();
+    let (oid, task, popped) = planned_offload(&c);
+    c.resize(5);
+    let stats = c.execute_task(&task);
+    c.retire(popped);
+    assert_eq!((stats.moves, stats.failed_moves), (0, 1));
+    assert_eq!(c.dirty_len(), 1, "the entry is back");
+    c.resize(10);
+    assert!(c.clean_view().is_none());
+    assert_eq!(c.get(oid).unwrap(), payload(2));
+    c.reintegrate_all();
+    assert_eq!(c.dirty_len(), 0);
+    assert!(c.clean_view().is_some());
+    placed_everywhere(&c, oid, &payload(2));
+    assert_eq!(c.get(oid).unwrap(), payload(2));
+}
+
+#[test]
+fn restart_logs_again_an_entry_popped_for_a_task_that_never_ran() {
+    let c = cluster();
+    let (oid, _task, _popped) = planned_offload(&c);
+    // The coordinator dies between the pop and the copy.
+    let c2 = c.restart();
+    assert_eq!(c2.dirty_len(), 1);
+    assert!(c2.clean_view().is_none());
+    assert_eq!(c2.get(oid).unwrap(), payload(2));
+    c2.reintegrate_all();
+    assert_eq!(c2.dirty_len(), 0);
+    assert!(c2.clean_view().is_some());
+    placed_everywhere(&c2, oid, &payload(2));
+    assert_eq!(c2.get(oid).unwrap(), payload(2));
+}

@@ -74,11 +74,23 @@ pub enum Mutation {
     /// exists a concurrent reader sees a header version no replica can
     /// satisfy and reports a spurious `NotFound` (`seeded-stamp-bug`).
     StampBeforeCopy,
+    /// Algorithm 2's planner retires a task's dirty entry when it pops
+    /// it, before `execute_task` copies. With nothing else unretired a
+    /// full-power get then skips the header and serves the copy the
+    /// offloaded write superseded, still on the current placement
+    /// (`clean-read-bug`).
+    RetireAtPop,
+    /// `execute_task`'s copies overwrite whatever the destination holds,
+    /// as a plain put does. A full-power rewrite that lands on the
+    /// destination while the move is in flight is then replaced by the
+    /// older moved copy, which every later read on that server serves
+    /// (`superseded-drain-bug`).
+    MoveOverwritesNewer,
 }
 
 impl Mutation {
     /// Every variant, for the model ↔ decision-point coverage test.
-    pub const ALL: [Mutation; 10] = [
+    pub const ALL: [Mutation; 12] = [
         Mutation::SkipDirtyLog,
         Mutation::AppendOnStore,
         Mutation::AckBeforeWrite,
@@ -89,6 +101,8 @@ impl Mutation {
         Mutation::RelaxedStopFlag,
         Mutation::RestampDownOnHeal,
         Mutation::StampBeforeCopy,
+        Mutation::RetireAtPop,
+        Mutation::MoveOverwritesNewer,
     ];
 }
 

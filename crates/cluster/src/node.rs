@@ -276,6 +276,34 @@ impl StorageNode {
         version: VersionId,
         dirty: bool,
     ) -> Result<(), NodeError> {
+        self.write_replica(oid, data, version, dirty, false)
+    }
+
+    /// Store a replica a re-integration move carries at `version`, unless
+    /// the node already holds one stamped at or past it: that copy was
+    /// written (or restamped) at the move's target membership or later,
+    /// so it is at least as new as the moved data, which a write racing
+    /// the move may have superseded. Fails when powered off.
+    pub fn put_moved(
+        &self,
+        oid: ObjectId,
+        data: Bytes,
+        version: VersionId,
+        dirty: bool,
+    ) -> Result<(), NodeError> {
+        self.write_replica(oid, data, version, dirty, true)
+    }
+
+    /// [`StorageNode::put`], or with `keep_newer` [`StorageNode::put_moved`].
+    #[inline(always)]
+    fn write_replica(
+        &self,
+        oid: ObjectId,
+        data: Bytes,
+        version: VersionId,
+        dirty: bool,
+        keep_newer: bool,
+    ) -> Result<(), NodeError> {
         self.fault_gate()?;
         if !self.is_powered() {
             return Err(NodeError::PoweredOff);
@@ -291,6 +319,11 @@ impl StorageNode {
         // slot the new replica goes into.
         let slot = map.entry(oid);
         let old_len = match &slot {
+            Entry::Occupied(held)
+                if keep_newer && held.get().header.unpack().version >= version =>
+            {
+                return Ok(());
+            }
             Entry::Occupied(held) => held.get().data.len() as u64,
             Entry::Vacant(_) => 0,
         };
@@ -501,6 +534,26 @@ mod tests {
         assert_eq!(n.get(ObjectId(1)).unwrap().header.version, VersionId(7));
         // Missing object: no-op.
         assert!(!n.restamp(ObjectId(9), VersionId(1), false));
+    }
+
+    #[test]
+    fn a_moved_copy_never_replaces_one_stamped_at_or_past_it() {
+        let n = node();
+        n.put(ObjectId(1), Bytes::from("new"), VersionId(5), false)
+            .unwrap();
+        for version in [3, 5] {
+            n.put_moved(ObjectId(1), Bytes::from("old"), VersionId(version), true)
+                .unwrap();
+            assert_eq!(&n.get(ObjectId(1)).unwrap().data[..], b"new");
+        }
+        assert_eq!(n.op_counts().1, 1, "a kept copy is not a write");
+        n.put_moved(ObjectId(1), Bytes::from("moved"), VersionId(6), true)
+            .unwrap();
+        n.put_moved(ObjectId(2), Bytes::from("fresh"), VersionId(1), true)
+            .unwrap();
+        assert_eq!(&n.get(ObjectId(1)).unwrap().data[..], b"moved");
+        assert_eq!(n.get(ObjectId(2)).unwrap().header.version, VersionId(1));
+        assert_eq!(n.bytes_stored(), 10);
     }
 
     #[test]

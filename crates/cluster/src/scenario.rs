@@ -15,6 +15,7 @@ use crate::{
     PartitionDirection, PartitionWindow, VirtualClock,
 };
 use bytes::Bytes;
+use ech_core::hash::mix64;
 use ech_core::ids::ObjectId;
 use ech_core::placement::{Placement, Strategy};
 use std::sync::Arc;
@@ -186,6 +187,14 @@ impl Scenario {
         }
     }
 
+    /// The fault-free cluster the seeded history script runs on
+    /// ([`Drill::script_op`]): three servers at r = 2, nothing written.
+    pub fn scripted() -> Self {
+        let mut sc = Scenario::r3(FaultPlan::default(), 0);
+        (sc.cfg.servers, sc.cfg.replicas) = (3, 2);
+        sc
+    }
+
     /// The cluster, running the plan on a fresh virtual clock.
     pub fn build(&self) -> Drill {
         let clock = Arc::new(VirtualClock::new());
@@ -247,6 +256,35 @@ impl Drill {
             "schedule not sorted or past `objects`"
         );
         out
+    }
+
+    /// Op `i` of the seeded history script over oids `1..=keys` that
+    /// `ech-check lincheck` records: overwrites (so a last-write-wins
+    /// register has history to get wrong), reads, resizes between full
+    /// power and one server fewer (degraded-write windows), and
+    /// heal/drain passes, chosen by a hash of `(seed, i)`.
+    pub fn script_op(&self, seed: u64, i: usize, keys: u64) {
+        let c = &self.cluster;
+        let r = mix64(seed ^ (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
+        let oid = ObjectId(1 + r % keys);
+        match (r >> 8) % 10 {
+            0..=4 => {
+                let _ = c.put(oid, Bytes::from(format!("lincheck-{i}")));
+            }
+            5..=7 => {
+                let _ = c.get(oid);
+            }
+            8 => {
+                let n = c.config().servers;
+                c.resize(if c.active_count() == n { n - 1 } else { n });
+            }
+            _ if r & 1 == 0 => {
+                c.heal_dirty();
+            }
+            _ => {
+                c.reintegrate_all();
+            }
+        }
     }
 
     /// Fix membership and re-replicate, as a coordinator does after a

@@ -33,6 +33,11 @@ pub use ech_modelcheck::sync::{
     Ordering,
 };
 
+/// A once-initialised cell, the same type in both builds: a cell's
+/// initialiser runs no scheduling point (it only computes), so the
+/// explorer needs no instrumented twin to schedule around it.
+pub use std::sync::OnceLock;
+
 #[cfg(not(feature = "modelcheck"))]
 pub use parking_lot::{Mutex, MutexGuard};
 #[cfg(not(feature = "modelcheck"))]

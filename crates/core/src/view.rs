@@ -8,8 +8,9 @@
 //! On the ring that answer depends on two things only: the vnode arc the
 //! object hashes into and the membership content (its epoch class,
 //! [`MembershipHistory::epoch_class`]). So the view runs Algorithm 1 once
-//! per arc when it records a class it has not seen, and a lookup is one
-//! successor search plus one row read.
+//! per arc of a class it has not seen, on the class's first lookup (or
+//! when [`ClusterView::fill_memo`] asks), and a lookup is one successor
+//! search plus one row read.
 
 use crate::engine::{DxEngine, EngineKind, JumpEngine, PlacementEngine, PowerEngine, RingEngine};
 use crate::hash::object_position;
@@ -18,6 +19,7 @@ use crate::layout::Layout;
 use crate::membership::{MembershipHistory, MembershipTable};
 use crate::placement::{place_from, place_with, Placement, PlacementError, Strategy};
 use crate::ring::{HashRing, VirtualNode};
+use crate::sync::OnceLock;
 use std::fmt;
 use std::sync::Arc;
 
@@ -115,8 +117,10 @@ impl fmt::Debug for ArcRows {
 }
 
 /// The memo of one membership class, shared by every version and every
-/// view of that class.
-type ClassRows = Arc<Result<ArcRows, PlacementError>>;
+/// view of that class. Its rows are built on the class's first lookup,
+/// so a class nothing places under (the simulator records many) costs
+/// no walk.
+type ClassRows = Arc<OnceLock<Result<ArcRows, PlacementError>>>;
 
 /// Immutable topology plus evolving membership, with versioned placement.
 ///
@@ -242,9 +246,9 @@ impl ClusterView {
         version
     }
 
-    /// Give the current version its class's rows: shared when an earlier
-    /// version opened the class, built (one walk per vnode) when it opens
-    /// it itself. Ring engine only.
+    /// Give the current version its class's memo: shared when an earlier
+    /// version opened the class, a fresh empty one when it opens it
+    /// itself. Ring engine only.
     fn memoise_current(&mut self) {
         if self.engine != EngineKind::Ring {
             return;
@@ -256,16 +260,40 @@ impl ClusterView {
             .filter(|&class| class != version)
             .and_then(|class| self.class_rows(class))
             .cloned();
-        let rows = seen.unwrap_or_else(|| {
-            Arc::new(ArcRows::build(
+        self.rows.push(seen.unwrap_or_default());
+    }
+
+    /// Build the current class's rows now unless a lookup already has
+    /// (one walk per vnode, shared by every version of the class). The
+    /// cluster calls this before it publishes a view, so no get or put
+    /// waits on a build. A no-op off the ring engine.
+    pub fn fill_memo(&self) {
+        let version = self.current_version();
+        if let Some(rows) = self.class_rows(version) {
+            self.rows_of(rows, version);
+        }
+    }
+
+    /// `rows`, the memo of `version`'s class, built on first use.
+    #[inline]
+    fn rows_of<'a>(
+        &self,
+        rows: &'a ClassRows,
+        version: VersionId,
+    ) -> &'a Result<ArcRows, PlacementError> {
+        rows.get_or_init(|| {
+            let membership = self
+                .history
+                .get(version)
+                .ok_or(PlacementError::UnknownVersion(version))?;
+            ArcRows::build(
                 &self.ring,
                 &self.layout,
                 self.strategy,
-                self.history.current(),
+                membership,
                 self.replicas,
-            ))
-        });
-        self.rows.push(rows);
+            )
+        })
     }
 
     /// The memo rows of `version`'s class (ring engine only). Two views
@@ -299,7 +327,7 @@ impl ClusterView {
         let rows = self
             .class_rows(version)
             .ok_or(PlacementError::UnknownVersion(version))?;
-        match rows.as_ref() {
+        match self.rows_of(rows, version) {
             Ok(rows) => rows.placement(self.ring.successor_index(position), self.replicas),
             Err(e) => Err(*e),
         }
@@ -523,6 +551,22 @@ mod tests {
         let v4 = next.resize(5);
         assert!(Arc::ptr_eq(&rows(&v, v2), &rows(&next, v4)));
         assert!(Arc::ptr_eq(&rows(&v, VersionId(1)), &rows(&next, v3)));
+    }
+
+    #[test]
+    fn a_recorded_class_with_no_lookup_builds_no_rows() {
+        let mut v = view();
+        let v2 = v.resize(5);
+        let v3 = v.resize(10);
+        let built = |view: &ClusterView, ver| view.class_rows(ver).unwrap().get().is_some();
+        assert!(!built(&v, VersionId(1)) && !built(&v, v2));
+        // A lookup builds its own class only, for every version of it.
+        v.place_at(ObjectId(7), v3).unwrap();
+        assert!(built(&v, VersionId(1)) && !built(&v, v2));
+        // Filling builds the current class, which `v2` shares.
+        v.resize(5);
+        v.fill_memo();
+        assert!(built(&v, v2));
     }
 
     #[test]

@@ -32,22 +32,39 @@ use ech_core::ids::{ObjectId, ServerId};
 use ech_core::ring::HashRing;
 use parking_lot::RwLock;
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 /// The key the dirty table had as a LIST: it still names the shard that
 /// serves the typed log, so a fault plan aimed at that shard darkens it.
 const DIRTY_LOG_HOME: &str = "ech:dirty";
 
-/// One shard: a lock around a key space slice, and a second one around
-/// the shard's slice of the object-header table.
+/// One shard: a lock around a key space slice, and the shard's slice of
+/// the object-header table.
 #[derive(Debug, Default)]
 struct Shard {
     map: RwLock<HashMap<String, Value>>,
+    headers: HeaderSlice,
+}
+
+/// A shard's slice of the object-header table: its lock and its header
+/// op counters, alone on one cache line as a node's lock stripe is. A
+/// header read's shared lock writes that line anyway, so counting adds
+/// no written line to the read path.
+#[derive(Debug, Default)]
+#[repr(align(64))]
+struct HeaderSlice {
     /// Keyed by program-made ids, so no SipHash. [`IdMap`]'s hash is
     /// independent of [`KvStore::header_shard_of`]'s routing hash, which
     /// it must be: see [`ech_core::hash::IdHasher`].
-    headers: RwLock<IdMap<ObjectId, PackedHeader>>,
+    map: RwLock<IdMap<ObjectId, PackedHeader>>,
+    /// Header reads served ([`KvStore::header_get`]).
+    reads: AtomicU64,
+    /// Header writes ([`KvStore::header_put`]); written only under
+    /// `map`'s write lock.
+    writes: AtomicU64,
 }
+
+const _: () = assert!(std::mem::size_of::<HeaderSlice>() == 64);
 
 const _: () = assert!(std::mem::size_of::<(ObjectId, PackedHeader)>() == 16);
 
@@ -83,6 +100,16 @@ impl Snapshot {
     /// dirty entries.
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty() && self.headers.is_empty() && self.dirty.is_empty()
+    }
+
+    /// The captured object headers, sorted by object id.
+    pub fn headers(&self) -> &[(ObjectId, ObjectHeader)] {
+        &self.headers
+    }
+
+    /// The captured dirty log, head first.
+    pub fn dirty(&self) -> &[DirtyEntry] {
+        &self.dirty
     }
 }
 
@@ -246,6 +273,7 @@ impl KvStore {
             headers.extend(
                 shard
                     .headers
+                    .map
                     .read()
                     .iter()
                     .map(|(&oid, &h)| (oid, h.unpack())),
@@ -284,6 +312,7 @@ impl KvStore {
             store
                 .shard_at(store.header_shard_of(oid))
                 .headers
+                .map
                 .write()
                 .insert(oid, packed);
         }
@@ -384,21 +413,33 @@ impl KvStore {
 
     /// Store `oid`'s header, replacing any earlier one.
     pub fn header_put(&self, oid: ObjectId, header: ObjectHeader) -> KvResult<()> {
-        self.checked_shard_at(self.header_shard_of(oid))?
-            .headers
-            .write()
-            .insert(oid, header.into());
+        let slice = &self.checked_shard_at(self.header_shard_of(oid))?.headers;
+        let mut map = slice.map.write();
+        map.insert(oid, header.into());
+        // The write lock serialises this slice's writers, so a plain
+        // store replaces an atomic RMW.
+        let writes = slice.writes.load(Ordering::Relaxed);
+        slice.writes.store(writes + 1, Ordering::Relaxed);
         Ok(())
     }
 
     /// `oid`'s header, if one was stored.
     pub fn header_get(&self, oid: ObjectId) -> KvResult<Option<ObjectHeader>> {
-        Ok(self
-            .checked_shard_at(self.header_shard_of(oid))?
-            .headers
-            .read()
-            .get(&oid)
-            .map(|h| h.unpack()))
+        let slice = &self.checked_shard_at(self.header_shard_of(oid))?.headers;
+        slice.reads.fetch_add(1, Ordering::Relaxed);
+        Ok(slice.map.read().get(&oid).map(|h| h.unpack()))
+    }
+
+    /// (reads, writes) of single object headers served so far
+    /// ([`KvStore::header_get`], [`KvStore::header_put`]), summed over
+    /// the shards. Whole-table scans, dumps and restores are not counted.
+    pub fn header_op_counts(&self) -> (u64, u64) {
+        self.shards.iter().fold((0, 0), |(r, w), s| {
+            (
+                r + s.headers.reads.load(Ordering::Relaxed),
+                w + s.headers.writes.load(Ordering::Relaxed),
+            )
+        })
     }
 
     /// Number of stored headers. Visits every shard, so it fails while
@@ -406,7 +447,7 @@ impl KvStore {
     pub fn header_len(&self) -> KvResult<usize> {
         let mut len = 0;
         for index in 0..self.shards.len() {
-            len += self.checked_shard_at(index)?.headers.read().len();
+            len += self.checked_shard_at(index)?.headers.map.read().len();
         }
         Ok(len)
     }
@@ -416,7 +457,14 @@ impl KvStore {
     pub fn header_ids(&self) -> KvResult<Vec<ObjectId>> {
         let mut ids = Vec::new();
         for index in 0..self.shards.len() {
-            ids.extend(self.checked_shard_at(index)?.headers.read().keys().copied());
+            ids.extend(
+                self.checked_shard_at(index)?
+                    .headers
+                    .map
+                    .read()
+                    .keys()
+                    .copied(),
+            );
         }
         ids.sort_unstable();
         Ok(ids)
@@ -685,6 +733,23 @@ mod tests {
                 "shard {i} holds {c} headers (mean {mean})"
             );
         }
+    }
+
+    #[test]
+    fn header_ops_are_counted_one_by_one() {
+        let kv = KvStore::new(4);
+        for oid in 0..50 {
+            kv.header_put(ObjectId(oid), header(1, false)).unwrap();
+        }
+        kv.header_put(ObjectId(7), header(2, true)).unwrap();
+        for oid in 0..60 {
+            kv.header_get(ObjectId(oid)).unwrap();
+        }
+        // Scans and dumps are not single-header ops.
+        kv.header_len().unwrap();
+        kv.header_ids().unwrap();
+        kv.dump();
+        assert_eq!(kv.header_op_counts(), (60, 51));
     }
 
     #[test]
